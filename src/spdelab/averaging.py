@@ -13,6 +13,11 @@ eps * ||phi||_{-gamma} scales like eps^{+1/2}.
 
 phi_tilde replaces one w factor by an independent copy and carries no
 subtraction; it obeys the same scaling.
+
+w, w_tilde and v are Hermitian, i.e. real fields, so each triple mode sum
+is one pointwise product on a real grid of M >= 4N+1 points and one rfft cut
+to |n| <= N.  The product carries modes up to 3N; on M points mode n' wraps
+onto n' - M < -N, so the kept modes are exact (4N+1 is the no-alias bound).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sfft
 
 from .noise import (NoiseStream, PURPOSE_GAUSS_PROFILE, PURPOSE_MODE_SET,
                     PURPOSE_MODE_SET_INDEP)
@@ -53,7 +59,13 @@ class ModeEnsemble:
         w = np.asarray(self.w, dtype=np.complex128)
         if w.shape != (2 * self.max_mode + 1,):
             raise ValueError("w must cover modes -N..N")
+        coefficients_to_field(w)  # raises unless Hermitian: phi needs real w
         object.__setattr__(self, "w", w)
+
+
+def _mirror(modes: np.ndarray) -> np.ndarray:
+    """Hermitian sequences over -N..N from their modes 0..N (last axis)."""
+    return np.concatenate([np.conj(modes[..., :0:-1]), modes], axis=-1)
 
 
 def _w_batch(nu: float, eps: float, max_mode: int, stream: NoiseStream,
@@ -66,10 +78,7 @@ def _w_batch(nu: float, eps: float, max_mode: int, stream: NoiseStream,
     z = stream.with_purpose(purpose).normals(0, (reps, max_mode, 2))
     sig = sigma_mode(nu, eps, np.arange(1, max_mode + 1))
     pos = np.sqrt(sig / 2.0) * (z[:, :, 0] + 1j * z[:, :, 1])
-    out = np.zeros((reps, 2 * max_mode + 1), dtype=np.complex128)
-    out[:, max_mode + 1:] = pos
-    out[:, :max_mode] = np.conj(pos[:, ::-1])
-    return out
+    return _mirror(np.concatenate([np.zeros((reps, 1)), pos], axis=1))
 
 
 def sample_w(nu: float, eps: float, max_mode: int,
@@ -79,51 +88,38 @@ def sample_w(nu: float, eps: float, max_mode: int,
     return ModeEnsemble(nu=nu, eps=eps, max_mode=max_mode, w=w)
 
 
-def _linear_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact linear convolution via FFT with zero padding (no wraparound)."""
-    size = a.shape[-1] + b.shape[-1] - 1
-    nfft = 1 << (size - 1).bit_length()
-    fa = np.fft.fft(a, n=nfft, axis=-1)
-    fb = np.fft.fft(b, n=nfft, axis=-1)
-    return np.fft.ifft(fa * fb, axis=-1)[..., :size]
+def _grid(modes: np.ndarray) -> np.ndarray:
+    """Values of the real field with modes 0..N on the no-alias grid."""
+    size = sfft.next_fast_len(4 * (modes.shape[-1] - 1) + 1, real=True)
+    return sfft.irfft(modes, n=size, norm="forward")
 
 
-def _full_sequence(v: SpectralField) -> np.ndarray:
-    """Coefficients of a scalar field over modes -N..N."""
-    if v.n_components != 1:
-        raise ValueError("profile must be scalar (one component)")
-    n = v.max_mode
-    full = np.zeros(2 * n + 1, dtype=np.complex128)
-    full[n:] = v.coeffs[0]
-    full[:n] = np.conj(v.coeffs[0, 1:][::-1])
-    return full
+def _triple_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                max_mode: int) -> np.ndarray:
+    """(1/2 pi) sum_{k+l+m=n} a_k b_l c_m over n = 0..N, from grid values."""
+    return sfft.rfft(a * b * c, norm="forward")[:max_mode + 1] / _TWO_PI
 
 
 def compute_phi(v: SpectralField, w: ModeEnsemble) -> np.ndarray:
-    """Centered quadratic fluctuation; returns coefficients over -N..N.
-
-    The double mode sum is an exact linear convolution (zero padded, so no
-    circular aliasing); only output modes |n| <= N are retained.
-    """
-    if v.max_mode != w.max_mode:
-        raise ValueError("profile and mode set must share the cutoff")
+    """Centered quadratic fluctuation; returns coefficients over -N..N."""
     n = w.max_mode
-    vfull = _full_sequence(v)
-    www = _linear_convolve(_linear_convolve(w.w, w.w), vfull)
-    center = www[2 * n: 4 * n + 1] / _TWO_PI
-    return center - vfull / (2.0 * w.eps * math.sqrt(w.nu))
+    if v.coeffs.shape != (1, n + 1):
+        raise ValueError("profile must be scalar and share the cutoff")
+    w_grid = _grid(w.w[n:])
+    phi = _triple_sum(w_grid, w_grid, _grid(v.coeffs[0]), n)
+    return _mirror(phi - v.coeffs[0] / (2.0 * w.eps * math.sqrt(w.nu)))
 
 
 def compute_phi_tilde(v: SpectralField, w: ModeEnsemble,
                       w_tilde: ModeEnsemble) -> np.ndarray:
     """Mixed quadratic with an independent copy; no centering needed."""
-    if w.max_mode != w_tilde.max_mode or v.max_mode != w.max_mode:
-        raise ValueError("profile and mode sets must share the cutoff")
+    n = w.max_mode
+    if w_tilde.max_mode != n or v.coeffs.shape != (1, n + 1):
+        raise ValueError("profile must be scalar and share the cutoff")
     if (w.nu, w.eps) != (w_tilde.nu, w_tilde.eps):
         raise ValueError("mode sets must share (nu, eps)")
-    n = w.max_mode
-    www = _linear_convolve(_linear_convolve(w.w, w_tilde.w), _full_sequence(v))
-    return www[2 * n: 4 * n + 1] / _TWO_PI
+    return _mirror(_triple_sum(_grid(w.w[n:]), _grid(w_tilde.w[n:]),
+                               _grid(v.coeffs[0]), n))
 
 
 def coefficients_to_field(seq: np.ndarray) -> SpectralField:
@@ -205,28 +201,28 @@ def tail_experiment(nu: float, gamma: float, alpha: float, eps_grid,
     for eps in eps_grid:
         n = int(math.ceil(modes_over_eps / eps ** modes_exponent))
         mode_counts.append(n)
-        det_v = deterministic_profile(n, alpha, nu)
+        v_modes = deterministic_profile(n, alpha, nu).coeffs[0]
+        v_grid = _grid(v_modes)
+        k = np.arange(1, n + 1, dtype=np.float64)
+        amp = np.sqrt(sigma_mode(nu, eps, k) / (k * k) / 2.0)
         norms_p = np.empty(reps)
         norms_t = np.empty(reps)
         for r in range(reps):
             sub = stream.with_replica(stream.replica + r)
-            w = ModeEnsemble(nu, eps, n, _w_batch(nu, eps, n, sub, 1,
-                                                  PURPOSE_MODE_SET)[0])
-            wt = ModeEnsemble(nu, eps, n, _w_batch(nu, eps, n, sub, 1,
-                                                   PURPOSE_MODE_SET_INDEP)[0])
-            if profile == "deterministic":
-                v = det_v
-            else:
+            w_grid, wt_grid = (
+                _grid(_w_batch(nu, eps, n, sub, 1, purpose)[0, n:])
+                for purpose in (PURPOSE_MODE_SET, PURPOSE_MODE_SET_INDEP))
+            if profile == "gaussian":
                 z = sub.with_purpose(PURPOSE_GAUSS_PROFILE).normals(0, (n, 2))
-                k = np.arange(1, n + 1, dtype=np.float64)
-                amp = np.sqrt(sigma_mode(nu, eps, k) / (k * k) / 2.0)
-                coeffs = np.zeros(n + 1, dtype=np.complex128)
-                coeffs[1:] = amp * (z[:, 0] + 1j * z[:, 1])
-                v = SpectralField(1, n, coeffs[None, :])
-            phi = coefficients_to_field(compute_phi(v, w))
-            phit = coefficients_to_field(compute_phi_tilde(v, w, wt))
-            norms_p[r] = sobolev_norm(phi, -gamma, nu)
-            norms_t[r] = sobolev_norm(phit, -gamma, nu)
+                v_modes = np.zeros(n + 1, dtype=np.complex128)
+                v_modes[1:] = amp * (z[:, 0] + 1j * z[:, 1])
+                v_grid = _grid(v_modes)
+            phi = (_triple_sum(w_grid, w_grid, v_grid, n)
+                   - v_modes / (2.0 * eps * math.sqrt(nu)))
+            phit = _triple_sum(w_grid, wt_grid, v_grid, n)
+            for norms, modes in ((norms_p, phi), (norms_t, phit)):
+                norms[r] = sobolev_norm(SpectralField.from_coeffs(modes),
+                                        -gamma, nu)
         med_p.append(float(np.quantile(norms_p, 0.5)))
         q90_p.append(float(np.quantile(norms_p, 0.9)))
         med_t.append(float(np.quantile(norms_t, 0.5)))

@@ -6,7 +6,7 @@ import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 
 class RegressionResult(NamedTuple):
@@ -54,7 +54,7 @@ def regress_loglog(points: Sequence[tuple[float, float]],
     dof = x.size - 2
     if dof > 0 and ssr > 0.0:
         se = math.sqrt(ssr / dof / sxx)
-        tq = float(stats.t.ppf(0.975, dof))
+        tq = float(special.stdtrit(dof, 0.975))
         ci = (slope - tq * se, slope + tq * se)
     else:
         ci = (slope, slope)

@@ -137,6 +137,7 @@ def initial_field(n_components: int, max_mode: int, decay: float,
 
 
 def _replica_map(fn, replicas: int, workers: int) -> list:
+    workers = min(workers, os.cpu_count() or 1)  # more threads only contend
     if workers <= 1:
         return [fn(r) for r in range(replicas)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -17,7 +17,8 @@ import numpy as np
 import scipy.integrate
 
 import conftest
-from test_averaging import brute_force_phi, profile
+from test_averaging import (brute_force_phi, brute_force_phi_tilde,
+                            profile)
 from test_models import FullSeries, oracle_F_eps
 
 from spdelab import (ModeEnsemble, NoiseStream, OperatorSpec, RunConfig,
@@ -33,7 +34,6 @@ from spdelab import (ModeEnsemble, NoiseStream, OperatorSpec, RunConfig,
                      step_coupled, sup_distance, sup_norm, write_report)
 
 ROOT_2PI = math.sqrt(2.0 * math.pi)
-TWO_PI = 2.0 * math.pi
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> str:
@@ -345,21 +345,8 @@ def test_criterion_10_oracle_equivalences():
 
     # phi~ (independent second ensemble, no centering) likewise.
     wt = sample_w(1.0, 0.5, 6, NoiseStream(12345))
-    n = 6
-    vfull = np.zeros(2 * n + 1, dtype=np.complex128)
-    vfull[n:] = v.coeffs[0]
-    vfull[:n] = np.conj(v.coeffs[0, 1:][::-1])
-    want_t = np.zeros(2 * n + 1, dtype=np.complex128)
-    for target in range(-n, n + 1):
-        acc = 0.0 + 0.0j
-        for a in range(-n, n + 1):
-            for b in range(-n, n + 1):
-                m = target - a - b
-                if -n <= m <= n:
-                    acc += w.w[a + n] * wt.w[b + n] * vfull[m + n]
-        want_t[target + n] = acc / TWO_PI
-    devs["phi_tilde"] = float(np.max(np.abs(compute_phi_tilde(v, w, wt)
-                                            - want_t)))
+    devs["phi_tilde"] = float(np.max(np.abs(
+        compute_phi_tilde(v, w, wt) - brute_force_phi_tilde(v, w, wt))))
 
     algebra_ok = all(d <= 1e-10 for d in devs.values())
 

@@ -10,7 +10,8 @@ from spdelab import (ModeEnsemble, NoiseStream, SpectralField,
                      deterministic_profile, sample_w, sigma_mode,
                      sobolev_norm, tail_experiment)
 from spdelab.averaging import _w_batch
-from spdelab.noise import PURPOSE_MODE_SET, PURPOSE_MODE_SET_INDEP
+from spdelab.noise import (PURPOSE_GAUSS_PROFILE, PURPOSE_MODE_SET,
+                           PURPOSE_MODE_SET_INDEP)
 
 TWO_PI = 2.0 * math.pi
 
@@ -22,22 +23,56 @@ def profile(max_mode: int, coeffs: dict[int, complex]) -> SpectralField:
     return SpectralField(1, max_mode, c)
 
 
-def brute_force_phi(v: SpectralField, w: ModeEnsemble) -> np.ndarray:
-    """O(N^3) direct triple sum over k + l + m = n."""
-    n = w.max_mode
+def full_sequence(modes: np.ndarray) -> np.ndarray:
+    """Hermitian sequence over modes -N..N from its modes 0..N."""
+    return np.concatenate([np.conj(modes[1:][::-1]), modes])
+
+
+def brute_force_triple_sum(a: np.ndarray, b: np.ndarray,
+                           c: np.ndarray) -> np.ndarray:
+    """O(N^3) direct (1/2 pi) sum_{k+l+m=n} a_k b_l c_m over |n| <= N."""
+    n = (a.shape[0] - 1) // 2
     out = np.zeros(2 * n + 1, dtype=np.complex128)
-    vfull = np.zeros(2 * n + 1, dtype=np.complex128)
-    vfull[n:] = v.coeffs[0]
-    vfull[:n] = np.conj(v.coeffs[0, 1:][::-1])
     for target in range(-n, n + 1):
         acc = 0.0 + 0.0j
         for k in range(-n, n + 1):
             for l in range(-n, n + 1):
                 m = target - k - l
                 if -n <= m <= n:
-                    acc += w.w[k + n] * w.w[l + n] * vfull[m + n]
+                    acc += a[k + n] * b[l + n] * c[m + n]
         out[target + n] = acc / TWO_PI
-    return out - vfull / (2.0 * w.eps * math.sqrt(w.nu))
+    return out
+
+
+def brute_force_phi(v: SpectralField, w: ModeEnsemble) -> np.ndarray:
+    """O(N^3) direct triple sum over k + l + m = n, minus the centering."""
+    vfull = full_sequence(v.coeffs[0])
+    return (brute_force_triple_sum(w.w, w.w, vfull)
+            - vfull / (2.0 * w.eps * math.sqrt(w.nu)))
+
+
+def brute_force_phi_tilde(v: SpectralField, w: ModeEnsemble,
+                          w_tilde: ModeEnsemble) -> np.ndarray:
+    """O(N^3) direct triple sum with the independent copy; no centering."""
+    return brute_force_triple_sum(w.w, w_tilde.w, full_sequence(v.coeffs[0]))
+
+
+def random_modes(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random modes 0..N of a real field (mode 0 real)."""
+    modes = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    modes[0] = modes[0].real
+    return modes
+
+
+def top_modes(n: int, value: complex) -> np.ndarray:
+    """Modes 0..N with only mode N (and, implied, -N) set."""
+    modes = np.zeros(n + 1, dtype=np.complex128)
+    modes[n] = value
+    return modes
+
+
+def ensemble(modes: np.ndarray) -> ModeEnsemble:
+    return ModeEnsemble(1.0, 0.5, modes.shape[0] - 1, full_sequence(modes))
 
 
 class TestSigmaMode:
@@ -97,6 +132,10 @@ class TestModeSampling:
             sample_w(1.0, 0.5, 0, NoiseStream(0))
         with pytest.raises(ValueError):
             ModeEnsemble(1.0, 0.5, 4, np.zeros(7, dtype=np.complex128))
+        lopsided = np.zeros(9, dtype=np.complex128)
+        lopsided[6] = 1.0  # mode 2 without its conjugate at mode -2
+        with pytest.raises(ValueError):
+            ModeEnsemble(1.0, 0.5, 4, lopsided)
 
 
 class TestComputePhi:
@@ -105,12 +144,8 @@ class TestComputePhi:
         v = profile(n, {0: 0.5, 1: 0.2 - 0.1j, 3: 0.05})
         w = ModeEnsemble(1.0, 0.25, n, np.zeros(2 * n + 1,
                                                 dtype=np.complex128))
-        phi = compute_phi(v, w)
-        vfull = np.zeros(2 * n + 1, dtype=np.complex128)
-        vfull[n:] = v.coeffs[0]
-        vfull[:n] = np.conj(v.coeffs[0, 1:][::-1])
-        np.testing.assert_allclose(phi, -vfull / (2.0 * 0.25 * 1.0),
-                                   atol=1e-14)
+        centering = full_sequence(v.coeffs[0]) / (2.0 * 0.25 * 1.0)
+        np.testing.assert_allclose(compute_phi(v, w), -centering, atol=1e-14)
 
     def test_zero_profile_gives_zero(self):
         n = 6
@@ -141,20 +176,28 @@ class TestComputePhi:
         wt = ModeEnsemble(1.0, 0.5, n, _w_batch(
             1.0, 0.5, n, NoiseStream(8), 1, PURPOSE_MODE_SET_INDEP)[0])
         v = profile(n, {0: 0.4, 1: 0.3 - 0.2j, 4: 0.15})
-        out = np.zeros(2 * n + 1, dtype=np.complex128)
-        vfull = np.zeros(2 * n + 1, dtype=np.complex128)
-        vfull[n:] = v.coeffs[0]
-        vfull[:n] = np.conj(v.coeffs[0, 1:][::-1])
-        for target in range(-n, n + 1):
-            acc = 0.0 + 0.0j
-            for k in range(-n, n + 1):
-                for l in range(-n, n + 1):
-                    m = target - k - l
-                    if -n <= m <= n:
-                        acc += w.w[k + n] * wt.w[l + n] * vfull[m + n]
-            out[target + n] = acc / TWO_PI
-        np.testing.assert_allclose(compute_phi_tilde(v, w, wt), out,
-                                   atol=1e-10)
+        np.testing.assert_allclose(compute_phi_tilde(v, w, wt),
+                                   brute_force_phi_tilde(v, w, wt), atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 13, 40])
+    @pytest.mark.parametrize("case", ["random", "top_mode"])
+    def test_triple_sum_oracle_at_aliasing_edge(self, n, case):
+        # the product w w v carries modes up to 3N; on a grid of fewer than
+        # 4N+1 points they wrap into |n| <= N, and the top-mode-only case
+        # puts all its weight exactly there (modes +-N and +-3N)
+        rng = np.random.default_rng(n)
+        if case == "random":
+            w, wt, v = (random_modes(n, rng) for _ in range(3))
+        else:
+            w, wt, v = (top_modes(n, c) for c in (1.0 - 0.5j, 0.3 + 2.0j,
+                                                  -0.7 + 0.4j))
+        w, wt = ensemble(w), ensemble(wt)
+        v = SpectralField(1, n, v[None, :])
+        np.testing.assert_allclose(compute_phi(v, w), brute_force_phi(v, w),
+                                   rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(compute_phi_tilde(v, w, wt),
+                                   brute_force_phi_tilde(v, w, wt),
+                                   rtol=0.0, atol=1e-10)
 
     def test_output_is_hermitian(self):
         n = 10
@@ -178,9 +221,7 @@ class TestComputePhi:
         samples = np.stack([
             compute_phi(v, ModeEnsemble(nu, eps, n, ws[r]))
             for r in range(reps)])
-        vfull = np.zeros(2 * n + 1, dtype=np.complex128)
-        vfull[n:] = v.coeffs[0]
-        vfull[:n] = np.conj(v.coeffs[0, 1:][::-1])
+        vfull = full_sequence(v.coeffs[0])
         for idx in (n, n + 1, n + 2):
             for part in ("real", "imag"):
                 vals = getattr(samples[:, idx], part)
@@ -265,6 +306,47 @@ class TestTailExperiment:
         b = tail_experiment(1.0, 0.75, 0.75, eps_grid, 8, NoiseStream(2))
         assert a.median_phi == b.median_phi
         assert a.slope_phi.slope == b.slope_phi.slope
+
+    @pytest.mark.parametrize("kind", ["deterministic", "gaussian"])
+    def test_matches_direct_convolution(self, kind):
+        # every replica recomputed from its own draws by np.convolve (no
+        # FFT, no shared grid): a v or w grid that went stale across
+        # replicas or eps levels would move the quantiles
+        nu, gamma, alpha, reps = 1.0, 0.75, 0.75, 6
+        eps_grid = [0.5, 0.35, 0.25]
+        stream = NoiseStream(4, replica=3)
+        report = tail_experiment(nu, gamma, alpha, eps_grid, reps, stream,
+                                 profile=kind)
+        for i, eps in enumerate(eps_grid):
+            n = report.max_modes[i]
+            k = np.arange(-n, n + 1, dtype=np.float64)
+            weight = (1.0 + nu * k * k) ** -gamma
+            center = slice(2 * n, 4 * n + 1)
+            norms_p, norms_t = [], []
+            for r in range(reps):
+                sub = stream.with_replica(stream.replica + r)
+                w, wt = (_w_batch(nu, eps, n, sub, 1, purpose)[0] for purpose
+                         in (PURPOSE_MODE_SET, PURPOSE_MODE_SET_INDEP))
+                if kind == "deterministic":
+                    v = deterministic_profile(n, alpha, nu)
+                else:
+                    z = sub.with_purpose(PURPOSE_GAUSS_PROFILE).normals(
+                        0, (n, 2))
+                    amp = np.sqrt(sigma_mode(nu, eps, k[n + 1:])
+                                  / k[n + 1:] ** 2 / 2.0)
+                    v = profile(n, dict(enumerate(
+                        amp * (z[:, 0] + 1j * z[:, 1]), start=1)))
+                vfull = full_sequence(v.coeffs[0])
+                phi = (np.convolve(np.convolve(w, w), vfull)[center] / TWO_PI
+                       - vfull / (2.0 * eps * math.sqrt(nu)))
+                phit = np.convolve(np.convolve(w, wt), vfull)[center] / TWO_PI
+                norms_p.append(math.sqrt(np.sum(weight * np.abs(phi) ** 2)))
+                norms_t.append(math.sqrt(np.sum(weight * np.abs(phit) ** 2)))
+            for got, want in ((report.median_phi[i], np.median(norms_p)),
+                              (report.q90_phi[i], np.quantile(norms_p, 0.9)),
+                              (report.median_phi_tilde[i],
+                               np.median(norms_t))):
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_gaussian_profile_runs(self):
         report = tail_experiment(1.0, 0.75, 0.75, [0.5, 0.35, 0.25], 8,

@@ -1,9 +1,14 @@
 """Tests for the log-log rate fits."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import spdelab
 from spdelab import RegressionResult, regress_loglog
 
 
@@ -73,3 +78,17 @@ class TestRegressLoglog:
         with pytest.raises(ValueError):
             regress_loglog([(1.0, 1.0), (2.0, 2.0), (4.0, 4.0)],
                            weights=[1.0, 1.0])
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs over a second to import; the t quantile comes from
+    # scipy.special instead, so no spdelab process pays for it
+    src = os.path.dirname(os.path.dirname(spdelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spdelab; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

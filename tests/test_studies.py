@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from spdelab import (ConvergenceReport, NoiseStream, RunConfig, Variant,
                      run_convergence_study, run_psi_coupling_study,
                      run_theorem15_study, write_report)
 from spdelab.integrate import SimulationConfig
-from spdelab.studies import (SCHEMA_VERSION, report_csv_text,
+from spdelab.studies import (SCHEMA_VERSION, _replica_map, report_csv_text,
                              report_json_text, tail_csv_text)
 
 
@@ -126,6 +128,23 @@ class TestConvergenceStudy:
         a, b = reports
         assert a.per_eps == b.per_eps
         assert a.slope == b.slope
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_worker_threads_capped_at_core_count(self, monkeypatch, cores):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        barrier = threading.Barrier(cores, timeout=10)
+        seen = set()
+
+        def one(r):
+            seen.add(threading.get_ident())
+            if cores > 1 and r < cores:
+                barrier.wait()  # the pool does reach the core count
+            return r * r
+
+        assert _replica_map(one, 8, 8) == [r * r for r in range(8)]
+        assert len(seen) == cores
+        if cores == 1:
+            assert seen == {threading.get_ident()}
 
     def test_seed_changes_results(self):
         a = run_convergence_study(small_cfg(seed=0))
