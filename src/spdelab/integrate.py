@@ -21,7 +21,9 @@ Variants:
 
 Runs abort with a censored flag once the sup norm exceeds the configured
 guard; censored trajectories carry no fields at or beyond the censoring
-time.
+time.  The guard calls the oversampled sup_norm only when 1.25 times the l1
+bound max_i (|c_i0| + 2 sum_{k>=1} |c_ik|) / sqrt(2 pi) exceeds the cutoff; as
+sup_norm is at most 1.25 times the grid maximum, no decision changes.
 """
 
 from __future__ import annotations
@@ -216,7 +218,10 @@ def _advance(spec: ModelSpec, channels: list[_Channel],
             u = _compose(ch, n, nmode, noise)
         except IntegrationError as exc:
             raise IntegrationError(f"{exc} at step {step}") from exc
-        if sup_norm(u) > config.blowup_cutoff:
+        mag = np.abs(u.coeffs)
+        bound = np.max(2 * mag.sum(axis=1) - mag[:, 0]) / np.sqrt(2 * np.pi)
+        if (1.25 * (1.0 + 1e-12) * bound > config.blowup_cutoff
+                and sup_norm(u) > config.blowup_cutoff):
             ch.censored = True
             ch.censoring_time = t
             ch.current = None
@@ -260,15 +265,13 @@ def _advance(spec: ModelSpec, channels: list[_Channel],
 
 def run_mild(spec: ModelSpec, variant: Variant, eps: float,
              u0: SpectralField, noise: Optional[CoupledOUState],
-             config: SimulationConfig, stream: NoiseStream | None = None, *,
+             config: SimulationConfig, *,
              correction_constant: float | None = None) -> Trajectory:
     """Integrate one variant; returns its recorded trajectory.
 
     noise = None freezes the stochastic convolution at zero (deterministic
     run); otherwise the state must contain a level matching the variant's
-    eps (level 0.0 for the limit variants).  The stream argument is unused
-    when a noise state is supplied and exists so callers can keep one
-    calling convention; pass None otherwise.
+    eps (level 0.0 for the limit variants) and carries its own stream.
     """
     if variant is None:
         variant = config.variant

@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constants import white_noise_constant
-from .spectral import GridField, SpectralField, dealias, derivative, from_grid, to_grid
+from .spectral import GridField, SpectralField, dealias, from_grid, to_grid
 
 Callback = Callable[[np.ndarray], np.ndarray]
 
@@ -137,12 +137,17 @@ def validate_model(spec: ModelSpec, n_probes: int = 16, delta: float = 1e-5,
     return worst
 
 
-def _product_grid(u: SpectralField, oversample: int, orders: tuple[int, ...]):
-    """Grid values of the field and requested derivatives on one shared grid."""
-    grids = {}
-    for order in orders:
-        grids[order] = to_grid(derivative(u, order), oversample).values
-    return grids
+def _product_grid(u: SpectralField, oversample: int,
+                  orders: tuple[int, ...]) -> np.ndarray:
+    """Grid values (order, component, M) of derivative(u, order) for orders
+    (0, then 1 and/or 2) from one to_grid call, bit-identical to one each."""
+    k = np.arange(u.max_mode + 1, dtype=np.float64)
+    rows = [(1.0, 1j, -1.0)[o] * (u.coeffs * k ** o) for o in orders[1:]]
+    if rows:
+        u = SpectralField(len(orders) * u.n_components, u.max_mode,
+                          np.concatenate([u.coeffs] + rows))
+    grid = to_grid(u, oversample)
+    return grid.values.reshape(len(orders), -1, grid.grid_size)
 
 
 def eval_F_eps(spec: ModelSpec, eps: float, u: SpectralField, *,
@@ -158,16 +163,18 @@ def eval_F_eps(spec: ModelSpec, eps: float, u: SpectralField, *,
         raise ValueError("eps must be nonnegative")
     if spec.n != u.n_components:
         raise ValueError("field component count does not match the model")
-    vals = to_grid(u, oversample).values
+    use_h = eps != 0.0 and spec.h is not None
+    use_g = eps != 0.0 and spec.g is not None
+    vals, *derivs = _product_grid(u, oversample,
+                                  (0,) + (1,) * use_h + (2,) * use_g)
     out = np.ones_like(vals)
     if spec.f is not None:
         out += _call(spec.f, vals, "f", (spec.n,))
-    if eps != 0.0 and spec.g is not None:
-        uxx = to_grid(derivative(u, 2), oversample).values
+    if use_g:
         gv = _call(spec.g, vals, "g", (spec.n, spec.n))
-        out += eps * np.einsum("ij...,j...->i...", gv, uxx)
-    if eps != 0.0 and spec.h is not None:
-        ux = to_grid(derivative(u, 1), oversample).values
+        out += eps * np.einsum("ij...,j...->i...", gv, derivs[-1])
+    if use_h:
+        ux = derivs[0]
         hv = _call(spec.h, vals, "h", (spec.n, spec.n, spec.n))
         out += eps * np.einsum("ijl...,j...,l...->i...", hv, ux, ux)
     grid = GridField(spec.n, out.shape[1], out)
@@ -205,7 +212,7 @@ def eval_F_bar(spec: ModelSpec, u: SpectralField, *,
     """Corrected limit drift 1 + fbar(u), evaluated pseudospectrally."""
     if spec.n != u.n_components:
         raise ValueError("field component count does not match the model")
-    vals = to_grid(u, oversample).values
+    vals, = _product_grid(u, oversample, (0,))
     out = np.ones_like(vals) + effective_drift(spec, constant)(vals)
     grid = GridField(spec.n, out.shape[1], out)
     return dealias(from_grid(grid, u.max_mode), dealias_fraction)
@@ -220,13 +227,14 @@ def _eval_gradient_family(spec: ModelSpec, u: SpectralField,
                          "(pass g=None)")
     if spec.n != u.n_components:
         raise ValueError("field component count does not match the model")
-    vals = to_grid(u, oversample).values
+    vals, *derivs = _product_grid(u, oversample,
+                                  (0,) + (1,) * (spec.h is not None))
     out = np.zeros_like(vals)
     if spec.f is not None:
         out += _call(spec.f, vals, "f", (spec.n,))
     if spec.h is not None:
         hv = _call(spec.h, vals, "h", (spec.n, spec.n, spec.n))
-        ux = to_grid(derivative(u, 1), oversample).values
+        ux = derivs[0]
         out += np.einsum("ijl...,j...,l...->i...", hv, ux, ux)
         if constant is not None:
             out += constant * np.einsum("ijj...->i...", hv)

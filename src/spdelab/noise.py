@@ -93,14 +93,17 @@ class _LevelFactors:
         if np.any(self.rates < 1.0 - 1e-12):
             raise ValueError("operator symbols must satisfy lambda_k <= -1")
 
-        self.inverse = np.zeros((max_mode + 1, m), dtype=np.intp)
-        self.counts = np.zeros(max_mode + 1, dtype=np.intp)
+        # np.unique per mode, vectorised: sort rows, number runs of equal rates
+        order = np.argsort(self.rates.T, axis=1, kind="stable")  # (N+1, m)
+        srt = np.take_along_axis(self.rates.T, order, axis=1)
+        fresh = np.insert(srt[:, 1:] != srt[:, :-1], 0, True, axis=1)
+        run = np.cumsum(fresh, axis=1) - 1
+        mode = np.indices(run.shape)[0]
+        self.counts = run[:, -1] + 1
         self.unique = np.ones((max_mode + 1, m), dtype=np.float64)
-        for k in range(max_mode + 1):
-            vals, inv = np.unique(self.rates[:, k], return_inverse=True)
-            self.counts[k] = vals.size
-            self.unique[k, : vals.size] = vals
-            self.inverse[k] = inv
+        self.unique[mode[fresh], run[fresh]] = srt[fresh]
+        self.inverse = np.empty((max_mode + 1, m), dtype=np.intp)
+        self.inverse[mode, order] = run
         self.stationary_factor = self._factor(self._covariance_stationary())
         self._step_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 

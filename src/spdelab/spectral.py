@@ -194,7 +194,8 @@ def sup_norm(field: SpectralField) -> float:
     by a quadratic fit through the grid maximum.  This is a documented
     approximation to the true supremum: the parabola vertex recovers the
     inter-node peak of the trigonometric polynomial to well under 0.1%
-    relative error at this resolution.
+    relative error at this resolution.  The fit adds at most a quarter of the
+    grid maximum (both neighbours lie in [0, y1]): the result is <= 1.25 y1.
     """
     g = to_grid(field, oversample=8)
     a = np.abs(g.values)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import spdelab.integrate as integrate_module
 from spdelab import (IntegrationError, ModelSpec, NoiseStream, OperatorSpec,
                      SimulationConfig, SpectralField, Trajectory, Variant,
                      apply_semigroup, couple_runs, polynomial_model,
@@ -237,6 +238,92 @@ class TestCensoring:
         with pytest.raises(IntegrationError, match="step 1"):
             run_mild(bad, Variant.PHI_ZERO, 0.0, zero_field(4), None,
                      config(max_mode=4))
+
+
+def l1_bound(field: SpectralField) -> float:
+    mag = np.abs(field.coeffs)
+    return float(np.max(mag[:, 0] + 2.0 * mag[:, 1:].sum(axis=1))) / ROOT_2PI
+
+
+class TestGuardPrefilter:
+    """The guard runs the oversampled sup_norm only when 1.25 times the l1
+    coefficient bound exceeds the cutoff; its decisions stay those of
+    sup_norm(u) > cutoff."""
+
+    cutoff = 50.0
+
+    def count_fallbacks(self, monkeypatch) -> list:
+        calls = []
+        real = integrate_module.sup_norm
+
+        def counted(field):
+            calls.append(field)
+            return real(field)
+
+        monkeypatch.setattr(integrate_module, "sup_norm", counted)
+        return calls
+
+    def shapes(self) -> list[SpectralField]:
+        rng = np.random.default_rng(12)
+        c = (rng.normal(size=(1, 7)) + 1j * rng.normal(size=(1, 7))) \
+            / (1.0 + np.arange(7)) ** 1.5
+        c[0, 0] = c[0, 0].real
+        return [SpectralField(1, 6, c),
+                scalar_field(6, {0: 1.0}),
+                scalar_field(6, {6: 1.0}),
+                scalar_field(6, {k: 0.5 for k in range(7)})]
+
+    def first_step(self, u0: SpectralField) -> Trajectory:
+        # f = -1 zeroes the drift, so after step 0 the field only decays
+        # and cannot cross the cutoff that it did not cross at t = 0
+        spec = polynomial_model(1.0, f_coeffs=(-1.0,))
+        return run_mild(spec, Variant.PHI_ZERO, 0.0, u0, None,
+                        config(max_mode=6, dt=0.01, t_final=0.01,
+                               blowup_cutoff=self.cutoff))
+
+    def test_decision_equals_sup_norm_at_the_cutoff(self, monkeypatch):
+        for shape in self.shapes():
+            for ratio in (1.0 - 1e-3, 1.0 + 1e-3, 0.8, 1.25):
+                u0 = shape * (ratio * self.cutoff / sup_norm(shape))
+                expected = sup_norm(u0) > self.cutoff
+                assert expected == (ratio > 1.0)
+                calls = self.count_fallbacks(monkeypatch)
+                traj = self.first_step(u0)
+                assert traj.censored == expected, (ratio, shape.coeffs)
+                assert traj.censoring_time == (0.0 if expected else None)
+                if expected:
+                    assert calls
+
+    def test_prefilter_edge(self, monkeypatch):
+        # scaled so that 1.25 B sits just below or above the cutoff: below,
+        # no fallback is needed; above, the fallback decides (and for these
+        # shapes sup_norm stays under the cutoff)
+        for shape in self.shapes():
+            for ratio in (1.0 - 1e-3, 1.0 + 1e-3):
+                u0 = shape * (ratio * self.cutoff / (1.25 * l1_bound(shape)))
+                calls = self.count_fallbacks(monkeypatch)
+                traj = self.first_step(u0)
+                assert traj.censored == (sup_norm(u0) > self.cutoff)
+                assert not traj.censored
+                assert (len(calls) > 0) == (ratio > 1.0)
+
+    def test_tame_run_makes_no_fallback_call(self, monkeypatch):
+        calls = self.count_fallbacks(monkeypatch)
+        spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0))
+        traj = run_mild(spec, Variant.PHI_ZERO, 0.0,
+                        scalar_field(6, {0: 0.5}), None, config(max_mode=6))
+        assert not traj.censored
+        assert calls == []
+
+    def test_blowup_run_falls_back(self, monkeypatch):
+        calls = self.count_fallbacks(monkeypatch)
+        traj = run_mild(TestCensoring().blowup_spec(), Variant.PHI_ZERO, 0.0,
+                        scalar_field(6, {0: 6.0, 1: 1.5}), None,
+                        config(max_mode=6, dt=0.01, t_final=1.0,
+                               blowup_cutoff=self.cutoff))
+        assert traj.censored
+        assert len(calls) >= 1
+        assert sup_norm(calls[-1]) > self.cutoff
 
 
 class TestSupDistance:

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from spdelab import (CallbackError, ModelSpec, PolynomialPotential,
+import spdelab.models as models_module
+from spdelab import (CallbackError, GridField, ModelSpec, PolynomialPotential,
                      PotentialSpec, SpectralField, check_effective_drift_identity,
-                     dealias, effective_drift, eval_F_bar, eval_F_eps, eval_G,
-                     eval_G_bar, from_potential, model_from_config,
-                     polynomial_model, potential_spec,
-                     random_polynomial_potential, sin_g_model, validate_model,
-                     white_noise_constant)
+                     dealias, derivative, effective_drift, eval_F_bar,
+                     eval_F_eps, eval_G, eval_G_bar, from_grid, from_potential,
+                     model_from_config, polynomial_model, potential_spec,
+                     random_polynomial_potential, sin_g_model, to_grid,
+                     validate_model, white_noise_constant)
 
 ROOT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -236,6 +237,114 @@ class TestGradientVariants:
         diff = shifted.coeffs - plain.coeffs
         assert diff[0, 0] == pytest.approx(0.25 * ROOT_2PI, rel=1e-12)
         np.testing.assert_allclose(diff[0, 1:], 0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the batched transform: the same drifts with one to_grid call per
+# derivative order, as they were evaluated before the transforms were batched.
+
+
+def separate_grids(u: SpectralField, order: int) -> np.ndarray:
+    return to_grid(derivative(u, order), 2).values
+
+
+def project(out: np.ndarray, u: SpectralField) -> np.ndarray:
+    grid = GridField(u.n_components, out.shape[1], out)
+    return dealias(from_grid(grid, u.max_mode)).coeffs
+
+
+def separate_F_eps(spec: ModelSpec, eps: float, u: SpectralField):
+    vals = to_grid(u, 2).values
+    out = np.ones_like(vals)
+    if spec.f is not None:
+        out += spec.f(vals)
+    if eps != 0.0 and spec.g is not None:
+        out += eps * np.einsum("ij...,j...->i...", spec.g(vals),
+                               separate_grids(u, 2))
+    if eps != 0.0 and spec.h is not None:
+        ux = separate_grids(u, 1)
+        out += eps * np.einsum("ijl...,j...,l...->i...", spec.h(vals), ux, ux)
+    return project(out, u)
+
+
+def separate_F_bar(spec: ModelSpec, u: SpectralField, constant: float):
+    vals = to_grid(u, 2).values
+    return project(np.ones_like(vals) + effective_drift(spec, constant)(vals),
+                   u)
+
+
+def separate_G(spec: ModelSpec, u: SpectralField, constant):
+    vals = to_grid(u, 2).values
+    out = np.zeros_like(vals)
+    if spec.f is not None:
+        out += spec.f(vals)
+    if spec.h is not None:
+        hv = spec.h(vals)
+        ux = separate_grids(u, 1)
+        out += np.einsum("ijl...,j...,l...->i...", hv, ux, ux)
+        if constant is not None:
+            out += constant * np.einsum("ijj...->i...", hv)
+    return project(out, u)
+
+
+def random_smooth_field(n: int, max_mode: int, seed: int) -> SpectralField:
+    rng = np.random.default_rng(seed)
+    c = (rng.normal(size=(n, max_mode + 1))
+         + 1j * rng.normal(size=(n, max_mode + 1))) \
+        * 0.3 / (1.0 + np.arange(max_mode + 1)) ** 2
+    c[:, 0] = c[:, 0].real
+    return SpectralField(n, max_mode, c)
+
+
+def drift_models() -> list[ModelSpec]:
+    """n = 1 and n = 2 models with every channel, and without g."""
+    full1 = polynomial_model(0.8, f_coeffs=(0.1, -1.0, 0.2),
+                             g_coeffs=(0.5, 0.3), h_coeffs=(0.9, -0.5))
+    pot = random_polynomial_potential(2, 4, np.random.default_rng(3))
+    full2, _ = from_potential(potential_spec(pot, 1.5, 0.2))
+    return [full1, full2, polynomial_model(1.0, g_coeffs=(1.0, -0.4)),
+            polynomial_model(1.0, h_coeffs=(1.0,)),
+            polynomial_model(1.0, f_coeffs=(0.0, -1.0))]
+
+
+class TestBatchedTransform:
+    def test_bit_identical_to_one_transform_per_order(self):
+        for i, spec in enumerate(drift_models()):
+            for max_mode in (5, 16, 33):
+                u = random_smooth_field(spec.n, max_mode, 10 * i + max_mode)
+                for eps in (0.0, 0.3):
+                    assert np.array_equal(eval_F_eps(spec, eps, u).coeffs,
+                                          separate_F_eps(spec, eps, u))
+                assert np.array_equal(eval_F_bar(spec, u, constant=0.4).coeffs,
+                                      separate_F_bar(spec, u, 0.4))
+                grad = ModelSpec(n=spec.n, nu=spec.nu, f=spec.f, h=spec.h)
+                assert np.array_equal(eval_G(grad, u).coeffs,
+                                      separate_G(grad, u, None))
+                assert np.array_equal(
+                    eval_G_bar(grad, u, constant=0.4).coeffs,
+                    separate_G(grad, u, 0.4))
+
+    def test_one_transform_per_evaluation(self, monkeypatch):
+        calls = []
+        real = models_module.to_grid
+
+        def counted(field, oversample=1):
+            calls.append(field.n_components)
+            return real(field, oversample)
+
+        monkeypatch.setattr(models_module, "to_grid", counted)
+        for spec in drift_models():
+            u = random_smooth_field(spec.n, 8, 1)
+            grad = ModelSpec(n=spec.n, nu=spec.nu, f=spec.f, h=spec.h)
+            evaluations = [lambda: eval_F_eps(spec, 0.0, u),
+                           lambda: eval_F_eps(spec, 0.3, u),
+                           lambda: eval_F_bar(spec, u),
+                           lambda: eval_G(grad, u),
+                           lambda: eval_G_bar(grad, u)]
+            for evaluate in evaluations:
+                calls.clear()
+                evaluate()
+                assert len(calls) == 1
 
 
 def quartic_potential() -> PolynomialPotential:

@@ -218,6 +218,33 @@ class TestCoupledStepping:
         assert state.psi[0, 0, 1] != 99.0
 
 
+def loop_dedup(rates: np.ndarray):
+    """Reference deduplication: np.unique on each mode's rates in turn."""
+    m, n_modes = rates.shape
+    unique = np.ones((n_modes, m))
+    inverse = np.zeros((n_modes, m), dtype=np.intp)
+    counts = np.zeros(n_modes, dtype=np.intp)
+    for k in range(n_modes):
+        vals, inv = np.unique(rates[:, k], return_inverse=True)
+        counts[k] = vals.size
+        unique[k, : vals.size] = vals
+        inverse[k] = inv
+    return unique, inverse, counts
+
+
+class TestLevelDedup:
+    @pytest.mark.parametrize("max_mode", [0, 1, 7, 64])
+    @pytest.mark.parametrize("eps", [(0.5,), (0.25, 0.25), (0.5, 0.0),
+                                     (0.0, 0.5), (0.5, 0.0, 0.5, 0.25)])
+    def test_matches_per_mode_unique(self, max_mode, eps):
+        factors = _LevelFactors(tuple(OperatorSpec(1.0, e) for e in eps),
+                                max_mode)
+        unique, inverse, counts = loop_dedup(factors.rates)
+        assert np.array_equal(factors.unique, unique)
+        assert np.array_equal(factors.inverse, inverse)
+        assert np.array_equal(factors.counts, counts)
+
+
 class TestPsiDiffMoment:
     def test_pinned_value(self):
         # nu = 1, eps = 1, k = 1: 1/3 + 1/2 - 4/5 = 1/30

@@ -202,6 +202,53 @@ class TestNorms:
                                                            oracle)
 
 
+def l1_bound(field: SpectralField) -> float:
+    """max_i (|c_i0| + 2 sum_{k>=1} |c_ik|) / sqrt(2 pi) >= sup_x |u_i(x)|."""
+    mag = np.abs(field.coeffs)
+    return float(np.max(mag[:, 0] + 2.0 * mag[:, 1:].sum(axis=1))) / SQRT_2PI
+
+
+def single_mode(max_mode: int, k: int, value: complex) -> SpectralField:
+    coeffs = np.zeros((1, max_mode + 1), dtype=np.complex128)
+    coeffs[0, k] = value
+    return SpectralField(1, max_mode, coeffs)
+
+
+class TestSupNormBound:
+    """sup_norm never exceeds 1.25 times the l1 bound: the parabola through
+    the grid maximum y1 and its neighbours adds at most y1/4, and every grid
+    value is at most the bound.  The integrator's guard relies on this."""
+
+    def test_random_fields(self):
+        for seed in range(40):
+            n, max_mode = 1 + seed % 3, (1, 2, 5, 16, 63)[seed % 5]
+            f = random_field(n, max_mode, 500 + seed)
+            assert sup_norm(f) <= 1.25 * l1_bound(f)
+
+    @pytest.mark.parametrize("max_mode", [1, 2, 7, 64])
+    def test_adversarial_fields_where_the_bound_is_tight(self, max_mode):
+        in_phase = SpectralField(1, max_mode, np.full(
+            (1, max_mode + 1), 0.3, dtype=np.complex128))
+        fields = [SpectralField.constant([-2.5], max_mode),
+                  single_mode(max_mode, max_mode, 1.0),
+                  in_phase]
+        for f in fields:
+            bound = l1_bound(f)
+            assert sup_norm(f) <= 1.25 * bound
+            assert sup_norm(f) == pytest.approx(bound, rel=1e-12)
+
+    @pytest.mark.parametrize("max_mode", [1, 3, 64])
+    def test_peaks_between_grid_nodes(self, max_mode):
+        # a top mode shifted by part of a grid spacing puts the true peak
+        # between nodes, where the parabola correction is largest
+        for shift in np.linspace(0.0, 1.0, 9):
+            phase = np.exp(1j * math.pi * shift / (8 * max_mode))
+            f = single_mode(max_mode, max_mode, phase)
+            grid = np.max(np.abs(to_grid(f, oversample=8).values))
+            assert grid <= sup_norm(f) <= 1.25 * grid
+            assert sup_norm(f) <= 1.25 * l1_bound(f)
+
+
 class TestDealias:
     def test_full_cutoff_identity(self):
         f = random_field(1, 9, 31)

@@ -173,6 +173,25 @@ class TestTheorem15Study:
         for row in report.per_eps:
             assert row["mean_error"] > 0
 
+    def test_reduced_protocol_outputs_pinned(self):
+        # criterion 7's model on 4 eps levels (N = 32..256), 2 replicas;
+        # the values were recorded with repr from the integrator that ran
+        # the oversampled sup norm at every step and one transform per
+        # derivative, so a fast path that moves any digit fails here
+        cfg = RunConfig(study="theorem15", beta=0.6, u0_decay=1.3,
+                        eps_grid=tuple(2.0 ** -j for j in range(3, 7)),
+                        replicas=2, seed=3, modes_over_eps=4.0, dt=0.01,
+                        t_final=0.2)
+        report = run_theorem15_study(cfg)
+        assert [row["n_modes"] for row in report.per_eps] == [32, 64, 128, 256]
+        assert [(row["mean_error"], row["naive_mean_error"])
+                for row in report.per_eps] == [
+            (0.9803151924014839, 0.993965950988728),
+            (0.7916565075798422, 0.8118568275863429),
+            (0.6329172579060249, 0.6541562513023214),
+            (0.4982555089441466, 0.5234404772294784)]
+        assert all(row["n_censored"] == 0 for row in report.per_eps)
+
 
 class TestPsiCouplingStudy:
     def test_distance_positive_and_deterministic(self):
