@@ -19,10 +19,22 @@ Variants:
   V_LIMIT   deterministic limit: unshifted symbol at eps = 0, drift G with
             the corrected reaction (g must vanish), no noise.
 
+One core advances a block of R replicas by C channels in lockstep: v is held
+as (R, C, n, N+1) and psi as (R, levels, n, N+1).  Each step makes one
+to_grid call for every row the channels' drifts need, runs each channel's
+callbacks once on (n, R, M) grid values, and makes one from_grid call; the
+replicas' noise normals, each drawn from the replica's own counter-based
+stream, are coloured together.  Batched real FFTs are bit-identical per row,
+so a replica's numbers do not depend on the block it runs in.  run_mild and
+couple_runs are the R = 1 case and return recorded trajectories;
+coupled_distances records nothing and keeps each replica's running maximum
+sup distance from the perturbed run to both limits.
+
 Runs abort with a censored flag once the sup norm exceeds the configured
 guard; censored trajectories carry no fields at or beyond the censoring
-time.  The guard calls the oversampled sup_norm only when 1.25 times the l1
-bound max_i (|c_i0| + 2 sum_{k>=1} |c_ik|) / sqrt(2 pi) exceeds the cutoff; as
+time, and a censored row of a block stays frozen.  The guard calls the
+oversampled sup_norm only when 1.25 times the l1 bound
+max_i (|c_i0| + 2 sum_{k>=1} |c_ik|) / sqrt(2 pi) exceeds the cutoff; as
 sup_norm is at most 1.25 times the grid maximum, no decision changes.
 """
 
@@ -30,17 +42,23 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .constants import truncation_matched_constant
+from .constants import truncation_matched_constant, white_noise_constant
 from .linops import OperatorSpec, etd_weights, symbols
-from .models import (ModelSpec, eval_F_bar, eval_F_eps, eval_G, eval_G_bar,
-                     validate_model)
-from .noise import CoupledOUState, NoiseStream, sample_stationary, step_coupled
-from .spectral import SpectralField, sobolev_norm, sup_norm
+from . import models
+# eval_* and step_coupled are not called here; they stay bound in this
+# module because bench/spans.py traces the names the integrator imports.
+from .models import (DriftPlan, ModelSpec, derivative_rows, eval_F_bar,
+                     eval_F_eps, eval_G, eval_G_bar, plan_F_bar, plan_F_eps,
+                     plan_G, validate_model)
+from .noise import (CoupledOUState, NoiseStream, sample_stationary,
+                    step_coupled, step_replicas)
+from .spectral import (GridField, SpectralField, dealias, sobolev_norm,
+                       sup_norm, sup_norms)
 
 
 class Variant(enum.Enum):
@@ -69,7 +87,6 @@ class SimulationConfig:
     oversample: int = 2
     dealias_fraction: float = 2.0 / 3.0
     blowup_cutoff: float = 1e3
-    variant: Optional[Variant] = None
 
     def __post_init__(self) -> None:
         if self.max_mode < 1:
@@ -108,21 +125,17 @@ class IntegrationError(RuntimeError):
     """Non-finite state encountered (reported with the offending step)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Channel:
+    """One variant's operator and drift, shared by every replica of a block."""
+
     variant: Variant
     eps: float
     decay: np.ndarray            # exp(lambda_k dt)
     weight: np.ndarray           # exponential-Euler weights
-    drift: Callable[[SpectralField], SpectralField]
+    drift: DriftPlan
     noise_level: Optional[int]
     noise_scale: float
-    v: np.ndarray                # coefficient state, shape (n, N+1)
-    times: list[float] = field(default_factory=list)
-    fields: list[SpectralField] = field(default_factory=list)
-    censored: bool = False
-    censoring_time: Optional[float] = None
-    current: Optional[SpectralField] = None
 
 
 def _embed(u0: SpectralField, max_mode: int) -> np.ndarray:
@@ -143,32 +156,23 @@ def _channel_symbols(variant: Variant, nu: float, eps: float,
     return lam
 
 
-def _make_drift(spec: ModelSpec, variant: Variant, eps: float,
-                config: SimulationConfig,
-                correction_constant: float | None):
-    over = config.oversample
-    frac = config.dealias_fraction
+def _drift_plan(spec: ModelSpec, variant: Variant, eps: float,
+                correction_constant: float | None) -> DriftPlan:
     if variant is Variant.PHI_EPS:
-        return lambda u: eval_F_eps(spec, eps, u, oversample=over,
-                                    dealias_fraction=frac)
+        return plan_F_eps(spec, eps)
     if variant is Variant.PHI_ZERO:
-        return lambda u: eval_F_eps(spec, 0.0, u, oversample=over,
-                                    dealias_fraction=frac)
+        return plan_F_eps(spec, 0.0)
     if variant is Variant.PHI_BAR:
-        return lambda u: eval_F_bar(spec, u, constant=correction_constant,
-                                    oversample=over, dealias_fraction=frac)
+        return plan_F_bar(spec, correction_constant)
     if variant is Variant.V_EPS:
-        return lambda u: eval_G(spec, u, oversample=over,
-                                dealias_fraction=frac)
-    if variant is Variant.V_LIMIT:
-        return lambda u: eval_G_bar(spec, u, constant=correction_constant,
-                                    oversample=over, dealias_fraction=frac)
-    raise ValueError(f"unknown variant {variant}")
+        return plan_G(spec, None)
+    return plan_G(spec, white_noise_constant(spec.nu)
+                  if correction_constant is None
+                  else float(correction_constant))
 
 
 def _build_channel(spec: ModelSpec, variant: Variant, eps: float,
-                   u0: SpectralField, noise: Optional[CoupledOUState],
-                   config: SimulationConfig,
+                   noise: Optional[CoupledOUState], config: SimulationConfig,
                    correction_constant: float | None) -> _Channel:
     if not isinstance(variant, Variant):
         raise ValueError("variant must be a Variant member")
@@ -187,80 +191,143 @@ def _build_channel(spec: ModelSpec, variant: Variant, eps: float,
         variant=variant, eps=eps,
         decay=np.exp(lam * config.dt),
         weight=etd_weights(lam, config.dt),
-        drift=_make_drift(spec, variant, eps, config, correction_constant),
-        noise_level=level, noise_scale=scale,
-        v=_embed(u0, config.max_mode))
+        drift=_drift_plan(spec, variant, eps, correction_constant),
+        noise_level=level, noise_scale=scale)
 
 
-def _compose(ch: _Channel, n: int, max_mode: int,
-             noise: Optional[CoupledOUState]) -> SpectralField:
-    coeffs = ch.v
-    if ch.noise_level is not None:
-        coeffs = coeffs + ch.noise_scale * noise.psi[ch.noise_level]
-    if not np.all(np.isfinite(coeffs.view(np.float64))):
-        raise IntegrationError(
-            f"non-finite state in {ch.variant.name} run")
-    return SpectralField(n, max_mode, coeffs)
+@dataclass
+class _BlockRun:
+    """What one lockstep run of R replicas by C channels leaves behind."""
+
+    channels: list[_Channel]
+    censoring_time: list[list[Optional[float]]]   # [replica][channel]
+    times: list[list[list[float]]]                # recorded, if recording
+    fields: list[list[list[SpectralField]]]
+    distance: np.ndarray   # (R, pairs) running max, NaN before a common time
+
+    def trajectories(self) -> list[Trajectory]:
+        """The recorded channels of a one-replica run."""
+        (times,), (fields,), (cens,) = (self.times, self.fields,
+                                        self.censoring_time)
+        return [Trajectory(variant=ch.variant, eps=ch.eps,
+                           times=np.asarray(times[c]), fields=fields[c],
+                           censored=cens[c] is not None,
+                           censoring_time=cens[c])
+                for c, ch in enumerate(self.channels)]
 
 
-def _advance(spec: ModelSpec, channels: list[_Channel],
-             noise: Optional[CoupledOUState],
-             config: SimulationConfig) -> list[Trajectory]:
-    """Drive all channels in lockstep over one shared noise path."""
-    n = spec.n
-    nmode = config.max_mode
-    h = config.dt
-
-    def observe(ch: _Channel, step: int, t: float) -> None:
-        if ch.censored:
-            return
-        try:
-            u = _compose(ch, n, nmode, noise)
-        except IntegrationError as exc:
-            raise IntegrationError(f"{exc} at step {step}") from exc
-        mag = np.abs(u.coeffs)
-        bound = np.max(2 * mag.sum(axis=1) - mag[:, 0]) / np.sqrt(2 * np.pi)
-        if (1.25 * (1.0 + 1e-12) * bound > config.blowup_cutoff
-                and sup_norm(u) > config.blowup_cutoff):
-            ch.censored = True
-            ch.censoring_time = t
-            ch.current = None
-            return
-        ch.current = u
-        if step % config.record_stride == 0:
-            ch.times.append(t)
-            ch.fields.append(u)
-
+def _drift(channels: list[_Channel], u: np.ndarray,
+           config: SimulationConfig, step: int) -> np.ndarray:
+    """Every channel's drift for every replica of u (R, C, n, N+1), through
+    one to_grid and one from_grid call."""
+    n_rep, _, n, modes = u.shape
+    rows = []
+    for c, ch in enumerate(channels):
+        uc = u[:, c].transpose(1, 0, 2)                        # (n, R, K)
+        rows += [uc] + derivative_rows(uc, ch.drift.orders)
+    coeffs = np.stack(rows).reshape(-1, modes)   # (channel, order, n, R)
+    grid = models.to_grid(SpectralField(len(coeffs), modes - 1, coeffs),
+                          config.oversample).values
+    m = grid.shape[1]
+    grid = grid.reshape(-1, n, n_rep, m)
+    out = []
     for ch in channels:
-        observe(ch, 0, 0.0)
+        vals, *derivs = grid[:len(ch.drift.orders)]
+        grid = grid[len(ch.drift.orders):]
+        out.append(ch.drift.pointwise(vals, derivs)[None])
+    out = out[0] if len(out) == 1 else np.concatenate(out)  # (C, n, R, M)
+    if not np.isfinite(out).all():
+        bad = next(ch for ch, o in zip(channels, out)
+                   if not np.isfinite(o).all())
+        raise IntegrationError(
+            f"non-finite drift in {bad.variant.name} run at step {step}")
+    fu = models.from_grid(GridField(out[..., 0].size, m, out.reshape(-1, m)),
+                          modes - 1)
+    fu = dealias(fu, config.dealias_fraction).coeffs
+    return fu.reshape(len(channels), n, n_rep, modes).transpose(2, 0, 1, 3)
 
-    for step in range(1, config.n_steps + 1):
-        for ch in channels:
-            if ch.censored:
+
+def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
+             states: Optional[list[CoupledOUState]], config: SimulationConfig,
+             *, record: bool = True, pairs: tuple = ()) -> _BlockRun:
+    """Drive all channels of all replicas in lockstep from u0.
+
+    states holds one noise state per replica (all at the same step, sharing
+    their levels), or is None for deterministic runs of one replica.  With
+    record, every channel's fields are kept at the recorded times; for each
+    (p, q) in pairs the running max over common recorded times of
+    sup_norm(u_p - u_q) is kept per replica.
+    """
+    n, nmode, h = spec.n, config.max_mode, config.dt
+    n_rep = len(states) if states else 1
+    n_ch = len(channels)
+    noisy = [(c, ch.noise_level, ch.noise_scale)
+             for c, ch in enumerate(channels) if ch.noise_level is not None]
+    v = np.broadcast_to(_embed(u0, nmode),
+                        (n_rep, n_ch, n, nmode + 1)).copy()
+    decay = np.stack([ch.decay for ch in channels])[:, None, :]
+    weight = np.stack([ch.weight for ch in channels])[:, None, :]
+    if states:
+        psi = np.stack([s.psi for s in states])
+        streams = [s.stream for s in states]
+        factors, step0 = states[0].factors, states[0].step
+    alive = np.ones((n_rep, n_ch), dtype=bool)
+    run = _BlockRun(channels=channels,
+                    censoring_time=[[None] * n_ch for _ in range(n_rep)],
+                    times=[[[] for _ in channels] for _ in range(n_rep)],
+                    fields=[[[] for _ in channels] for _ in range(n_rep)],
+                    distance=np.full((n_rep, len(pairs)), math.nan))
+
+    def observe(step: int, t: float) -> np.ndarray:
+        u = v.copy() if noisy else v  # v is never written in place
+        for c, level, scale in noisy:
+            u[:, c] += scale * psi[:, level]
+        if not np.isfinite(u.view(np.float64)).all():
+            bad = np.argwhere(~np.isfinite(u).all(axis=(2, 3)))[0][1]
+            raise IntegrationError(f"non-finite state in "
+                                   f"{channels[bad].variant.name} run at "
+                                   f"step {step}")
+        mag = np.abs(u)
+        bound = (2 * mag.sum(axis=-1) - mag[..., 0]).max(axis=-1) \
+            / np.sqrt(2 * np.pi)
+        suspects = alive & (1.25 * (1.0 + 1e-12) * bound
+                            > config.blowup_cutoff)
+        for r, c in zip(*suspects.nonzero()):
+            if sup_norm(SpectralField(n, nmode, u[r, c])) \
+                    > config.blowup_cutoff:
+                alive[r, c] = False
+                run.censoring_time[r][c] = t
+        if step % config.record_stride:
+            return u
+        if record:
+            for r, c in zip(*alive.nonzero()):
+                run.times[r][c].append(t)
+                run.fields[r][c].append(SpectralField(n, nmode, u[r, c]))
+        for r in range(n_rep if pairs else 0):
+            live = [i for i, (p, q) in enumerate(pairs)
+                    if alive[r, p] and alive[r, q]]
+            if not live:
                 continue
-            try:
-                fu = ch.drift(ch.current)
-            except ValueError as exc:
-                # overflow inside the drift evaluation surfaces as the field
-                # containers' non-finite guard; that is a numerical failure,
-                # not a configuration error
-                if "non-finite" in str(exc):
-                    raise IntegrationError(
-                        f"non-finite drift in {ch.variant.name} run at "
-                        f"step {step}") from exc
-                raise
-            ch.v = ch.decay * ch.v + ch.weight * fu.coeffs
-        if noise is not None:
-            noise = step_coupled(noise, h)
-        t = step * h
-        for ch in channels:
-            observe(ch, step, t)
+            diff = np.concatenate([u[r, pairs[i][0]] - u[r, pairs[i][1]]
+                                   for i in live])
+            peaks = sup_norms(SpectralField(len(live) * n, nmode, diff))
+            for j, i in enumerate(live):
+                d = max(0.0, *peaks[j * n:(j + 1) * n])
+                run.distance[r, i] = np.fmax(run.distance[r, i], d)
+        return u
 
-    return [Trajectory(variant=ch.variant, eps=ch.eps,
-                       times=np.asarray(ch.times), fields=ch.fields,
-                       censored=ch.censored,
-                       censoring_time=ch.censoring_time)
-            for ch in channels]
+    u = observe(0, 0.0)
+    for step in range(1, config.n_steps + 1):
+        if alive.all():
+            v = decay * v + weight * _drift(channels, u, config, step)
+        else:  # censored rows stay frozen; their drift sees zeros
+            live = alive[:, :, None, None]
+            fu = _drift(channels, np.where(live, u, 0.0), config, step)
+            v = np.where(live, decay * v + weight * fu, v)
+        if states:
+            psi = step_replicas(factors, streams, step0 + step - 1, psi, h)
+        u = observe(step, step * h)
+    return run
 
 
 def run_mild(spec: ModelSpec, variant: Variant, eps: float,
@@ -273,34 +340,19 @@ def run_mild(spec: ModelSpec, variant: Variant, eps: float,
     run); otherwise the state must contain a level matching the variant's
     eps (level 0.0 for the limit variants) and carries its own stream.
     """
-    if variant is None:
-        variant = config.variant
-    if variant is None:
-        raise ValueError("no variant given (argument and config both empty)")
     if spec.g is not None:
         validate_model(spec)  # one dg cross-check per run
     if u0.n_components != spec.n:
         raise ValueError("initial data component count does not match model")
-    ch = _build_channel(spec, variant, eps, u0, noise, config,
+    ch = _build_channel(spec, variant, eps, noise, config,
                         correction_constant)
-    return _advance(spec, [ch], noise, config)[0]
+    states = None if noise is None else [noise]
+    return _advance(spec, [ch], u0, states, config).trajectories()[0]
 
 
-def couple_runs(spec: ModelSpec, eps_levels, u0: SpectralField,
-                config: SimulationConfig, stream: NoiseStream, *,
-                correction: str | float = "truncation-matched"
-                ) -> list[Trajectory]:
-    """Run the perturbed equation at each eps plus both limits, coupled.
-
-    All runs share one jointly sampled noise state (levels = given eps
-    values plus 0.0) and the same initial data.  Returns trajectories in the
-    order [each eps in the given order, naive limit, corrected limit].
-
-    correction selects the constant in the corrected reaction:
-    "truncation-matched" (default) evaluates the finite-truncation constant
-    at the smallest eps and the configured mode count, "asymptotic" uses
-    1/(2 sqrt(nu)), and a float is used verbatim.
-    """
+def _coupled(spec: ModelSpec, eps_levels, config: SimulationConfig, streams,
+             correction) -> tuple[list[_Channel], list[CoupledOUState]]:
+    """Channels [each eps, naive, corrected] and one noise state per stream."""
     eps_levels = [float(e) for e in eps_levels]
     if not eps_levels or any(e <= 0 for e in eps_levels):
         raise ValueError("eps levels must be positive")
@@ -322,15 +374,58 @@ def couple_runs(spec: ModelSpec, eps_levels, u0: SpectralField,
 
     ops = [OperatorSpec(spec.nu, e) for e in eps_levels]
     ops.append(OperatorSpec(spec.nu, 0.0))
-    noise = sample_stationary(ops, spec.n, config.max_mode, stream)
+    states = [sample_stationary(ops, spec.n, config.max_mode, s)
+              for s in streams]
 
-    channels = [_build_channel(spec, Variant.PHI_EPS, e, u0, noise, config,
+    channels = [_build_channel(spec, Variant.PHI_EPS, e, states[0], config,
                                None) for e in eps_levels]
-    channels.append(_build_channel(spec, Variant.PHI_ZERO, 0.0, u0, noise,
+    channels.append(_build_channel(spec, Variant.PHI_ZERO, 0.0, states[0],
                                    config, None))
-    channels.append(_build_channel(spec, Variant.PHI_BAR, 0.0, u0, noise,
+    channels.append(_build_channel(spec, Variant.PHI_BAR, 0.0, states[0],
                                    config, const))
-    return _advance(spec, channels, noise, config)
+    return channels, states
+
+
+def couple_runs(spec: ModelSpec, eps_levels, u0: SpectralField,
+                config: SimulationConfig, stream: NoiseStream, *,
+                correction: str | float = "truncation-matched"
+                ) -> list[Trajectory]:
+    """Run the perturbed equation at each eps plus both limits, coupled.
+
+    All runs share one jointly sampled noise state (levels = given eps
+    values plus 0.0) and the same initial data.  Returns trajectories in the
+    order [each eps in the given order, naive limit, corrected limit].
+
+    correction selects the constant in the corrected reaction:
+    "truncation-matched" (default) evaluates the finite-truncation constant
+    at the smallest eps and the configured mode count, "asymptotic" uses
+    1/(2 sqrt(nu)), and a float is used verbatim.
+    """
+    channels, states = _coupled(spec, eps_levels, config, [stream],
+                                correction)
+    return _advance(spec, channels, u0, states, config).trajectories()
+
+
+def coupled_distances(spec: ModelSpec, eps: float, u0: SpectralField,
+                      config: SimulationConfig, streams, *,
+                      correction: str | float = "truncation-matched"
+                      ) -> list[tuple[tuple[float, bool], tuple[float, bool]]]:
+    """couple_runs at one eps for a block of replicas, one per stream,
+    advanced in lockstep without recording fields.
+
+    Returns per replica (sup_distance(perturbed, corrected),
+    sup_distance(perturbed, naive)) with the same values and censored flags
+    that sup_distance gives on couple_runs' trajectories.
+    """
+    channels, states = _coupled(spec, [eps], config, streams, correction)
+    run = _advance(spec, channels, u0, states, config, record=False,
+                   pairs=((0, 2), (0, 1)))
+    out = []
+    for r, (corrected, naive) in enumerate(run.distance):
+        cens = [t is not None for t in run.censoring_time[r]]
+        out.append(((float(corrected), cens[0] or cens[2]),
+                    (float(naive), cens[0] or cens[1])))
+    return out
 
 
 def sup_distance(a: Trajectory, b: Trajectory, norm: str = "sup", *,

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -137,17 +137,67 @@ def validate_model(spec: ModelSpec, n_probes: int = 16, delta: float = 1e-5,
     return worst
 
 
-def _product_grid(u: SpectralField, oversample: int,
-                  orders: tuple[int, ...]) -> np.ndarray:
-    """Grid values (order, component, M) of derivative(u, order) for orders
-    (0, then 1 and/or 2) from one to_grid call, bit-identical to one each."""
-    k = np.arange(u.max_mode + 1, dtype=np.float64)
-    rows = [(1.0, 1j, -1.0)[o] * (u.coeffs * k ** o) for o in orders[1:]]
-    if rows:
-        u = SpectralField(len(orders) * u.n_components, u.max_mode,
-                          np.concatenate([u.coeffs] + rows))
-    grid = to_grid(u, oversample)
-    return grid.values.reshape(len(orders), -1, grid.grid_size)
+class DriftPlan(NamedTuple):
+    """Pointwise form of one drift: the derivative orders (0 first) whose
+    grid values it needs, and the callback combination applied to them.
+
+    pointwise(vals, derivs) takes vals of shape (n, ..., M) and one array of
+    the same shape per order after the first, and acts on the trailing axes
+    only, so one call serves a whole stack of fields.
+    """
+
+    orders: tuple[int, ...]
+    pointwise: Callable[[np.ndarray, list], np.ndarray]
+
+
+def derivative_rows(coeffs: np.ndarray, orders: tuple[int, ...]) -> list:
+    """Coefficients (mode axis last) of the derivatives of the given orders
+    after the leading 0, formed as spectral.derivative forms them."""
+    k = np.arange(coeffs.shape[-1], dtype=np.float64)
+    return [(1.0, 1j, -1.0)[o] * (coeffs * k ** o) for o in orders[1:]]
+
+
+def _evaluate(spec: ModelSpec, u: SpectralField, plan: DriftPlan,
+              oversample: int, dealias_fraction: float) -> SpectralField:
+    """One drift of one field: u and the derivatives the plan needs go
+    through one to_grid call (bit-identical to one call each), then the
+    pointwise combination is projected back and dealiased."""
+    if spec.n != u.n_components:
+        raise ValueError("field component count does not match the model")
+    rows = derivative_rows(u.coeffs, plan.orders)
+    stacked = u if not rows else SpectralField(
+        len(plan.orders) * spec.n, u.max_mode,
+        np.concatenate([u.coeffs] + rows))
+    grid = to_grid(stacked, oversample)
+    vals, *derivs = grid.values.reshape(len(plan.orders), spec.n,
+                                        grid.grid_size)
+    out = plan.pointwise(vals, derivs)
+    return dealias(from_grid(GridField(spec.n, grid.grid_size, out),
+                             u.max_mode), dealias_fraction)
+
+
+def plan_F_eps(spec: ModelSpec, eps: float) -> DriftPlan:
+    """1 + f(u) + eps g(u) u_xx + eps h(u) (u_x ⊗ u_x); eps = 0 skips the
+    derivative channels entirely."""
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    use_h = eps != 0.0 and spec.h is not None
+    use_g = eps != 0.0 and spec.g is not None
+
+    def pointwise(vals: np.ndarray, derivs: list) -> np.ndarray:
+        out = np.ones_like(vals)
+        if spec.f is not None:
+            out += _call(spec.f, vals, "f", (spec.n,))
+        if use_g:
+            gv = _call(spec.g, vals, "g", (spec.n, spec.n))
+            out += eps * np.einsum("ij...,j...->i...", gv, derivs[-1])
+        if use_h:
+            ux = derivs[0]
+            hv = _call(spec.h, vals, "h", (spec.n, spec.n, spec.n))
+            out += eps * np.einsum("ijl...,j...,l...->i...", hv, ux, ux)
+        return out
+
+    return DriftPlan((0,) + (1,) * use_h + (2,) * use_g, pointwise)
 
 
 def eval_F_eps(spec: ModelSpec, eps: float, u: SpectralField, *,
@@ -159,26 +209,8 @@ def eval_F_eps(spec: ModelSpec, eps: float, u: SpectralField, *,
     modes of u, then dealiased.  eps = 0 reduces exactly to 1 + f(u): the
     derivative channels are skipped entirely.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if spec.n != u.n_components:
-        raise ValueError("field component count does not match the model")
-    use_h = eps != 0.0 and spec.h is not None
-    use_g = eps != 0.0 and spec.g is not None
-    vals, *derivs = _product_grid(u, oversample,
-                                  (0,) + (1,) * use_h + (2,) * use_g)
-    out = np.ones_like(vals)
-    if spec.f is not None:
-        out += _call(spec.f, vals, "f", (spec.n,))
-    if use_g:
-        gv = _call(spec.g, vals, "g", (spec.n, spec.n))
-        out += eps * np.einsum("ij...,j...->i...", gv, derivs[-1])
-    if use_h:
-        ux = derivs[0]
-        hv = _call(spec.h, vals, "h", (spec.n, spec.n, spec.n))
-        out += eps * np.einsum("ijl...,j...,l...->i...", hv, ux, ux)
-    grid = GridField(spec.n, out.shape[1], out)
-    return dealias(from_grid(grid, u.max_mode), dealias_fraction)
+    return _evaluate(spec, u, plan_F_eps(spec, eps), oversample,
+                     dealias_fraction)
 
 
 def effective_drift(spec: ModelSpec,
@@ -206,40 +238,41 @@ def effective_drift(spec: ModelSpec,
     return fbar
 
 
+def plan_F_bar(spec: ModelSpec, constant: float | None = None) -> DriftPlan:
+    """1 + fbar(u), with fbar from effective_drift."""
+    fbar = effective_drift(spec, constant)
+    return DriftPlan((0,), lambda vals, derivs: np.ones_like(vals)
+                     + fbar(vals))
+
+
 def eval_F_bar(spec: ModelSpec, u: SpectralField, *,
                constant: float | None = None, oversample: int = 2,
                dealias_fraction: float = 2.0 / 3.0) -> SpectralField:
     """Corrected limit drift 1 + fbar(u), evaluated pseudospectrally."""
-    if spec.n != u.n_components:
-        raise ValueError("field component count does not match the model")
-    vals, = _product_grid(u, oversample, (0,))
-    out = np.ones_like(vals) + effective_drift(spec, constant)(vals)
-    grid = GridField(spec.n, out.shape[1], out)
-    return dealias(from_grid(grid, u.max_mode), dealias_fraction)
+    return _evaluate(spec, u, plan_F_bar(spec, constant), oversample,
+                     dealias_fraction)
 
 
-def _eval_gradient_family(spec: ModelSpec, u: SpectralField,
-                          constant: float | None, oversample: int,
-                          dealias_fraction: float) -> SpectralField:
-    """Common core of eval_G / eval_G_bar: f(u) + h(u)(u_x ⊗ u_x) [+ c tr h]."""
+def plan_G(spec: ModelSpec, constant: float | None) -> DriftPlan:
+    """f(u) + h(u)(u_x ⊗ u_x), plus constant * tr h unless constant is None
+    (the common core of eval_G and eval_G_bar)."""
     if spec.g is not None:
         raise ValueError("gradient-noise variants require g identically zero "
                          "(pass g=None)")
-    if spec.n != u.n_components:
-        raise ValueError("field component count does not match the model")
-    vals, *derivs = _product_grid(u, oversample,
-                                  (0,) + (1,) * (spec.h is not None))
-    out = np.zeros_like(vals)
-    if spec.f is not None:
-        out += _call(spec.f, vals, "f", (spec.n,))
-    if spec.h is not None:
-        hv = _call(spec.h, vals, "h", (spec.n, spec.n, spec.n))
-        ux = derivs[0]
-        out += np.einsum("ijl...,j...,l...->i...", hv, ux, ux)
-        if constant is not None:
-            out += constant * np.einsum("ijj...->i...", hv)
-    grid = GridField(spec.n, out.shape[1], out)
-    return dealias(from_grid(grid, u.max_mode), dealias_fraction)
+
+    def pointwise(vals: np.ndarray, derivs: list) -> np.ndarray:
+        out = np.zeros_like(vals)
+        if spec.f is not None:
+            out += _call(spec.f, vals, "f", (spec.n,))
+        if spec.h is not None:
+            hv = _call(spec.h, vals, "h", (spec.n, spec.n, spec.n))
+            ux = derivs[0]
+            out += np.einsum("ijl...,j...,l...->i...", hv, ux, ux)
+            if constant is not None:
+                out += constant * np.einsum("ijj...->i...", hv)
+        return out
+
+    return DriftPlan((0,) + (1,) * (spec.h is not None), pointwise)
 
 
 def eval_G(spec: ModelSpec, u: SpectralField, *, oversample: int = 2,
@@ -248,7 +281,8 @@ def eval_G(spec: ModelSpec, u: SpectralField, *, oversample: int = 2,
 
     Used by the small-noise variants; requires g identically zero.
     """
-    return _eval_gradient_family(spec, u, None, oversample, dealias_fraction)
+    return _evaluate(spec, u, plan_G(spec, None), oversample,
+                     dealias_fraction)
 
 
 def eval_G_bar(spec: ModelSpec, u: SpectralField, *,
@@ -256,7 +290,7 @@ def eval_G_bar(spec: ModelSpec, u: SpectralField, *,
                dealias_fraction: float = 2.0 / 3.0) -> SpectralField:
     """Corrected unshifted drift: eval_G with f replaced by f + c tr h."""
     c = white_noise_constant(spec.nu) if constant is None else float(constant)
-    return _eval_gradient_family(spec, u, c, oversample, dealias_fraction)
+    return _evaluate(spec, u, plan_G(spec, c), oversample, dealias_fraction)
 
 
 def from_potential(p: PotentialSpec) -> tuple[ModelSpec, float]:

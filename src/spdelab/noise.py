@@ -247,16 +247,30 @@ def sample_stationary(levels, n_components: int, max_mode: int,
                           stream=stream, factors=factors)
 
 
-def step_coupled(state: CoupledOUState, h: float) -> CoupledOUState:
-    """Advance all levels jointly by one exact transition of size h > 0."""
+def step_replicas(factors: _LevelFactors, streams, step: int,
+                  psi: np.ndarray, h: float) -> np.ndarray:
+    """Advance a stack of replica states (R, levels, n_comp, N+1) from `step`
+    by one exact transition of size h > 0.
+
+    Replica r draws its innovations from streams[r] exactly as a lone state
+    on that stream would; the stacked normals are coloured in one call, so
+    every replica's result is independent of the others in the stack.
+    """
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    decay, factor = state.factors.step_factors(h)
-    z = state.stream.with_purpose(PURPOSE_OU_STEP).normals(
-        state.step + 1,
-        (state.max_mode + 1, state.n_components, 2, len(state.levels)))
-    eta = state.factors.colored_step(factor, z)
-    psi = decay[:, None, :] * state.psi + eta
+    decay, factor = factors.step_factors(h)
+    _, n_levels, n_comp, n_modes = psi.shape
+    shape = (n_modes, n_comp, 2, n_levels)  # a lone state's layout
+    z = [s.with_purpose(PURPOSE_OU_STEP).normals(step + 1, shape)
+         for s in streams]
+    z = z[0][None] if len(z) == 1 else np.stack(z)
+    return decay[:, None, :] * psi + factors.colored_step(factor, z)
+
+
+def step_coupled(state: CoupledOUState, h: float) -> CoupledOUState:
+    """Advance all levels jointly by one exact transition of size h > 0."""
+    psi = step_replicas(state.factors, (state.stream,), state.step,
+                        state.psi[None], h)[0]
     return CoupledOUState(levels=state.levels, n_components=state.n_components,
                           max_mode=state.max_mode, t=state.t + h,
                           step=state.step + 1, psi=psi, stream=state.stream,

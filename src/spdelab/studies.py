@@ -23,8 +23,10 @@ import numpy as np
 
 from .averaging import TailScalingReport, tail_experiment
 from .constants import truncation_matched_constant, white_noise_constant
+# couple_runs is not called here; it stays bound in this module because
+# bench/spans.py traces the names the studies import.
 from .integrate import (SimulationConfig, Trajectory, Variant, couple_runs,
-                        run_mild, sup_distance)
+                        coupled_distances, run_mild, sup_distance)
 from .linops import OperatorSpec
 from .models import ModelSpec, model_from_config
 from .noise import (NoiseStream, PURPOSE_INITIAL_FIELD, sample_stationary,
@@ -136,12 +138,27 @@ def initial_field(n_components: int, max_mode: int, decay: float,
     return SpectralField(n_components, max_mode, coeffs)
 
 
+def _threads(workers: int) -> int:
+    return min(workers, os.cpu_count() or 1)  # more threads only contend
+
+
+def _pool_map(fn, items, workers: int) -> list:
+    if _threads(workers) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=_threads(workers)) as pool:
+        return list(pool.map(fn, items))
+
+
 def _replica_map(fn, replicas: int, workers: int) -> list:
-    workers = min(workers, os.cpu_count() or 1)  # more threads only contend
-    if workers <= 1:
-        return [fn(r) for r in range(replicas)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(replicas)))
+    return _pool_map(fn, range(replicas), workers)
+
+
+def _block_map(fn, replicas: int, workers: int) -> list:
+    """fn maps an array of replica indices to one result per replica; the
+    replicas are split into min(workers, cores) contiguous blocks."""
+    blocks = np.array_split(np.arange(replicas),
+                            min(_threads(workers), replicas))
+    return [res for part in _pool_map(fn, blocks, workers) for res in part]
 
 
 def _aggregate(values: list[tuple[float, bool]]) -> dict:
@@ -184,7 +201,8 @@ def run_convergence_study(cfg: RunConfig) -> ConvergenceReport:
     For each eps and replica, all three coupled runs share one noise path;
     the sup-over-time sup-norm distances to the corrected and naive limits
     are averaged over uncensored replicas, and the corrected-limit means are
-    fit to a power law.
+    fit to a power law.  Replicas run in contiguous lockstep blocks, one per
+    worker thread; a replica's distances do not depend on its block.
     """
     spec, _ = model_from_config(cfg.model)
     base = NoiseStream(cfg.seed)
@@ -194,15 +212,12 @@ def run_convergence_study(cfg: RunConfig) -> ConvergenceReport:
     for eps in sorted(cfg.eps_grid, reverse=True):
         sim = cfg.simulation_config(eps)
 
-        def one(replica: int, eps=eps, sim=sim) -> tuple:
-            trajs = couple_runs(spec, [eps], u0, sim,
-                                base.with_replica(replica),
-                                correction=cfg.correction)
-            perturbed, naive, corrected = trajs
-            return (sup_distance(perturbed, corrected),
-                    sup_distance(perturbed, naive))
+        def block(replicas, eps=eps, sim=sim) -> list:
+            return coupled_distances(spec, eps, u0, sim,
+                                     [base.with_replica(r) for r in replicas],
+                                     correction=cfg.correction)
 
-        results = _replica_map(one, cfg.replicas, cfg.workers)
+        results = _block_map(block, cfg.replicas, cfg.workers)
         row = {"eps": eps, "n_modes": sim.max_mode}
         row.update(_aggregate([r[0] for r in results]))
         naive_stats = _aggregate([r[1] for r in results])

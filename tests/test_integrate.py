@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 
 import spdelab.integrate as integrate_module
+import spdelab.models as models_module
 from spdelab import (IntegrationError, ModelSpec, NoiseStream, OperatorSpec,
                      SimulationConfig, SpectralField, Trajectory, Variant,
                      apply_semigroup, couple_runs, polynomial_model,
                      psi_diff_moment, run_mild, sample_stationary,
                      step_coupled, sup_distance, sup_norm)
+from spdelab import (eval_F_bar, eval_F_eps, etd_weights, symbols,
+                     truncation_matched_constant)
+from spdelab.integrate import coupled_distances
+from spdelab.studies import initial_field
 
 ROOT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -391,6 +396,147 @@ class TestSupDistance:
             sup_distance(a, c)
 
 
+def two_component_model() -> ModelSpec:
+    """n = 2 model with every channel: coupled f, diagonal g, full h."""
+    mix = np.array([[[0.3, 0.1], [0.1, 0.2]], [[0.0, 0.2], [0.2, 0.4]]])
+
+    def f(u):
+        return np.stack([-u[0] + 0.2 * u[1], -u[1] + 0.1 * u[0] ** 2])
+
+    def g(u):
+        out = np.zeros((2, 2) + u.shape[1:])
+        out[0, 0], out[1, 1] = 1.0 + 0.1 * u[0] ** 2, 1.0 + 0.1 * u[1] ** 2
+        return out
+
+    def dg(u):
+        out = np.zeros((2, 2, 2) + u.shape[1:])
+        out[0, 0, 0], out[1, 1, 1] = 0.2 * u[0], 0.2 * u[1]
+        return out
+
+    def h(u):
+        return mix[(...,) + (None,) * (u.ndim - 1)] * (1.0 + 0.1 * u[0])
+
+    return ModelSpec(n=2, nu=1.0, f=f, g=g, dg=dg, h=h)
+
+
+def reference_couple_runs(spec, eps, u0, cfg, stream, constant):
+    """couple_runs written out per channel with the public drift functions
+    and step_coupled, one field at a time."""
+    ks = np.arange(cfg.max_mode + 1)
+    lam = [symbols(OperatorSpec(spec.nu, e), ks) for e in (eps, 0.0, 0.0)]
+    drifts = [lambda u: eval_F_eps(spec, eps, u),
+              lambda u: eval_F_eps(spec, 0.0, u),
+              lambda u: eval_F_bar(spec, u, constant=constant)]
+    noise = sample_stationary([OperatorSpec(spec.nu, eps),
+                               OperatorSpec(spec.nu, 0.0)], spec.n,
+                              cfg.max_mode, stream)
+    v = [np.zeros((spec.n, cfg.max_mode + 1), dtype=np.complex128)
+         for _ in lam]
+    for x in v:
+        x[:, :u0.max_mode + 1] = u0.coeffs
+    fields = [[] for _ in lam]
+
+    def compose():
+        return [SpectralField(spec.n, cfg.max_mode, x + noise.psi[level])
+                for x, level in zip(v, (0, 1, 1))]
+
+    u = compose()
+    for c in range(3):
+        fields[c].append(u[c])
+    for _ in range(cfg.n_steps):
+        v = [np.exp(l * cfg.dt) * x + etd_weights(l, cfg.dt) * d(w).coeffs
+             for l, x, d, w in zip(lam, v, drifts, u)]
+        noise = step_coupled(noise, cfg.dt)
+        u = compose()
+        for c in range(3):
+            fields[c].append(u[c])
+    return fields
+
+
+class TestReplicaBlock:
+    """coupled_distances advances a block of replicas in lockstep; each
+    replica must give what couple_runs and sup_distance give it alone."""
+
+    def test_couple_runs_equals_per_channel_reference(self):
+        spec = two_component_model()
+        u0 = initial_field(2, 6, 1.5, 0.5, NoiseStream(8))
+        cfg = config(max_mode=12, dt=0.01, t_final=0.05)
+        const = truncation_matched_constant(1.0, 0.25, 12)
+        trajs = couple_runs(spec, [0.25], u0, cfg, NoiseStream(8))
+        want = reference_couple_runs(spec, 0.25, u0, cfg, NoiseStream(8),
+                                     const)
+        for traj, fields in zip(trajs, want):
+            assert len(traj.fields) == len(fields) == cfg.n_steps + 1
+            for got, ref in zip(traj.fields, fields):
+                assert np.array_equal(got.coeffs, ref.coeffs)
+
+    def oracle(self, spec, eps, u0, cfg, stream):
+        perturbed, naive, corrected = couple_runs(spec, [eps], u0, cfg,
+                                                  stream)
+        return (sup_distance(perturbed, corrected),
+                sup_distance(perturbed, naive))
+
+    def check(self, spec, eps, u0, cfg, streams):
+        block = coupled_distances(spec, eps, u0, cfg, streams)
+        assert len(block) == len(streams)
+        for got, stream in zip(block, streams):
+            want = self.oracle(spec, eps, u0, cfg, stream)
+            for (d, cens), (d0, cens0) in zip(got, want):
+                assert cens == cens0
+                assert d == d0 or (math.isnan(d) and math.isnan(d0))
+        return block
+
+    @pytest.mark.parametrize("model,stride", [
+        (polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,)), 1),
+        (polynomial_model(1.0, f_coeffs=(0.0, -1.0), g_coeffs=(1.0, 0.3),
+                          h_coeffs=(1.0, 0.5)), 2),
+        (two_component_model(), 1)])
+    def test_distances_equal_trajectory_oracle(self, model, stride):
+        u0 = initial_field(model.n, 8, 1.5, 0.5, NoiseStream(4))
+        cfg = config(max_mode=16, dt=0.01, t_final=0.2,
+                     record_stride=stride)
+        streams = [NoiseStream(4, replica=r) for r in range(4)]
+        block = self.check(model, 0.25, u0, cfg, streams)
+        assert not any(c for pair in block for _, c in pair)
+
+    def test_block_with_censored_and_surviving_replicas(self):
+        # TestCensoring's blow-up reaction at a low cutoff: the noise decides
+        # which replicas censor, so one block holds frozen and live rows
+        spec = TestCensoring().blowup_spec()
+        u0 = initial_field(1, 6, 1.5, 1.0, NoiseStream(2))
+        cfg = config(max_mode=6, dt=0.01, t_final=0.3, blowup_cutoff=5.0)
+        streams = [NoiseStream(2, replica=r) for r in range(5)]
+        block = self.check(spec, 0.25, u0, cfg, streams)
+        flags = [pair[0][1] for pair in block]
+        assert 0 < sum(flags) < len(flags)
+
+    def test_one_transform_pair_per_step(self, monkeypatch):
+        calls = []
+        for name in ("to_grid", "from_grid"):
+            real = getattr(models_module, name)
+
+            def counted(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(models_module, name, counted)
+        spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
+        cfg = config(max_mode=8, dt=0.05, t_final=0.25)
+        coupled_distances(spec, 0.5, zero_field(8), cfg,
+                          [NoiseStream(1, replica=r) for r in range(3)])
+        assert calls == ["to_grid", "from_grid"] * cfg.n_steps
+
+    def test_non_finite_drift_names_channel_and_step(self):
+        # h is only used by the perturbed channel and by the corrected
+        # reaction; a NaN there must surface as an IntegrationError
+        spec = ModelSpec(n=1, nu=1.0, h=lambda u: np.full((1, 1, 1)
+                                                          + u.shape[1:],
+                                                          np.nan))
+        with pytest.raises(IntegrationError, match="PHI_EPS run at step 1"):
+            coupled_distances(spec, 0.5, zero_field(4), config(max_mode=4),
+                              [NoiseStream(0)])
+
+
 class TestRecordingAndValidation:
     def test_record_stride(self):
         spec = polynomial_model(1.0)
@@ -399,13 +545,16 @@ class TestRecordingAndValidation:
                                record_stride=2))
         np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
 
-    def test_config_variant_fallback(self):
+    def test_missing_variant_rejected(self):
+        # the variant is an argument only: SimulationConfig carries none,
+        # and run_mild refuses anything that is not a Variant
         spec = polynomial_model(1.0)
-        cfg = config(max_mode=4, variant=Variant.PHI_ZERO)
-        traj = run_mild(spec, None, 0.0, zero_field(4), None, cfg)
-        assert traj.variant is Variant.PHI_ZERO
-        with pytest.raises(ValueError, match="variant"):
-            run_mild(spec, None, 0.0, zero_field(4), None, config(max_mode=4))
+        for bad in (None, "phi_zero"):
+            with pytest.raises(ValueError, match="variant"):
+                run_mild(spec, bad, 0.0, zero_field(4), None,
+                         config(max_mode=4))
+        with pytest.raises(TypeError):
+            config(max_mode=4, variant=Variant.PHI_ZERO)
 
     def test_model_and_data_validation(self):
         spec = polynomial_model(1.0)

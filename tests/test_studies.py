@@ -13,6 +13,7 @@ from spdelab import (ConvergenceReport, NoiseStream, RunConfig, Variant,
                      psi_coupling_distance, run_averaging_study,
                      run_convergence_study, run_psi_coupling_study,
                      run_theorem15_study, write_report)
+import spdelab.studies as studies_module
 from spdelab.integrate import SimulationConfig
 from spdelab.studies import (SCHEMA_VERSION, _replica_map, report_csv_text,
                              report_json_text, tail_csv_text)
@@ -145,6 +146,55 @@ class TestConvergenceStudy:
         assert len(seen) == cores
         if cores == 1:
             assert seen == {threading.get_ident()}
+
+    def test_convergence_outputs_pinned(self):
+        # reduced converge protocol (N = 32..256, 3 replicas, two blocks);
+        # the values were recorded with repr from the integrator that ran
+        # each replica's three channels through separate drift transforms
+        # and measured distances on stored trajectories, so a block core
+        # that moves any digit fails here
+        cfg = RunConfig(eps_grid=tuple(2.0 ** -j for j in range(3, 7)),
+                        replicas=3, seed=3, modes_over_eps=4.0, dt=0.01,
+                        t_final=0.2, workers=2)
+        report = run_convergence_study(cfg)
+        assert [row["n_modes"] for row in report.per_eps] == [32, 64, 128, 256]
+        assert [(row["mean_error"], row["naive_mean_error"])
+                for row in report.per_eps] == [
+            (0.48705890363415266, 0.5243260101614619),
+            (0.3481930913851223, 0.39170819466766016),
+            (0.2673698955123813, 0.30826665575051604),
+            (0.19096987592235834, 0.24791825336203888)]
+        assert all(row["n_censored"] == 0 for row in report.per_eps)
+
+    @pytest.mark.parametrize("model", [
+        {"name": "polynomial", "nu": 1.0, "f": [0.0, -1.0], "h": [1.0]},
+        # TestCensoring's blow-up reaction: two of five replicas censor
+        {"name": "polynomial", "nu": 1.0, "f": [0.0, 0.0, 0.0, 4.0]}])
+    def test_block_split_invariance(self, monkeypatch, model):
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        real = studies_module.coupled_distances
+        sizes = []
+
+        def spy(spec, eps, u0, config, streams, **kw):
+            sizes.append(len(streams))
+            return real(spec, eps, u0, config, streams, **kw)
+
+        monkeypatch.setattr(studies_module, "coupled_distances", spy)
+        cfg = dict(model=model, eps_grid=(0.25, 0.2), replicas=5, seed=2,
+                   fixed_modes=6, u0_modes=6, dt=0.01, t_final=0.3,
+                   blowup_cutoff=5.0)
+        reports = {}
+        for workers, split in ((1, [5]), (2, [3, 2]), (3, [2, 2, 1]),
+                               (5, [1] * 5)):
+            sizes.clear()
+            reports[workers] = run_convergence_study(
+                RunConfig(workers=workers, **cfg))
+            assert sizes == split * 2
+        first = reports[1].per_eps
+        for report in reports.values():
+            assert report.per_eps == first
+        censored = [row["n_censored"] for row in first]
+        assert censored == ([0, 0] if "h" in model else [2, 2])
 
     def test_seed_changes_results(self):
         a = run_convergence_study(small_cfg(seed=0))
