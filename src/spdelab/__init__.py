@@ -16,8 +16,8 @@ from .constants import (QuadratureConfig, QuadratureError, alpha_constant,
                         truncation_matched_constant, white_noise_constant)
 from .integrate import (IntegrationError, SimulationConfig, Trajectory,
                         Variant, couple_runs, run_mild, sup_distance)
-from .linops import (OperatorSpec, apply_semigroup, etd_weight, etd_weights,
-                     semigroup_gap, symbol, symbols)
+from .linops import (OperatorSpec, apply_semigroup, etd_weights,
+                     semigroup_gap, symbols)
 from .models import (CallbackError, ModelSpec, PolynomialPotential,
                      PotentialSpec, check_effective_drift_identity,
                      effective_drift, eval_F_bar, eval_F_eps, eval_G,
@@ -30,8 +30,7 @@ from .regression import RegressionResult, regress_loglog
 from .spectral import (GridField, SpectralField, dealias, derivative,
                        from_grid, sobolev_norm, sup_norm, to_grid)
 from .studies import (ConvergenceReport, RunConfig, calibrate_dt,
-                      initial_field, psi_coupling_distance,
-                      run_averaging_study, run_convergence_study,
+                      initial_field, run_averaging_study, run_convergence_study,
                       run_psi_coupling_study, run_theorem15_study,
                       write_report)
 
@@ -70,7 +69,6 @@ __all__ = [
     "derivative",
     "deterministic_profile",
     "effective_drift",
-    "etd_weight",
     "etd_weights",
     "eval_F_bar",
     "eval_F_eps",
@@ -83,7 +81,6 @@ __all__ = [
     "polynomial_model",
     "poly_constant",
     "potential_spec",
-    "psi_coupling_distance",
     "psi_diff_moment",
     "random_polynomial_potential",
     "regress_loglog",
@@ -103,7 +100,6 @@ __all__ = [
     "step_coupled",
     "sup_distance",
     "sup_norm",
-    "symbol",
     "symbols",
     "tail_experiment",
     "to_grid",

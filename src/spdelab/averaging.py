@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as sfft
 
+from .constants import sigma_mode
 from .noise import (NoiseStream, PURPOSE_GAUSS_PROFILE, PURPOSE_MODE_SET,
                     PURPOSE_MODE_SET_INDEP)
 from .regression import RegressionResult, regress_loglog
@@ -35,12 +36,11 @@ from .spectral import SpectralField, sobolev_norm
 
 _TWO_PI = 2.0 * math.pi
 
-
-def sigma_mode(nu: float, eps: float, k) -> np.ndarray:
-    """Mode variance sigma_k = k^2 / (1 + nu k^2 + eps^2 k^4)."""
-    karr = np.asarray(k, dtype=np.float64)
-    k2 = karr * karr
-    return k2 / (1.0 + nu * k2 + eps * eps * k2 * k2)
+# tail_experiment's cutoff is N = ceil(modes_over_eps / eps^MODES_EXPONENT).
+# The exponent must exceed 1, or the truncated mode sum misses a fixed
+# fraction of the subtracted 1/(2 eps sqrt(nu)) and the centering bias stays
+# at the same 1/eps order as the removed term, flattening the measured slope.
+MODES_EXPONENT = 1.5
 
 
 @dataclass(frozen=True)
@@ -170,17 +170,15 @@ class TailScalingReport:
 
 def tail_experiment(nu: float, gamma: float, alpha: float, eps_grid,
                     reps: int, stream: NoiseStream, *,
-                    modes_over_eps: float = 8.0, modes_exponent: float = 1.5,
+                    modes_over_eps: float = 8.0,
                     profile: str = "deterministic") -> TailScalingReport:
     """Measure ||phi||_{-gamma} and ||phi_tilde||_{-gamma} across eps.
 
-    For each eps the cutoff is N = ceil(modes_over_eps / eps^modes_exponent);
-    the exponent must exceed 1 or the truncated mode sum misses a fixed
-    fraction of the subtracted 1/(2 eps sqrt(nu)) and the centering bias
-    stays at the same 1/eps order as the removed term, flattening the
-    measured slope.  The profile v is either the fixed deterministic one
-    (unit alpha-norm) or, with profile="gaussian", a fresh random profile
-    per replica with independent mode variances sigma_k / k^2.  Reports
+    For each eps the cutoff is N = ceil(modes_over_eps / eps^MODES_EXPONENT)
+    (see MODES_EXPONENT for why the exponent exceeds 1).  The profile v is
+    either the fixed deterministic one (unit alpha-norm) or, with
+    profile="gaussian", a fresh random profile per replica with independent
+    mode variances sigma_k / k^2.  Reports
     medians and upper quantiles plus the log-log slope of eps * median
     against eps (expected +1/2).
 
@@ -199,7 +197,7 @@ def tail_experiment(nu: float, gamma: float, alpha: float, eps_grid,
 
     med_p, q90_p, med_t, q90_t, mode_counts = [], [], [], [], []
     for eps in eps_grid:
-        n = int(math.ceil(modes_over_eps / eps ** modes_exponent))
+        n = int(math.ceil(modes_over_eps / eps ** MODES_EXPONENT))
         mode_counts.append(n)
         v_modes = deterministic_profile(n, alpha, nu).coeffs[0]
         v_grid = _grid(v_modes)

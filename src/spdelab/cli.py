@@ -17,7 +17,8 @@ import numpy as np
 from .constants import (QuadratureError, alpha_constant, poly_constant,
                         riemann_gap, truncation_matched_constant,
                         white_noise_constant)
-from .integrate import IntegrationError, Variant, run_mild
+from .integrate import (IntegrationError, Variant, resolve_correction,
+                        run_mild)
 from .linops import OperatorSpec
 from .models import (CallbackError, PolynomialPotential,
                      check_effective_drift_identity, from_potential,
@@ -63,40 +64,37 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
+def _correction(text: str) -> str | float:
+    """A correction name, or a number given on the command line."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+# RunConfig fields settable by flag (eps_grid by --eps-grid, and so on).
+_FLAG_TYPES = {"eps_grid": _floats, "replicas": int, "seed": int,
+               "workers": int, "modes_over_eps": float, "fixed_modes": int,
+               "dt": float, "t_final": float, "correction": _correction,
+               "beta": float, "gamma": float, "alpha": float,
+               "u0_decay": float, "u0_modes": int}
+
+
 def _add_study_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with RunConfig fields")
     p.add_argument("--model", help="inline JSON model config")
-    p.add_argument("--eps-grid", type=_floats)
-    p.add_argument("--replicas", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--modes-over-eps", type=float)
-    p.add_argument("--fixed-modes", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-final", type=float)
-    p.add_argument("--correction")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--u0-decay", type=float)
-    p.add_argument("--u0-modes", type=int)
+    for name, kind in _FLAG_TYPES.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind)
     p.add_argument("--output-csv")
     p.add_argument("--output-json")
 
 
-_FLAG_FIELDS = ("eps_grid", "replicas", "seed", "workers", "modes_over_eps",
-                "fixed_modes", "dt", "t_final", "correction", "beta", "gamma",
-                "alpha", "u0_decay", "u0_modes")
-
-
 def _study_config(args: argparse.Namespace, study: str) -> RunConfig:
-    data: dict = {"study": study}
-    if args.config:
-        data.update(_load_json(args.config))
+    data = _load_json(args.config) if args.config else {}
     data["study"] = study
     if args.model:
         data["model"] = json.loads(args.model)
-    for name in _FLAG_FIELDS:
+    for name in _FLAG_TYPES:
         value = getattr(args, name, None)
         if value is not None:
             data[name] = value
@@ -124,19 +122,14 @@ def _emit_convergence(report, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_converge(args: argparse.Namespace) -> int:
-    return _emit_convergence(run_convergence_study(
-        _study_config(args, "converge")), args)
+_RATE_STUDIES = {"converge": run_convergence_study,
+                 "theorem15": run_theorem15_study,
+                 "psi-coupling": run_psi_coupling_study}
 
 
-def _cmd_theorem15(args: argparse.Namespace) -> int:
-    return _emit_convergence(run_theorem15_study(
-        _study_config(args, "theorem15")), args)
-
-
-def _cmd_psi(args: argparse.Namespace) -> int:
-    return _emit_convergence(run_psi_coupling_study(
-        _study_config(args, "psi-coupling")), args)
+def _cmd_rate_study(args: argparse.Namespace) -> int:
+    run = _RATE_STUDIES[args.command]
+    return _emit_convergence(run(_study_config(args, args.command)), args)
 
 
 def _cmd_averaging(args: argparse.Namespace) -> int:
@@ -168,17 +161,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    data: dict = {}
-    if args.config:
-        data.update(_load_json(args.config))
-    if args.model:
-        data["model"] = json.loads(args.model)
-    for name in _FLAG_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None and name != "eps_grid":
-            data[name] = value
-    data.setdefault("eps_grid", (args.eps,))
-    cfg = RunConfig.from_dict(data)
+    cfg = _study_config(args, "simulate")
     spec, _ = model_from_config(cfg.model)
     variant = Variant(args.variant)
     sim = cfg.simulation_config(args.eps)
@@ -186,20 +169,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     stream = NoiseStream(cfg.seed)
     u0 = initial_field(spec.n, cfg.u0_modes, cfg.u0_decay, cfg.u0_amplitude,
                        stream)
-    if variant is Variant.V_LIMIT:
-        noise = None
-    else:
-        want = args.eps if variant in (Variant.PHI_EPS, Variant.V_EPS) else 0.0
-        noise = sample_stationary([OperatorSpec(spec.nu, want)], spec.n,
-                                  sim.max_mode, stream)
-    const = None
-    if variant in (Variant.PHI_BAR, Variant.V_LIMIT):
-        if cfg.correction == "truncation-matched":
-            const = truncation_matched_constant(spec.nu, args.eps,
-                                                sim.max_mode)
-        elif cfg.correction != "asymptotic":
-            const = float(cfg.correction)
     eq_eps = args.eps if variant in (Variant.PHI_EPS, Variant.V_EPS) else 0.0
+    noise = None if variant is Variant.V_LIMIT else sample_stationary(
+        [OperatorSpec(spec.nu, eq_eps)], spec.n, sim.max_mode, stream)
+    # only the PHI_BAR and V_LIMIT drifts use the constant
+    const = resolve_correction(cfg.correction, spec.nu, args.eps,
+                               sim.max_mode)
     traj = run_mild(spec, variant, eq_eps, u0, noise, sim,
                     correction_constant=const)
 
@@ -279,11 +254,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_simulate)
 
     for name, fn, blurb in (
-            ("converge", _cmd_converge,
+            ("converge", _cmd_rate_study,
              "rate of convergence to the corrected limit"),
-            ("theorem15", _cmd_theorem15,
+            ("theorem15", _cmd_rate_study,
              "small-noise rate against the deterministic limits"),
-            ("psi-coupling", _cmd_psi,
+            ("psi-coupling", _cmd_rate_study,
              "sup-distance scaling of the coupled noise pair"),
             ("averaging", _cmd_averaging,
              "single-time fluctuation-norm scaling")):

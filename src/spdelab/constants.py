@@ -33,22 +33,19 @@ class QuadratureConfig:
     """Tolerances and budget for the adaptive quadratures.
 
     Improper integrals are split at x = 1 and the tail [1, inf) is mapped
-    onto (0, 1] by x -> 1/x ("invert" strategy) before integration, so the
-    adaptive rule never sees an infinite interval.
+    onto (0, 1] by x -> 1/x before integration, so the adaptive rule never
+    sees an infinite interval.
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 200
-    tail_strategy: str = "invert"
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("quadrature tolerances must be positive")
         if self.max_subdivisions < 10:
             raise ValueError("max_subdivisions must be at least 10")
-        if self.tail_strategy != "invert":
-            raise ValueError("the only implemented tail strategy is 'invert'")
 
 
 class QuadratureError(RuntimeError):
@@ -65,6 +62,23 @@ def _quad(fn, lo: float, hi: float, quad: QuadratureConfig) -> float:
         raise QuadratureError(
             f"quadrature error estimate {err:.3e} exceeds tolerance")
     return value
+
+
+def sigma_mode(nu: float, eps: float, k) -> np.ndarray:
+    """Mode variance sigma_k = k^2 / (1 + nu k^2 + eps^2 k^4)."""
+    karr = np.asarray(k, dtype=np.float64)
+    k2 = karr * karr
+    return k2 / (1.0 + nu * k2 + eps * eps * k2 * k2)
+
+
+def _mode_sum(sigma, max_mode: int) -> float:
+    """sum_{k=1}^{max_mode} sigma(k), in chunks of 2^20 modes."""
+    total = 0.0
+    for lo in range(1, max_mode + 1, 1 << 20):
+        k = np.arange(lo, min(max_mode, lo + (1 << 20) - 1) + 1,
+                      dtype=np.float64)
+        total += float(np.sum(sigma(k)))
+    return total
 
 
 def white_noise_constant(nu: float) -> float:
@@ -140,12 +154,7 @@ def truncation_matched_constant(nu: float, eps: float, max_mode: int) -> float:
         raise ValueError("eps must be nonnegative")
     if max_mode < 0:
         raise ValueError("max_mode must be nonnegative")
-    total = 0.0
-    for lo in range(1, max_mode + 1, 1 << 20):
-        k = np.arange(lo, min(max_mode, lo + (1 << 20) - 1) + 1,
-                      dtype=np.float64)
-        k2 = k * k
-        total += float(np.sum(k2 / (1.0 + nu * k2 + eps * eps * k2 * k2)))
+    total = _mode_sum(lambda k: sigma_mode(nu, eps, k), max_mode)
     return eps * (2.0 * total) / (2.0 * math.pi)
 
 
@@ -170,11 +179,7 @@ def _lattice_sum(nu: float, eps: float, sigma, budget: float = 1e-12) -> float:
     if eps <= 0:
         raise ValueError("eps must be positive")
     cutoff = _tail_cutoff(nu, eps, budget)
-    total = 0.0
-    for lo in range(1, cutoff + 1, 1 << 20):
-        k = np.arange(lo, min(cutoff, lo + (1 << 20) - 1) + 1,
-                      dtype=np.float64)
-        total += float(np.sum(sigma(k)))
+    total = _mode_sum(sigma, cutoff)
     tail = float(special.polygamma(1, cutoff + 1)) / (eps * eps)
     return eps * (2.0 * total + 2.0 * tail + sigma(np.asarray([0.0]))[0])
 
@@ -189,12 +194,8 @@ def riemann_gap(nu: float, eps: float) -> float:
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
-
-    def sigma(k: np.ndarray) -> np.ndarray:
-        k2 = k * k
-        return k2 / (1.0 + nu * k2 + eps * eps * k2 * k2)
-
-    return abs(math.pi / math.sqrt(nu) - _lattice_sum(nu, eps, sigma))
+    return abs(math.pi / math.sqrt(nu)
+               - _lattice_sum(nu, eps, lambda k: sigma_mode(nu, eps, k)))
 
 
 def _surrogate_mode_sum(nu: float, eps: float) -> float:

@@ -25,10 +25,12 @@ to_grid call for every row the channels' drifts need, runs each channel's
 callbacks once on (n, R, M) grid values, and makes one from_grid call; the
 replicas' noise normals, each drawn from the replica's own counter-based
 stream, are coloured together.  Batched real FFTs are bit-identical per row,
-so a replica's numbers do not depend on the block it runs in.  run_mild and
-couple_runs are the R = 1 case and return recorded trajectories;
-coupled_distances records nothing and keeps each replica's running maximum
-sup distance from the perturbed run to both limits.
+so a replica's numbers do not depend on the block it runs in.  At every
+recorded time the core hands the state to one observer: run_mild and
+couple_runs (the R = 1 case) record trajectories; coupled_distances keeps
+each replica's running maximum sup distance from the perturbed run to both
+limits, and reference_distances its running maximum Sobolev distance to
+fixed reference trajectories, recording nothing.
 
 Runs abort with a censored flag once the sup norm exceeds the configured
 guard; censored trajectories carry no fields at or beyond the censoring
@@ -41,6 +43,7 @@ sup_norm is at most 1.25 times the grid maximum, no decision changes.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -50,13 +53,13 @@ import numpy as np
 from .constants import truncation_matched_constant, white_noise_constant
 from .linops import OperatorSpec, etd_weights, symbols
 from . import models
-# eval_* and step_coupled are not called here; they stay bound in this
-# module because bench/spans.py traces the names the integrator imports.
+# eval_*, step_coupled and sample_stationary are not called here; they stay
+# bound in this module because bench/spans.py traces the names it imports.
 from .models import (DriftPlan, ModelSpec, derivative_rows, eval_F_bar,
                      eval_F_eps, eval_G, eval_G_bar, plan_F_bar, plan_F_eps,
                      plan_G, validate_model)
-from .noise import (CoupledOUState, NoiseStream, sample_stationary,
-                    step_coupled, step_replicas)
+from .noise import (CoupledOUState, NoiseStream, sample_replicas,
+                    sample_stationary, step_coupled, step_replicas)
 from .spectral import (GridField, SpectralField, dealias, sobolev_norm,
                        sup_norm, sup_norms)
 
@@ -138,39 +141,6 @@ class _Channel:
     noise_scale: float
 
 
-def _embed(u0: SpectralField, max_mode: int) -> np.ndarray:
-    if u0.max_mode > max_mode:
-        raise ValueError("initial data has more modes than the simulation")
-    out = np.zeros((u0.n_components, max_mode + 1), dtype=np.complex128)
-    out[:, : u0.max_mode + 1] = u0.coeffs
-    return out
-
-
-def _channel_symbols(variant: Variant, nu: float, eps: float,
-                     max_mode: int) -> np.ndarray:
-    ks = np.arange(max_mode + 1)
-    lam = symbols(OperatorSpec(nu, eps if variant in
-                               (Variant.PHI_EPS, Variant.V_EPS) else 0.0), ks)
-    if variant in _GRADIENT_ONLY:
-        lam = lam + 1.0  # drop the stabilizing shift; k = 0 is then neutral
-    return lam
-
-
-def _drift_plan(spec: ModelSpec, variant: Variant, eps: float,
-                correction_constant: float | None) -> DriftPlan:
-    if variant is Variant.PHI_EPS:
-        return plan_F_eps(spec, eps)
-    if variant is Variant.PHI_ZERO:
-        return plan_F_eps(spec, 0.0)
-    if variant is Variant.PHI_BAR:
-        return plan_F_bar(spec, correction_constant)
-    if variant is Variant.V_EPS:
-        return plan_G(spec, None)
-    return plan_G(spec, white_noise_constant(spec.nu)
-                  if correction_constant is None
-                  else float(correction_constant))
-
-
 def _build_channel(spec: ModelSpec, variant: Variant, eps: float,
                    noise: Optional[CoupledOUState], config: SimulationConfig,
                    correction_constant: float | None) -> _Channel:
@@ -180,40 +150,32 @@ def _build_channel(spec: ModelSpec, variant: Variant, eps: float,
         raise ValueError(f"{variant.name} requires g identically zero")
     if variant in (Variant.PHI_EPS, Variant.V_EPS) and eps <= 0:
         raise ValueError(f"{variant.name} needs eps > 0")
-    lam = _channel_symbols(variant, spec.nu, eps, config.max_mode)
+    own_eps = eps if variant in (Variant.PHI_EPS, Variant.V_EPS) else 0.0
+    lam = symbols(OperatorSpec(spec.nu, own_eps),
+                  np.arange(config.max_mode + 1))
+    if variant in _GRADIENT_ONLY:
+        lam = lam + 1.0  # drop the stabilizing shift; k = 0 is then neutral
+    if variant in (Variant.PHI_EPS, Variant.PHI_ZERO):
+        drift = plan_F_eps(spec, own_eps)
+    elif variant is Variant.PHI_BAR:
+        drift = plan_F_bar(spec, correction_constant)
+    elif variant is Variant.V_EPS:
+        drift = plan_G(spec, None)
+    else:
+        drift = plan_G(spec, white_noise_constant(spec.nu)
+                       if correction_constant is None
+                       else float(correction_constant))
     level: Optional[int] = None
     scale = 0.0
     if variant in _STOCHASTIC and noise is not None:
-        want = eps if variant in (Variant.PHI_EPS, Variant.V_EPS) else 0.0
-        level = noise.level_index(want)
+        level = noise.level_index(own_eps)
         scale = math.sqrt(eps) if variant is Variant.V_EPS else 1.0
     return _Channel(
         variant=variant, eps=eps,
         decay=np.exp(lam * config.dt),
         weight=etd_weights(lam, config.dt),
-        drift=_drift_plan(spec, variant, eps, correction_constant),
+        drift=drift,
         noise_level=level, noise_scale=scale)
-
-
-@dataclass
-class _BlockRun:
-    """What one lockstep run of R replicas by C channels leaves behind."""
-
-    channels: list[_Channel]
-    censoring_time: list[list[Optional[float]]]   # [replica][channel]
-    times: list[list[list[float]]]                # recorded, if recording
-    fields: list[list[list[SpectralField]]]
-    distance: np.ndarray   # (R, pairs) running max, NaN before a common time
-
-    def trajectories(self) -> list[Trajectory]:
-        """The recorded channels of a one-replica run."""
-        (times,), (fields,), (cens,) = (self.times, self.fields,
-                                        self.censoring_time)
-        return [Trajectory(variant=ch.variant, eps=ch.eps,
-                           times=np.asarray(times[c]), fields=fields[c],
-                           censored=cens[c] is not None,
-                           censoring_time=cens[c])
-                for c, ch in enumerate(self.channels)]
 
 
 def _drift(channels: list[_Channel], u: np.ndarray,
@@ -249,22 +211,26 @@ def _drift(channels: list[_Channel], u: np.ndarray,
 
 def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
              states: Optional[list[CoupledOUState]], config: SimulationConfig,
-             *, record: bool = True, pairs: tuple = ()) -> _BlockRun:
+             observe) -> list[list[Optional[float]]]:
     """Drive all channels of all replicas in lockstep from u0.
 
     states holds one noise state per replica (all at the same step, sharing
-    their levels), or is None for deterministic runs of one replica.  With
-    record, every channel's fields are kept at the recorded times; for each
-    (p, q) in pairs the running max over common recorded times of
-    sup_norm(u_p - u_q) is kept per replica.
+    their levels and factors), or is None for deterministic runs of one
+    replica.  At every recorded time observe(t, u, alive) gets the state u
+    (R, C, n, N+1) and the (R, C) mask of uncensored rows.  Returns each
+    [replica][channel] censoring time, None for a row that ran to the end.
     """
     n, nmode, h = spec.n, config.max_mode, config.dt
     n_rep = len(states) if states else 1
     n_ch = len(channels)
     noisy = [(c, ch.noise_level, ch.noise_scale)
              for c, ch in enumerate(channels) if ch.noise_level is not None]
-    v = np.broadcast_to(_embed(u0, nmode),
-                        (n_rep, n_ch, n, nmode + 1)).copy()
+    if u0.n_components != n:
+        raise ValueError("initial data component count does not match model")
+    if u0.max_mode > nmode:
+        raise ValueError("initial data has more modes than the simulation")
+    v = np.zeros((n_rep, n_ch, n, nmode + 1), dtype=np.complex128)
+    v[..., : u0.max_mode + 1] = u0.coeffs
     decay = np.stack([ch.decay for ch in channels])[:, None, :]
     weight = np.stack([ch.weight for ch in channels])[:, None, :]
     if states:
@@ -272,13 +238,9 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
         streams = [s.stream for s in states]
         factors, step0 = states[0].factors, states[0].step
     alive = np.ones((n_rep, n_ch), dtype=bool)
-    run = _BlockRun(channels=channels,
-                    censoring_time=[[None] * n_ch for _ in range(n_rep)],
-                    times=[[[] for _ in channels] for _ in range(n_rep)],
-                    fields=[[[] for _ in channels] for _ in range(n_rep)],
-                    distance=np.full((n_rep, len(pairs)), math.nan))
+    censoring_time = [[None] * n_ch for _ in range(n_rep)]
 
-    def observe(step: int, t: float) -> np.ndarray:
+    def state(step: int, t: float) -> np.ndarray:
         u = v.copy() if noisy else v  # v is never written in place
         for c, level, scale in noisy:
             u[:, c] += scale * psi[:, level]
@@ -296,27 +258,12 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
             if sup_norm(SpectralField(n, nmode, u[r, c])) \
                     > config.blowup_cutoff:
                 alive[r, c] = False
-                run.censoring_time[r][c] = t
-        if step % config.record_stride:
-            return u
-        if record:
-            for r, c in zip(*alive.nonzero()):
-                run.times[r][c].append(t)
-                run.fields[r][c].append(SpectralField(n, nmode, u[r, c]))
-        for r in range(n_rep if pairs else 0):
-            live = [i for i, (p, q) in enumerate(pairs)
-                    if alive[r, p] and alive[r, q]]
-            if not live:
-                continue
-            diff = np.concatenate([u[r, pairs[i][0]] - u[r, pairs[i][1]]
-                                   for i in live])
-            peaks = sup_norms(SpectralField(len(live) * n, nmode, diff))
-            for j, i in enumerate(live):
-                d = max(0.0, *peaks[j * n:(j + 1) * n])
-                run.distance[r, i] = np.fmax(run.distance[r, i], d)
+                censoring_time[r][c] = t
+        if step % config.record_stride == 0:
+            observe(t, u, alive)
         return u
 
-    u = observe(0, 0.0)
+    u = state(0, 0.0)
     for step in range(1, config.n_steps + 1):
         if alive.all():
             v = decay * v + weight * _drift(channels, u, config, step)
@@ -326,8 +273,27 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
             v = np.where(live, decay * v + weight * fu, v)
         if states:
             psi = step_replicas(factors, streams, step0 + step - 1, psi, h)
-        u = observe(step, step * h)
-    return run
+        u = state(step, step * h)
+    return censoring_time
+
+
+def _recorded(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
+              states: Optional[list[CoupledOUState]],
+              config: SimulationConfig) -> list[Trajectory]:
+    """Run one replica; each channel's trajectory, recorded while live."""
+    times: list[list[float]] = [[] for _ in channels]
+    fields: list[list[SpectralField]] = [[] for _ in channels]
+
+    def record(t: float, u: np.ndarray, alive: np.ndarray) -> None:
+        for c in alive[0].nonzero()[0]:
+            times[c].append(t)
+            fields[c].append(SpectralField(spec.n, config.max_mode, u[0, c]))
+
+    (cens,) = _advance(spec, channels, u0, states, config, record)
+    return [Trajectory(variant=ch.variant, eps=ch.eps,
+                       times=np.asarray(times[c]), fields=fields[c],
+                       censored=cens[c] is not None, censoring_time=cens[c])
+            for c, ch in enumerate(channels)]
 
 
 def run_mild(spec: ModelSpec, variant: Variant, eps: float,
@@ -340,42 +306,47 @@ def run_mild(spec: ModelSpec, variant: Variant, eps: float,
     run); otherwise the state must contain a level matching the variant's
     eps (level 0.0 for the limit variants) and carries its own stream.
     """
-    if spec.g is not None:
-        validate_model(spec)  # one dg cross-check per run
-    if u0.n_components != spec.n:
-        raise ValueError("initial data component count does not match model")
+    validate_model(spec)  # one dg cross-check per run (none without g)
     ch = _build_channel(spec, variant, eps, noise, config,
                         correction_constant)
     states = None if noise is None else [noise]
-    return _advance(spec, [ch], u0, states, config).trajectories()[0]
+    return _recorded(spec, [ch], u0, states, config)[0]
+
+
+def resolve_correction(correction, nu: float, eps: float,
+                       max_mode: int) -> float | None:
+    """The corrected reaction's constant for a correction setting.
+
+    "truncation-matched" evaluates the finite-truncation constant at eps
+    and max_mode, "asymptotic" gives None (the white-noise constant
+    1/(2 sqrt(nu))), and a number is used verbatim.
+    """
+    if correction == "truncation-matched":
+        return truncation_matched_constant(nu, eps, max_mode)
+    if correction == "asymptotic":
+        return None
+    if isinstance(correction, (int, float)) and not isinstance(correction,
+                                                               bool):
+        return float(correction)
+    raise ValueError("correction must be 'truncation-matched', "
+                     "'asymptotic', or a float")
 
 
 def _coupled(spec: ModelSpec, eps_levels, config: SimulationConfig, streams,
              correction) -> tuple[list[_Channel], list[CoupledOUState]]:
-    """Channels [each eps, naive, corrected] and one noise state per stream."""
+    """Channels [each eps, naive, corrected] and one noise state per stream,
+    all sharing one factorization of the levels."""
     eps_levels = [float(e) for e in eps_levels]
     if not eps_levels or any(e <= 0 for e in eps_levels):
         raise ValueError("eps levels must be positive")
     if len(set(eps_levels)) != len(eps_levels):
         raise ValueError("eps levels must be distinct")
-    if spec.g is not None:
-        validate_model(spec)
-
-    if correction == "truncation-matched":
-        const = truncation_matched_constant(spec.nu, min(eps_levels),
-                                            config.max_mode)
-    elif correction == "asymptotic":
-        const = None
-    elif isinstance(correction, (int, float)) and not isinstance(correction, bool):
-        const = float(correction)
-    else:
-        raise ValueError("correction must be 'truncation-matched', "
-                         "'asymptotic', or a float")
-
+    validate_model(spec)
+    const = resolve_correction(correction, spec.nu, min(eps_levels),
+                               config.max_mode)
     ops = [OperatorSpec(spec.nu, e) for e in eps_levels]
     ops.append(OperatorSpec(spec.nu, 0.0))
-    states = [sample_stationary(ops, spec.n, config.max_mode, s)
-              for s in streams]
+    states = sample_replicas(ops, spec.n, config.max_mode, streams)
 
     channels = [_build_channel(spec, Variant.PHI_EPS, e, states[0], config,
                                None) for e in eps_levels]
@@ -395,15 +366,12 @@ def couple_runs(spec: ModelSpec, eps_levels, u0: SpectralField,
     All runs share one jointly sampled noise state (levels = given eps
     values plus 0.0) and the same initial data.  Returns trajectories in the
     order [each eps in the given order, naive limit, corrected limit].
-
-    correction selects the constant in the corrected reaction:
-    "truncation-matched" (default) evaluates the finite-truncation constant
-    at the smallest eps and the configured mode count, "asymptotic" uses
-    1/(2 sqrt(nu)), and a float is used verbatim.
+    resolve_correction turns correction into the corrected reaction's
+    constant at the smallest eps and the configured mode count.
     """
     channels, states = _coupled(spec, eps_levels, config, [stream],
                                 correction)
-    return _advance(spec, channels, u0, states, config).trajectories()
+    return _recorded(spec, channels, u0, states, config)
 
 
 def coupled_distances(spec: ModelSpec, eps: float, u0: SpectralField,
@@ -418,14 +386,61 @@ def coupled_distances(spec: ModelSpec, eps: float, u0: SpectralField,
     that sup_distance gives on couple_runs' trajectories.
     """
     channels, states = _coupled(spec, [eps], config, streams, correction)
-    run = _advance(spec, channels, u0, states, config, record=False,
-                   pairs=((0, 2), (0, 1)))
-    out = []
-    for r, (corrected, naive) in enumerate(run.distance):
-        cens = [t is not None for t in run.censoring_time[r]]
-        out.append(((float(corrected), cens[0] or cens[2]),
-                    (float(naive), cens[0] or cens[1])))
-    return out
+    n = spec.n
+    dist = np.full((len(streams), 3), math.nan)   # by channel; 0 unused
+
+    def sup_distances(t: float, u: np.ndarray, alive: np.ndarray) -> None:
+        for r in alive[:, 0].nonzero()[0]:
+            live = [c for c in (2, 1) if alive[r, c]]
+            if not live:
+                continue
+            diff = np.concatenate([u[r, 0] - u[r, c] for c in live])
+            peaks = sup_norms(SpectralField(len(live) * n, config.max_mode,
+                                            diff))
+            for j, c in enumerate(live):
+                d = max(0.0, *peaks[j * n:(j + 1) * n])
+                dist[r, c] = np.fmax(dist[r, c], d)
+
+    censoring_time = _advance(spec, channels, u0, states, config,
+                              sup_distances)
+    return [tuple((float(row[c]), times[0] is not None or times[c] is not None)
+                  for c in (2, 1))
+            for row, times in zip(dist, censoring_time)]
+
+
+def reference_distances(spec: ModelSpec, eps: float, u0: SpectralField,
+                        config: SimulationConfig, streams,
+                        references: list[Trajectory], *, beta: float
+                        ) -> list[tuple[tuple[float, bool], ...]]:
+    """run_mild of V_EPS at eps for a block of replicas, one per stream,
+    advanced in lockstep without recording fields.
+
+    references are trajectories recorded on the same config (the
+    deterministic limits).  Returns per replica, for each reference, the
+    value and censored flag that sup_distance(run, reference, "sobolev",
+    alpha=beta, nu=spec.nu) gives on the replica's trajectory.
+    """
+    states = sample_replicas([OperatorSpec(spec.nu, eps)], spec.n,
+                             config.max_mode, streams)
+    channel = _build_channel(spec, Variant.V_EPS, eps, states[0], config,
+                             None)
+    dist = np.full((len(streams), len(references)), math.nan)
+    recorded = itertools.count()
+
+    def sobolev_distances(t: float, u: np.ndarray, alive: np.ndarray) -> None:
+        i = next(recorded)
+        for j, ref in enumerate(references):
+            for r in alive[:, 0].nonzero()[0] if i < len(ref.fields) else ():
+                d = sobolev_norm(SpectralField(spec.n, config.max_mode,
+                                               u[r, 0] - ref.fields[i].coeffs),
+                                 beta, spec.nu)
+                dist[r, j] = np.fmax(dist[r, j], d)
+
+    censoring_time = _advance(spec, [channel], u0, states, config,
+                              sobolev_distances)
+    return [tuple((float(d), cens is not None or ref.censored)
+                  for d, ref in zip(row, references))
+            for row, (cens,) in zip(dist, censoring_time)]
 
 
 def sup_distance(a: Trajectory, b: Trajectory, norm: str = "sup", *,

@@ -91,11 +91,6 @@ def symbols(op: OperatorSpec, k) -> np.ndarray:
     return -(1.0 + op.nu * karr ** 2 * q)
 
 
-def symbol(op: OperatorSpec, k: int) -> float:
-    """Symbol of the operator at a single mode k."""
-    return float(symbols(op, np.asarray([k]))[0])
-
-
 def apply_semigroup(op: OperatorSpec, u: SpectralField, t: float) -> SpectralField:
     """Multiply each mode by exp(lambda_k * t); requires t >= 0."""
     if t < 0.0:
@@ -122,11 +117,6 @@ def etd_weights(lam: np.ndarray, h: float) -> np.ndarray:
     zs = z[small]
     out[small] = h * (1.0 + zs / 2.0 + zs * zs / 6.0 + zs * zs * zs / 24.0)
     return out
-
-
-def etd_weight(lam: float, h: float) -> float:
-    """Scalar exponential-Euler weight; see etd_weights."""
-    return float(etd_weights(np.asarray([lam]), h)[0])
 
 
 def semigroup_gap(op: OperatorSpec, k: int, t: float) -> float:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linops import OperatorSpec, symbols
+from .spectral import SpectralField
 
 # Purpose tags keep independent uses of one base seed on disjoint streams.
 PURPOSE_OU_INIT = 1
@@ -85,8 +86,6 @@ class _LevelFactors:
     """
 
     def __init__(self, levels: tuple[OperatorSpec, ...], max_mode: int):
-        self.levels = levels
-        self.max_mode = max_mode
         m = len(levels)
         ks = np.arange(max_mode + 1)
         self.rates = np.stack([-symbols(op, ks) for op in levels])  # (m, N+1)
@@ -154,17 +153,16 @@ class _LevelFactors:
         return hit
 
     def colored(self, z: np.ndarray) -> np.ndarray:
-        """Map standard normals to one joint sample, batched over modes.
+        """Map standard normals to one joint sample, batched over modes."""
+        return self.colored_step(self.stationary_factor, z)
+
+    def colored_step(self, factor: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Colour standard normals with a per-mode factor (stationary or
+        transition).
 
         z has shape (..., N+1, n_comp, 2, m); returns complex (..., m, n_comp,
         N+1) with the k = 0 column real.
         """
-        return self._apply(self.stationary_factor, z)
-
-    def colored_step(self, factor: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return self._apply(factor, z)
-
-    def _apply(self, factor: np.ndarray, z: np.ndarray) -> np.ndarray:
         mixed = np.einsum("kuv,...kcjv->...kcju", factor, z)
         idx = self.inverse[:, None, None, :]
         idx = np.broadcast_to(idx, mixed.shape[:-4] + mixed.shape[-4:])
@@ -211,9 +209,7 @@ class CoupledOUState:
                 return i
         raise ValueError(f"no noise level with eps = {eps}")
 
-    def psi_field(self, level: int):
-        from .spectral import SpectralField
-
+    def psi_field(self, level: int) -> SpectralField:
         return SpectralField(self.n_components, self.max_mode,
                              self.psi[level].copy())
 
@@ -235,16 +231,28 @@ def stationary_samples(levels, n_components: int, max_mode: int,
     return factors.colored(z)
 
 
+def sample_replicas(levels, n_components: int, max_mode: int,
+                    streams) -> list[CoupledOUState]:
+    """One exact joint stationary sample across all levels per stream.
+
+    The states share one factorization of the levels, so they belong to
+    one block of replicas advanced together (by one thread); each equals
+    sample_stationary on its stream.
+    """
+    levels = _validate_levels(levels)
+    factors = _LevelFactors(levels, max_mode)
+    return [CoupledOUState(levels=levels, n_components=n_components,
+                           max_mode=max_mode, t=0.0, step=0,
+                           psi=stationary_samples(levels, n_components,
+                                                  max_mode, s, 1, factors)[0],
+                           stream=s, factors=factors)
+            for s in streams]
+
+
 def sample_stationary(levels, n_components: int, max_mode: int,
                       stream: NoiseStream) -> CoupledOUState:
     """Draw one exact joint stationary sample across all levels."""
-    levels = _validate_levels(levels)
-    factors = _LevelFactors(levels, max_mode)
-    psi = stationary_samples(levels, n_components, max_mode, stream, 1,
-                             factors)[0]
-    return CoupledOUState(levels=levels, n_components=n_components,
-                          max_mode=max_mode, t=0.0, step=0, psi=psi,
-                          stream=stream, factors=factors)
+    return sample_replicas(levels, n_components, max_mode, [stream])[0]
 
 
 def step_replicas(factors: _LevelFactors, streams, step: int,

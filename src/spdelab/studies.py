@@ -23,16 +23,17 @@ import numpy as np
 
 from .averaging import TailScalingReport, tail_experiment
 from .constants import truncation_matched_constant, white_noise_constant
-# couple_runs is not called here; it stays bound in this module because
-# bench/spans.py traces the names the studies import.
-from .integrate import (SimulationConfig, Trajectory, Variant, couple_runs,
-                        coupled_distances, run_mild, sup_distance)
+# couple_runs and sample_stationary are not called here; they stay bound in
+# this module because bench/spans.py traces the names the studies import.
+from .integrate import (SimulationConfig, Variant, couple_runs,
+                        coupled_distances, reference_distances,
+                        resolve_correction, run_mild, sup_distance)
 from .linops import OperatorSpec
 from .models import ModelSpec, model_from_config
-from .noise import (NoiseStream, PURPOSE_INITIAL_FIELD, sample_stationary,
-                    step_coupled)
+from .noise import (NoiseStream, PURPOSE_INITIAL_FIELD, sample_replicas,
+                    sample_stationary, step_replicas)
 from .regression import RegressionResult, regress_loglog
-from .spectral import SpectralField, sup_norm
+from .spectral import SpectralField, sup_norms
 
 SCHEMA_VERSION = 1
 
@@ -138,61 +139,72 @@ def initial_field(n_components: int, max_mode: int, decay: float,
     return SpectralField(n_components, max_mode, coeffs)
 
 
-def _threads(workers: int) -> int:
-    return min(workers, os.cpu_count() or 1)  # more threads only contend
-
-
-def _pool_map(fn, items, workers: int) -> list:
-    if _threads(workers) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=_threads(workers)) as pool:
-        return list(pool.map(fn, items))
-
-
-def _replica_map(fn, replicas: int, workers: int) -> list:
-    return _pool_map(fn, range(replicas), workers)
-
-
 def _block_map(fn, replicas: int, workers: int) -> list:
     """fn maps an array of replica indices to one result per replica; the
-    replicas are split into min(workers, cores) contiguous blocks."""
-    blocks = np.array_split(np.arange(replicas),
-                            min(_threads(workers), replicas))
-    return [res for part in _pool_map(fn, blocks, workers) for res in part]
+    replicas are split into min(workers, cores) contiguous blocks, one per
+    thread (more threads only contend)."""
+    threads = min(workers, os.cpu_count() or 1, replicas)
+    blocks = np.array_split(np.arange(replicas), threads)
+    if threads == 1:
+        return list(fn(blocks[0]))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return [res for part in pool.map(fn, blocks) for res in part]
 
 
 def _aggregate(values: list[tuple[float, bool]]) -> dict:
     """Mean/spread of uncensored replicas plus the censored count."""
     ok = np.asarray([v for v, censored in values if not censored])
     out = {"n_replicas": len(values),
-           "n_censored": int(len(values) - ok.size)}
+           "n_censored": int(len(values) - ok.size),
+           "mean_error": None, "std_error": None, "stderr_mean": None}
     if ok.size:
         out["mean_error"] = float(np.mean(ok))
         out["std_error"] = float(np.std(ok, ddof=1)) if ok.size > 1 else 0.0
         out["stderr_mean"] = out["std_error"] / math.sqrt(ok.size)
-    else:
-        out["mean_error"] = None
-        out["std_error"] = None
-        out["stderr_mean"] = None
     return out
-
-
-def _fit_points(report_rows: list[dict]) -> tuple:
-    pts = [(row["eps"], row["mean_error"]) for row in report_rows
-           if row["mean_error"] is not None and row["mean_error"] > 0]
-    if len(pts) < 4:
-        return None, None, None, None
-    fit = regress_loglog(pts)
-    return fit.slope, fit.intercept, fit.r2, fit.ci95
 
 
 def _ratio_at_smallest(rows: list[dict]) -> Optional[float]:
     for row in sorted(rows, key=lambda r: r["eps"]):
-        num = row.get("naive_mean_error")
-        den = row.get("mean_error")
-        if num is not None and den:
-            return float(num / den)
+        if row.get("naive_mean_error") is not None and row["mean_error"]:
+            return float(row["naive_mean_error"] / row["mean_error"])
     return None
+
+
+def _sweep(cfg: RunConfig, study: str, nu: float, per_eps,
+           constants: dict) -> ConvergenceReport:
+    """The eps loop, aggregation, fit and report of the integrator studies.
+
+    For each eps, largest first, per_eps(eps) returns a block function;
+    _block_map runs the replicas through it in contiguous blocks.  A block
+    gives per replica a tuple of (distance, censored) pairs: the distance
+    to the corrected limit and, for studies with a naive column, the
+    distance to the naive limit.  Rows with a naive column also carry the
+    truncation-matched constant.
+    """
+    rows = []
+    for eps in sorted(cfg.eps_grid, reverse=True):
+        n_modes = cfg.modes_for(eps)
+        results = _block_map(per_eps(eps), cfg.replicas, cfg.workers)
+        row = {"eps": eps, "n_modes": n_modes}
+        row.update(_aggregate([r[0] for r in results]))
+        if len(results[0]) > 1:
+            naive_stats = _aggregate([r[1] for r in results])
+            row["naive_mean_error"] = naive_stats["mean_error"]
+            row["naive_std_error"] = naive_stats["std_error"]
+            row["truncation_matched_constant"] = truncation_matched_constant(
+                nu, eps, n_modes)
+        rows.append(row)
+
+    pts = [(r["eps"], r["mean_error"]) for r in rows
+           if r["mean_error"] is not None and r["mean_error"] > 0]
+    fit = regress_loglog(pts) if len(pts) >= 4 else RegressionResult(
+        None, None, None, None)
+    return ConvergenceReport(
+        study=study, seed=cfg.seed, config=cfg.to_dict(),
+        eps=[r["eps"] for r in rows], per_eps=rows, slope=fit.slope,
+        intercept=fit.intercept, r2=fit.r2, ci95=fit.ci95,
+        naive_over_corrected=_ratio_at_smallest(rows), constants=constants)
 
 
 def run_convergence_study(cfg: RunConfig) -> ConvergenceReport:
@@ -201,39 +213,21 @@ def run_convergence_study(cfg: RunConfig) -> ConvergenceReport:
     For each eps and replica, all three coupled runs share one noise path;
     the sup-over-time sup-norm distances to the corrected and naive limits
     are averaged over uncensored replicas, and the corrected-limit means are
-    fit to a power law.  Replicas run in contiguous lockstep blocks, one per
-    worker thread; a replica's distances do not depend on its block.
+    fit to a power law.
     """
     spec, _ = model_from_config(cfg.model)
     base = NoiseStream(cfg.seed)
     u0 = initial_field(spec.n, cfg.u0_modes, cfg.u0_decay, cfg.u0_amplitude,
                        base)
-    rows = []
-    for eps in sorted(cfg.eps_grid, reverse=True):
+
+    def per_eps(eps):
         sim = cfg.simulation_config(eps)
+        return lambda replicas: coupled_distances(
+            spec, eps, u0, sim, [base.with_replica(r) for r in replicas],
+            correction=cfg.correction)
 
-        def block(replicas, eps=eps, sim=sim) -> list:
-            return coupled_distances(spec, eps, u0, sim,
-                                     [base.with_replica(r) for r in replicas],
-                                     correction=cfg.correction)
-
-        results = _block_map(block, cfg.replicas, cfg.workers)
-        row = {"eps": eps, "n_modes": sim.max_mode}
-        row.update(_aggregate([r[0] for r in results]))
-        naive_stats = _aggregate([r[1] for r in results])
-        row["naive_mean_error"] = naive_stats["mean_error"]
-        row["naive_std_error"] = naive_stats["std_error"]
-        row["truncation_matched_constant"] = truncation_matched_constant(
-            spec.nu, eps, sim.max_mode)
-        rows.append(row)
-
-    slope, intercept, r2, ci = _fit_points(rows)
-    return ConvergenceReport(
-        study="converge", seed=cfg.seed, config=cfg.to_dict(),
-        eps=[r["eps"] for r in rows], per_eps=rows, slope=slope,
-        intercept=intercept, r2=r2, ci95=ci,
-        naive_over_corrected=_ratio_at_smallest(rows),
-        constants={"asymptotic": white_noise_constant(spec.nu)})
+    return _sweep(cfg, "converge", spec.nu, per_eps,
+                  {"asymptotic": white_noise_constant(spec.nu)})
 
 
 def run_theorem15_study(cfg: RunConfig) -> ConvergenceReport:
@@ -241,8 +235,8 @@ def run_theorem15_study(cfg: RunConfig) -> ConvergenceReport:
     limits, measured in the Sobolev beta norm.
 
     The deterministic corrected and naive limits are integrated once per
-    eps (they carry no noise); each replica integrates only the stochastic
-    variant.
+    eps (they carry no noise); the replicas run only the stochastic variant
+    and are measured against the limits' recorded fields as they go.
     """
     spec, _ = model_from_config(cfg.model)
     if spec.g is not None:
@@ -250,59 +244,20 @@ def run_theorem15_study(cfg: RunConfig) -> ConvergenceReport:
     base = NoiseStream(cfg.seed)
     u0 = initial_field(spec.n, cfg.u0_modes, cfg.u0_decay, cfg.u0_amplitude,
                        base)
-    rows = []
-    for eps in sorted(cfg.eps_grid, reverse=True):
+
+    def per_eps(eps):
         sim = cfg.simulation_config(eps)
-        if cfg.correction == "truncation-matched":
-            const = truncation_matched_constant(spec.nu, eps, sim.max_mode)
-        else:
-            const = white_noise_constant(spec.nu)
-        corrected = run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, sim,
-                             correction_constant=const)
-        naive = run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, sim,
-                         correction_constant=0.0)
+        const = resolve_correction(cfg.correction, spec.nu, eps,
+                                   sim.max_mode)
+        limits = [run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, sim,
+                           correction_constant=c) for c in (const, 0.0)]
+        return lambda replicas: reference_distances(
+            spec, eps, u0, sim, [base.with_replica(r) for r in replicas],
+            limits, beta=cfg.beta)
 
-        def one(replica: int, eps=eps, sim=sim, corrected=corrected,
-                naive=naive) -> tuple:
-            state = sample_stationary([OperatorSpec(spec.nu, eps)], spec.n,
-                                      sim.max_mode,
-                                      base.with_replica(replica))
-            traj = run_mild(spec, Variant.V_EPS, eps, u0, state, sim)
-            return (sup_distance(traj, corrected, "sobolev", alpha=cfg.beta,
-                                 nu=spec.nu),
-                    sup_distance(traj, naive, "sobolev", alpha=cfg.beta,
-                                 nu=spec.nu))
-
-        results = _replica_map(one, cfg.replicas, cfg.workers)
-        row = {"eps": eps, "n_modes": sim.max_mode}
-        row.update(_aggregate([r[0] for r in results]))
-        naive_stats = _aggregate([r[1] for r in results])
-        row["naive_mean_error"] = naive_stats["mean_error"]
-        row["naive_std_error"] = naive_stats["std_error"]
-        row["truncation_matched_constant"] = truncation_matched_constant(
-            spec.nu, eps, sim.max_mode)
-        rows.append(row)
-
-    slope, intercept, r2, ci = _fit_points(rows)
-    return ConvergenceReport(
-        study="theorem15", seed=cfg.seed, config=cfg.to_dict(),
-        eps=[r["eps"] for r in rows], per_eps=rows, slope=slope,
-        intercept=intercept, r2=r2, ci95=ci,
-        naive_over_corrected=_ratio_at_smallest(rows),
-        constants={"asymptotic": white_noise_constant(spec.nu),
+    return _sweep(cfg, "theorem15", spec.nu, per_eps,
+                  {"asymptotic": white_noise_constant(spec.nu),
                    "sobolev_beta": cfg.beta})
-
-
-def psi_coupling_distance(nu: float, eps: float, max_mode: int, dt: float,
-                          t_final: float, stream: NoiseStream) -> float:
-    """Sup over recorded times and space of psi^eps - psi^0 for one path."""
-    levels = (OperatorSpec(nu, eps), OperatorSpec(nu, 0.0))
-    state = sample_stationary(levels, 1, max_mode, stream)
-    best = sup_norm(state.psi_field(0) - state.psi_field(1))
-    for _ in range(max(1, int(round(t_final / dt)))):
-        state = step_coupled(state, dt)
-        best = max(best, sup_norm(state.psi_field(0) - state.psi_field(1)))
-    return best
 
 
 def run_psi_coupling_study(cfg: RunConfig) -> ConvergenceReport:
@@ -313,26 +268,28 @@ def run_psi_coupling_study(cfg: RunConfig) -> ConvergenceReport:
     """
     nu = float(cfg.model.get("nu", 1.0))
     base = NoiseStream(cfg.seed)
-    rows = []
-    for eps in sorted(cfg.eps_grid, reverse=True):
-        n_modes = cfg.modes_for(eps)
+    n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
 
-        def one(replica: int, eps=eps, n_modes=n_modes) -> tuple:
-            d = psi_coupling_distance(nu, eps, n_modes, cfg.dt, cfg.t_final,
-                                      base.with_replica(replica))
-            return (d, False)
+    def per_eps(eps):
+        levels = (OperatorSpec(nu, eps), OperatorSpec(nu, 0.0))
 
-        results = _replica_map(one, cfg.replicas, cfg.workers)
-        row = {"eps": eps, "n_modes": n_modes}
-        row.update(_aggregate(results))
-        rows.append(row)
+        def block(replicas) -> list:
+            streams = [base.with_replica(r) for r in replicas]
+            states = sample_replicas(levels, 1, cfg.modes_for(eps), streams)
+            psi = np.stack([s.psi for s in states])
+            best = np.zeros(len(streams))
+            for step in range(n_steps + 1):
+                if step:
+                    psi = step_replicas(states[0].factors, streams, step - 1,
+                                        psi, cfg.dt)
+                best = np.maximum(best, sup_norms(SpectralField.from_coeffs(
+                    psi[:, 0, 0] - psi[:, 1, 0])))
+            return [((float(d), False),) for d in best]
 
-    slope, intercept, r2, ci = _fit_points(rows)
-    return ConvergenceReport(
-        study="psi-coupling", seed=cfg.seed, config=cfg.to_dict(),
-        eps=[r["eps"] for r in rows], per_eps=rows, slope=slope,
-        intercept=intercept, r2=r2, ci95=ci, naive_over_corrected=None,
-        constants={"asymptotic": white_noise_constant(nu)})
+        return block
+
+    return _sweep(cfg, "psi-coupling", nu, per_eps,
+                  {"asymptotic": white_noise_constant(nu)})
 
 
 def run_averaging_study(cfg: RunConfig) -> TailScalingReport:
@@ -357,8 +314,7 @@ def calibrate_dt(spec: ModelSpec, variant: Variant, eps: float,
     """
     dt = config.dt
     stride = config.record_stride
-    prev = run_mild(spec, variant, eps, u0, None,
-                    dataclasses.replace(config, dt=dt, record_stride=stride),
+    prev = run_mild(spec, variant, eps, u0, None, config,
                     correction_constant=correction_constant)
     for _ in range(max_halvings):
         stride *= 2

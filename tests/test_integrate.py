@@ -14,7 +14,7 @@ from spdelab import (IntegrationError, ModelSpec, NoiseStream, OperatorSpec,
                      step_coupled, sup_distance, sup_norm)
 from spdelab import (eval_F_bar, eval_F_eps, etd_weights, symbols,
                      truncation_matched_constant)
-from spdelab.integrate import coupled_distances
+from spdelab.integrate import coupled_distances, reference_distances
 from spdelab.studies import initial_field
 
 ROOT_2PI = math.sqrt(2.0 * math.pi)
@@ -535,6 +535,68 @@ class TestReplicaBlock:
         with pytest.raises(IntegrationError, match="PHI_EPS run at step 1"):
             coupled_distances(spec, 0.5, zero_field(4), config(max_mode=4),
                               [NoiseStream(0)])
+
+
+class TestReferenceDistances:
+    """reference_distances advances a block of V_EPS replicas in lockstep
+    and measures them against fixed trajectories as it goes; each replica
+    must give what run_mild and sup_distance give it alone."""
+
+    def limits(self, spec, u0, cfg, constants):
+        return [run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, cfg,
+                         correction_constant=c) for c in constants]
+
+    def check(self, spec, eps, u0, cfg, streams, refs):
+        block = reference_distances(spec, eps, u0, cfg, streams, refs,
+                                    beta=0.6)
+        assert len(block) == len(streams)
+        for got, stream in zip(block, streams):
+            noise = sample_stationary([OperatorSpec(spec.nu, eps)], spec.n,
+                                      cfg.max_mode, stream)
+            traj = run_mild(spec, Variant.V_EPS, eps, u0, noise, cfg)
+            want = [sup_distance(traj, ref, "sobolev", alpha=0.6,
+                                 nu=spec.nu) for ref in refs]
+            assert len(got) == len(want)
+            for (d, cens), (d0, cens0) in zip(got, want):
+                assert cens == cens0
+                assert d == d0 or (math.isnan(d) and math.isnan(d0))
+        return block
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_distances_equal_trajectory_oracle(self, stride):
+        spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
+        u0 = initial_field(1, 8, 1.5, 0.5, NoiseStream(4))
+        cfg = config(max_mode=16, dt=0.01, t_final=0.2,
+                     record_stride=stride)
+        streams = [NoiseStream(4, replica=r) for r in range(3)]
+        block = self.check(spec, 0.25, u0, cfg, streams,
+                           self.limits(spec, u0, cfg, (0.4, 0.0)))
+        assert not any(c for pair in block for _, c in pair)
+
+    def test_block_with_censored_and_surviving_replicas(self):
+        spec = TestCensoring().blowup_spec()
+        u0 = initial_field(1, 6, 1.5, 1.0, NoiseStream(2))
+        cfg = config(max_mode=6, dt=0.01, t_final=0.3, blowup_cutoff=5.0)
+        streams = [NoiseStream(2, replica=r) for r in range(5)]
+        block = self.check(spec, 0.25, u0, cfg, streams,
+                           self.limits(spec, u0, cfg, (None, 0.0)))
+        flags = [pair[0][1] for pair in block]
+        assert 0 < sum(flags) < len(flags)
+
+    def test_censored_reference_censors_every_replica(self):
+        # a reference that blows up before the end (it starts from large
+        # data) censors every replica's distance to it, measured over the
+        # reference's recorded prefix, and leaves the other one's untouched
+        spec = TestCensoring().blowup_spec()
+        u0 = scalar_field(6, {0: 0.5})
+        cfg = config(max_mode=6, dt=0.01, t_final=0.3, blowup_cutoff=50.0)
+        refs = (self.limits(spec, scalar_field(6, {0: 6.0, 1: 1.5}), cfg,
+                            (None,))
+                + self.limits(spec, u0, cfg, (None,)))
+        assert refs[0].censored and not refs[1].censored
+        streams = [NoiseStream(3, replica=r) for r in range(2)]
+        block = self.check(spec, 0.01, u0, cfg, streams, refs)
+        assert [[c for _, c in pair] for pair in block] == [[True, False]] * 2
 
 
 class TestRecordingAndValidation:

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spdelab import (OperatorSpec, SpectralField, apply_semigroup, etd_weight,
-                     etd_weights, semigroup_gap, sobolev_norm, symbol, symbols)
+from spdelab import (OperatorSpec, SpectralField, apply_semigroup,
+                     etd_weights, semigroup_gap, sobolev_norm, symbols)
 
 
 def random_field(max_mode: int, seed: int) -> SpectralField:
@@ -43,20 +43,20 @@ class TestSymbol:
     def test_mode_zero_always_minus_one(self):
         for op in (OperatorSpec(1.0), OperatorSpec(0.5, 0.7),
                    OperatorSpec(2.0, 0.3, poly_q=(1.0, 0.0, 1.0))):
-            assert symbol(op, 0) == -1.0
+            assert symbols(op, 0) == -1.0
 
     def test_pinned_value(self):
         # nu=1, eps=1/2, default Q, k=2: -(1 + 4 + (1/4)*16) = -9
-        assert symbol(OperatorSpec(1.0, 0.5), 2) == pytest.approx(-9.0)
+        assert symbols(OperatorSpec(1.0, 0.5), 2) == pytest.approx(-9.0)
 
     def test_eps_zero_heat_symbol(self):
         op = OperatorSpec(2.0, 0.0)
         for k in range(7):
-            assert symbol(op, k) == pytest.approx(-(1.0 + 2.0 * k * k))
+            assert symbols(op, k) == pytest.approx(-(1.0 + 2.0 * k * k))
 
     def test_negative_k_symmetric(self):
         op = OperatorSpec(1.0, 0.25)
-        assert symbol(op, -3) == symbol(op, 3)
+        assert symbols(op, -3) == symbols(op, 3)
 
     def test_monotone_in_k_and_eps(self):
         ks = np.arange(0, 33)
@@ -123,28 +123,29 @@ class TestEtdWeight:
         # below the threshold the weight is h(1 + lam h/2 + (lam h)^2/6 + ...)
         lam, h = -1e-9, 0.5
         series = h * (1.0 + lam * h / 2.0 + (lam * h) ** 2 / 6.0)
-        assert etd_weight(lam, h) == pytest.approx(series, rel=1e-14)
-        assert etd_weight(-1e-13, h) == pytest.approx(h, rel=1e-12)
+        assert etd_weights(lam, h) == pytest.approx(series, rel=1e-14)
+        assert etd_weights(-1e-13, h) == pytest.approx(h, rel=1e-12)
 
     def test_pinned_value(self):
-        assert etd_weight(-1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0),
-                                                      rel=1e-12)
+        assert etd_weights(-1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0),
+                                                       rel=1e-12)
 
     def test_saturation(self):
-        assert etd_weight(-5e4, 1.0) == pytest.approx(2e-5, rel=1e-10)
+        assert etd_weights(-5e4, 1.0) == pytest.approx(2e-5, rel=1e-10)
 
     def test_vector_matches_scalar(self):
+        # a scalar rate takes the same branches as an array of rates
         lams = np.array([-1e-9, -1e-6, -1e-3, -1.0, -100.0, -1e6])
         h = 0.01
         vec = etd_weights(lams, h)
         for lam, w in zip(lams, vec):
-            assert w == pytest.approx(etd_weight(float(lam), h), rel=1e-13)
+            assert w == etd_weights(float(lam), h)
 
     def test_continuity_across_series_threshold(self):
         # the piecewise definition must not jump at |lam h| = 1e-5
         h = 1.0
-        below = etd_weight(-1e-5 * (1 - 1e-9), h)
-        above = etd_weight(-1e-5 * (1 + 1e-9), h)
+        below = etd_weights(-1e-5 * (1 - 1e-9), h)
+        above = etd_weights(-1e-5 * (1 + 1e-9), h)
         assert below == pytest.approx(above, rel=1e-10)
 
     def test_against_quadrature_oracle(self):
@@ -155,11 +156,11 @@ class TestEtdWeight:
             oracle, err = quad(lambda s: math.exp(lam * (h - s)), 0.0, h,
                                epsabs=1e-14, epsrel=1e-12)
             assert err < 1e-10
-            assert etd_weight(lam, h) == pytest.approx(oracle, rel=1e-10)
+            assert etd_weights(lam, h) == pytest.approx(oracle, rel=1e-10)
 
     def test_nonpositive_h_rejected(self):
         with pytest.raises(ValueError):
-            etd_weight(-1.0, 0.0)
+            etd_weights(-1.0, 0.0)
 
 
 class TestSemigroupGap:

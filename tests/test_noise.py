@@ -8,12 +8,12 @@ from scipy.integrate import quad
 
 from spdelab import (CoupledOUState, NoiseStream, OperatorSpec,
                      psi_diff_moment, sample_stationary, stationary_samples,
-                     step_coupled, symbol)
+                     step_coupled, symbols)
 from spdelab.noise import _LevelFactors
 
 
 def rates(nu: float, eps: float, k: int) -> float:
-    return -symbol(OperatorSpec(nu, eps), k)
+    return -float(symbols(OperatorSpec(nu, eps), k))
 
 
 class TestNoiseStream:

@@ -8,14 +8,15 @@ import threading
 import numpy as np
 import pytest
 
-from spdelab import (ConvergenceReport, NoiseStream, RunConfig, Variant,
-                     calibrate_dt, initial_field, polynomial_model,
-                     psi_coupling_distance, run_averaging_study,
+from spdelab import (ConvergenceReport, NoiseStream, OperatorSpec,
+                     RunConfig, Variant, calibrate_dt, initial_field,
+                     polynomial_model, run_averaging_study,
                      run_convergence_study, run_psi_coupling_study,
-                     run_theorem15_study, write_report)
+                     run_theorem15_study, sample_stationary, step_coupled,
+                     sup_norm, write_report)
 import spdelab.studies as studies_module
 from spdelab.integrate import SimulationConfig
-from spdelab.studies import (SCHEMA_VERSION, _replica_map, report_csv_text,
+from spdelab.studies import (SCHEMA_VERSION, _block_map, report_csv_text,
                              report_json_text, tail_csv_text)
 
 
@@ -136,13 +137,13 @@ class TestConvergenceStudy:
         barrier = threading.Barrier(cores, timeout=10)
         seen = set()
 
-        def one(r):
+        def block(replicas):
             seen.add(threading.get_ident())
-            if cores > 1 and r < cores:
+            if cores > 1:
                 barrier.wait()  # the pool does reach the core count
-            return r * r
+            return [r * r for r in replicas]
 
-        assert _replica_map(one, 8, 8) == [r * r for r in range(8)]
+        assert _block_map(block, 8, 8) == [r * r for r in range(8)]
         assert len(seen) == cores
         if cores == 1:
             assert seen == {threading.get_ident()}
@@ -242,12 +243,81 @@ class TestTheorem15Study:
             (0.4982555089441466, 0.5234404772294784)]
         assert all(row["n_censored"] == 0 for row in report.per_eps)
 
+    def test_zero_correction_makes_both_limits_naive(self):
+        # with correction 0.0 the corrected limit is the naive one, so the
+        # two distance columns agree exactly at every eps
+        report = run_theorem15_study(small_cfg(correction=0.0, replicas=2))
+        for row in report.per_eps:
+            assert row["mean_error"] == row["naive_mean_error"]
+        default = run_theorem15_study(small_cfg(replicas=2))
+        assert [r["mean_error"] for r in report.per_eps] != \
+            [r["mean_error"] for r in default.per_eps]
+
+    def test_unknown_correction_rejected(self):
+        with pytest.raises(ValueError, match="correction"):
+            run_theorem15_study(small_cfg(correction="bogus"))
+
+    @pytest.mark.parametrize("model", [
+        {"name": "polynomial", "nu": 1.0, "f": [0.0, -1.0], "h": [1.0]},
+        # TestCensoring's blow-up reaction: some replicas censor
+        {"name": "polynomial", "nu": 1.0, "f": [0.0, 0.0, 0.0, 4.0]}])
+    def test_block_split_invariance(self, monkeypatch, model):
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        cfg = dict(model=model, eps_grid=(0.25, 0.2), replicas=5, seed=2,
+                   fixed_modes=6, u0_modes=6, dt=0.01, t_final=0.3,
+                   blowup_cutoff=5.0)
+        reports = [run_theorem15_study(RunConfig(workers=w, **cfg))
+                   for w in (1, 2, 3, 5)]
+        for report in reports[1:]:
+            assert report.per_eps == reports[0].per_eps
+        censored = [row["n_censored"] for row in reports[0].per_eps]
+        assert (sum(censored) == 0) == ("h" in model)
+
+
+def psi_distance_reference(nu, eps, max_mode, dt, t_final, stream):
+    """Sup over steps and space of psi^eps - psi^0 for one replica, stepped
+    alone through step_coupled."""
+    state = sample_stationary((OperatorSpec(nu, eps), OperatorSpec(nu, 0.0)),
+                              1, max_mode, stream)
+    best = sup_norm(state.psi_field(0) - state.psi_field(1))
+    for _ in range(max(1, int(round(t_final / dt)))):
+        state = step_coupled(state, dt)
+        best = max(best, sup_norm(state.psi_field(0) - state.psi_field(1)))
+    return best
+
 
 class TestPsiCouplingStudy:
-    def test_distance_positive_and_deterministic(self):
-        a = psi_coupling_distance(1.0, 0.5, 8, 0.05, 0.2, NoiseStream(0))
-        b = psi_coupling_distance(1.0, 0.5, 8, 0.05, 0.2, NoiseStream(0))
-        assert a == b > 0.0
+    def test_distance_positive_and_deterministic(self, monkeypatch):
+        # every block split gives each replica the distance it has when
+        # stepped alone
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        cfg = small_cfg(study="psi", eps_grid=(0.5,), replicas=3)
+        want = [psi_distance_reference(1.0, 0.5, 8, 0.05, 0.2,
+                                       NoiseStream(0, replica=r))
+                for r in range(3)]
+        assert min(want) > 0.0
+        for workers in (1, 2, 3):
+            report = run_psi_coupling_study(
+                small_cfg(study="psi", eps_grid=(0.5,), replicas=3,
+                          workers=workers))
+            assert report.per_eps[0]["mean_error"] == np.mean(want)
+            assert report.per_eps == run_psi_coupling_study(cfg).per_eps
+
+    def test_psi_coupling_outputs_pinned(self):
+        # reduced protocol (N = 32..256, 3 replicas, two blocks); the values
+        # were recorded with repr from the study that stepped each replica
+        # alone through step_coupled, so a block run that moves any digit
+        # fails here
+        cfg = RunConfig(study="psi-coupling",
+                        eps_grid=tuple(2.0 ** -j for j in range(3, 7)),
+                        replicas=3, seed=3, modes_over_eps=4.0, dt=0.01,
+                        t_final=0.2, workers=2)
+        report = run_psi_coupling_study(cfg)
+        assert [row["n_modes"] for row in report.per_eps] == [32, 64, 128, 256]
+        assert [row["mean_error"] for row in report.per_eps] == [
+            0.4753499388611673, 0.3446490435486267, 0.25910519827504414,
+            0.18886956339177652]
+        assert report.slope == 0.4406389292452005
 
     def test_study_report(self):
         cfg = small_cfg(study="psi", replicas=4)
