@@ -19,18 +19,18 @@ Variants:
   V_LIMIT   deterministic limit: unshifted symbol at eps = 0, drift G with
             the corrected reaction (g must vanish), no noise.
 
-One core advances a block of R replicas by C channels in lockstep: v is held
-as (R, C, n, N+1) and psi as (R, levels, n, N+1).  Each step makes one
-to_grid call for every row the channels' drifts need, runs each channel's
-callbacks once on (n, R, M) grid values, and makes one from_grid call; the
-replicas' noise normals, each drawn from the replica's own counter-based
-stream, are coloured together.  Batched real FFTs are bit-identical per row,
-so a replica's numbers do not depend on the block it runs in.  At every
-recorded time the core hands the state to one observer: run_mild and
-couple_runs (the R = 1 case) record trajectories; coupled_distances keeps
-each replica's running maximum sup distance from the perturbed run to both
-limits, and reference_distances its running maximum Sobolev distance to
-fixed reference trajectories, recording nothing.
+One core advances a block of R replicas by C channels in lockstep on plain
+arrays: v is held as (R, C, n, N+1) and psi as (R, levels, n, N+1).  Each
+step makes one models.drift call for the block (one grid transform and one
+back-transform) and colours the replicas' noise normals, each drawn from the
+replica's own counter-based stream, together; inputs are checked when a run
+starts, and the step loop builds no SpectralField but in the guard's rare
+fallback.  Batched real FFTs are bit-identical per row, so a replica's
+numbers do not depend on its block.  At every recorded time the core hands
+the state to one observer: run_mild and couple_runs (the R = 1 case) record
+trajectories; coupled_distances keeps each replica's running maximum sup
+distance from the perturbed run to both limits, and reference_distances its
+running maximum Sobolev distance to fixed reference trajectories.
 
 Runs abort with a censored flag once the sup norm exceeds the configured
 guard; censored trajectories carry no fields at or beyond the censoring
@@ -55,13 +55,12 @@ from .linops import OperatorSpec, etd_weights, symbols
 from . import models
 # eval_*, step_coupled and sample_stationary are not called here; they stay
 # bound in this module because bench/spans.py traces the names it imports.
-from .models import (DriftPlan, ModelSpec, derivative_rows, eval_F_bar,
-                     eval_F_eps, eval_G, eval_G_bar, plan_F_bar, plan_F_eps,
-                     plan_G, validate_model)
+from .models import (DriftPlan, ModelSpec, eval_F_bar, eval_F_eps, eval_G,
+                     eval_G_bar, plan_F_bar, plan_F_eps, plan_G,
+                     validate_model)
 from .noise import (CoupledOUState, NoiseStream, sample_replicas,
                     sample_stationary, step_coupled, step_replicas)
-from .spectral import (GridField, SpectralField, dealias, sobolev_norm,
-                       sup_norm, sup_norms)
+from .spectral import SpectralField, sobolev_norm, sup_norm, sup_norms
 
 
 class Variant(enum.Enum):
@@ -87,8 +86,6 @@ class SimulationConfig:
     dt: float
     t_final: float
     record_stride: int = 1
-    oversample: int = 2
-    dealias_fraction: float = 2.0 / 3.0
     blowup_cutoff: float = 1e3
 
     def __post_init__(self) -> None:
@@ -98,8 +95,6 @@ class SimulationConfig:
             raise ValueError("need 0 < dt <= t_final")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
-        if self.oversample < 1:
-            raise ValueError("oversample must be >= 1")
         if self.blowup_cutoff <= 0:
             raise ValueError("blowup_cutoff must be positive")
 
@@ -178,35 +173,16 @@ def _build_channel(spec: ModelSpec, variant: Variant, eps: float,
         noise_level=level, noise_scale=scale)
 
 
-def _drift(channels: list[_Channel], u: np.ndarray,
-           config: SimulationConfig, step: int) -> np.ndarray:
-    """Every channel's drift for every replica of u (R, C, n, N+1), through
-    one to_grid and one from_grid call."""
-    n_rep, _, n, modes = u.shape
-    rows = []
-    for c, ch in enumerate(channels):
-        uc = u[:, c].transpose(1, 0, 2)                        # (n, R, K)
-        rows += [uc] + derivative_rows(uc, ch.drift.orders)
-    coeffs = np.stack(rows).reshape(-1, modes)   # (channel, order, n, R)
-    grid = models.to_grid(SpectralField(len(coeffs), modes - 1, coeffs),
-                          config.oversample).values
-    m = grid.shape[1]
-    grid = grid.reshape(-1, n, n_rep, m)
-    out = []
-    for ch in channels:
-        vals, *derivs = grid[:len(ch.drift.orders)]
-        grid = grid[len(ch.drift.orders):]
-        out.append(ch.drift.pointwise(vals, derivs)[None])
-    out = out[0] if len(out) == 1 else np.concatenate(out)  # (C, n, R, M)
-    if not np.isfinite(out).all():
-        bad = next(ch for ch, o in zip(channels, out)
-                   if not np.isfinite(o).all())
-        raise IntegrationError(
-            f"non-finite drift in {bad.variant.name} run at step {step}")
-    fu = models.from_grid(GridField(out[..., 0].size, m, out.reshape(-1, m)),
-                          modes - 1)
-    fu = dealias(fu, config.dealias_fraction).coeffs
-    return fu.reshape(len(channels), n, n_rep, modes).transpose(2, 0, 1, 3)
+def _drift(channels: list[_Channel], u: np.ndarray, step: int) -> np.ndarray:
+    """models.drift of every channel and replica of u (R, C, n, N+1),
+    raising IntegrationError if a channel's drift is not finite."""
+    fu = models.drift([ch.drift for ch in channels], u.transpose(1, 2, 0, 3))
+    finite = np.isfinite(fu).reshape(len(channels), -1).all(axis=1)
+    if not finite.all():
+        raise IntegrationError(f"non-finite drift in "
+                               f"{channels[finite.argmin()].variant.name} "
+                               f"run at step {step}")
+    return fu.transpose(2, 0, 1, 3)
 
 
 def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
@@ -266,10 +242,10 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
     u = state(0, 0.0)
     for step in range(1, config.n_steps + 1):
         if alive.all():
-            v = decay * v + weight * _drift(channels, u, config, step)
+            v = decay * v + weight * _drift(channels, u, step)
         else:  # censored rows stay frozen; their drift sees zeros
             live = alive[:, :, None, None]
-            fu = _drift(channels, np.where(live, u, 0.0), config, step)
+            fu = _drift(channels, np.where(live, u, 0.0), step)
             v = np.where(live, decay * v + weight * fu, v)
         if states:
             psi = step_replicas(factors, streams, step0 + step - 1, psi, h)
@@ -395,8 +371,7 @@ def coupled_distances(spec: ModelSpec, eps: float, u0: SpectralField,
             if not live:
                 continue
             diff = np.concatenate([u[r, 0] - u[r, c] for c in live])
-            peaks = sup_norms(SpectralField(len(live) * n, config.max_mode,
-                                            diff))
+            peaks = sup_norms(diff)
             for j, c in enumerate(live):
                 d = max(0.0, *peaks[j * n:(j + 1) * n])
                 dist[r, c] = np.fmax(dist[r, c], d)

@@ -4,9 +4,12 @@ A model supplies pointwise callbacks for the drift pieces of
 
     F_eps(u) = 1 + f(u) + eps * g(u) d_xx u + eps * h(u) (d_x u  ⊗ d_x u),
 
-evaluated pseudospectrally: transform to a padded grid, apply the callbacks
-pointwise, transform back, and dealias.  The additive constant enters as the
-field identically equal to one in every component.
+evaluated pseudospectrally by one function on plain arrays, drift: one
+transform to a padded grid, each DriftPlan's callbacks applied pointwise,
+one transform back, and the 2/3 cut.  The integrator passes it whole replica
+blocks; the eval_* functions check one SpectralField and pass one row.  The
+additive constant enters as the field identically equal to one in every
+component.
 
 The corrected reaction term replacing f in the limit equation is
 
@@ -38,9 +41,17 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .constants import white_noise_constant
-from .spectral import GridField, SpectralField, dealias, from_grid, to_grid
+# to_grid and from_grid are not called here; they stay bound in this module
+# because bench/spans.py traces the names it imports.
+from .spectral import (SpectralField, base_grid_size, dealias_cut,
+                       derivative_coeffs, from_grid, grid_coeffs, grid_values,
+                       to_grid)
 
 Callback = Callable[[np.ndarray], np.ndarray]
+
+# Drift grids have twice the base grid's points (M >= 4N+4), fixed like the
+# 2/3 cut (spectral.DEALIAS_FRACTION).
+DRIFT_OVERSAMPLE = 2
 
 
 @dataclass(frozen=True)
@@ -150,30 +161,41 @@ class DriftPlan(NamedTuple):
     pointwise: Callable[[np.ndarray, list], np.ndarray]
 
 
-def derivative_rows(coeffs: np.ndarray, orders: tuple[int, ...]) -> list:
-    """Coefficients (mode axis last) of the derivatives of the given orders
-    after the leading 0, formed as spectral.derivative forms them."""
-    k = np.arange(coeffs.shape[-1], dtype=np.float64)
-    return [(1.0, 1j, -1.0)[o] * (coeffs * k ** o) for o in orders[1:]]
+def drift(plans: list[DriftPlan], u: np.ndarray) -> np.ndarray:
+    """Each plan's drift of a block of fields, unchecked: u is (plan, n, R,
+    N+1) and plan p maps the R fields u[p] to the same-shaped result.
+
+    u and every derivative the plans need go through one grid transform, each
+    plan's pointwise part runs once on its (n, R, M) grid values, and one
+    back-transform and the 2/3 cut give the drifts.  Batched real FFTs are
+    bit-identical per row, so a field's drift does not depend on the block.
+    """
+    _, n, n_rep, modes = u.shape
+    rows = []
+    for p, plan in enumerate(plans):
+        rows += [u[p]] + [derivative_coeffs(u[p], o) for o in plan.orders[1:]]
+    m = DRIFT_OVERSAMPLE * base_grid_size(modes - 1)
+    grid = grid_values(np.stack(rows).reshape(-1, modes), m)
+    grid = grid.reshape(-1, n, n_rep, m)   # (plan and order, n, R, M)
+    out = []
+    for plan in plans:
+        vals, *derivs = grid[:len(plan.orders)]
+        grid = grid[len(plan.orders):]
+        out.append(plan.pointwise(vals, derivs)[None])
+    out = out[0] if len(out) == 1 else np.concatenate(out)  # (plan, n, R, M)
+    with np.errstate(invalid="ignore"):  # callers check for non-finite drift
+        fu = grid_coeffs(out.reshape(-1, m), modes - 1)
+    fu[:, dealias_cut(modes - 1) + 1:] = 0.0
+    return fu.reshape(u.shape)
 
 
-def _evaluate(spec: ModelSpec, u: SpectralField, plan: DriftPlan,
-              oversample: int, dealias_fraction: float) -> SpectralField:
-    """One drift of one field: u and the derivatives the plan needs go
-    through one to_grid call (bit-identical to one call each), then the
-    pointwise combination is projected back and dealiased."""
+def _drift_of(spec: ModelSpec, plan: DriftPlan,
+              u: SpectralField) -> SpectralField:
+    """One field's drift, validated at both ends."""
     if spec.n != u.n_components:
         raise ValueError("field component count does not match the model")
-    rows = derivative_rows(u.coeffs, plan.orders)
-    stacked = u if not rows else SpectralField(
-        len(plan.orders) * spec.n, u.max_mode,
-        np.concatenate([u.coeffs] + rows))
-    grid = to_grid(stacked, oversample)
-    vals, *derivs = grid.values.reshape(len(plan.orders), spec.n,
-                                        grid.grid_size)
-    out = plan.pointwise(vals, derivs)
-    return dealias(from_grid(GridField(spec.n, grid.grid_size, out),
-                             u.max_mode), dealias_fraction)
+    return SpectralField(spec.n, u.max_mode,
+                         drift([plan], u.coeffs[None, :, None])[0, :, 0])
 
 
 def plan_F_eps(spec: ModelSpec, eps: float) -> DriftPlan:
@@ -200,17 +222,15 @@ def plan_F_eps(spec: ModelSpec, eps: float) -> DriftPlan:
     return DriftPlan((0,) + (1,) * use_h + (2,) * use_g, pointwise)
 
 
-def eval_F_eps(spec: ModelSpec, eps: float, u: SpectralField, *,
-               oversample: int = 2,
-               dealias_fraction: float = 2.0 / 3.0) -> SpectralField:
+def eval_F_eps(spec: ModelSpec, eps: float,
+               u: SpectralField) -> SpectralField:
     """Full perturbed drift 1 + f(u) + eps g(u) u_xx + eps h(u) (u_x ⊗ u_x).
 
     Evaluated pointwise on an oversampled grid and projected back to the
     modes of u, then dealiased.  eps = 0 reduces exactly to 1 + f(u): the
     derivative channels are skipped entirely.
     """
-    return _evaluate(spec, u, plan_F_eps(spec, eps), oversample,
-                     dealias_fraction)
+    return _drift_of(spec, plan_F_eps(spec, eps), u)
 
 
 def effective_drift(spec: ModelSpec,
@@ -246,11 +266,9 @@ def plan_F_bar(spec: ModelSpec, constant: float | None = None) -> DriftPlan:
 
 
 def eval_F_bar(spec: ModelSpec, u: SpectralField, *,
-               constant: float | None = None, oversample: int = 2,
-               dealias_fraction: float = 2.0 / 3.0) -> SpectralField:
+               constant: float | None = None) -> SpectralField:
     """Corrected limit drift 1 + fbar(u), evaluated pseudospectrally."""
-    return _evaluate(spec, u, plan_F_bar(spec, constant), oversample,
-                     dealias_fraction)
+    return _drift_of(spec, plan_F_bar(spec, constant), u)
 
 
 def plan_G(spec: ModelSpec, constant: float | None) -> DriftPlan:
@@ -275,22 +293,19 @@ def plan_G(spec: ModelSpec, constant: float | None) -> DriftPlan:
     return DriftPlan((0,) + (1,) * (spec.h is not None), pointwise)
 
 
-def eval_G(spec: ModelSpec, u: SpectralField, *, oversample: int = 2,
-           dealias_fraction: float = 2.0 / 3.0) -> SpectralField:
+def eval_G(spec: ModelSpec, u: SpectralField) -> SpectralField:
     """Unshifted drift f(u) + h(u)(u_x ⊗ u_x); no additive constant.
 
     Used by the small-noise variants; requires g identically zero.
     """
-    return _evaluate(spec, u, plan_G(spec, None), oversample,
-                     dealias_fraction)
+    return _drift_of(spec, plan_G(spec, None), u)
 
 
 def eval_G_bar(spec: ModelSpec, u: SpectralField, *,
-               constant: float | None = None, oversample: int = 2,
-               dealias_fraction: float = 2.0 / 3.0) -> SpectralField:
+               constant: float | None = None) -> SpectralField:
     """Corrected unshifted drift: eval_G with f replaced by f + c tr h."""
     c = white_noise_constant(spec.nu) if constant is None else float(constant)
-    return _evaluate(spec, u, plan_G(spec, c), oversample, dealias_fraction)
+    return _drift_of(spec, plan_G(spec, c), u)
 
 
 def from_potential(p: PotentialSpec) -> tuple[ModelSpec, float]:

@@ -9,6 +9,9 @@ Grid transforms are exact for the represented trigonometric polynomial
 whenever the grid has at least 2N+2 points; grid sizes are always padded to
 a power of two times the requested oversampling factor so FFT round trips
 are cheap and unambiguous.
+
+Fields and the functions taking them validate; inner loops call the array
+kernels behind them (grid_values, grid_coeffs, derivative_coeffs) unchecked.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 _SQRT_TWO_PI = math.sqrt(_TWO_PI)
+DEALIAS_FRACTION = 2.0 / 3.0  # Orszag's 2/3 rule for quadratic products
 
 
-def _base_grid_size(max_mode: int) -> int:
+def base_grid_size(max_mode: int) -> int:
     """Smallest power of two that is >= 2*max_mode + 2."""
     need = 2 * max_mode + 2
     return 1 << (need - 1).bit_length()
@@ -70,20 +74,12 @@ class SpectralField:
         return cls(coeffs.shape[0], coeffs.shape[1] - 1, coeffs)
 
     @classmethod
-    def zeros(cls, n_components: int, max_mode: int) -> "SpectralField":
-        return cls(n_components, max_mode,
-                   np.zeros((n_components, max_mode + 1), dtype=np.complex128))
-
-    @classmethod
     def constant(cls, values, max_mode: int) -> "SpectralField":
         """Field identically equal to `values` (one entry per component)."""
         vals = np.atleast_1d(np.asarray(values, dtype=np.float64))
         c = np.zeros((vals.shape[0], max_mode + 1), dtype=np.complex128)
         c[:, 0] = vals * _SQRT_TWO_PI  # constant 1 has coefficient sqrt(2*pi)
         return cls(vals.shape[0], max_mode, c)
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.n_components, self.max_mode, self.coeffs.copy())
 
     def _check_compatible(self, other: "SpectralField") -> None:
         if (self.n_components, self.max_mode) != (other.n_components, other.max_mode):
@@ -129,6 +125,36 @@ class GridField:
         return np.arange(self.grid_size) * (_TWO_PI / self.grid_size)
 
 
+def grid_values(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Unchecked kernel of to_grid: coefficient rows (mode axis last) on m
+    points, for m >= 2N+2."""
+    half = np.zeros(coeffs.shape[:-1] + (m // 2 + 1,), dtype=np.complex128)
+    half[..., : coeffs.shape[-1]] = coeffs
+    return np.fft.irfft(half, n=m, axis=-1) * (m / _SQRT_TWO_PI)
+
+
+def grid_coeffs(values: np.ndarray, max_mode: int) -> np.ndarray:
+    """Unchecked kernel of from_grid: modes 0..max_mode of grid rows (point
+    axis last), with the k = 0 coefficient made exactly real."""
+    spec = np.fft.rfft(values, axis=-1)[..., : max_mode + 1]
+    spec *= _SQRT_TWO_PI / values.shape[-1]
+    spec[..., 0] = spec[..., 0].real
+    return spec
+
+
+def derivative_coeffs(coeffs: np.ndarray, order: int) -> np.ndarray:
+    """Unchecked kernel of derivative: mode k (last axis) times (i*k)^order,
+    with i^order an exact quarter-turn (no complex power), so even orders
+    stay exactly real-scaled and k = 0 stays exactly real."""
+    k = np.arange(coeffs.shape[-1], dtype=np.float64)
+    return (1.0, 1j, -1.0, -1j)[order % 4] * (coeffs * k ** order)
+
+
+def dealias_cut(max_mode: int) -> int:
+    """Highest mode the 2/3 rule keeps: floor(DEALIAS_FRACTION * N)."""
+    return int(math.floor(DEALIAS_FRACTION * max_mode))
+
+
 def to_grid(field: SpectralField, oversample: int = 1) -> GridField:
     """Evaluate the field on M = oversample * 2^ceil(log2(2N+2)) points.
 
@@ -136,11 +162,8 @@ def to_grid(field: SpectralField, oversample: int = 1) -> GridField:
     """
     if oversample < 1:
         raise ValueError("oversample must be a positive integer")
-    m = oversample * _base_grid_size(field.max_mode)
-    half = np.zeros((field.n_components, m // 2 + 1), dtype=np.complex128)
-    half[:, : field.max_mode + 1] = field.coeffs
-    values = np.fft.irfft(half, n=m, axis=1) * (m / _SQRT_TWO_PI)
-    return GridField(field.n_components, m, values)
+    m = oversample * base_grid_size(field.max_mode)
+    return GridField(field.n_components, m, grid_values(field.coeffs, m))
 
 
 def from_grid(grid: GridField, max_mode: int) -> SpectralField:
@@ -152,26 +175,16 @@ def from_grid(grid: GridField, max_mode: int) -> SpectralField:
         raise ValueError(
             f"mode count {max_mode} too large for grid of size {grid.grid_size}"
         )
-    spec = np.fft.rfft(grid.values, axis=1)[:, : max_mode + 1]
-    spec *= _SQRT_TWO_PI / grid.grid_size
-    spec[:, 0] = spec[:, 0].real
-    return SpectralField(grid.n_components, max_mode, spec)
+    return SpectralField(grid.n_components, max_mode,
+                         grid_coeffs(grid.values, max_mode))
 
 
 def derivative(field: SpectralField, order: int = 1) -> SpectralField:
-    """Spatial derivative of the given order: multiply mode k by (i*k)^order.
-
-    The unit i^order is applied as an exact quarter-turn (no complex power),
-    so even orders stay exactly real-scaled and k = 0 stays exactly real.
-    """
+    """Spatial derivative of the given order (derivative_coeffs)."""
     if order < 0:
         raise ValueError("derivative order must be >= 0")
-    if order == 0:
-        return field.copy()
-    k = np.arange(field.max_mode + 1, dtype=np.float64)
-    unit = (1.0, 1j, -1.0, -1j)[order % 4]  # i^order, exact
     return SpectralField(field.n_components, field.max_mode,
-                         unit * (field.coeffs * k ** order))
+                         derivative_coeffs(field.coeffs, order))
 
 
 def sobolev_norm(field: SpectralField, alpha: float, nu: float) -> float:
@@ -189,18 +202,19 @@ def sobolev_norm(field: SpectralField, alpha: float, nu: float) -> float:
     return math.sqrt(total)
 
 
-def sup_norms(field: SpectralField) -> list:
-    """Per-component sup norms max_x |u_i(x)| on an oversampled grid, each
-    sharpened by a quadratic fit through the grid maximum.  This is a
-    documented approximation to the true supremum: the parabola vertex
-    recovers the inter-node peak of the trigonometric polynomial to well under
-    0.1% relative error at this resolution.  The fit adds at most a quarter of
-    the grid maximum (both neighbours lie in [0, y1]): each value is <= 1.25 y1.
-    One transform serves every component; the fit runs per component in
-    scalar arithmetic, whose rounding of the square differs from the array
-    square's.
+def sup_norms(coeffs: np.ndarray) -> list:
+    """Sup norms max_x |u_i(x)| of coefficient rows u_i (shape (i, N+1)) on
+    an 8x oversampled grid, each sharpened by a quadratic fit through the
+    grid maximum.  This is a documented approximation to the true supremum:
+    the parabola vertex recovers the inter-node peak of the trigonometric
+    polynomial to well under 0.1% relative error at this resolution.  The
+    fit adds at most a quarter of the grid maximum (both neighbours lie in
+    [0, y1]): each value is <= 1.25 y1.  One transform serves every row; the
+    fit runs per row in scalar arithmetic, whose rounding of the square
+    differs from the array square's.
     """
-    a = np.abs(to_grid(field, oversample=8).values)
+    m = 8 * base_grid_size(coeffs.shape[-1] - 1)
+    a = np.abs(grid_values(coeffs, m))
     peaks = []
     for i, j in enumerate(np.argmax(a, axis=1)):
         y0 = a[i, j - 1]
@@ -215,15 +229,12 @@ def sup_norms(field: SpectralField) -> list:
 
 
 def sup_norm(field: SpectralField) -> float:
-    """Max over components of sup_norms(field)."""
-    return max(0.0, *sup_norms(field))
+    """Max over components of sup_norms(field.coeffs)."""
+    return max(0.0, *sup_norms(field.coeffs))
 
 
-def dealias(field: SpectralField, cutoff_fraction: float = 2.0 / 3.0) -> SpectralField:
-    """Zero every mode with |k| > floor(cutoff_fraction * N) (2/3 rule)."""
-    if not 0.0 < cutoff_fraction <= 1.0:
-        raise ValueError("cutoff_fraction must lie in (0, 1]")
-    cut = int(math.floor(cutoff_fraction * field.max_mode))
+def dealias(field: SpectralField) -> SpectralField:
+    """Zero every mode with |k| > dealias_cut(N) (the 2/3 rule)."""
     c = field.coeffs.copy()
-    c[:, cut + 1:] = 0.0
+    c[:, dealias_cut(field.max_mode) + 1:] = 0.0
     return SpectralField(field.n_components, field.max_mode, c)

@@ -55,9 +55,6 @@ class RunConfig:
     fixed_modes: Optional[int] = None
     dt: float = 0.005
     t_final: float = 0.5
-    record_stride: int = 1
-    oversample: int = 2
-    dealias_fraction: float = 2.0 / 3.0
     blowup_cutoff: float = 1e3
     correction: str = "truncation-matched"
     beta: float = 0.6
@@ -99,8 +96,6 @@ class RunConfig:
     def simulation_config(self, eps: float) -> SimulationConfig:
         return SimulationConfig(
             max_mode=self.modes_for(eps), dt=self.dt, t_final=self.t_final,
-            record_stride=self.record_stride, oversample=self.oversample,
-            dealias_fraction=self.dealias_fraction,
             blowup_cutoff=self.blowup_cutoff)
 
 
@@ -268,22 +263,22 @@ def run_psi_coupling_study(cfg: RunConfig) -> ConvergenceReport:
     """
     nu = float(cfg.model.get("nu", 1.0))
     base = NoiseStream(cfg.seed)
-    n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
 
     def per_eps(eps):
         levels = (OperatorSpec(nu, eps), OperatorSpec(nu, 0.0))
+        sim = cfg.simulation_config(eps)
 
         def block(replicas) -> list:
             streams = [base.with_replica(r) for r in replicas]
-            states = sample_replicas(levels, 1, cfg.modes_for(eps), streams)
+            states = sample_replicas(levels, 1, sim.max_mode, streams)
             psi = np.stack([s.psi for s in states])
             best = np.zeros(len(streams))
-            for step in range(n_steps + 1):
+            for step in range(sim.n_steps + 1):
                 if step:
                     psi = step_replicas(states[0].factors, streams, step - 1,
-                                        psi, cfg.dt)
-                best = np.maximum(best, sup_norms(SpectralField.from_coeffs(
-                    psi[:, 0, 0] - psi[:, 1, 0])))
+                                        psi, sim.dt)
+                best = np.maximum(best,
+                                  sup_norms(psi[:, 0, 0] - psi[:, 1, 0]))
             return [((float(d), False),) for d in best]
 
         return block

@@ -7,11 +7,11 @@ import pytest
 
 import spdelab.integrate as integrate_module
 import spdelab.models as models_module
-from spdelab import (IntegrationError, ModelSpec, NoiseStream, OperatorSpec,
-                     SimulationConfig, SpectralField, Trajectory, Variant,
-                     apply_semigroup, couple_runs, polynomial_model,
-                     psi_diff_moment, run_mild, sample_stationary,
-                     step_coupled, sup_distance, sup_norm)
+from spdelab import (GridField, IntegrationError, ModelSpec, NoiseStream,
+                     OperatorSpec, SimulationConfig, SpectralField,
+                     Trajectory, Variant, apply_semigroup, couple_runs,
+                     polynomial_model, psi_diff_moment, run_mild,
+                     sample_stationary, step_coupled, sup_distance, sup_norm)
 from spdelab import (eval_F_bar, eval_F_eps, etd_weights, symbols,
                      truncation_matched_constant)
 from spdelab.integrate import coupled_distances, reference_distances
@@ -512,7 +512,7 @@ class TestReplicaBlock:
 
     def test_one_transform_pair_per_step(self, monkeypatch):
         calls = []
-        for name in ("to_grid", "from_grid"):
+        for name in ("grid_values", "grid_coeffs"):
             real = getattr(models_module, name)
 
             def counted(*args, name=name, real=real):
@@ -524,7 +524,7 @@ class TestReplicaBlock:
         cfg = config(max_mode=8, dt=0.05, t_final=0.25)
         coupled_distances(spec, 0.5, zero_field(8), cfg,
                           [NoiseStream(1, replica=r) for r in range(3)])
-        assert calls == ["to_grid", "from_grid"] * cfg.n_steps
+        assert calls == ["grid_values", "grid_coeffs"] * cfg.n_steps
 
     def test_non_finite_drift_names_channel_and_step(self):
         # h is only used by the perturbed channel and by the corrected
@@ -597,6 +597,47 @@ class TestReferenceDistances:
         streams = [NoiseStream(3, replica=r) for r in range(2)]
         block = self.check(spec, 0.01, u0, cfg, streams, refs)
         assert [[c for _, c in pair] for pair in block] == [[True, False]] * 2
+
+
+class TestNoFieldsInStepLoop:
+    """The block core works on plain arrays: the step loop builds no
+    SpectralField or GridField; only a Sobolev measurement wraps its
+    difference in one field."""
+
+    def count_fields(self, monkeypatch) -> list:
+        built = []
+        for cls in (SpectralField, GridField):
+            real = cls.__post_init__
+
+            def counted(obj, real=real, name=cls.__name__):
+                built.append(name)
+                real(obj)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        return built
+
+    def test_coupled_distances_builds_no_field(self, monkeypatch):
+        spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
+        u0 = initial_field(1, 6, 1.5, 0.5, NoiseStream(5))
+        cfg = config(max_mode=8, dt=0.05, t_final=0.25)
+        built = self.count_fields(monkeypatch)
+        block = coupled_distances(spec, 0.5, u0, cfg,
+                                  [NoiseStream(5, replica=r) for r in range(3)])
+        assert len(block) == 3
+        assert built == []
+
+    def test_reference_distances_one_field_per_measurement(self, monkeypatch):
+        spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
+        u0 = initial_field(1, 6, 1.5, 0.5, NoiseStream(6))
+        cfg = config(max_mode=8, dt=0.05, t_final=0.25)
+        refs = [run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, cfg,
+                         correction_constant=c) for c in (0.4, 0.0)]
+        built = self.count_fields(monkeypatch)
+        block = reference_distances(spec, 0.25, u0, cfg,
+                                    [NoiseStream(6, replica=r)
+                                     for r in range(3)], refs, beta=0.6)
+        assert not any(c for pair in block for _, c in pair)
+        assert built == ["SpectralField"] * (3 * 2 * (cfg.n_steps + 1))
 
 
 class TestRecordingAndValidation:

@@ -148,7 +148,7 @@ class TestEvalFEps:
             spec = polynomial_model(1.0, f_coeffs=case.get("f"),
                                     g_coeffs=case.get("g"),
                                     h_coeffs=case.get("h"))
-            got = eval_F_eps(spec, eps, u, oversample=2)
+            got = eval_F_eps(spec, eps, u)
             want = oracle_F_eps(u, eps, **case)
             np.testing.assert_allclose(got.coeffs[0], want, atol=1e-10), case
 
@@ -326,13 +326,13 @@ class TestBatchedTransform:
 
     def test_one_transform_per_evaluation(self, monkeypatch):
         calls = []
-        real = models_module.to_grid
+        real = models_module.grid_values
 
-        def counted(field, oversample=1):
-            calls.append(field.n_components)
-            return real(field, oversample)
+        def counted(coeffs, m):
+            calls.append(len(coeffs))
+            return real(coeffs, m)
 
-        monkeypatch.setattr(models_module, "to_grid", counted)
+        monkeypatch.setattr(models_module, "grid_values", counted)
         for spec in drift_models():
             u = random_smooth_field(spec.n, 8, 1)
             grad = ModelSpec(n=spec.n, nu=spec.nu, f=spec.f, h=spec.h)

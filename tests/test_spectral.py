@@ -250,10 +250,6 @@ class TestSupNormBound:
 
 
 class TestDealias:
-    def test_full_cutoff_identity(self):
-        f = random_field(1, 9, 31)
-        np.testing.assert_array_equal(dealias(f, 1.0).coeffs, f.coeffs)
-
     def test_low_modes_unchanged(self):
         f = random_field(1, 9, 33)
         cut = 2 * 9 // 3

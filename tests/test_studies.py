@@ -42,6 +42,10 @@ class TestRunConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             RunConfig.from_dict({"replicas": 3, "stepsize": 0.01})
+        # fixed at one value, these are no longer settings
+        for key in ("oversample", "dealias_fraction", "record_stride"):
+            with pytest.raises(ValueError, match="unknown config keys"):
+                RunConfig.from_dict({key: 1})
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -318,6 +322,13 @@ class TestPsiCouplingStudy:
             0.4753499388611673, 0.3446490435486267, 0.25910519827504414,
             0.18886956339177652]
         assert report.slope == 0.4406389292452005
+
+    def test_rejects_dt_beyond_t_final(self):
+        # the steps come from SimulationConfig, as for the other studies
+        cfg = RunConfig(study="psi-coupling", dt=1.0, t_final=0.5,
+                        eps_grid=(0.5,), replicas=1, fixed_modes=8)
+        with pytest.raises(ValueError, match="need 0 < dt <= t_final"):
+            run_psi_coupling_study(cfg)
 
     def test_study_report(self):
         cfg = small_cfg(study="psi", replicas=4)
