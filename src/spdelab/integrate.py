@@ -32,6 +32,17 @@ trajectories; coupled_distances keeps each replica's running maximum sup
 distance from the perturbed run to both limits, and reference_distances its
 running maximum Sobolev distance to fixed reference trajectories.
 
+A run allocates its step arrays once.  Each call of the core owns a
+spectral.Workspace for the drift's transform input, grid and spectrum
+(coupled_distances keeps a second one for its 8x oversampled grids), and
+updates v, the state u = v + scale * psi and the guard's |u| in place with
+out=, in the order the formulas are written, so every bit is as before.
+Rows of at least spectral.ROW_TRANSFORM_POINTS points are transformed one
+FFT call at a time, and the model callbacks run on tiles of
+models.POINTWISE_TILE points, so that the transforms and the drift map no
+fresh pages after the first step.  Observers see u until the next step
+overwrites it.
+
 Runs abort with a censored flag once the sup norm exceeds the configured
 guard; censored trajectories carry no fields at or beyond the censoring
 time, and a censored row of a block stays frozen.  The guard calls the
@@ -60,7 +71,8 @@ from .models import (DriftPlan, ModelSpec, eval_F_bar, eval_F_eps, eval_G,
                      validate_model)
 from .noise import (CoupledOUState, NoiseStream, sample_replicas,
                     sample_stationary, step_coupled, step_replicas)
-from .spectral import SpectralField, sobolev_norm, sup_norm, sup_norms
+from .spectral import (SpectralField, Workspace, sobolev_norm, sup_norm,
+                       sup_norms)
 
 
 class Variant(enum.Enum):
@@ -173,11 +185,15 @@ def _build_channel(spec: ModelSpec, variant: Variant, eps: float,
         noise_level=level, noise_scale=scale)
 
 
-def _drift(channels: list[_Channel], u: np.ndarray, step: int) -> np.ndarray:
-    """models.drift of every channel and replica of u (R, C, n, N+1),
-    raising IntegrationError if a channel's drift is not finite."""
-    fu = models.drift([ch.drift for ch in channels], u.transpose(1, 2, 0, 3))
-    finite = np.isfinite(fu).reshape(len(channels), -1).all(axis=1)
+def _drift(channels: list[_Channel], u: np.ndarray, step: int,
+           work: Workspace) -> np.ndarray:
+    """models.drift of every channel and replica of u (R, C, n, N+1) on the
+    run's workspace, raising IntegrationError if a channel's drift is not
+    finite."""
+    fu = models.drift([ch.drift for ch in channels], u.transpose(1, 2, 0, 3),
+                      work)
+    finite = np.isfinite(fu, out=work.array("finite drift", fu.shape, bool))
+    finite = finite.reshape(len(channels), -1).all(axis=1)
     if not finite.all():
         raise IntegrationError(f"non-finite drift in "
                                f"{channels[finite.argmin()].variant.name} "
@@ -215,17 +231,26 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
         factors, step0 = states[0].factors, states[0].step
     alive = np.ones((n_rep, n_ch), dtype=bool)
     censoring_time = [[None] * n_ch for _ in range(n_rep)]
+    # Run-scoped arrays that every step overwrites; without noise u is v
+    # itself.  Observers copy what they keep.
+    work = Workspace()
+    u = np.empty_like(v) if noisy else v
+    shifted = np.empty((n_rep, n, nmode + 1), dtype=np.complex128)
+    weighted = np.empty_like(v)
+    finite = np.empty_like(v.view(np.float64), dtype=bool)
+    mag = np.empty(v.shape)
 
-    def state(step: int, t: float) -> np.ndarray:
-        u = v.copy() if noisy else v  # v is never written in place
+    def state(step: int, t: float) -> None:
+        if noisy:
+            np.copyto(u, v)
         for c, level, scale in noisy:
-            u[:, c] += scale * psi[:, level]
-        if not np.isfinite(u.view(np.float64)).all():
+            u[:, c] += np.multiply(scale, psi[:, level], out=shifted)
+        if not np.isfinite(u.view(np.float64), out=finite).all():
             bad = np.argwhere(~np.isfinite(u).all(axis=(2, 3)))[0][1]
             raise IntegrationError(f"non-finite state in "
                                    f"{channels[bad].variant.name} run at "
                                    f"step {step}")
-        mag = np.abs(u)
+        np.abs(u, out=mag)
         bound = (2 * mag.sum(axis=-1) - mag[..., 0]).max(axis=-1) \
             / np.sqrt(2 * np.pi)
         suspects = alive & (1.25 * (1.0 + 1e-12) * bound
@@ -237,19 +262,22 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
                 censoring_time[r][c] = t
         if step % config.record_stride == 0:
             observe(t, u, alive)
-        return u
 
-    u = state(0, 0.0)
+    state(0, 0.0)
     for step in range(1, config.n_steps + 1):
+        # v <- decay * v + weight * fu, in place and rounded as written
         if alive.all():
-            v = decay * v + weight * _drift(channels, u, step)
+            np.multiply(weight, _drift(channels, u, step, work), out=weighted)
+            np.multiply(decay, v, out=v)
+            np.add(v, weighted, out=v)
         else:  # censored rows stay frozen; their drift sees zeros
             live = alive[:, :, None, None]
-            fu = _drift(channels, np.where(live, u, 0.0), step)
-            v = np.where(live, decay * v + weight * fu, v)
+            fu = _drift(channels, np.where(live, u, 0.0), step, work)
+            np.multiply(weight, fu, out=weighted)
+            np.copyto(v, decay * v + weighted, where=live)
         if states:
             psi = step_replicas(factors, streams, step0 + step - 1, psi, h)
-        u = state(step, step * h)
+        state(step, step * h)
     return censoring_time
 
 
@@ -364,6 +392,7 @@ def coupled_distances(spec: ModelSpec, eps: float, u0: SpectralField,
     channels, states = _coupled(spec, [eps], config, streams, correction)
     n = spec.n
     dist = np.full((len(streams), 3), math.nan)   # by channel; 0 unused
+    work = Workspace()   # the 8x oversampled grids of this run's distances
 
     def sup_distances(t: float, u: np.ndarray, alive: np.ndarray) -> None:
         for r in alive[:, 0].nonzero()[0]:
@@ -371,7 +400,7 @@ def coupled_distances(spec: ModelSpec, eps: float, u0: SpectralField,
             if not live:
                 continue
             diff = np.concatenate([u[r, 0] - u[r, c] for c in live])
-            peaks = sup_norms(diff)
+            peaks = sup_norms(diff, work)
             for j, c in enumerate(live):
                 d = max(0.0, *peaks[j * n:(j + 1) * n])
                 dist[r, c] = np.fmax(dist[r, c], d)

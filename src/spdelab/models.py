@@ -43,7 +43,7 @@ import numpy as np
 from .constants import white_noise_constant
 # to_grid and from_grid are not called here; they stay bound in this module
 # because bench/spans.py traces the names it imports.
-from .spectral import (SpectralField, base_grid_size, dealias_cut,
+from .spectral import (SpectralField, Workspace, base_grid_size, dealias_cut,
                        derivative_coeffs, from_grid, grid_coeffs, grid_values,
                        to_grid)
 
@@ -52,6 +52,13 @@ Callback = Callable[[np.ndarray], np.ndarray]
 # Drift grids have twice the base grid's points (M >= 4N+4), fixed like the
 # 2/3 cut (spectral.DEALIAS_FRACTION).
 DRIFT_OVERSAMPLE = 2
+
+# Pointwise callbacks run on grid tiles of at most this many points (all
+# components and replicas together).  Their temporaries, such as polyval's,
+# then stay small enough for glibc to reuse instead of mapping fresh pages:
+# one theorem15 bench call made 15,000 minor faults at 2^14 points per tile
+# and 92,700 at 2^15.
+POINTWISE_TILE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -161,30 +168,42 @@ class DriftPlan(NamedTuple):
     pointwise: Callable[[np.ndarray, list], np.ndarray]
 
 
-def drift(plans: list[DriftPlan], u: np.ndarray) -> np.ndarray:
+def drift(plans: list[DriftPlan], u: np.ndarray,
+          work: Workspace | None = None) -> np.ndarray:
     """Each plan's drift of a block of fields, unchecked: u is (plan, n, R,
     N+1) and plan p maps the R fields u[p] to the same-shaped result.
 
     u and every derivative the plans need go through one grid transform, each
-    plan's pointwise part runs once on its (n, R, M) grid values, and one
-    back-transform and the 2/3 cut give the drifts.  Batched real FFTs are
-    bit-identical per row, so a field's drift does not depend on the block.
+    plan's pointwise part runs on tiles of its (n, R, M) grid values and
+    overwrites them, and one back-transform and the 2/3 cut give the drifts.
+    Batched real FFTs are bit-identical per row and the callbacks act
+    pointwise, so a field's drift depends neither on its block nor on the
+    tiling.  Every array comes from work (a fresh one if none is given) and
+    is reused by the next call with it; the result is a view of one of them.
     """
-    _, n, n_rep, modes = u.shape
-    rows = []
-    for p, plan in enumerate(plans):
-        rows += [u[p]] + [derivative_coeffs(u[p], o) for o in plan.orders[1:]]
+    n_plans, n, n_rep, modes = u.shape
+    work = Workspace() if work is None else work
     m = DRIFT_OVERSAMPLE * base_grid_size(modes - 1)
-    grid = grid_values(np.stack(rows).reshape(-1, modes), m)
-    grid = grid.reshape(-1, n, n_rep, m)   # (plan and order, n, R, M)
-    out = []
-    for plan in plans:
-        vals, *derivs = grid[:len(plan.orders)]
-        grid = grid[len(plan.orders):]
-        out.append(plan.pointwise(vals, derivs)[None])
-    out = out[0] if len(out) == 1 else np.concatenate(out)  # (plan, n, R, M)
+    # rows: every plan's fields, then each plan's derivatives in turn
+    wanted = [(p, o) for p, plan in enumerate(plans) for o in plan.orders[1:]]
+    rows = work.array("drift input", (n_plans + len(wanted), n, n_rep, modes),
+                      np.complex128)
+    rows[:n_plans] = u
+    for row, (p, o) in zip(rows[n_plans:], wanted):
+        derivative_coeffs(u[p], o, row)
+    grid = grid_values(rows.reshape(-1, modes), m, work)
+    grid = grid.reshape(-1, n, n_rep, m)
+    # each plan's pointwise result overwrites its values, tile by tile
+    width = max(1, POINTWISE_TILE // (n * n_rep))
+    first = n_plans
+    for p, plan in enumerate(plans):
+        own = [grid[p], *grid[first:first + len(plan.orders) - 1]]
+        first += len(plan.orders) - 1
+        for lo in range(0, m, width):
+            vals, *derivs = [g[..., lo:lo + width] for g in own]
+            vals[...] = plan.pointwise(vals, derivs)
     with np.errstate(invalid="ignore"):  # callers check for non-finite drift
-        fu = grid_coeffs(out.reshape(-1, m), modes - 1)
+        fu = grid_coeffs(grid[:n_plans].reshape(-1, m), modes - 1, work)
     fu[:, dealias_cut(modes - 1) + 1:] = 0.0
     return fu.reshape(u.shape)
 

@@ -33,7 +33,7 @@ from .models import ModelSpec, model_from_config
 from .noise import (NoiseStream, PURPOSE_INITIAL_FIELD, sample_replicas,
                     sample_stationary, step_replicas)
 from .regression import RegressionResult, regress_loglog
-from .spectral import SpectralField, sup_norms
+from .spectral import SpectralField, Workspace, sup_norms
 
 SCHEMA_VERSION = 1
 
@@ -260,8 +260,9 @@ def run_psi_coupling_study(cfg: RunConfig) -> ConvergenceReport:
 
     No model enters: this measures E sup_{t <= T} sup_x |psi^eps - psi^0|
     directly from the exactly coupled sampler and fits its eps power law.
+    The model sets only nu.
     """
-    nu = float(cfg.model.get("nu", 1.0))
+    nu = model_from_config(cfg.model)[0].nu
     base = NoiseStream(cfg.seed)
 
     def per_eps(eps):
@@ -273,12 +274,13 @@ def run_psi_coupling_study(cfg: RunConfig) -> ConvergenceReport:
             states = sample_replicas(levels, 1, sim.max_mode, streams)
             psi = np.stack([s.psi for s in states])
             best = np.zeros(len(streams))
+            work = Workspace()
             for step in range(sim.n_steps + 1):
                 if step:
                     psi = step_replicas(states[0].factors, streams, step - 1,
                                         psi, sim.dt)
-                best = np.maximum(best,
-                                  sup_norms(psi[:, 0, 0] - psi[:, 1, 0]))
+                best = np.maximum(best, sup_norms(psi[:, 0, 0] - psi[:, 1, 0],
+                                                  work))
             return [((float(d), False),) for d in best]
 
         return block
@@ -288,8 +290,9 @@ def run_psi_coupling_study(cfg: RunConfig) -> ConvergenceReport:
 
 
 def run_averaging_study(cfg: RunConfig) -> TailScalingReport:
-    """Fluctuation-norm scaling via the single-time averaging lab."""
-    nu = float(cfg.model.get("nu", 1.0))
+    """Fluctuation-norm scaling via the single-time averaging lab; the model
+    sets only nu."""
+    nu = model_from_config(cfg.model)[0].nu
     return tail_experiment(nu, cfg.gamma, cfg.alpha, sorted(cfg.eps_grid,
                                                             reverse=True),
                            cfg.replicas, NoiseStream(cfg.seed),

@@ -1,6 +1,8 @@
 """Tests for the exponential-Euler integrator and coupled runs."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from spdelab import (GridField, IntegrationError, ModelSpec, NoiseStream,
 from spdelab import (eval_F_bar, eval_F_eps, etd_weights, symbols,
                      truncation_matched_constant)
 from spdelab.integrate import coupled_distances, reference_distances
+from spdelab.models import DRIFT_OVERSAMPLE
+from spdelab.spectral import base_grid_size
 from spdelab.studies import initial_field
 
 ROOT_2PI = math.sqrt(2.0 * math.pi)
@@ -638,6 +642,61 @@ class TestNoFieldsInStepLoop:
                                      for r in range(3)], refs, beta=0.6)
         assert not any(c for pair in block for _, c in pair)
         assert built == ["SpectralField"] * (3 * 2 * (cfg.n_steps + 1))
+
+
+class TestNoGridTemporaries:
+    """Each run keeps its transform arrays in one workspace, so after the
+    first step a step allocates nothing the size of a drift-grid row."""
+
+    def test_later_steps_allocate_no_grid_row(self, monkeypatch):
+        # a V_EPS block of 2 replicas at N = 4096 (drift grid M = 32,768,
+        # one row 256 KiB) measured against its two limits.  Tracing every
+        # bytecode instruction, traced memory may not rise by a row within
+        # one instruction from the second step on.  The largest arrays left
+        # are a tile's callback temporaries (2^14 points, 128 KiB) and
+        # numpy's ufunc buffers.  The noise step is not measured: it has no
+        # grid, and its fancy indexing makes several mode-sized index arrays
+        # in one instruction (260-330 KiB at 1-2 replicas).
+        spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
+        u0 = initial_field(1, 16, 1.3, 1.0, NoiseStream(7))
+        cfg = config(max_mode=4096, dt=0.005, t_final=0.02)
+        refs = [run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, cfg,
+                         correction_constant=c) for c in (None, 0.0)]
+        row_bytes = 8 * DRIFT_OVERSAMPLE * base_grid_size(cfg.max_mode)
+        steps, rises, last = [], [], [0]
+        in_noise = [False]
+        real_step = integrate_module.step_replicas
+
+        def noise_step(*args):
+            steps.append(len(steps) + 1)
+            in_noise[0] = True
+            try:
+                return real_step(*args)
+            finally:
+                in_noise[0] = False
+
+        def trace(frame, event, arg):
+            frame.f_trace_opcodes = True
+            current, peak = tracemalloc.get_traced_memory()
+            # from the first noise step on, the workspace exists
+            if steps and not in_noise[0]:
+                rises.append(peak - last[0])
+            last[0] = current
+            tracemalloc.reset_peak()
+            return trace
+
+        monkeypatch.setattr(integrate_module, "step_replicas", noise_step)
+        tracemalloc.start()
+        sys.settrace(trace)
+        try:
+            reference_distances(spec, 0.25, u0, cfg,
+                                [NoiseStream(7, replica=r) for r in (0, 1)],
+                                refs, beta=0.6)
+        finally:
+            sys.settrace(None)
+            tracemalloc.stop()
+        assert steps == list(range(1, cfg.n_steps + 1))
+        assert len(rises) > 1000 and max(rises) < row_bytes
 
 
 class TestRecordingAndValidation:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spdelab.models as models_module
+import spdelab.spectral as spectral_module
 from spdelab import (CallbackError, GridField, ModelSpec, PolynomialPotential,
                      PotentialSpec, SpectralField, check_effective_drift_identity,
                      dealias, derivative, effective_drift, eval_F_bar,
@@ -13,6 +14,9 @@ from spdelab import (CallbackError, GridField, ModelSpec, PolynomialPotential,
                      model_from_config, polynomial_model, potential_spec,
                      random_polynomial_potential, sin_g_model, to_grid,
                      validate_model, white_noise_constant)
+from spdelab.models import (DRIFT_OVERSAMPLE, drift, plan_F_bar, plan_F_eps,
+                            plan_G)
+from spdelab.spectral import ROW_TRANSFORM_POINTS, Workspace, base_grid_size
 
 ROOT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -328,9 +332,9 @@ class TestBatchedTransform:
         calls = []
         real = models_module.grid_values
 
-        def counted(coeffs, m):
+        def counted(coeffs, *rest):
             calls.append(len(coeffs))
-            return real(coeffs, m)
+            return real(coeffs, *rest)
 
         monkeypatch.setattr(models_module, "grid_values", counted)
         for spec in drift_models():
@@ -345,6 +349,57 @@ class TestBatchedTransform:
                 calls.clear()
                 evaluate()
                 assert len(calls) == 1
+
+
+def field_block(fields: list[SpectralField], n_plans: int) -> np.ndarray:
+    """The fields as drift's (plan, n, R, N+1) input, the same for every
+    plan."""
+    block = np.stack([f.coeffs for f in fields], axis=1)
+    return np.stack([block] * n_plans)
+
+
+class TestRowsAndTiles:
+    """drift transforms by rows from ROW_TRANSFORM_POINTS on and runs the
+    callbacks on tiles of POINTWISE_TILE points; neither may move a bit."""
+
+    # drift grids of 2^14 points (just below the crossover) and 2^15 (at it)
+    @pytest.mark.parametrize("max_mode", [4095, 4096])
+    def test_block_drift_same_by_rows_and_batched(self, monkeypatch,
+                                                  max_mode):
+        m = DRIFT_OVERSAMPLE * base_grid_size(max_mode)
+        assert (m < ROW_TRANSFORM_POINTS) == (max_mode == 4095)
+        spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
+        fields = [random_smooth_field(1, max_mode, seed) for seed in (1, 2)]
+        plans = [plan_G(spec, None), plan_F_eps(spec, 0.3)]
+        u = field_block(fields, len(plans))
+        work = Workspace()
+        got = {}
+        for crossover in (m, m + 1):   # one call per row, one batched
+            monkeypatch.setattr(spectral_module, "ROW_TRANSFORM_POINTS",
+                                crossover)
+            got[crossover] = drift(plans, u, work).copy()
+        assert np.array_equal(got[m], got[m + 1])
+        for r, f in enumerate(fields):
+            assert np.array_equal(got[m][0, :, r], eval_G(spec, f).coeffs)
+            assert np.array_equal(got[m][1, :, r],
+                                  eval_F_eps(spec, 0.3, f).coeffs)
+
+    def test_tiled_pointwise_equals_one_shot(self, monkeypatch):
+        # two components, so the einsum paths sum over components; the
+        # tiles of 1000 // (n R) = 166 points do not divide M = 256
+        pot = random_polynomial_potential(2, 4, np.random.default_rng(5))
+        spec, _ = from_potential(potential_spec(pot, 1.5, 0.2))
+        grad = ModelSpec(n=spec.n, nu=spec.nu, f=spec.f, h=spec.h)
+        fields = [random_smooth_field(2, 40, seed) for seed in (3, 4, 5)]
+        assert DRIFT_OVERSAMPLE * base_grid_size(40) % (1000 // 6) != 0
+        for plans in ([plan_F_eps(spec, 0.3), plan_F_bar(spec, 0.4)],
+                      [plan_G(grad, None), plan_G(grad, 0.4)]):
+            u = field_block(fields, len(plans))
+            got = []
+            for tile in (1000, 10 ** 9):   # tiled, one shot
+                monkeypatch.setattr(models_module, "POINTWISE_TILE", tile)
+                got.append(drift(plans, u))
+            assert np.array_equal(got[0], got[1])
 
 
 def quartic_potential() -> PolynomialPotential:

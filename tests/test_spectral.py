@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import spdelab.spectral as spectral_module
 from spdelab import (SpectralField, dealias, derivative, from_grid,
                      sobolev_norm, sup_norm, to_grid)
+from spdelab.spectral import (ROW_TRANSFORM_POINTS, Workspace, grid_coeffs,
+                              grid_values, sup_norms)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -113,6 +116,37 @@ class TestGridTransforms:
         g = to_grid(f)
         with pytest.raises(ValueError):
             from_grid(g, g.grid_size // 2)
+
+
+class TestWorkspace:
+    """Kernels that reuse a workspace's arrays give the bits of a fresh
+    call, whatever the workspace held before, on either side of the
+    row-by-row crossover."""
+
+    @pytest.mark.parametrize("m", [ROW_TRANSFORM_POINTS // 2,
+                                   ROW_TRANSFORM_POINTS])
+    def test_reused_transforms_equal_fresh_ones(self, monkeypatch, m):
+        work = Workspace()
+        # a 10-mode call on the grid a 20-mode call has filled must not see
+        # the higher modes
+        for modes in (20, 10, 20):
+            coeffs = random_field(3, modes, modes).coeffs
+            fresh = grid_values(coeffs, m)
+            for crossover in (m, m + 1):   # one call per row, one batched
+                monkeypatch.setattr(spectral_module, "ROW_TRANSFORM_POINTS",
+                                    crossover)
+                assert np.array_equal(grid_values(coeffs, m, work), fresh)
+                back = grid_coeffs(fresh, modes, work)
+                assert np.array_equal(back, grid_coeffs(fresh, modes))
+                assert np.array_equal(sup_norms(coeffs, work),
+                                      sup_norms(coeffs))
+
+    def test_result_is_the_workspace_array(self):
+        work = Workspace()
+        coeffs = random_field(2, 8, 1).coeffs
+        assert grid_values(coeffs, 32, work) is grid_values(coeffs, 32, work)
+        assert grid_values(coeffs, 64, work) is not \
+            grid_values(coeffs, 32, work)
 
 
 class TestDerivative:

@@ -15,7 +15,10 @@ from spdelab import (ConvergenceReport, NoiseStream, OperatorSpec,
                      run_theorem15_study, sample_stationary, step_coupled,
                      sup_norm, write_report)
 import spdelab.studies as studies_module
+from spdelab.constants import white_noise_constant
 from spdelab.integrate import SimulationConfig
+from spdelab.models import DRIFT_OVERSAMPLE
+from spdelab.spectral import ROW_TRANSFORM_POINTS, base_grid_size
 from spdelab.studies import (SCHEMA_VERSION, _block_map, report_csv_text,
                              report_json_text, tail_csv_text)
 
@@ -277,6 +280,21 @@ class TestTheorem15Study:
         censored = [row["n_censored"] for row in reports[0].per_eps]
         assert (sum(censored) == 0) == ("h" in model)
 
+    def test_worker_split_invariance_on_row_transform_grids(self,
+                                                            monkeypatch):
+        # N = 4096 puts the drift grid at 2^15 points, where every transform
+        # runs one row at a time into the run's workspace; each thread's
+        # runs keep their own workspaces
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        m = DRIFT_OVERSAMPLE * base_grid_size(4096)
+        assert m >= ROW_TRANSFORM_POINTS
+        cfg = dict(eps_grid=(0.5, 0.25), replicas=2, seed=4,
+                   fixed_modes=4096, dt=0.005, t_final=0.01)
+        one, two = [run_theorem15_study(RunConfig(workers=w, **cfg))
+                    for w in (1, 2)]
+        assert one.per_eps == two.per_eps
+        assert all(row["n_censored"] == 0 for row in one.per_eps)
+
 
 def psi_distance_reference(nu, eps, max_mode, dt, t_final, stream):
     """Sup over steps and space of psi^eps - psi^0 for one replica, stepped
@@ -339,6 +357,39 @@ class TestPsiCouplingStudy:
         assert all(m > 0 for m in means)
         # distances shrink with eps (report rows go largest -> smallest eps)
         assert means[-1] < means[0]
+
+
+class TestModelNu:
+    """Studies that use only nu take it from the built model, so a
+    potential at temperature T runs at nu = 1/(2T)."""
+
+    POTENTIAL = {"name": "potential", "coeffs": [0.0, 0.0, 0.5],
+                 "temperature": 2.0, "mass": 0.1}
+    SAME_NU = {"name": "polynomial", "nu": 0.25}
+
+    def test_psi_coupling_uses_model_nu(self):
+        got, want = [run_psi_coupling_study(
+            small_cfg(study="psi-coupling", eps_grid=(0.5, 0.25),
+                      replicas=2, model=model))
+            for model in (self.POTENTIAL, self.SAME_NU)]
+        assert got.constants["asymptotic"] == white_noise_constant(0.25)
+        assert got.per_eps == want.per_eps
+
+    def test_averaging_uses_model_nu(self, monkeypatch):
+        seen = []
+        real = studies_module.tail_experiment
+
+        def recorded(nu, *args, **kwargs):
+            seen.append(nu)
+            return real(nu, *args, **kwargs)
+
+        monkeypatch.setattr(studies_module, "tail_experiment", recorded)
+        got, want = [run_averaging_study(
+            small_cfg(study="averaging", eps_grid=(0.5, 0.4, 0.3),
+                      replicas=3, model=model))
+            for model in (self.POTENTIAL, self.SAME_NU)]
+        assert seen == [0.25, 0.25]
+        assert got == want
 
 
 class TestAveragingStudy:
