@@ -20,17 +20,20 @@ Variants:
             the corrected reaction (g must vanish), no noise.
 
 One core advances a block of R replicas by C channels in lockstep on plain
-arrays: v is held as (R, C, n, N+1) and psi as (R, levels, n, N+1).  Each
-step makes one models.drift call for the block (one grid transform and one
-back-transform) and colours the replicas' noise normals, each drawn from the
-replica's own counter-based stream, together; inputs are checked when a run
-starts, and the step loop builds no SpectralField but in the guard's rare
-fallback.  Batched real FFTs are bit-identical per row, so a replica's
-numbers do not depend on its block.  At every recorded time the core hands
-the state to one observer: run_mild and couple_runs (the R = 1 case) record
-trajectories; coupled_distances keeps each replica's running maximum sup
-distance from the perturbed run to both limits, and reference_distances its
-running maximum Sobolev distance to fixed reference trajectories.
+arrays: v is held as (R, C, n, N+1), and the noise as the (factors, psi)
+pair of noise.sample_replicas, psi stacked (R, levels, n, N+1).  Each step
+makes one models.drift call for the block (one grid transform and one
+back-transform) and one noise.step_replicas call, which colours the
+replicas' normals, each drawn from the replica's own counter-based stream,
+with one einsum; inputs are checked when a run starts, and the step loop
+builds no SpectralField but in the guard's rare fallback.  Batched real
+FFTs are bit-identical per row, so a replica's numbers do not depend on
+its block.  At every recorded time the core hands the state to one
+observer: run_mild and couple_runs (the R = 1 case) record trajectories;
+coupled_distances keeps each replica's running maximum sup distance from
+the perturbed run to both limits, measuring all replicas' differences with
+one sup_norms call, and reference_distances its running maximum Sobolev
+distance to fixed reference trajectories.
 
 A run allocates its step arrays once.  Each call of the core owns a
 spectral.Workspace for the drift's transform input, grid and spectrum
@@ -69,8 +72,9 @@ from . import models
 from .models import (DriftPlan, ModelSpec, eval_F_bar, eval_F_eps, eval_G,
                      eval_G_bar, plan_F_bar, plan_F_eps, plan_G,
                      validate_model)
-from .noise import (CoupledOUState, NoiseStream, sample_replicas,
-                    sample_stationary, step_coupled, step_replicas)
+from .noise import (CoupledOUState, NoiseStream, _LevelFactors,
+                    sample_replicas, sample_stationary, step_coupled,
+                    step_replicas)
 from .spectral import (SpectralField, Workspace, sobolev_norm, sup_norm,
                        sup_norms)
 
@@ -149,7 +153,7 @@ class _Channel:
 
 
 def _build_channel(spec: ModelSpec, variant: Variant, eps: float,
-                   noise: Optional[CoupledOUState], config: SimulationConfig,
+                   factors: Optional[_LevelFactors], config: SimulationConfig,
                    correction_constant: float | None) -> _Channel:
     if not isinstance(variant, Variant):
         raise ValueError("variant must be a Variant member")
@@ -174,8 +178,8 @@ def _build_channel(spec: ModelSpec, variant: Variant, eps: float,
                        else float(correction_constant))
     level: Optional[int] = None
     scale = 0.0
-    if variant in _STOCHASTIC and noise is not None:
-        level = noise.level_index(own_eps)
+    if variant in _STOCHASTIC and factors is not None:
+        level = factors.level_index(own_eps)
         scale = math.sqrt(eps) if variant is Variant.V_EPS else 1.0
     return _Channel(
         variant=variant, eps=eps,
@@ -202,18 +206,20 @@ def _drift(channels: list[_Channel], u: np.ndarray, step: int,
 
 
 def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
-             states: Optional[list[CoupledOUState]], config: SimulationConfig,
-             observe) -> list[list[Optional[float]]]:
+             noise, streams, config: SimulationConfig, observe,
+             step0: int = 0) -> list[list[Optional[float]]]:
     """Drive all channels of all replicas in lockstep from u0.
 
-    states holds one noise state per replica (all at the same step, sharing
-    their levels and factors), or is None for deterministic runs of one
-    replica.  At every recorded time observe(t, u, alive) gets the state u
-    (R, C, n, N+1) and the (R, C) mask of uncensored rows.  Returns each
-    [replica][channel] censoring time, None for a row that ran to the end.
+    noise is the block's (factors, psi) pair from sample_replicas, psi
+    (R, levels, n, N+1) at step step0 of the replicas' streams, or None
+    for a deterministic run of one replica.  At every recorded time
+    observe(t, u, alive) gets the state u (R, C, n, N+1) and the (R, C)
+    mask of uncensored rows.  Returns each [replica][channel] censoring
+    time, None for a row that ran to the end.
     """
     n, nmode, h = spec.n, config.max_mode, config.dt
-    n_rep = len(states) if states else 1
+    factors, psi = noise or (None, None)
+    n_rep = len(psi) if noise else 1
     n_ch = len(channels)
     noisy = [(c, ch.noise_level, ch.noise_scale)
              for c, ch in enumerate(channels) if ch.noise_level is not None]
@@ -225,10 +231,6 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
     v[..., : u0.max_mode + 1] = u0.coeffs
     decay = np.stack([ch.decay for ch in channels])[:, None, :]
     weight = np.stack([ch.weight for ch in channels])[:, None, :]
-    if states:
-        psi = np.stack([s.psi for s in states])
-        streams = [s.stream for s in states]
-        factors, step0 = states[0].factors, states[0].step
     alive = np.ones((n_rep, n_ch), dtype=bool)
     censoring_time = [[None] * n_ch for _ in range(n_rep)]
     # Run-scoped arrays that every step overwrites; without noise u is v
@@ -275,15 +277,15 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
             fu = _drift(channels, np.where(live, u, 0.0), step, work)
             np.multiply(weight, fu, out=weighted)
             np.copyto(v, decay * v + weighted, where=live)
-        if states:
+        if noise:
             psi = step_replicas(factors, streams, step0 + step - 1, psi, h)
         state(step, step * h)
     return censoring_time
 
 
 def _recorded(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
-              states: Optional[list[CoupledOUState]],
-              config: SimulationConfig) -> list[Trajectory]:
+              noise, streams, config: SimulationConfig,
+              step0: int = 0) -> list[Trajectory]:
     """Run one replica; each channel's trajectory, recorded while live."""
     times: list[list[float]] = [[] for _ in channels]
     fields: list[list[SpectralField]] = [[] for _ in channels]
@@ -293,7 +295,8 @@ def _recorded(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
             times[c].append(t)
             fields[c].append(SpectralField(spec.n, config.max_mode, u[0, c]))
 
-    (cens,) = _advance(spec, channels, u0, states, config, record)
+    (cens,) = _advance(spec, channels, u0, noise, streams, config, record,
+                       step0)
     return [Trajectory(variant=ch.variant, eps=ch.eps,
                        times=np.asarray(times[c]), fields=fields[c],
                        censored=cens[c] is not None, censoring_time=cens[c])
@@ -311,10 +314,13 @@ def run_mild(spec: ModelSpec, variant: Variant, eps: float,
     eps (level 0.0 for the limit variants) and carries its own stream.
     """
     validate_model(spec)  # one dg cross-check per run (none without g)
-    ch = _build_channel(spec, variant, eps, noise, config,
+    factors = None if noise is None else noise.factors
+    ch = _build_channel(spec, variant, eps, factors, config,
                         correction_constant)
-    states = None if noise is None else [noise]
-    return _recorded(spec, [ch], u0, states, config)[0]
+    if noise is None:
+        return _recorded(spec, [ch], u0, None, (), config)[0]
+    return _recorded(spec, [ch], u0, (factors, noise.psi[None]),
+                     [noise.stream], config, noise.step)[0]
 
 
 def resolve_correction(correction, nu: float, eps: float,
@@ -337,9 +343,9 @@ def resolve_correction(correction, nu: float, eps: float,
 
 
 def _coupled(spec: ModelSpec, eps_levels, config: SimulationConfig, streams,
-             correction) -> tuple[list[_Channel], list[CoupledOUState]]:
-    """Channels [each eps, naive, corrected] and one noise state per stream,
-    all sharing one factorization of the levels."""
+             correction) -> tuple[list[_Channel], tuple]:
+    """Channels [each eps, naive, corrected] and the (factors, psi) noise
+    pair of a block of replicas, one per stream."""
     eps_levels = [float(e) for e in eps_levels]
     if not eps_levels or any(e <= 0 for e in eps_levels):
         raise ValueError("eps levels must be positive")
@@ -350,15 +356,14 @@ def _coupled(spec: ModelSpec, eps_levels, config: SimulationConfig, streams,
                                config.max_mode)
     ops = [OperatorSpec(spec.nu, e) for e in eps_levels]
     ops.append(OperatorSpec(spec.nu, 0.0))
-    states = sample_replicas(ops, spec.n, config.max_mode, streams)
-
-    channels = [_build_channel(spec, Variant.PHI_EPS, e, states[0], config,
+    factors, psi = sample_replicas(ops, spec.n, config.max_mode, streams)
+    channels = [_build_channel(spec, Variant.PHI_EPS, e, factors, config,
                                None) for e in eps_levels]
-    channels.append(_build_channel(spec, Variant.PHI_ZERO, 0.0, states[0],
+    channels.append(_build_channel(spec, Variant.PHI_ZERO, 0.0, factors,
                                    config, None))
-    channels.append(_build_channel(spec, Variant.PHI_BAR, 0.0, states[0],
+    channels.append(_build_channel(spec, Variant.PHI_BAR, 0.0, factors,
                                    config, const))
-    return channels, states
+    return channels, (factors, psi)
 
 
 def couple_runs(spec: ModelSpec, eps_levels, u0: SpectralField,
@@ -373,9 +378,9 @@ def couple_runs(spec: ModelSpec, eps_levels, u0: SpectralField,
     resolve_correction turns correction into the corrected reaction's
     constant at the smallest eps and the configured mode count.
     """
-    channels, states = _coupled(spec, eps_levels, config, [stream],
-                                correction)
-    return _recorded(spec, channels, u0, states, config)
+    channels, noise = _coupled(spec, eps_levels, config, [stream],
+                               correction)
+    return _recorded(spec, channels, u0, noise, [stream], config)
 
 
 def coupled_distances(spec: ModelSpec, eps: float, u0: SpectralField,
@@ -389,26 +394,22 @@ def coupled_distances(spec: ModelSpec, eps: float, u0: SpectralField,
     sup_distance(perturbed, naive)) with the same values and censored flags
     that sup_distance gives on couple_runs' trajectories.
     """
-    channels, states = _coupled(spec, [eps], config, streams, correction)
-    n = spec.n
-    dist = np.full((len(streams), 3), math.nan)   # by channel; 0 unused
+    channels, noise = _coupled(spec, [eps], config, streams, correction)
+    # columns: corrected (channel 2), naive (channel 1)
+    dist = np.full((len(streams), 2), math.nan)
     work = Workspace()   # the 8x oversampled grids of this run's distances
 
     def sup_distances(t: float, u: np.ndarray, alive: np.ndarray) -> None:
-        for r in alive[:, 0].nonzero()[0]:
-            live = [c for c in (2, 1) if alive[r, c]]
-            if not live:
-                continue
-            diff = np.concatenate([u[r, 0] - u[r, c] for c in live])
-            peaks = sup_norms(diff, work)
-            for j, c in enumerate(live):
-                d = max(0.0, *peaks[j * n:(j + 1) * n])
-                dist[r, c] = np.fmax(dist[r, c], d)
+        diff = u[:, :1] - u[:, 2:0:-1]                   # (R, 2, n, N+1)
+        peaks = sup_norms(diff.reshape(-1, diff.shape[-1]), work)
+        d = np.reshape(peaks, diff.shape[:3]).max(axis=2)
+        # a censored row is frozen and never enters a maximum
+        np.fmax(dist, d, out=dist, where=alive[:, :1] & alive[:, 2:0:-1])
 
-    censoring_time = _advance(spec, channels, u0, states, config,
+    censoring_time = _advance(spec, channels, u0, noise, streams, config,
                               sup_distances)
-    return [tuple((float(row[c]), times[0] is not None or times[c] is not None)
-                  for c in (2, 1))
+    return [tuple((float(d), times[0] is not None or times[c] is not None)
+                  for d, c in zip(row, (2, 1)))
             for row, times in zip(dist, censoring_time)]
 
 
@@ -424,10 +425,9 @@ def reference_distances(spec: ModelSpec, eps: float, u0: SpectralField,
     value and censored flag that sup_distance(run, reference, "sobolev",
     alpha=beta, nu=spec.nu) gives on the replica's trajectory.
     """
-    states = sample_replicas([OperatorSpec(spec.nu, eps)], spec.n,
-                             config.max_mode, streams)
-    channel = _build_channel(spec, Variant.V_EPS, eps, states[0], config,
-                             None)
+    noise = sample_replicas([OperatorSpec(spec.nu, eps)], spec.n,
+                            config.max_mode, streams)
+    channel = _build_channel(spec, Variant.V_EPS, eps, noise[0], config, None)
     dist = np.full((len(streams), len(references)), math.nan)
     recorded = itertools.count()
 
@@ -440,7 +440,7 @@ def reference_distances(spec: ModelSpec, eps: float, u0: SpectralField,
                                  beta, spec.nu)
                 dist[r, j] = np.fmax(dist[r, j], d)
 
-    censoring_time = _advance(spec, [channel], u0, states, config,
+    censoring_time = _advance(spec, [channel], u0, noise, streams, config,
                               sobolev_distances)
     return [tuple((float(d), cens is not None or ref.censored)
                   for d, ref in zip(row, references))

@@ -129,8 +129,16 @@ def _call(cb: Callback, u: np.ndarray, name: str, shape: tuple[int, ...]) -> np.
     return out
 
 
-def validate_model(spec: ModelSpec, n_probes: int = 16, delta: float = 1e-5,
-                   box: float = 2.0, seed: int = 0) -> float:
+# validate_model's probes: PROBE_COUNT points drawn uniformly from
+# [-PROBE_BOX, PROBE_BOX]^n on seed PROBE_SEED, central differences of step
+# PROBE_DELTA.
+PROBE_COUNT = 16
+PROBE_DELTA = 1e-5
+PROBE_BOX = 2.0
+PROBE_SEED = 0
+
+
+def validate_model(spec: ModelSpec) -> float:
     """Max deviation of dg from central finite differences of g at probes.
 
     Raises if the deviation exceeds 1e-4; returns the deviation.  No-op for
@@ -138,16 +146,17 @@ def validate_model(spec: ModelSpec, n_probes: int = 16, delta: float = 1e-5,
     """
     if spec.g is None:
         return 0.0
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    probes = rng.uniform(-box, box, size=(spec.n, n_probes))
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(PROBE_SEED)))
+    probes = rng.uniform(-PROBE_BOX, PROBE_BOX, size=(spec.n, PROBE_COUNT))
     dg_val = _call(spec.dg, probes, "dg", (spec.n, spec.n, spec.n))
     worst = 0.0
     for k in range(spec.n):
         shift = np.zeros((spec.n, 1))
-        shift[k, 0] = delta
+        shift[k, 0] = PROBE_DELTA
         diff = (_call(spec.g, probes + shift, "g", (spec.n, spec.n))
                 - _call(spec.g, probes - shift, "g", (spec.n, spec.n)))
-        worst = max(worst, float(np.max(np.abs(diff / (2 * delta)
+        worst = max(worst, float(np.max(np.abs(diff / (2 * PROBE_DELTA)
                                                - dg_val[:, :, k, :]))))
     if worst > 1e-4:
         raise ValueError(

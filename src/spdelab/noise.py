@@ -12,8 +12,14 @@ and one exact transition over a step h has innovation covariance
 
 Both are Gram matrices of the exponentials exp(-a_i s), hence positive
 definite once exactly duplicated rates are deduplicated; duplicates (equal
-levels, and every level at k = 0 where all symbols equal -1) are sampled
-once and re-expanded, so they stay bitwise identical.
+levels, and every level at k = 0 where all symbols equal -1) share one row
+of the factor, so they stay bitwise identical.  The factors are expanded
+to one row per level once, when they are built, and colouring a draw is
+then one einsum straight into the complex result.
+
+A block of replicas holds its noise as one stacked array psi (R, levels,
+n, N+1) next to the factors it shares (sample_replicas, step_replicas);
+CoupledOUState is only the one-replica public state.
 
 All randomness is drawn through counter-based streams: each block of
 standard normals is a pure function of (base_seed, purpose, replica, step),
@@ -26,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linops import OperatorSpec, symbols
+from .linops import symbols
 from .spectral import SpectralField
 
 # Purpose tags keep independent uses of one base seed on disjoint streams.
@@ -77,15 +83,23 @@ class NoiseStream:
 
 
 class _LevelFactors:
-    """Per-mode Cholesky factorizations for a fixed tuple of levels.
+    """Per-mode Cholesky factors of the joint law of a fixed tuple of levels.
 
     For each mode k the decay-rate vector (a_1..a_m) is deduplicated; the
-    joint covariance over the unique rates is factorized once (stationary
-    law) and once per step size (transition law), padded with an identity
-    block so the factors stack into one (N+1, m, m) array.
+    joint covariance over the unique rates is factorized once for the
+    stationary law and once per step size for the transition law, padded
+    with an identity block so the factors stack into one (N+1, m, m) array.
+    Each factor is then expanded, once, to one row per level by `inverse`:
+    duplicated levels get the same row, so colouring a draw is one einsum
+    whose level rows are bitwise identical for equal levels.
     """
 
-    def __init__(self, levels: tuple[OperatorSpec, ...], max_mode: int):
+    def __init__(self, levels, max_mode: int):
+        self.levels = levels = tuple(levels)
+        if not levels:
+            raise ValueError("need at least one operator level")
+        if any(op.nu != levels[0].nu for op in levels):
+            raise ValueError("all levels must share the same nu")
         m = len(levels)
         ks = np.arange(max_mode + 1)
         self.rates = np.stack([-symbols(op, ks) for op in levels])  # (m, N+1)
@@ -103,105 +117,8 @@ class _LevelFactors:
         self.unique[mode[fresh], run[fresh]] = srt[fresh]
         self.inverse = np.empty((max_mode + 1, m), dtype=np.intp)
         self.inverse[mode, order] = run
-        self.stationary_factor = self._factor(self._covariance_stationary())
+        self.stationary_factor = self._factor(self._covariance())
         self._step_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _halved(self, cov: np.ndarray) -> np.ndarray:
-        """Split variance over real/imag parts for k != 0; k = 0 stays real."""
-        cov = cov / 2.0
-        cov[0] *= 2.0
-        return cov
-
-    def _pad(self, cov: np.ndarray) -> np.ndarray:
-        """Replace the unused rows/columns beyond the dedup count by identity."""
-        n_modes, m, _ = cov.shape
-        idx = np.arange(m)
-        beyond = idx[None, :] >= self.counts[:, None]          # (N+1, m)
-        mask = beyond[:, :, None] | beyond[:, None, :]
-        cov = np.where(mask, 0.0, cov)
-        diag = beyond[:, :, None] & (idx[None, :, None] == idx[None, None, :])
-        return np.where(diag, 1.0, cov)
-
-    def _covariance_stationary(self) -> np.ndarray:
-        a = self.unique  # (N+1, m)
-        cov = 2.0 / (a[:, :, None] + a[:, None, :])
-        return self._pad(self._halved(cov))
-
-    def _covariance_step(self, h: float) -> np.ndarray:
-        a = self.unique
-        s = a[:, :, None] + a[:, None, :]
-        cov = 2.0 * (-np.expm1(-s * h)) / s
-        return self._pad(self._halved(cov))
-
-    def _factor(self, cov: np.ndarray) -> np.ndarray:
-        try:
-            return np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise np.linalg.LinAlgError(
-                "joint noise covariance is numerically singular beyond the "
-                "exact-duplicate handling; levels are too close to factor"
-            ) from exc
-
-    def step_factors(self, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """(decay multipliers exp(-a h) per level, innovation factor) for h."""
-        key = float(h)
-        hit = self._step_cache.get(key)
-        if hit is None:
-            decay = np.exp(-self.rates * key)  # (m, N+1)
-            hit = (decay, self._factor(self._covariance_step(key)))
-            self._step_cache[key] = hit
-        return hit
-
-    def colored(self, z: np.ndarray) -> np.ndarray:
-        """Map standard normals to one joint sample, batched over modes."""
-        return self.colored_step(self.stationary_factor, z)
-
-    def colored_step(self, factor: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Colour standard normals with a per-mode factor (stationary or
-        transition).
-
-        z has shape (..., N+1, n_comp, 2, m); returns complex (..., m, n_comp,
-        N+1) with the k = 0 column real.
-        """
-        mixed = np.einsum("kuv,...kcjv->...kcju", factor, z)
-        idx = self.inverse[:, None, None, :]
-        idx = np.broadcast_to(idx, mixed.shape[:-4] + mixed.shape[-4:])
-        expanded = np.take_along_axis(mixed, idx, axis=-1)
-        re = expanded[..., 0, :]
-        im = expanded[..., 1, :].copy()
-        im[..., 0, :, :] = 0.0  # k = 0 mode of a real field is real
-        psi = re + 1j * im      # (..., N+1, n_comp, m)
-        return np.moveaxis(psi, (-3, -2, -1), (-1, -2, -3))
-
-
-def _validate_levels(levels) -> tuple[OperatorSpec, ...]:
-    levels = tuple(levels)
-    if not levels:
-        raise ValueError("need at least one operator level")
-    nu = levels[0].nu
-    if any(op.nu != nu for op in levels):
-        raise ValueError("all levels must share the same nu")
-    return levels
-
-
-@dataclass
-class CoupledOUState:
-    """Stationary-noise state shared by all perturbation levels of one run.
-
-    psi is indexed (level, component, mode).  The state is advanced
-    functionally: step_coupled returns a new state and leaves the input
-    untouched.  A state (and its cached factorizations) is confined to one
-    simulation instance; do not share one across threads.
-    """
-
-    levels: tuple[OperatorSpec, ...]
-    n_components: int
-    max_mode: int
-    t: float
-    step: int
-    psi: np.ndarray  # complex, shape (len(levels), n_components, max_mode+1)
-    stream: NoiseStream
-    factors: _LevelFactors
 
     def level_index(self, eps: float) -> int:
         for i, op in enumerate(self.levels):
@@ -209,50 +126,126 @@ class CoupledOUState:
                 return i
         raise ValueError(f"no noise level with eps = {eps}")
 
+    def _covariance(self, h: float | None = None) -> np.ndarray:
+        """Joint covariance over the unique rates, (N+1, m, m): the
+        stationary law for h = None, else the innovation of a step h.
+
+        The variance is split over real/imag parts for k != 0 (k = 0 stays
+        real), and the rows/columns beyond the dedup count are identity.
+        """
+        s = self.unique[:, :, None] + self.unique[:, None, :]
+        cov = 2.0 / s if h is None else 2.0 * (-np.expm1(-s * h)) / s
+        cov = cov / 2.0
+        cov[0] *= 2.0
+        idx = np.arange(cov.shape[-1])
+        beyond = idx[None, :] >= self.counts[:, None]          # (N+1, m)
+        cov = np.where(beyond[:, :, None] | beyond[:, None, :], 0.0, cov)
+        diag = beyond[:, :, None] & (idx[None, :, None] == idx[None, None, :])
+        return np.where(diag, 1.0, cov)
+
+    def _factor(self, cov: np.ndarray) -> np.ndarray:
+        """Cholesky factor of a padded unique-rate covariance, expanded to
+        row i of mode k = unique row inverse[k, i]: shape (N+1, levels, m)."""
+        try:
+            factor = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+            raise np.linalg.LinAlgError(
+                "joint noise covariance is numerically singular beyond the "
+                "exact-duplicate handling; levels are too close to factor"
+            ) from exc
+        return np.take_along_axis(factor, self.inverse[:, :, None], axis=1)
+
+    def step_factors(self, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """(decay multipliers exp(-a h) per level, innovation factor) for h."""
+        key = float(h)
+        hit = self._step_cache.get(key)
+        if hit is None:
+            decay = np.exp(-self.rates * key)  # (m, N+1)
+            hit = (decay, self._factor(self._covariance(key)))
+            self._step_cache[key] = hit
+        return hit
+
+    def colored(self, factor: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Colour standard normals with a per-level factor (stationary or
+        transition), batched over modes and leading axes.
+
+        z has shape (..., N+1, n_comp, 2, m); returns complex (..., m, n_comp,
+        N+1) with the k = 0 column real.  The real and imaginary parts are
+        written straight into the complex result.
+        """
+        *lead, n_modes, n_comp, _, m = z.shape
+        psi = np.empty((*lead, m, n_comp, n_modes), dtype=np.complex128)
+        parts = psi.view(np.float64).reshape(*lead, m, n_comp, n_modes, 2)
+        np.einsum("kiv,...kcjv->...ickj", factor, z, out=parts)
+        psi[..., 0].imag = 0.0  # k = 0 mode of a real field is real
+        return psi
+
+
+def _stacked_normals(streams, purpose: int, step: int,
+                     shape: tuple[int, ...]) -> np.ndarray:
+    """One block of normals per stream, in a lone state's layout, stacked
+    (R, *shape)."""
+    return np.stack([s.with_purpose(purpose).normals(step, shape)
+                     for s in streams])
+
+
+@dataclass
+class CoupledOUState:
+    """One replica's stationary noise, shared by all perturbation levels.
+
+    psi is indexed (level, component, mode) and sits at `step` (time t) of
+    the replica's stream; the levels and their factorizations are in
+    factors.  The state is advanced functionally: step_coupled returns a
+    new state and leaves the input untouched.  Blocks of replicas do not
+    use this class: they hold sample_replicas' (factors, psi) pair.  A
+    state (and its cached factorizations) is confined to one simulation
+    instance; do not share one across threads.
+    """
+
+    t: float
+    step: int
+    psi: np.ndarray  # complex, shape (levels, n_components, max_mode+1)
+    stream: NoiseStream
+    factors: _LevelFactors
+
     def psi_field(self, level: int) -> SpectralField:
-        return SpectralField(self.n_components, self.max_mode,
-                             self.psi[level].copy())
+        return SpectralField.from_coeffs(self.psi[level])
 
 
 def stationary_samples(levels, n_components: int, max_mode: int,
-                       stream: NoiseStream, reps: int,
-                       factors: _LevelFactors | None = None) -> np.ndarray:
+                       stream: NoiseStream, reps: int) -> np.ndarray:
     """Draw `reps` independent joint stationary samples in one block.
 
-    Returns complex (reps, n_levels, n_components, max_mode+1).  Used both by
-    sample_stationary (reps = 1) and by statistical estimators that need many
-    independent draws cheaply.
+    Returns complex (reps, n_levels, n_components, max_mode+1), for
+    statistical estimators that need many independent draws cheaply.
     """
-    levels = _validate_levels(levels)
-    if factors is None:
-        factors = _LevelFactors(levels, max_mode)
+    factors = _LevelFactors(levels, max_mode)
     z = stream.with_purpose(PURPOSE_OU_INIT).normals(
-        0, (reps, max_mode + 1, n_components, 2, len(levels)))
-    return factors.colored(z)
+        0, (reps, max_mode + 1, n_components, 2, len(factors.levels)))
+    return factors.colored(factors.stationary_factor, z)
 
 
 def sample_replicas(levels, n_components: int, max_mode: int,
-                    streams) -> list[CoupledOUState]:
+                    streams) -> tuple[_LevelFactors, np.ndarray]:
     """One exact joint stationary sample across all levels per stream.
 
-    The states share one factorization of the levels, so they belong to
-    one block of replicas advanced together (by one thread); each equals
-    sample_stationary on its stream.
+    Returns the block's (factors, psi) pair: one factorization of the
+    levels, and psi (R, levels, n_components, max_mode+1) coloured in one
+    call, whose row r equals sample_stationary(streams[r]).psi.  The pair
+    belongs to one block of replicas advanced together (by one thread).
     """
-    levels = _validate_levels(levels)
     factors = _LevelFactors(levels, max_mode)
-    return [CoupledOUState(levels=levels, n_components=n_components,
-                           max_mode=max_mode, t=0.0, step=0,
-                           psi=stationary_samples(levels, n_components,
-                                                  max_mode, s, 1, factors)[0],
-                           stream=s, factors=factors)
-            for s in streams]
+    z = _stacked_normals(streams, PURPOSE_OU_INIT, 0,
+                         (max_mode + 1, n_components, 2, len(factors.levels)))
+    return factors, factors.colored(factors.stationary_factor, z)
 
 
 def sample_stationary(levels, n_components: int, max_mode: int,
                       stream: NoiseStream) -> CoupledOUState:
     """Draw one exact joint stationary sample across all levels."""
-    return sample_replicas(levels, n_components, max_mode, [stream])[0]
+    factors, psi = sample_replicas(levels, n_components, max_mode, [stream])
+    return CoupledOUState(t=0.0, step=0, psi=psi[0], stream=stream,
+                          factors=factors)
 
 
 def step_replicas(factors: _LevelFactors, streams, step: int,
@@ -268,21 +261,17 @@ def step_replicas(factors: _LevelFactors, streams, step: int,
         raise ValueError("step size must be positive")
     decay, factor = factors.step_factors(h)
     _, n_levels, n_comp, n_modes = psi.shape
-    shape = (n_modes, n_comp, 2, n_levels)  # a lone state's layout
-    z = [s.with_purpose(PURPOSE_OU_STEP).normals(step + 1, shape)
-         for s in streams]
-    z = z[0][None] if len(z) == 1 else np.stack(z)
-    return decay[:, None, :] * psi + factors.colored_step(factor, z)
+    out = factors.colored(factor, _stacked_normals(
+        streams, PURPOSE_OU_STEP, step + 1, (n_modes, n_comp, 2, n_levels)))
+    out += decay[:, None, :] * psi  # addition commutes: same bits either way
+    return out
 
 
 def step_coupled(state: CoupledOUState, h: float) -> CoupledOUState:
     """Advance all levels jointly by one exact transition of size h > 0."""
     psi = step_replicas(state.factors, (state.stream,), state.step,
                         state.psi[None], h)[0]
-    return CoupledOUState(levels=state.levels, n_components=state.n_components,
-                          max_mode=state.max_mode, t=state.t + h,
-                          step=state.step + 1, psi=psi, stream=state.stream,
-                          factors=state.factors)
+    return replace(state, t=state.t + h, step=state.step + 1, psi=psi)
 
 
 def psi_diff_moment(nu: float, eps: float, k: int) -> float:

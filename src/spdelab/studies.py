@@ -271,14 +271,13 @@ def run_psi_coupling_study(cfg: RunConfig) -> ConvergenceReport:
 
         def block(replicas) -> list:
             streams = [base.with_replica(r) for r in replicas]
-            states = sample_replicas(levels, 1, sim.max_mode, streams)
-            psi = np.stack([s.psi for s in states])
+            factors, psi = sample_replicas(levels, 1, sim.max_mode, streams)
             best = np.zeros(len(streams))
             work = Workspace()
             for step in range(sim.n_steps + 1):
                 if step:
-                    psi = step_replicas(states[0].factors, streams, step - 1,
-                                        psi, sim.dt)
+                    psi = step_replicas(factors, streams, step - 1, psi,
+                                        sim.dt)
                 best = np.maximum(best, sup_norms(psi[:, 0, 0] - psi[:, 1, 0],
                                                   work))
             return [((float(d), False),) for d in best]

@@ -530,6 +530,23 @@ class TestReplicaBlock:
                           [NoiseStream(1, replica=r) for r in range(3)])
         assert calls == ["grid_values", "grid_coeffs"] * cfg.n_steps
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_one_sup_norms_call_per_recorded_time(self, monkeypatch, stride):
+        # all replicas' (corrected, naive) differences go to one call
+        calls = []
+        real = integrate_module.sup_norms
+
+        def counted(coeffs, *rest):
+            calls.append(coeffs.shape)
+            return real(coeffs, *rest)
+
+        monkeypatch.setattr(integrate_module, "sup_norms", counted)
+        spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
+        cfg = config(max_mode=8, dt=0.05, t_final=0.25, record_stride=stride)
+        coupled_distances(spec, 0.5, zero_field(8), cfg,
+                          [NoiseStream(1, replica=r) for r in range(3)])
+        assert calls == [(3 * 2, 9)] * (cfg.n_steps // stride + 1)
+
     def test_non_finite_drift_names_channel_and_step(self):
         # h is only used by the perturbed channel and by the corrected
         # reaction; a NaN there must surface as an IntegrationError
@@ -655,8 +672,8 @@ class TestNoGridTemporaries:
         # one instruction from the second step on.  The largest arrays left
         # are a tile's callback temporaries (2^14 points, 128 KiB) and
         # numpy's ufunc buffers.  The noise step is not measured: it has no
-        # grid, and its fancy indexing makes several mode-sized index arrays
-        # in one instruction (260-330 KiB at 1-2 replicas).
+        # grid, and it allocates block-sized arrays by design (the stacked
+        # normals, the coloured innovations and the decayed state).
         spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
         u0 = initial_field(1, 16, 1.3, 1.0, NoiseStream(7))
         cfg = config(max_mode=4096, dt=0.005, t_final=0.02)

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from spdelab import (CoupledOUState, NoiseStream, OperatorSpec,
                      psi_diff_moment, sample_stationary, stationary_samples,
                      step_coupled, symbols)
-from spdelab.noise import _LevelFactors
+from spdelab.noise import _LevelFactors, sample_replicas, step_replicas
 
 
 def rates(nu: float, eps: float, k: int) -> float:
@@ -115,18 +115,20 @@ class TestStationaryLaw:
 
 class TestCoupledStepping:
     def test_step_keeps_stationary_covariance(self):
-        # algebraic check on the factor matrices: decay C decay + Cov_h = C
-        levels = (OperatorSpec(1.0, 0.5), OperatorSpec(1.0, 0.0))
+        # algebraic check on the per-level factors: the joint covariance C
+        # of mode k over all levels (duplicates included) satisfies
+        # d C d + Cov_h = C with d = decay[:, k]
+        levels = (OperatorSpec(1.0, 0.5), OperatorSpec(1.0, 0.5),
+                  OperatorSpec(1.0, 0.0))
         f = _LevelFactors(levels, 6)
-        h = 0.37
-        decay, step_factor = f.step_factors(h)
+        decay, step_factor = f.step_factors(0.37)
         stat = f.stationary_factor @ np.swapaxes(f.stationary_factor, 1, 2)
         stepc = step_factor @ np.swapaxes(step_factor, 1, 2)
-        for k in range(7):
-            m = f.counts[k]
-            d = np.exp(-f.unique[k, :m] * h)
-            lhs = d[:, None] * stat[k, :m, :m] * d[None, :] + stepc[k, :m, :m]
-            np.testing.assert_allclose(lhs, stat[k, :m, :m], rtol=1e-12)
+        d = decay.T  # (mode, level)
+        lhs = d[:, :, None] * stat * d[:, None, :] + stepc
+        np.testing.assert_allclose(lhs, stat, rtol=1e-12)
+        # the duplicated level has the same row and column as its twin
+        np.testing.assert_array_equal(stat[:, 0], stat[:, 1])
 
     def test_large_h_forgets_initial_state(self):
         levels = (OperatorSpec(1.0, 0.5),)
@@ -208,10 +210,10 @@ class TestCoupledStepping:
         state = sample_stationary([OperatorSpec(1.0, 0.5),
                                    OperatorSpec(1.0, 0.0)], 2, 5,
                                   NoiseStream(11))
-        assert state.level_index(0.5) == 0
-        assert state.level_index(0.0) == 1
+        assert state.factors.level_index(0.5) == 0
+        assert state.factors.level_index(0.0) == 1
         with pytest.raises(ValueError):
-            state.level_index(0.3)
+            state.factors.level_index(0.3)
         field = state.psi_field(0)
         assert field.n_components == 2 and field.max_mode == 5
         field.coeffs[0, 1] = 99.0
@@ -243,6 +245,77 @@ class TestLevelDedup:
         assert np.array_equal(factors.unique, unique)
         assert np.array_equal(factors.inverse, inverse)
         assert np.array_equal(factors.counts, counts)
+
+
+def unique_factor_colored(f: _LevelFactors, factor: np.ndarray,
+                          z: np.ndarray) -> np.ndarray:
+    """The colouring before per-level factors, kept as an oracle: colour z
+    with the unique-rate factor, then expand its rows to the levels by
+    take_along_axis and assemble re + 1j * im."""
+    mixed = np.einsum("kuv,...kcjv->...kcju", factor, z)
+    idx = np.broadcast_to(f.inverse[:, None, None, :], mixed.shape)
+    expanded = np.take_along_axis(mixed, idx, axis=-1)
+    re = expanded[..., 0, :]
+    im = expanded[..., 1, :].copy()
+    im[..., 0, :, :] = 0.0
+    return np.moveaxis(re + 1j * im, (-3, -2, -1), (-1, -2, -3))
+
+
+def assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+
+
+class TestReplicaBlockNoise:
+    """A block's noise is one stacked array; each row must be the lone
+    state of its stream, bit for bit."""
+
+    # an exact duplicate level, and k = 0 where every level coincides
+    LEVELS = (OperatorSpec(1.0, 0.5), OperatorSpec(1.0, 0.5),
+              OperatorSpec(1.0, 0.0))
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_block_equals_lone_states(self, replicas):
+        streams = [NoiseStream(13, replica=r) for r in range(replicas)]
+        factors, psi = sample_replicas(self.LEVELS, 2, 9, streams)
+        states = [sample_stationary(self.LEVELS, 2, 9, s) for s in streams]
+        assert psi.shape == (replicas, 3, 2, 10)
+        for step in range(6):
+            if step:
+                psi = step_replicas(factors, streams, step - 1, psi, 0.05)
+                states = [step_coupled(s, 0.05) for s in states]
+            for row, state in zip(psi, states):
+                assert_bitwise(row, state.psi)
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_colouring_equals_unique_factor_oracle(self, replicas):
+        f = _LevelFactors(self.LEVELS, 9)
+        z = NoiseStream(14).normals(0, (replicas, 10, 2, 2, 3))
+        for cov, factor in ((f._covariance(), f.stationary_factor),
+                            (f._covariance(0.05), f.step_factors(0.05)[1])):
+            want = unique_factor_colored(f, np.linalg.cholesky(cov), z)
+            assert_bitwise(f.colored(factor, z), want)
+
+    def test_step_is_one_einsum_without_fancy_indexing(self, monkeypatch):
+        streams = [NoiseStream(15, replica=r) for r in range(3)]
+        factors, psi = sample_replicas(self.LEVELS, 2, 9, streams)
+        psi = step_replicas(factors, streams, 0, psi, 0.05)  # builds factors
+        calls = []
+        real = np.einsum
+
+        def einsum(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fancy indexing in the noise step")
+
+        monkeypatch.setattr(np, "einsum", einsum)
+        monkeypatch.setattr(np, "take_along_axis", forbidden)
+        for step in range(1, 6):
+            psi = step_replicas(factors, streams, step, psi, 0.05)
+        assert len(calls) == 5
 
 
 class TestPsiDiffMoment:
