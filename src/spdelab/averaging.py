@@ -23,20 +23,18 @@ onto n' - M < -N, so the kept modes are exact (4N+1 is the no-alias bound).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
 
 from .constants import sigma_mode
-from .noise import (NoiseStream, PURPOSE_GAUSS_PROFILE, PURPOSE_MODE_SET,
-                    PURPOSE_MODE_SET_INDEP)
-from .regression import RegressionResult, regress_loglog
+from .noise import NoiseStream, PURPOSE_MODE_SET, PURPOSE_MODE_SET_INDEP
 from .spectral import SpectralField, sobolev_norm
 
 _TWO_PI = 2.0 * math.pi
 
-# tail_experiment's cutoff is N = ceil(modes_over_eps / eps^MODES_EXPONENT).
+# run_averaging_study cuts at N = ceil(modes_over_eps / eps^MODES_EXPONENT).
 # The exponent must exceed 1, or the truncated mode sum misses a fixed
 # fraction of the subtracted 1/(2 eps sqrt(nu)) and the centering bias stays
 # at the same 1/eps order as the removed term, flattening the measured slope.
@@ -150,87 +148,23 @@ def deterministic_profile(max_mode: int, alpha: float, nu: float) -> SpectralFie
     return raw * (1.0 / sobolev_norm(raw, alpha, nu))
 
 
-@dataclass(frozen=True)
-class TailScalingReport:
-    """Scaling summary of the fluctuation norms across eps."""
+def replica_norms(nu: float, eps: float, gamma: float, v_modes: np.ndarray,
+                  v_grid: np.ndarray, streams) -> list[tuple[float, float]]:
+    """(||phi||_{-gamma}, ||phi_tilde||_{-gamma}) for each stream's snapshot.
 
-    nu: float
-    gamma: float
-    alpha: float
-    eps: tuple[float, ...]
-    max_modes: tuple[int, ...]
-    replicas: int
-    median_phi: tuple[float, ...]
-    q90_phi: tuple[float, ...]
-    median_phi_tilde: tuple[float, ...]
-    q90_phi_tilde: tuple[float, ...]
-    slope_phi: RegressionResult = field(repr=False)
-    slope_phi_tilde: RegressionResult = field(repr=False)
-
-
-def tail_experiment(nu: float, gamma: float, alpha: float, eps_grid,
-                    reps: int, stream: NoiseStream, *,
-                    modes_over_eps: float = 8.0,
-                    profile: str = "deterministic") -> TailScalingReport:
-    """Measure ||phi||_{-gamma} and ||phi_tilde||_{-gamma} across eps.
-
-    For each eps the cutoff is N = ceil(modes_over_eps / eps^MODES_EXPONENT)
-    (see MODES_EXPONENT for why the exponent exceeds 1).  The profile v is
-    either the fixed deterministic one (unit alpha-norm) or, with
-    profile="gaussian", a fresh random profile per replica with independent
-    mode variances sigma_k / k^2.  Reports
-    medians and upper quantiles plus the log-log slope of eps * median
-    against eps (expected +1/2).
-
-    Requires gamma > 1/2 and alpha > 1/2 so the norms and the profile class
-    are in the valid range.
+    Every replica shares the profile's modes 0..N (v_modes) and _grid values
+    (v_grid); one replica's grids are live at a time, never a block's.
     """
-    if gamma <= 0.5 or alpha <= 0.5:
-        raise ValueError("gamma and alpha must both exceed 1/2")
-    if reps < 2:
-        raise ValueError("need at least two replicas")
-    if profile not in ("deterministic", "gaussian"):
-        raise ValueError("profile must be 'deterministic' or 'gaussian'")
-    eps_grid = tuple(float(e) for e in eps_grid)
-    if any(e <= 0 for e in eps_grid):
-        raise ValueError("eps values must be positive")
-
-    med_p, q90_p, med_t, q90_t, mode_counts = [], [], [], [], []
-    for eps in eps_grid:
-        n = int(math.ceil(modes_over_eps / eps ** MODES_EXPONENT))
-        mode_counts.append(n)
-        v_modes = deterministic_profile(n, alpha, nu).coeffs[0]
-        v_grid = _grid(v_modes)
-        k = np.arange(1, n + 1, dtype=np.float64)
-        amp = np.sqrt(sigma_mode(nu, eps, k) / (k * k) / 2.0)
-        norms_p = np.empty(reps)
-        norms_t = np.empty(reps)
-        for r in range(reps):
-            sub = stream.with_replica(stream.replica + r)
-            w_grid, wt_grid = (
-                _grid(_w_batch(nu, eps, n, sub, 1, purpose)[0, n:])
-                for purpose in (PURPOSE_MODE_SET, PURPOSE_MODE_SET_INDEP))
-            if profile == "gaussian":
-                z = sub.with_purpose(PURPOSE_GAUSS_PROFILE).normals(0, (n, 2))
-                v_modes = np.zeros(n + 1, dtype=np.complex128)
-                v_modes[1:] = amp * (z[:, 0] + 1j * z[:, 1])
-                v_grid = _grid(v_modes)
-            phi = (_triple_sum(w_grid, w_grid, v_grid, n)
-                   - v_modes / (2.0 * eps * math.sqrt(nu)))
-            phit = _triple_sum(w_grid, wt_grid, v_grid, n)
-            for norms, modes in ((norms_p, phi), (norms_t, phit)):
-                norms[r] = sobolev_norm(SpectralField.from_coeffs(modes),
-                                        -gamma, nu)
-        med_p.append(float(np.quantile(norms_p, 0.5)))
-        q90_p.append(float(np.quantile(norms_p, 0.9)))
-        med_t.append(float(np.quantile(norms_t, 0.5)))
-        q90_t.append(float(np.quantile(norms_t, 0.9)))
-
-    fit_p = regress_loglog([(e, e * m) for e, m in zip(eps_grid, med_p)])
-    fit_t = regress_loglog([(e, e * m) for e, m in zip(eps_grid, med_t)])
-    return TailScalingReport(
-        nu=nu, gamma=gamma, alpha=alpha, eps=eps_grid,
-        max_modes=tuple(mode_counts), replicas=reps,
-        median_phi=tuple(med_p), q90_phi=tuple(q90_p),
-        median_phi_tilde=tuple(med_t), q90_phi_tilde=tuple(q90_t),
-        slope_phi=fit_p, slope_phi_tilde=fit_t)
+    n = v_modes.shape[0] - 1
+    out = []
+    for sub in streams:
+        w_grid, wt_grid = (
+            _grid(_w_batch(nu, eps, n, sub, 1, purpose)[0, n:])
+            for purpose in (PURPOSE_MODE_SET, PURPOSE_MODE_SET_INDEP))
+        phi = (_triple_sum(w_grid, w_grid, v_grid, n)
+               - v_modes / (2.0 * eps * math.sqrt(nu)))
+        phit = _triple_sum(w_grid, wt_grid, v_grid, n)
+        out.append(tuple(
+            sobolev_norm(SpectralField.from_coeffs(modes), -gamma, nu)
+            for modes in (phi, phit)))
+    return out

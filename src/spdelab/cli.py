@@ -25,10 +25,9 @@ from .models import (CallbackError, PolynomialPotential,
                      model_from_config, potential_spec, validate_model)
 from .noise import NoiseStream, sample_stationary
 from .spectral import sobolev_norm, sup_norm
-from .studies import (RunConfig, initial_field, report_json_text,
-                      run_averaging_study, run_convergence_study,
-                      run_psi_coupling_study, run_theorem15_study,
-                      write_report, _atomic_write, _fmt)
+from .studies import (RunConfig, initial_field, run_averaging_study,
+                      run_convergence_study, run_psi_coupling_study,
+                      run_theorem15_study, write_report, _atomic_write, _fmt)
 
 
 class _UsageError(Exception):

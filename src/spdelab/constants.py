@@ -20,45 +20,30 @@ from its Riemann-integral limit pi/sqrt(nu); the gap is O(eps).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
 
 from .linops import _validate_positive_polynomial
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and budget for the adaptive quadratures.
-
-    Improper integrals are split at x = 1 and the tail [1, inf) is mapped
-    onto (0, 1] by x -> 1/x before integration, so the adaptive rule never
-    sees an infinite interval.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be at least 10")
+# Tolerances and subdivision budget of the adaptive quadratures.  Improper
+# integrals are split at x = 1 and the tail [1, inf) is mapped onto (0, 1]
+# by x -> 1/x before integration, so the rule never sees an infinite interval.
+QUAD_ABS_TOL = 1e-12
+QUAD_REL_TOL = 1e-10
+QUAD_LIMIT = 200
 
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-def _quad(fn, lo: float, hi: float, quad: QuadratureConfig) -> float:
-    value, err = integrate.quad(fn, lo, hi, epsabs=quad.abs_tol,
-                                epsrel=quad.rel_tol,
-                                limit=quad.max_subdivisions)
+def _quad(fn, lo: float, hi: float) -> float:
+    value, err = integrate.quad(fn, lo, hi, epsabs=QUAD_ABS_TOL,
+                                epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT)
     if not math.isfinite(value):
         raise QuadratureError("quadrature produced a non-finite value")
-    if err > 100.0 * max(quad.abs_tol, quad.rel_tol * abs(value)):
+    if err > 100.0 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(value)):
         raise QuadratureError(
             f"quadrature error estimate {err:.3e} exceeds tolerance")
     return value
@@ -88,8 +73,7 @@ def white_noise_constant(nu: float) -> float:
     return 1.0 / (2.0 * math.sqrt(nu))
 
 
-def alpha_constant(nu: float, alpha: float,
-                   quad: QuadratureConfig | None = None) -> float:
+def alpha_constant(nu: float, alpha: float) -> float:
     """Correction constant for forcing with spectral decay exponent alpha.
 
     Valid for alpha in (0, 1/2).  The integrand x^{-2 alpha}/(1+x^2) has an
@@ -101,15 +85,13 @@ def alpha_constant(nu: float, alpha: float,
         raise ValueError("nu must be positive")
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
-    quad = quad or QuadratureConfig()
     p = 1.0 / (1.0 - 2.0 * alpha)
-    head = p * _quad(lambda u: 1.0 / (1.0 + u ** (2.0 * p)), 0.0, 1.0, quad)
-    tail = _quad(lambda t: t ** (2.0 * alpha) / (1.0 + t * t), 0.0, 1.0, quad)
+    head = p * _quad(lambda u: 1.0 / (1.0 + u ** (2.0 * p)), 0.0, 1.0)
+    tail = _quad(lambda t: t ** (2.0 * alpha) / (1.0 + t * t), 0.0, 1.0)
     return (head + tail) / (math.pi * nu ** (alpha + 0.5))
 
 
-def poly_constant(nu: float, q_coeffs,
-                  quad: QuadratureConfig | None = None) -> float:
+def poly_constant(nu: float, q_coeffs) -> float:
     """Correction constant (1/(pi nu)) int_0^inf dx / Q(x^2).
 
     Q is given by ascending coefficients with Q(0) = 1, positive leading
@@ -124,7 +106,6 @@ def poly_constant(nu: float, q_coeffs,
     if len(c) < 2:
         raise ValueError("Q must have degree >= 1")
     _validate_positive_polynomial(c, "Q")
-    quad = quad or QuadratureConfig()
     poly = np.asarray(c)
     d = len(c) - 1
     # R(t) = sum_j c_j t^{2(d-j)}: ascending coefficients of t with stride 2.
@@ -133,10 +114,10 @@ def poly_constant(nu: float, q_coeffs,
         r[2 * (d - j)] = cj
     head = _quad(
         lambda x: 1.0 / np.polynomial.polynomial.polyval(x * x, poly),
-        0.0, 1.0, quad)
+        0.0, 1.0)
     tail = _quad(
         lambda t: t ** (2 * d - 2) / np.polynomial.polynomial.polyval(t, r),
-        0.0, 1.0, quad)
+        0.0, 1.0)
     return (head + tail) / (math.pi * nu)
 
 
@@ -158,27 +139,18 @@ def truncation_matched_constant(nu: float, eps: float, max_mode: int) -> float:
     return eps * (2.0 * total) / (2.0 * math.pi)
 
 
-def _tail_cutoff(nu: float, eps: float, budget: float = 1e-12) -> int:
-    """Smallest K whose post-correction truncation residual is below budget.
-
-    After replacing the tail sum_{k>K} sigma_k by the analytic tail of
-    1/(eps^2 k^2), the residual per sign is bounded by
-    (1/eps^3) (1/(5 K^5) + nu/(3 K^3)); both signs double it.
-    """
-    k = (2.0 * (nu / 3.0 + 0.2) / (budget * eps ** 3)) ** (1.0 / 3.0)
-    return max(1000, int(math.ceil(k)))
-
-
-def _lattice_sum(nu: float, eps: float, sigma, budget: float = 1e-12) -> float:
+def _lattice_sum(nu: float, eps: float, sigma) -> float:
     """sum_{k in Z} eps * sigma(k) for sigma ~ 1/(eps^2 k^2) at infinity.
 
-    Sums directly up to a cutoff chosen from the analytic residual bound and
-    adds the exact trigamma tail of the leading 1/(eps^2 k^2) behaviour, so
-    the truncation error is below `budget`.
+    Sums directly up to a cutoff K and adds the exact trigamma tail of the
+    leading 1/(eps^2 k^2) behaviour.  The residual of that replacement is
+    bounded per sign by (1/eps^3) (1/(5 K^5) + nu/(3 K^3)); K (at least
+    1000) keeps both signs together below 1e-12.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    cutoff = _tail_cutoff(nu, eps, budget)
+    k = (2.0 * (nu / 3.0 + 0.2) / (1e-12 * eps ** 3)) ** (1.0 / 3.0)
+    cutoff = max(1000, int(math.ceil(k)))
     total = _mode_sum(sigma, cutoff)
     tail = float(special.polygamma(1, cutoff + 1)) / (eps * eps)
     return eps * (2.0 * total + 2.0 * tail + sigma(np.asarray([0.0]))[0])

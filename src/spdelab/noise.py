@@ -41,7 +41,6 @@ PURPOSE_OU_STEP = 2
 PURPOSE_MODE_SET = 3
 PURPOSE_MODE_SET_INDEP = 4
 PURPOSE_INITIAL_FIELD = 5
-PURPOSE_GAUSS_PROFILE = 6
 
 
 @dataclass(frozen=True)

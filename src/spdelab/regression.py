@@ -16,14 +16,12 @@ class RegressionResult(NamedTuple):
     ci95: tuple[float, float]
 
 
-def regress_loglog(points: Sequence[tuple[float, float]],
-                   weights: Sequence[float] | None = None) -> RegressionResult:
+def regress_loglog(points: Sequence[tuple[float, float]]) -> RegressionResult:
     """Least-squares slope of log y against log x with a 95 percent CI.
 
     Needs at least three points with strictly positive coordinates and
     non-degenerate x values.  The confidence interval uses the t
-    distribution with n - 2 degrees of freedom; optional weights give
-    weighted least squares.
+    distribution with n - 2 degrees of freedom.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
@@ -32,24 +30,17 @@ def regress_loglog(points: Sequence[tuple[float, float]],
         raise ValueError("coordinates must be positive and finite")
     x = np.log(pts[:, 0])
     y = np.log(pts[:, 1])
-    if weights is None:
-        w = np.ones_like(x)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != x.shape or np.any(w <= 0.0):
-            raise ValueError("weights must be positive, one per point")
-    wsum = float(np.sum(w))
-    xbar = float(np.sum(w * x) / wsum)
-    ybar = float(np.sum(w * y) / wsum)
-    sxx = float(np.sum(w * (x - xbar) ** 2))
+    xbar = float(np.sum(x) / x.size)
+    ybar = float(np.sum(y) / y.size)
+    sxx = float(np.sum((x - xbar) ** 2))
     if sxx <= 0.0:
         raise ValueError("x values are degenerate; slope is undefined")
-    sxy = float(np.sum(w * (x - xbar) * (y - ybar)))
+    sxy = float(np.sum((x - xbar) * (y - ybar)))
     slope = sxy / sxx
     intercept = ybar - slope * xbar
     resid = y - intercept - slope * x
-    ssr = float(np.sum(w * resid ** 2))
-    sst = float(np.sum(w * (y - ybar) ** 2))
+    ssr = float(np.sum(resid ** 2))
+    sst = float(np.sum((y - ybar) ** 2))
     r2 = 1.0 if sst == 0.0 else 1.0 - ssr / sst
     dof = x.size - 2
     if dof > 0 and ssr > 0.0:

@@ -21,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .averaging import TailScalingReport, tail_experiment
+from .averaging import (MODES_EXPONENT, _grid, deterministic_profile,
+                        replica_norms)
 from .constants import truncation_matched_constant, white_noise_constant
 # couple_runs and sample_stationary are not called here; they stay bound in
 # this module because bench/spans.py traces the names the studies import.
@@ -115,6 +116,24 @@ class ConvergenceReport:
     naive_over_corrected: Optional[float]
     constants: dict
     schema_version: int = SCHEMA_VERSION
+
+
+@dataclass(frozen=True)
+class TailScalingReport:
+    """Scaling summary of the fluctuation norms across eps."""
+
+    nu: float
+    gamma: float
+    alpha: float
+    eps: tuple[float, ...]
+    max_modes: tuple[int, ...]
+    replicas: int
+    median_phi: tuple[float, ...]
+    q90_phi: tuple[float, ...]
+    median_phi_tilde: tuple[float, ...]
+    q90_phi_tilde: tuple[float, ...]
+    slope_phi: RegressionResult = field(repr=False)
+    slope_phi_tilde: RegressionResult = field(repr=False)
 
 
 def initial_field(n_components: int, max_mode: int, decay: float,
@@ -289,13 +308,45 @@ def run_psi_coupling_study(cfg: RunConfig) -> ConvergenceReport:
 
 
 def run_averaging_study(cfg: RunConfig) -> TailScalingReport:
-    """Fluctuation-norm scaling via the single-time averaging lab; the model
-    sets only nu."""
+    """Fluctuation-norm scaling via the single-time averaging lab.
+
+    For each eps, largest first, N = ceil(modes_over_eps / eps^MODES_EXPONENT)
+    and the profile is deterministic_profile's; _block_map runs the replicas
+    through replica_norms.  Reports medians and 90% quantiles plus the
+    log-log slope of eps * median against eps (expected +1/2).  The model
+    sets only nu.
+    """
+    if cfg.gamma <= 0.5 or cfg.alpha <= 0.5:
+        raise ValueError("gamma and alpha must both exceed 1/2")
+    if cfg.replicas < 2:
+        raise ValueError("need at least two replicas")
     nu = model_from_config(cfg.model)[0].nu
-    return tail_experiment(nu, cfg.gamma, cfg.alpha, sorted(cfg.eps_grid,
-                                                            reverse=True),
-                           cfg.replicas, NoiseStream(cfg.seed),
-                           modes_over_eps=cfg.modes_over_eps)
+    base = NoiseStream(cfg.seed)
+    eps_grid = tuple(sorted(cfg.eps_grid, reverse=True))
+    med_p, q90_p, med_t, q90_t, mode_counts = [], [], [], [], []
+    for eps in eps_grid:
+        n = int(math.ceil(cfg.modes_over_eps / eps ** MODES_EXPONENT))
+        mode_counts.append(n)
+        v_modes = deterministic_profile(n, cfg.alpha, nu).coeffs[0]
+        v_grid = _grid(v_modes)
+        norms_p, norms_t = np.array(_block_map(
+            lambda replicas: replica_norms(
+                nu, eps, cfg.gamma, v_modes, v_grid,
+                [base.with_replica(r) for r in replicas]),
+            cfg.replicas, cfg.workers)).T
+        med_p.append(float(np.quantile(norms_p, 0.5)))
+        q90_p.append(float(np.quantile(norms_p, 0.9)))
+        med_t.append(float(np.quantile(norms_t, 0.5)))
+        q90_t.append(float(np.quantile(norms_t, 0.9)))
+
+    fit_p = regress_loglog([(e, e * m) for e, m in zip(eps_grid, med_p)])
+    fit_t = regress_loglog([(e, e * m) for e, m in zip(eps_grid, med_t)])
+    return TailScalingReport(
+        nu=nu, gamma=cfg.gamma, alpha=cfg.alpha, eps=eps_grid,
+        max_modes=tuple(mode_counts), replicas=cfg.replicas,
+        median_phi=tuple(med_p), q90_phi=tuple(q90_p),
+        median_phi_tilde=tuple(med_t), q90_phi_tilde=tuple(q90_t),
+        slope_phi=fit_p, slope_phi_tilde=fit_t)
 
 
 def calibrate_dt(spec: ModelSpec, variant: Variant, eps: float,

@@ -21,17 +21,20 @@ from test_averaging import (brute_force_phi, brute_force_phi_tilde,
                             profile)
 from test_models import FullSeries, oracle_F_eps
 
-from spdelab import (ModeEnsemble, NoiseStream, OperatorSpec, RunConfig,
-                     SimulationConfig, SpectralField, Variant, alpha_constant,
-                     check_effective_drift_identity, compute_phi,
-                     compute_phi_tilde, couple_runs, eval_F_eps, eval_G,
-                     initial_field, model_from_config, poly_constant,
-                     polynomial_model, potential_spec, psi_diff_moment,
-                     random_polynomial_potential, riemann_gap,
-                     run_averaging_study, run_convergence_study, run_mild,
-                     run_psi_coupling_study, run_theorem15_study,
-                     sample_stationary, sample_w, stationary_samples,
-                     step_coupled, sup_distance, sup_norm, write_report)
+from spdelab import (NoiseStream, RunConfig, SimulationConfig, SpectralField,
+                     Variant, compute_phi, couple_runs, initial_field,
+                     model_from_config, polynomial_model, run_averaging_study,
+                     run_convergence_study, run_mild, run_psi_coupling_study,
+                     run_theorem15_study, sample_stationary, sample_w,
+                     write_report)
+from spdelab.averaging import compute_phi_tilde
+from spdelab.constants import alpha_constant, poly_constant, riemann_gap
+from spdelab.integrate import sup_distance
+from spdelab.linops import OperatorSpec
+from spdelab.models import (check_effective_drift_identity, eval_F_eps, eval_G,
+                            potential_spec, random_polynomial_potential)
+from spdelab.noise import psi_diff_moment, stationary_samples, step_coupled
+from spdelab.spectral import sup_norm
 
 ROOT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -282,7 +285,7 @@ def test_criterion_08_averaging_tail_scaling():
     # [0.35, 0.65] over eps = 2^-4..2^-9 at 200 replicas.
     cfg = RunConfig(study="averaging",
                     eps_grid=tuple(2.0 ** -j for j in range(4, 10)),
-                    replicas=200, seed=0)
+                    replicas=200, seed=0, workers=8)
     report = run_averaging_study(cfg)
     s_p = report.slope_phi.slope
     s_t = report.slope_phi_tilde.slope

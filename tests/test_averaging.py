@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from spdelab import (ModeEnsemble, NoiseStream, SpectralField,
-                     coefficients_to_field, compute_phi, compute_phi_tilde,
-                     deterministic_profile, sample_w, sigma_mode,
-                     sobolev_norm, tail_experiment)
-from spdelab.averaging import _w_batch
-from spdelab.noise import (PURPOSE_GAUSS_PROFILE, PURPOSE_MODE_SET,
-                           PURPOSE_MODE_SET_INDEP)
+from spdelab import (NoiseStream, RunConfig, SpectralField, compute_phi,
+                     deterministic_profile, run_averaging_study, sample_w)
+from spdelab.averaging import (ModeEnsemble, _w_batch, coefficients_to_field,
+                               compute_phi_tilde)
+from spdelab.constants import sigma_mode
+from spdelab.noise import PURPOSE_MODE_SET, PURPOSE_MODE_SET_INDEP
+from spdelab.spectral import sobolev_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -280,13 +280,19 @@ class TestDeterministicProfile:
         assert ratio == pytest.approx((1.0 + 4.0) / (1.0 + 16.0), rel=1e-12)
 
 
+def averaging_cfg(eps_grid, replicas: int, seed: int, **kw) -> RunConfig:
+    return RunConfig(study="averaging", eps_grid=tuple(eps_grid),
+                     replicas=replicas, seed=seed, **kw)
+
+
 class TestTailExperiment:
+    """The tail-scaling experiment, run as the averaging study."""
+
     def test_scaling_window_on_working_grid(self):
         # eps * median ||phi||_{-gamma} and the phi_tilde version both scale
         # like eps^{1/2}; window [0.35, 0.65] on the 2^-2..2^-7 grid
         eps_grid = [2.0 ** -j for j in range(2, 8)]
-        report = tail_experiment(1.0, 0.75, 0.75, eps_grid, 200,
-                                 NoiseStream(1))
+        report = run_averaging_study(averaging_cfg(eps_grid, 200, 1))
         assert 0.35 <= report.slope_phi.slope <= 0.65, report.slope_phi
         # phi_tilde is still pre-asymptotic on this shallow grid (slope
         # rises into the window on 2^-4..2^-9, covered by the acceptance
@@ -301,42 +307,32 @@ class TestTailExperiment:
             assert all(m <= q for m, q in zip(med, q90))
 
     def test_deterministic_given_stream(self):
-        eps_grid = [0.5, 0.35, 0.25]
-        a = tail_experiment(1.0, 0.75, 0.75, eps_grid, 8, NoiseStream(2))
-        b = tail_experiment(1.0, 0.75, 0.75, eps_grid, 8, NoiseStream(2))
+        cfg = averaging_cfg([0.5, 0.35, 0.25], 8, 2)
+        a = run_averaging_study(cfg)
+        b = run_averaging_study(cfg)
         assert a.median_phi == b.median_phi
         assert a.slope_phi.slope == b.slope_phi.slope
 
-    @pytest.mark.parametrize("kind", ["deterministic", "gaussian"])
-    def test_matches_direct_convolution(self, kind):
+    def test_matches_direct_convolution(self):
         # every replica recomputed from its own draws by np.convolve (no
         # FFT, no shared grid): a v or w grid that went stale across
-        # replicas or eps levels would move the quantiles
+        # replicas, blocks or eps levels would move the quantiles
         nu, gamma, alpha, reps = 1.0, 0.75, 0.75, 6
         eps_grid = [0.5, 0.35, 0.25]
-        stream = NoiseStream(4, replica=3)
-        report = tail_experiment(nu, gamma, alpha, eps_grid, reps, stream,
-                                 profile=kind)
+        report = run_averaging_study(averaging_cfg(eps_grid, reps, 4,
+                                                   workers=2))
         for i, eps in enumerate(eps_grid):
             n = report.max_modes[i]
             k = np.arange(-n, n + 1, dtype=np.float64)
             weight = (1.0 + nu * k * k) ** -gamma
             center = slice(2 * n, 4 * n + 1)
+            v = deterministic_profile(n, alpha, nu)
+            vfull = full_sequence(v.coeffs[0])
             norms_p, norms_t = [], []
             for r in range(reps):
-                sub = stream.with_replica(stream.replica + r)
+                sub = NoiseStream(4, replica=r)
                 w, wt = (_w_batch(nu, eps, n, sub, 1, purpose)[0] for purpose
                          in (PURPOSE_MODE_SET, PURPOSE_MODE_SET_INDEP))
-                if kind == "deterministic":
-                    v = deterministic_profile(n, alpha, nu)
-                else:
-                    z = sub.with_purpose(PURPOSE_GAUSS_PROFILE).normals(
-                        0, (n, 2))
-                    amp = np.sqrt(sigma_mode(nu, eps, k[n + 1:])
-                                  / k[n + 1:] ** 2 / 2.0)
-                    v = profile(n, dict(enumerate(
-                        amp * (z[:, 0] + 1j * z[:, 1]), start=1)))
-                vfull = full_sequence(v.coeffs[0])
                 phi = (np.convolve(np.convolve(w, w), vfull)[center] / TWO_PI
                        - vfull / (2.0 * eps * math.sqrt(nu)))
                 phit = np.convolve(np.convolve(w, wt), vfull)[center] / TWO_PI
@@ -348,22 +344,13 @@ class TestTailExperiment:
                                np.median(norms_t))):
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    def test_gaussian_profile_runs(self):
-        report = tail_experiment(1.0, 0.75, 0.75, [0.5, 0.35, 0.25], 8,
-                                 NoiseStream(3), profile="gaussian")
-        assert all(m > 0 for m in report.median_phi)
-        assert all(m > 0 for m in report.median_phi_tilde)
-
     def test_validation(self):
-        s = NoiseStream(0)
+        grid = [0.5, 0.25]
         with pytest.raises(ValueError):
-            tail_experiment(1.0, 0.5, 0.75, [0.5, 0.25], 4, s)
+            run_averaging_study(averaging_cfg(grid, 4, 0, gamma=0.5))
         with pytest.raises(ValueError):
-            tail_experiment(1.0, 0.75, 0.5, [0.5, 0.25], 4, s)
+            run_averaging_study(averaging_cfg(grid, 4, 0, alpha=0.5))
         with pytest.raises(ValueError):
-            tail_experiment(1.0, 0.75, 0.75, [0.5, 0.25], 1, s)
+            run_averaging_study(averaging_cfg(grid, 1, 0))
         with pytest.raises(ValueError):
-            tail_experiment(1.0, 0.75, 0.75, [0.5, -0.25], 4, s)
-        with pytest.raises(ValueError):
-            tail_experiment(1.0, 0.75, 0.75, [0.5, 0.25], 4, s,
-                            profile="smooth")
+            averaging_cfg([0.5, -0.25], 4, 0)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import spdelab.constants as constants_module
 from spdelab.cli import cli_main
 
 
@@ -63,6 +64,20 @@ class TestExitCodes:
                                     "f": [0.0, 0.0, 0.0, 40.0]}),
              "--fixed-modes", "8", "--dt", "0.05", "--t-final", "5.0",
              "--u0-modes", "4"], capsys)
+        assert code == 2
+        assert "numerical failure" in err
+
+    def test_quadrature_failure_is_numerical_failure(self, capsys,
+                                                     monkeypatch):
+        # far too few subdivisions for the near-singular endpoint
+        import warnings
+
+        monkeypatch.setattr(constants_module, "QUAD_LIMIT", 10)
+        monkeypatch.setattr(constants_module, "QUAD_REL_TOL", 1e-13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, _, err = run_cli(["constants", "--nu", "1.0",
+                                    "--alpha", "0.4999"], capsys)
         assert code == 2
         assert "numerical failure" in err
 
@@ -171,13 +186,22 @@ class TestStudyCommands:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_workers_do_not_change_csv(self, tmp_path, capsys):
-        paths = [tmp_path / "w1.csv", tmp_path / "w4.csv"]
-        for path, workers in zip(paths, ("1", "4")):
-            code, _, _ = run_cli(
-                ["converge", "--output-csv", str(path),
-                 "--workers", workers] + STUDY_FLAGS, capsys)
-            assert code == 0
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        # nor the JSON, for an integrator study and the averaging study;
+        # only the converge JSON's config echo names the worker count
+        for study in ("converge", "averaging"):
+            outputs = []
+            for workers in ("1", "4"):
+                paths = [tmp_path / f"{study}-w{workers}.{ext}"
+                         for ext in ("csv", "json")]
+                code, _, _ = run_cli(
+                    [study, "--output-csv", str(paths[0]),
+                     "--output-json", str(paths[1]),
+                     "--workers", workers] + STUDY_FLAGS, capsys)
+                assert code == 0
+                report = json.loads(paths[1].read_text())
+                report.get("config", {}).pop("workers", None)
+                outputs.append((paths[0].read_bytes(), report))
+            assert outputs[0] == outputs[1]
 
     def test_output_dir_env_resolution(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SPDELAB_OUTPUT_DIR", str(tmp_path))

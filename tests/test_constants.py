@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from spdelab import (QuadratureConfig, QuadratureError, alpha_constant,
-                     poly_constant, riemann_gap, truncation_matched_constant,
+import spdelab.constants as constants_module
+from spdelab import (QuadratureError, truncation_matched_constant,
                      white_noise_constant)
-from spdelab.constants import _surrogate_mode_sum
+from spdelab.constants import (_surrogate_mode_sum, alpha_constant,
+                               poly_constant, riemann_gap)
 
 
 def alpha_closed_form(nu: float, alpha: float) -> float:
@@ -168,26 +169,16 @@ class TestRiemannGap:
 
 
 class TestQuadratureConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=2)
-        with pytest.raises(TypeError):  # the x -> 1/x tail map is fixed
-            QuadratureConfig(tail_strategy="truncate")
+    """The module-level tolerances and subdivision budget of the quadratures."""
 
-    def test_loose_config_still_converges(self):
-        loose = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-6)
-        assert alpha_constant(1.0, 0.25, loose) == pytest.approx(
-            1.0 / math.sqrt(2.0), rel=1e-5)
-
-    def test_quadrature_error_is_raised(self):
+    def test_quadrature_error_is_raised(self, monkeypatch):
         # far too few subdivisions for the near-singular endpoint
         import warnings
 
-        tight = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13,
-                                 max_subdivisions=10)
+        monkeypatch.setattr(constants_module, "QUAD_ABS_TOL", 1e-13)
+        monkeypatch.setattr(constants_module, "QUAD_REL_TOL", 1e-13)
+        monkeypatch.setattr(constants_module, "QUAD_LIMIT", 10)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(QuadratureError):
-                alpha_constant(1.0, 0.4999, tight)
+                alpha_constant(1.0, 0.4999)

@@ -9,17 +9,17 @@ import pytest
 
 import spdelab.integrate as integrate_module
 import spdelab.models as models_module
-from spdelab import (GridField, IntegrationError, ModelSpec, NoiseStream,
-                     OperatorSpec, SimulationConfig, SpectralField,
-                     Trajectory, Variant, apply_semigroup, couple_runs,
-                     polynomial_model, psi_diff_moment, run_mild,
-                     sample_stationary, step_coupled, sup_distance, sup_norm)
-from spdelab import (eval_F_bar, eval_F_eps, etd_weights, symbols,
-                     truncation_matched_constant)
-from spdelab.integrate import coupled_distances, reference_distances
-from spdelab.models import DRIFT_OVERSAMPLE
-from spdelab.spectral import base_grid_size
-from spdelab.studies import initial_field
+from spdelab import (IntegrationError, ModelSpec, NoiseStream,
+                     SimulationConfig, SpectralField, Variant, couple_runs,
+                     initial_field, polynomial_model, run_mild,
+                     sample_stationary, truncation_matched_constant)
+from spdelab.integrate import (Trajectory, coupled_distances,
+                               reference_distances, sup_distance)
+from spdelab.linops import (OperatorSpec, apply_semigroup, etd_weights,
+                            symbols)
+from spdelab.models import DRIFT_OVERSAMPLE, eval_F_bar, eval_F_eps
+from spdelab.noise import psi_diff_moment, step_coupled
+from spdelab.spectral import GridField, base_grid_size, sup_norm
 
 ROOT_2PI = math.sqrt(2.0 * math.pi)
 

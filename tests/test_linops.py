@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from spdelab import (OperatorSpec, SpectralField, apply_semigroup,
-                     etd_weights, semigroup_gap, sobolev_norm, symbols)
+from spdelab import SpectralField
+from spdelab.linops import (OperatorSpec, apply_semigroup, etd_weights,
+                            semigroup_gap, symbols)
+from spdelab.spectral import sobolev_norm
 
 
 def random_field(max_mode: int, seed: int) -> SpectralField:

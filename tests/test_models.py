@@ -7,16 +7,18 @@ import pytest
 
 import spdelab.models as models_module
 import spdelab.spectral as spectral_module
-from spdelab import (CallbackError, GridField, ModelSpec, PolynomialPotential,
-                     PotentialSpec, SpectralField, check_effective_drift_identity,
-                     dealias, derivative, effective_drift, eval_F_bar,
-                     eval_F_eps, eval_G, eval_G_bar, from_grid, from_potential,
-                     model_from_config, polynomial_model, potential_spec,
-                     random_polynomial_potential, sin_g_model, to_grid,
-                     validate_model, white_noise_constant)
-from spdelab.models import (DRIFT_OVERSAMPLE, drift, plan_F_bar, plan_F_eps,
-                            plan_G)
-from spdelab.spectral import ROW_TRANSFORM_POINTS, Workspace, base_grid_size
+from spdelab import (CallbackError, ModelSpec, SpectralField,
+                     model_from_config, polynomial_model, sin_g_model,
+                     white_noise_constant)
+from spdelab.models import (DRIFT_OVERSAMPLE, PolynomialPotential,
+                            PotentialSpec, check_effective_drift_identity,
+                            drift, effective_drift, eval_F_bar, eval_F_eps,
+                            eval_G, eval_G_bar, from_potential, plan_F_bar,
+                            plan_F_eps, plan_G, potential_spec,
+                            random_polynomial_potential, validate_model)
+from spdelab.spectral import (ROW_TRANSFORM_POINTS, GridField, Workspace,
+                              base_grid_size, dealias, derivative, from_grid,
+                              to_grid)
 
 ROOT_2PI = math.sqrt(2.0 * math.pi)
 

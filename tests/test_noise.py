@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spdelab import (CoupledOUState, NoiseStream, OperatorSpec,
-                     psi_diff_moment, sample_stationary, stationary_samples,
-                     step_coupled, symbols)
-from spdelab.noise import _LevelFactors, sample_replicas, step_replicas
+from spdelab import NoiseStream, sample_stationary
+from spdelab.linops import OperatorSpec, symbols
+from spdelab.noise import (_LevelFactors, psi_diff_moment, sample_replicas,
+                           stationary_samples, step_coupled, step_replicas)
 
 
 def rates(nu: float, eps: float, k: int) -> float:

@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 import spdelab
-from spdelab import RegressionResult, regress_loglog
+from spdelab.regression import RegressionResult, regress_loglog
 
 
 class TestRegressLoglog:
@@ -41,23 +41,6 @@ class TestRegressLoglog:
         tq = stats.t.ppf(0.975, x.size - 2)
         assert half == pytest.approx(tq * oracle.stderr, rel=1e-10)
 
-    def test_weights_change_the_fit(self):
-        pts = [(1.0, 1.0), (2.0, 4.0), (4.0, 4.0)]
-        plain = regress_loglog(pts)
-        # weighting the last point heavily pulls the slope down
-        heavy = regress_loglog(pts, weights=[1.0, 1.0, 50.0])
-        assert heavy.slope != pytest.approx(plain.slope, abs=1e-3)
-
-    def test_weighted_matches_duplication(self):
-        # integer weights must agree with literally repeating points
-        pts = [(1.0, 2.0), (2.0, 3.0), (4.0, 9.0)]
-        dup = pts + [(4.0, 9.0), (4.0, 9.0)]
-        weighted = regress_loglog(pts, weights=[1.0, 1.0, 3.0])
-        repeated = regress_loglog(dup)
-        assert weighted.slope == pytest.approx(repeated.slope, rel=1e-12)
-        assert weighted.intercept == pytest.approx(repeated.intercept,
-                                                   rel=1e-12)
-
     def test_result_type(self):
         res = regress_loglog([(1.0, 1.0), (2.0, 2.0), (4.0, 4.0)])
         assert isinstance(res, RegressionResult)
@@ -72,12 +55,6 @@ class TestRegressLoglog:
             regress_loglog([(1.0, 1.0), (2.0, float("nan")), (4.0, 4.0)])
         with pytest.raises(ValueError):
             regress_loglog([(2.0, 1.0), (2.0, 2.0), (2.0, 4.0)])
-        with pytest.raises(ValueError):
-            regress_loglog([(1.0, 1.0), (2.0, 2.0), (4.0, 4.0)],
-                           weights=[1.0, -1.0, 1.0])
-        with pytest.raises(ValueError):
-            regress_loglog([(1.0, 1.0), (2.0, 2.0), (4.0, 4.0)],
-                           weights=[1.0, 1.0])
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import spdelab.spectral as spectral_module
-from spdelab import (SpectralField, dealias, derivative, from_grid,
-                     sobolev_norm, sup_norm, to_grid)
-from spdelab.spectral import (ROW_TRANSFORM_POINTS, Workspace, grid_coeffs,
-                              grid_values, sup_norms)
+from spdelab import SpectralField
+from spdelab.spectral import (ROW_TRANSFORM_POINTS, GridField, Workspace,
+                              dealias, derivative, from_grid, grid_coeffs,
+                              grid_values, sobolev_norm, sup_norm, sup_norms,
+                              to_grid)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -75,8 +76,6 @@ class TestGridTransforms:
         # sin(2x) has a purely imaginary +/-2 mode pair and nothing else
         n = 32
         x = 2.0 * math.pi * np.arange(n) / n
-        from spdelab import GridField
-
         f = from_grid(GridField(1, n, np.sin(2 * x)[None, :]), 8)
         assert abs(f.coeffs[0, 2].real) < 1e-12
         assert f.coeffs[0, 2].imag == pytest.approx(-math.sqrt(math.pi / 2),
@@ -85,8 +84,6 @@ class TestGridTransforms:
         assert np.max(np.abs(others)) < 1e-12
 
     def test_constant_grid_to_modes(self):
-        from spdelab import GridField
-
         g = GridField(1, 16, np.full((1, 16), 2.5))
         f = from_grid(g, 7)
         assert f.coeffs[0, 0] == pytest.approx(2.5 * SQRT_2PI)

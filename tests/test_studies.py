@@ -8,19 +8,19 @@ import threading
 import numpy as np
 import pytest
 
-from spdelab import (ConvergenceReport, NoiseStream, OperatorSpec,
-                     RunConfig, Variant, calibrate_dt, initial_field,
-                     polynomial_model, run_averaging_study,
+from spdelab import (ConvergenceReport, NoiseStream, RunConfig, Variant,
+                     initial_field, polynomial_model, run_averaging_study,
                      run_convergence_study, run_psi_coupling_study,
-                     run_theorem15_study, sample_stationary, step_coupled,
-                     sup_norm, write_report)
+                     run_theorem15_study, sample_stationary, write_report)
 import spdelab.studies as studies_module
 from spdelab.constants import white_noise_constant
 from spdelab.integrate import SimulationConfig
+from spdelab.linops import OperatorSpec
 from spdelab.models import DRIFT_OVERSAMPLE
-from spdelab.spectral import ROW_TRANSFORM_POINTS, base_grid_size
-from spdelab.studies import (SCHEMA_VERSION, _block_map, report_csv_text,
-                             report_json_text, tail_csv_text)
+from spdelab.noise import step_coupled
+from spdelab.spectral import ROW_TRANSFORM_POINTS, base_grid_size, sup_norm
+from spdelab.studies import (SCHEMA_VERSION, _block_map, calibrate_dt,
+                             report_csv_text, report_json_text, tail_csv_text)
 
 
 def small_cfg(**kw) -> RunConfig:
@@ -375,30 +375,44 @@ class TestModelNu:
         assert got.constants["asymptotic"] == white_noise_constant(0.25)
         assert got.per_eps == want.per_eps
 
-    def test_averaging_uses_model_nu(self, monkeypatch):
-        seen = []
-        real = studies_module.tail_experiment
-
-        def recorded(nu, *args, **kwargs):
-            seen.append(nu)
-            return real(nu, *args, **kwargs)
-
-        monkeypatch.setattr(studies_module, "tail_experiment", recorded)
+    def test_averaging_uses_model_nu(self):
         got, want = [run_averaging_study(
             small_cfg(study="averaging", eps_grid=(0.5, 0.4, 0.3),
                       replicas=3, model=model))
             for model in (self.POTENTIAL, self.SAME_NU)]
-        assert seen == [0.25, 0.25]
+        assert got.nu == 0.25
         assert got == want
 
 
 class TestAveragingStudy:
-    def test_wraps_tail_experiment(self):
-        cfg = small_cfg(study="averaging", eps_grid=(0.5, 0.4, 0.3),
+    def test_reports_eps_largest_first(self):
+        cfg = small_cfg(study="averaging", eps_grid=(0.3, 0.5, 0.4),
                         replicas=4)
         report = run_averaging_study(cfg)
-        assert report.eps == tuple(sorted(cfg.eps_grid, reverse=True))
+        assert report.eps == (0.5, 0.4, 0.3)
         assert report.replicas == 4
+
+    def test_block_split_invariance(self, monkeypatch):
+        # every split gives each replica the norms of its own stream, so the
+        # report (JSON text included) does not depend on the worker count
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        real = studies_module.replica_norms
+        sizes = []
+
+        def spy(*args):
+            sizes.append(len(args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(studies_module, "replica_norms", spy)
+        texts = []
+        for workers, split in ((1, [5]), (2, [3, 2]), (3, [2, 2, 1])):
+            sizes.clear()
+            report = run_averaging_study(RunConfig(
+                study="averaging", eps_grid=(0.5, 0.35, 0.25), replicas=5,
+                seed=2, workers=workers))
+            assert sizes == split * 3
+            texts.append(report_json_text(report))
+        assert texts[0] == texts[1] == texts[2]
 
 
 class TestCalibrateDt:
