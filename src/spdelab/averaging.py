@@ -30,7 +30,7 @@ from scipy import fft as sfft
 
 from .constants import sigma_mode
 from .noise import NoiseStream, PURPOSE_MODE_SET, PURPOSE_MODE_SET_INDEP
-from .spectral import SpectralField, sobolev_norm
+from .spectral import SpectralField, fast_grid_size, sobolev_norm
 
 _TWO_PI = 2.0 * math.pi
 
@@ -88,7 +88,7 @@ def sample_w(nu: float, eps: float, max_mode: int,
 
 def _grid(modes: np.ndarray) -> np.ndarray:
     """Values of the real field with modes 0..N on the no-alias grid."""
-    size = sfft.next_fast_len(4 * (modes.shape[-1] - 1) + 1, real=True)
+    size = fast_grid_size(4 * (modes.shape[-1] - 1) + 1)
     return sfft.irfft(modes, n=size, norm="forward")
 
 

@@ -36,10 +36,10 @@ one sup_norms call, and reference_distances its running maximum Sobolev
 distance to fixed reference trajectories.
 
 A run allocates its step arrays once.  Each call of the core owns a
-spectral.Workspace for the drift's transform input, grid and spectrum
-(coupled_distances keeps a second one for its 8x oversampled grids), and
-updates v, the state u = v + scale * psi and the guard's |u| in place with
-out=, in the order the formulas are written, so every bit is as before.
+spectral.Workspace for the drift's input, grid and spectrum and the noise's
+normals and innovations (coupled_distances keeps a second for its 8x grids),
+and updates v, its copy of psi, u = v + scale * psi and the guard's |u| in
+place with out=, in the order the formulas are written, so no bit changes.
 Rows of at least spectral.ROW_TRANSFORM_POINTS points are transformed one
 FFT call at a time, and the model callbacks run on tiles of
 models.POINTWISE_TILE points, so that the transforms and the drift map no
@@ -218,7 +218,7 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
     time, None for a row that ran to the end.
     """
     n, nmode, h = spec.n, config.max_mode, config.dt
-    factors, psi = noise or (None, None)
+    factors, psi = (noise[0], noise[1].copy()) if noise else (None, None)
     n_rep = len(psi) if noise else 1
     n_ch = len(channels)
     noisy = [(c, ch.noise_level, ch.noise_scale)
@@ -278,7 +278,7 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
             np.multiply(weight, fu, out=weighted)
             np.copyto(v, decay * v + weighted, where=live)
         if noise:
-            psi = step_replicas(factors, streams, step0 + step - 1, psi, h)
+            step_replicas(factors, streams, step0 + step - 1, psi, h, work)
         state(step, step * h)
     return censoring_time
 

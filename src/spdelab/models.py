@@ -43,15 +43,11 @@ import numpy as np
 from .constants import white_noise_constant
 # to_grid and from_grid are not called here; they stay bound in this module
 # because bench/spans.py traces the names it imports.
-from .spectral import (SpectralField, Workspace, base_grid_size, dealias_cut,
-                       derivative_coeffs, from_grid, grid_coeffs, grid_values,
-                       to_grid)
+from .spectral import (SpectralField, Workspace, dealias_cut,
+                       derivative_coeffs, fast_grid_size, from_grid,
+                       grid_coeffs, grid_values, to_grid)
 
 Callback = Callable[[np.ndarray], np.ndarray]
-
-# Drift grids have twice the base grid's points (M >= 4N+4), fixed like the
-# 2/3 cut (spectral.DEALIAS_FRACTION).
-DRIFT_OVERSAMPLE = 2
 
 # Pointwise callbacks run on grid tiles of at most this many points (all
 # components and replicas together).  Their temporaries, such as polyval's,
@@ -67,7 +63,9 @@ class ModelSpec:
 
     dg must be supplied whenever g is: dg(u)[i, j, k] is the partial
     derivative of g_ij with respect to component k.  validate_model checks it
-    against central finite differences.
+    against central finite differences.  degree bounds the degree of every
+    drift term in u, u_x and u_xx (deg f, deg g + 1, deg h + 2), and sizes
+    the drift grid; None when a callback is not a polynomial.
     """
 
     n: int
@@ -76,6 +74,7 @@ class ModelSpec:
     g: Optional[Callback] = None
     dg: Optional[Callback] = None
     h: Optional[Callback] = None
+    degree: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -91,7 +90,8 @@ class PotentialSpec:
     """Potential-driven problem: scalar potential with derivative callbacks.
 
     v maps (n, ...) -> (...); dv, d2v, d3v return one, two and three extra
-    leading component axes.  temperature > 0 and mass >= 0.
+    leading component axes.  temperature > 0 and mass >= 0.  degree is v's,
+    None when v is not a polynomial.
     """
 
     n: int
@@ -101,6 +101,7 @@ class PotentialSpec:
     dv: Callback
     d2v: Callback
     d3v: Callback
+    degree: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -170,11 +171,22 @@ class DriftPlan(NamedTuple):
 
     pointwise(vals, derivs) takes vals of shape (n, ..., M) and one array of
     the same shape per order after the first, and acts on the trailing axes
-    only, so one call serves a whole stack of fields.
+    only, so one call serves a whole stack of fields; degree is the model's.
     """
 
     orders: tuple[int, ...]
     pointwise: Callable[[np.ndarray, list], np.ndarray]
+    degree: Optional[int]
+
+
+def drift_grid_size(max_mode: int, degree: Optional[int]) -> int:
+    """Points of drift's grid for modes 0..N: the smallest 2*3*5-smooth
+    M >= 4N+4 on which no product of degree factors (modes up to degree*N)
+    aliases onto a mode the 2/3 cut keeps, M > degree*N + cut.  degree None
+    counts as 7, the highest degree the former 8N grid resolved."""
+    degree = 7 if degree is None else degree
+    return fast_grid_size(max(4 * max_mode + 4, degree * max_mode
+                              + dealias_cut(max_mode) + 1))
 
 
 def drift(plans: list[DriftPlan], u: np.ndarray,
@@ -182,17 +194,18 @@ def drift(plans: list[DriftPlan], u: np.ndarray,
     """Each plan's drift of a block of fields, unchecked: u is (plan, n, R,
     N+1) and plan p maps the R fields u[p] to the same-shaped result.
 
-    u and every derivative the plans need go through one grid transform, each
-    plan's pointwise part runs on tiles of its (n, R, M) grid values and
-    overwrites them, and one back-transform and the 2/3 cut give the drifts.
+    u and every derivative the plans need go through one transform to a grid
+    of M = drift_grid_size(N, highest plan degree) points, each plan's
+    pointwise part runs on tiles of its (n, R, M) grid values and overwrites
+    them, and one back-transform and the 2/3 cut give the drifts.
     Batched real FFTs are bit-identical per row and the callbacks act
-    pointwise, so a field's drift depends neither on its block nor on the
-    tiling.  Every array comes from work (a fresh one if none is given) and
+    pointwise, so a field's drift depends on M but neither on its block nor
+    on the tiling.  Every array comes from work (a fresh one if none is given) and
     is reused by the next call with it; the result is a view of one of them.
     """
     n_plans, n, n_rep, modes = u.shape
     work = Workspace() if work is None else work
-    m = DRIFT_OVERSAMPLE * base_grid_size(modes - 1)
+    m = max(drift_grid_size(modes - 1, p.degree) for p in plans)
     # rows: every plan's fields, then each plan's derivatives in turn
     wanted = [(p, o) for p, plan in enumerate(plans) for o in plan.orders[1:]]
     rows = work.array("drift input", (n_plans + len(wanted), n, n_rep, modes),
@@ -247,7 +260,8 @@ def plan_F_eps(spec: ModelSpec, eps: float) -> DriftPlan:
             out += eps * np.einsum("ijl...,j...,l...->i...", hv, ux, ux)
         return out
 
-    return DriftPlan((0,) + (1,) * use_h + (2,) * use_g, pointwise)
+    return DriftPlan((0,) + (1,) * use_h + (2,) * use_g, pointwise,
+                     spec.degree)
 
 
 def eval_F_eps(spec: ModelSpec, eps: float,
@@ -290,7 +304,7 @@ def plan_F_bar(spec: ModelSpec, constant: float | None = None) -> DriftPlan:
     """1 + fbar(u), with fbar from effective_drift."""
     fbar = effective_drift(spec, constant)
     return DriftPlan((0,), lambda vals, derivs: np.ones_like(vals)
-                     + fbar(vals))
+                     + fbar(vals), spec.degree)
 
 
 def eval_F_bar(spec: ModelSpec, u: SpectralField, *,
@@ -318,7 +332,8 @@ def plan_G(spec: ModelSpec, constant: float | None) -> DriftPlan:
                 out += constant * np.einsum("ijj...->i...", hv)
         return out
 
-    return DriftPlan((0,) + (1,) * (spec.h is not None), pointwise)
+    return DriftPlan((0,) + (1,) * (spec.h is not None), pointwise,
+                     spec.degree)
 
 
 def eval_G(spec: ModelSpec, u: SpectralField) -> SpectralField:
@@ -355,7 +370,9 @@ def from_potential(p: PotentialSpec) -> tuple[ModelSpec, float]:
     def h(u: np.ndarray) -> np.ndarray:
         return -np.asarray(p.d3v(u), dtype=np.float64) / scale
 
-    return ModelSpec(n=p.n, nu=nu, f=f, g=g, dg=dg, h=h), eps
+    # V of degree d: f = d2V dV has degree 2d - 3, g u_xx and h u_x u_x d - 1
+    degree = p.degree and max(2 * p.degree - 3, p.degree - 1)
+    return ModelSpec(n=p.n, nu=nu, f=f, g=g, dg=dg, h=h, degree=degree), eps
 
 
 def check_effective_drift_identity(p: PotentialSpec,
@@ -407,7 +424,9 @@ def polynomial_model(nu: float, f_coeffs=None, g_coeffs=None,
         dg = lambda u: _polyval(dcoeffs, u[0])[None, None, None]
     if h_coeffs is not None:
         h = lambda u: _polyval(h_coeffs, u[0])[None, None, None]
-    return ModelSpec(n=1, nu=nu, f=f, g=g, dg=dg, h=h)
+    degree = max([0] + [len(c) + k - 1 for k, c in enumerate(
+        (f_coeffs, g_coeffs, h_coeffs)) if c is not None])
+    return ModelSpec(n=1, nu=nu, f=f, g=g, dg=dg, h=h, degree=degree)
 
 
 def sin_g_model(nu: float, amplitude: float = 1.0, f_coeffs=None) -> ModelSpec:
@@ -437,6 +456,7 @@ class PolynomialPotential:
                 raise ValueError("bad monomial exponents")
             terms.append((float(coeff), exps))
         self.terms = terms
+        self.degree = max((sum(e) for _, e in terms), default=0)
 
     @classmethod
     def from_univariate(cls, coeffs) -> "PolynomialPotential":
@@ -489,7 +509,7 @@ def potential_spec(potential: PolynomialPotential, temperature: float,
     """Wrap a polynomial potential as a PotentialSpec."""
     return PotentialSpec(n=potential.n, temperature=temperature, mass=mass,
                          v=potential.v, dv=potential.dv, d2v=potential.d2v,
-                         d3v=potential.d3v)
+                         d3v=potential.d3v, degree=potential.degree)
 
 
 def random_polynomial_potential(n: int, max_degree: int,

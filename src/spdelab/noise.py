@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linops import symbols
-from .spectral import SpectralField
+from .spectral import SpectralField, Workspace
 
 # Purpose tags keep independent uses of one base seed on disjoint streams.
 PURPOSE_OU_INIT = 1
@@ -70,15 +70,16 @@ class NoiseStream:
     def with_purpose(self, purpose: int) -> "NoiseStream":
         return replace(self, purpose=int(purpose))
 
-    def normals(self, step: int, shape: tuple[int, ...]) -> np.ndarray:
-        """Standard normal block for the given step of this path."""
+    def normals(self, step: int, shape: tuple[int, ...],
+                out: np.ndarray | None = None) -> np.ndarray:
+        """Standard normal block for the given step of this path (in out)."""
         if step < 0:
             raise ValueError("step must be nonnegative")
         seq = np.random.SeedSequence(
             entropy=(int(self.base_seed), int(self.purpose),
                      int(self.replica), int(step)))
         gen = np.random.Generator(np.random.Philox(seq))
-        return gen.standard_normal(shape)
+        return gen.standard_normal(shape, out=out)
 
 
 class _LevelFactors:
@@ -164,16 +165,18 @@ class _LevelFactors:
             self._step_cache[key] = hit
         return hit
 
-    def colored(self, factor: np.ndarray, z: np.ndarray) -> np.ndarray:
+    def colored(self, factor: np.ndarray, z: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
         """Colour standard normals with a per-level factor (stationary or
         transition), batched over modes and leading axes.
 
         z has shape (..., N+1, n_comp, 2, m); returns complex (..., m, n_comp,
-        N+1) with the k = 0 column real.  The real and imaginary parts are
-        written straight into the complex result.
+        N+1) with the k = 0 column real, in out when given.  The real and
+        imaginary parts are written straight into the complex result.
         """
         *lead, n_modes, n_comp, _, m = z.shape
-        psi = np.empty((*lead, m, n_comp, n_modes), dtype=np.complex128)
+        psi = np.empty((*lead, m, n_comp, n_modes), dtype=np.complex128) \
+            if out is None else out
         parts = psi.view(np.float64).reshape(*lead, m, n_comp, n_modes, 2)
         np.einsum("kiv,...kcjv->...ickj", factor, z, out=parts)
         psi[..., 0].imag = 0.0  # k = 0 mode of a real field is real
@@ -181,11 +184,14 @@ class _LevelFactors:
 
 
 def _stacked_normals(streams, purpose: int, step: int,
-                     shape: tuple[int, ...]) -> np.ndarray:
+                     shape: tuple[int, ...],
+                     out: np.ndarray | None = None) -> np.ndarray:
     """One block of normals per stream, in a lone state's layout, stacked
-    (R, *shape)."""
-    return np.stack([s.with_purpose(purpose).normals(step, shape)
-                     for s in streams])
+    (R, *shape): each row is drawn straight into out (fresh if None)."""
+    out = np.empty((len(streams), *shape)) if out is None else out
+    for s, row in zip(streams, out):
+        s.with_purpose(purpose).normals(step, shape, out=row)
+    return out
 
 
 @dataclass
@@ -248,28 +254,35 @@ def sample_stationary(levels, n_components: int, max_mode: int,
 
 
 def step_replicas(factors: _LevelFactors, streams, step: int,
-                  psi: np.ndarray, h: float) -> np.ndarray:
-    """Advance a stack of replica states (R, levels, n_comp, N+1) from `step`
-    by one exact transition of size h > 0.
+                  psi: np.ndarray, h: float,
+                  work: Workspace | None = None) -> np.ndarray:
+    """Advance a stack of replica states psi (R, levels, n_comp, N+1) in
+    place from `step` by one exact transition of size h > 0; returns psi.
 
     Replica r draws its innovations from streams[r] exactly as a lone state
     on that stream would; the stacked normals are coloured in one call, so
-    every replica's result is independent of the others in the stack.
+    every replica's result is independent of the others in the stack.  The
+    normals and innovations are work's arrays (a fresh workspace's if None).
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
+    work = Workspace() if work is None else work
     decay, factor = factors.step_factors(h)
-    _, n_levels, n_comp, n_modes = psi.shape
-    out = factors.colored(factor, _stacked_normals(
-        streams, PURPOSE_OU_STEP, step + 1, (n_modes, n_comp, 2, n_levels)))
-    out += decay[:, None, :] * psi  # addition commutes: same bits either way
-    return out
+    n_rep, n_levels, n_comp, n_modes = psi.shape
+    shape = (n_modes, n_comp, 2, n_levels)
+    z = _stacked_normals(streams, PURPOSE_OU_STEP, step + 1, shape,
+                         work.array("normals", (n_rep, *shape), np.float64))
+    innovation = factors.colored(
+        factor, z, work.array("innovation", psi.shape, np.complex128))
+    psi *= decay[:, None, :]
+    psi += innovation  # addition commutes: the bits of innovation + decay*psi
+    return psi
 
 
 def step_coupled(state: CoupledOUState, h: float) -> CoupledOUState:
     """Advance all levels jointly by one exact transition of size h > 0."""
     psi = step_replicas(state.factors, (state.stream,), state.step,
-                        state.psi[None], h)[0]
+                        state.psi[None].copy(), h)[0]
     return replace(state, t=state.t + h, step=state.step + 1, psi=psi)
 
 

@@ -6,9 +6,10 @@ k = 0..N.  The coefficient at -k is implied by conjugation (only real fields
 are representable), so the k = 0 coefficient is kept exactly real.
 
 Grid transforms are exact for the represented trigonometric polynomial
-whenever the grid has at least 2N+2 points; grid sizes are always padded to
-a power of two times the requested oversampling factor so FFT round trips
-are cheap and unambiguous.
+whenever the grid has at least 2N+2 points.  to_grid and sup_norms use a
+power of two times an oversampling factor; the drift grid
+(models.drift_grid_size) and averaging's (M >= 4N+1) the next 2*3*5-smooth
+size, fast_grid_size.
 
 Fields and the functions taking them validate; inner loops call the array
 kernels behind them (grid_values, grid_coeffs, derivative_coeffs) unchecked.
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 
 _TWO_PI = 2.0 * math.pi
 _SQRT_TWO_PI = math.sqrt(_TWO_PI)
@@ -42,6 +44,11 @@ def base_grid_size(max_mode: int) -> int:
     """Smallest power of two that is >= 2*max_mode + 2."""
     need = 2 * max_mode + 2
     return 1 << (need - 1).bit_length()
+
+
+def fast_grid_size(points: int) -> int:
+    """Smallest 2*3*5-smooth grid size >= points (a fast real FFT length)."""
+    return sfft.next_fast_len(points, real=True)
 
 
 @dataclass(frozen=True)

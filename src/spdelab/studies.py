@@ -295,8 +295,8 @@ def run_psi_coupling_study(cfg: RunConfig) -> ConvergenceReport:
             work = Workspace()
             for step in range(sim.n_steps + 1):
                 if step:
-                    psi = step_replicas(factors, streams, step - 1, psi,
-                                        sim.dt)
+                    step_replicas(factors, streams, step - 1, psi, sim.dt,
+                                  work)
                 best = np.maximum(best, sup_norms(psi[:, 0, 0] - psi[:, 1, 0],
                                                   work))
             return [((float(d), False),) for d in best]

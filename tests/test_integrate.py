@@ -17,9 +17,10 @@ from spdelab.integrate import (Trajectory, coupled_distances,
                                reference_distances, sup_distance)
 from spdelab.linops import (OperatorSpec, apply_semigroup, etd_weights,
                             symbols)
-from spdelab.models import DRIFT_OVERSAMPLE, eval_F_bar, eval_F_eps
+from spdelab.models import eval_F_bar, eval_F_eps
 from spdelab.noise import psi_diff_moment, step_coupled
-from spdelab.spectral import GridField, base_grid_size, sup_norm
+from spdelab.spectral import (ROW_TRANSFORM_POINTS, GridField, fast_grid_size,
+                              sup_norm)
 
 ROOT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -666,20 +667,22 @@ class TestNoGridTemporaries:
     first step a step allocates nothing the size of a drift-grid row."""
 
     def test_later_steps_allocate_no_grid_row(self, monkeypatch):
-        # a V_EPS block of 2 replicas at N = 4096 (drift grid M = 32,768,
-        # one row 256 KiB) measured against its two limits.  Tracing every
-        # bytecode instruction, traced memory may not rise by a row within
-        # one instruction from the second step on.  The largest arrays left
-        # are a tile's callback temporaries (2^14 points, 128 KiB) and
-        # numpy's ufunc buffers.  The noise step is not measured: it has no
-        # grid, and it allocates block-sized arrays by design (the stacked
-        # normals, the coloured innovations and the decayed state).
+        # a V_EPS block of 2 replicas at N = 8192 (drift grid M = 32,805,
+        # transformed row by row, one row 256 KiB) measured against its two
+        # limits.  Tracing every bytecode instruction, traced memory may not
+        # rise by a row within one instruction from the second step on.  The
+        # largest arrays left are a tile's callback temporaries (2^14 points,
+        # 128 KiB) and numpy's ufunc buffers.  The noise step is not
+        # measured: it has no grid, and its block of 2 x 8193 normals is
+        # about a row (test_noise checks that it allocates no block).
         spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
         u0 = initial_field(1, 16, 1.3, 1.0, NoiseStream(7))
-        cfg = config(max_mode=4096, dt=0.005, t_final=0.02)
+        cfg = config(max_mode=8192, dt=0.005, t_final=0.02)
+        m = fast_grid_size(4 * cfg.max_mode + 4)
+        assert m >= ROW_TRANSFORM_POINTS
         refs = [run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, cfg,
                          correction_constant=c) for c in (None, 0.0)]
-        row_bytes = 8 * DRIFT_OVERSAMPLE * base_grid_size(cfg.max_mode)
+        row_bytes = 8 * m
         steps, rises, last = [], [], [0]
         in_noise = [False]
         real_step = integrate_module.step_replicas

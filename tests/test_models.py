@@ -10,15 +10,15 @@ import spdelab.spectral as spectral_module
 from spdelab import (CallbackError, ModelSpec, SpectralField,
                      model_from_config, polynomial_model, sin_g_model,
                      white_noise_constant)
-from spdelab.models import (DRIFT_OVERSAMPLE, PolynomialPotential,
-                            PotentialSpec, check_effective_drift_identity,
-                            drift, effective_drift, eval_F_bar, eval_F_eps,
-                            eval_G, eval_G_bar, from_potential, plan_F_bar,
-                            plan_F_eps, plan_G, potential_spec,
+from spdelab.models import (PolynomialPotential, PotentialSpec,
+                            check_effective_drift_identity, drift,
+                            drift_grid_size, effective_drift, eval_F_bar,
+                            eval_F_eps, eval_G, eval_G_bar, from_potential,
+                            plan_F_bar, plan_F_eps, plan_G, potential_spec,
                             random_polynomial_potential, validate_model)
 from spdelab.spectral import (ROW_TRANSFORM_POINTS, GridField, Workspace,
-                              base_grid_size, dealias, derivative, from_grid,
-                              to_grid)
+                              dealias, dealias_cut, derivative, from_grid,
+                              grid_values)
 
 ROOT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -246,12 +246,15 @@ class TestGradientVariants:
 
 
 # ---------------------------------------------------------------------------
-# Oracle for the batched transform: the same drifts with one to_grid call per
-# derivative order, as they were evaluated before the transforms were batched.
+# Oracle for the batched transform: the same drifts with one grid transform
+# per derivative order on the model's drift grid, as they were evaluated
+# before the transforms were batched.
 
 
-def separate_grids(u: SpectralField, order: int) -> np.ndarray:
-    return to_grid(derivative(u, order), 2).values
+def separate_grids(spec: ModelSpec, u: SpectralField,
+                   order: int = 0) -> np.ndarray:
+    return grid_values(derivative(u, order).coeffs,
+                       drift_grid_size(u.max_mode, spec.degree))
 
 
 def project(out: np.ndarray, u: SpectralField) -> np.ndarray:
@@ -260,33 +263,33 @@ def project(out: np.ndarray, u: SpectralField) -> np.ndarray:
 
 
 def separate_F_eps(spec: ModelSpec, eps: float, u: SpectralField):
-    vals = to_grid(u, 2).values
+    vals = separate_grids(spec, u)
     out = np.ones_like(vals)
     if spec.f is not None:
         out += spec.f(vals)
     if eps != 0.0 and spec.g is not None:
         out += eps * np.einsum("ij...,j...->i...", spec.g(vals),
-                               separate_grids(u, 2))
+                               separate_grids(spec, u, 2))
     if eps != 0.0 and spec.h is not None:
-        ux = separate_grids(u, 1)
+        ux = separate_grids(spec, u, 1)
         out += eps * np.einsum("ijl...,j...,l...->i...", spec.h(vals), ux, ux)
     return project(out, u)
 
 
 def separate_F_bar(spec: ModelSpec, u: SpectralField, constant: float):
-    vals = to_grid(u, 2).values
+    vals = separate_grids(spec, u)
     return project(np.ones_like(vals) + effective_drift(spec, constant)(vals),
                    u)
 
 
 def separate_G(spec: ModelSpec, u: SpectralField, constant):
-    vals = to_grid(u, 2).values
+    vals = separate_grids(spec, u)
     out = np.zeros_like(vals)
     if spec.f is not None:
         out += spec.f(vals)
     if spec.h is not None:
         hv = spec.h(vals)
-        ux = separate_grids(u, 1)
+        ux = separate_grids(spec, u, 1)
         out += np.einsum("ijl...,j...,l...->i...", hv, ux, ux)
         if constant is not None:
             out += constant * np.einsum("ijj...->i...", hv)
@@ -364,13 +367,14 @@ class TestRowsAndTiles:
     """drift transforms by rows from ROW_TRANSFORM_POINTS on and runs the
     callbacks on tiles of POINTWISE_TILE points; neither may move a bit."""
 
-    # drift grids of 2^14 points (just below the crossover) and 2^15 (at it)
-    @pytest.mark.parametrize("max_mode", [4095, 4096])
+    # drift grids of 32,000 points (just below the crossover) and 32,805
+    # (just above it)
+    @pytest.mark.parametrize("max_mode", [7999, 8192])
     def test_block_drift_same_by_rows_and_batched(self, monkeypatch,
                                                   max_mode):
-        m = DRIFT_OVERSAMPLE * base_grid_size(max_mode)
-        assert (m < ROW_TRANSFORM_POINTS) == (max_mode == 4095)
         spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
+        m = drift_grid_size(max_mode, spec.degree)
+        assert (m < ROW_TRANSFORM_POINTS) == (max_mode == 7999)
         fields = [random_smooth_field(1, max_mode, seed) for seed in (1, 2)]
         plans = [plan_G(spec, None), plan_F_eps(spec, 0.3)]
         u = field_block(fields, len(plans))
@@ -388,12 +392,14 @@ class TestRowsAndTiles:
 
     def test_tiled_pointwise_equals_one_shot(self, monkeypatch):
         # two components, so the einsum paths sum over components; the
-        # tiles of 1000 // (n R) = 166 points do not divide M = 256
+        # tiles of 1000 // (n R) = 166 points divide neither M = 240
+        # (degree 5) nor M = 320 (grad, whose degree is unknown)
         pot = random_polynomial_potential(2, 4, np.random.default_rng(5))
         spec, _ = from_potential(potential_spec(pot, 1.5, 0.2))
         grad = ModelSpec(n=spec.n, nu=spec.nu, f=spec.f, h=spec.h)
         fields = [random_smooth_field(2, 40, seed) for seed in (3, 4, 5)]
-        assert DRIFT_OVERSAMPLE * base_grid_size(40) % (1000 // 6) != 0
+        assert [drift_grid_size(40, d)
+                for d in (spec.degree, grad.degree)] == [240, 320]
         for plans in ([plan_F_eps(spec, 0.3), plan_F_bar(spec, 0.4)],
                       [plan_G(grad, None), plan_G(grad, 0.4)]):
             u = field_block(fields, len(plans))
@@ -402,6 +408,116 @@ class TestRowsAndTiles:
                 monkeypatch.setattr(models_module, "POINTWISE_TILE", tile)
                 got.append(drift(plans, u))
             assert np.array_equal(got[0], got[1])
+
+
+def flat_field(max_mode: int, seed: int) -> SpectralField:
+    """Random coefficients that do not decay, so products of the top modes
+    are as large as any and an aliased one shows."""
+    rng = np.random.default_rng(seed)
+    c = 0.3 * (rng.normal(size=(1, max_mode + 1))
+               + 1j * rng.normal(size=(1, max_mode + 1)))
+    c[:, 0] = c[:, 0].real
+    return SpectralField(1, max_mode, c)
+
+
+def potential_case(v, temperature: float = 1.0, mass: float = 0.1):
+    """model_from_config's potential model of V = sum_j v_j q^j, its eps, and
+    the same drift as polynomial channels for the oracle: f = -d2V dV / 2T,
+    g = -2 d2V / sqrt(2T), h = -d3V / sqrt(2T)."""
+    spec, eps = model_from_config({"name": "potential", "coeffs": list(v),
+                                   "temperature": temperature, "mass": mass})
+    P = np.polynomial.polynomial
+    scale = math.sqrt(2.0 * temperature)
+    dv, d2v, d3v = (P.polyder(v, k) for k in (1, 2, 3))
+    case = dict(f=tuple(-P.polymul(d2v, dv) / (2.0 * temperature)),
+                g=tuple(-2.0 * d2v / scale), h=tuple(-d3v / scale))
+    return spec, eps, case
+
+
+def recorded_grid_sizes(monkeypatch) -> list[int]:
+    """The M of every grid_values call that drift makes from now on."""
+    sizes = []
+    real = models_module.grid_values
+
+    def recorded(coeffs, m, *rest):
+        sizes.append(m)
+        return real(coeffs, m, *rest)
+
+    monkeypatch.setattr(models_module, "grid_values", recorded)
+    return sizes
+
+
+def deviation(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestDriftGridContract:
+    """drift's grid is the smallest 2*3*5-smooth M >= 4N+4 with M > dN + cut
+    for the model's degree d, so no product aliases onto a kept mode.  The
+    drifts are checked against the brute-force convolution of their Hermitian
+    coefficient sequences, on fields whose spectrum does not decay."""
+
+    MODELS = [dict(f=(0.0, -1.0), h=(1.0,)),
+              dict(f=(0.1, -1.0, 0.2), g=(0.5, 0.3))]
+
+    # (N, M): 45 points, one batched call; 32,805 points, one call per row
+    @pytest.mark.parametrize("max_mode, points", [(10, 45), (8192, 32805)])
+    def test_quadratic_drift_equals_convolution(self, monkeypatch, max_mode,
+                                                points):
+        sizes = recorded_grid_sizes(monkeypatch)
+        assert (points >= ROW_TRANSFORM_POINTS) == (max_mode == 8192)
+        u = flat_field(max_mode, 21)
+        for case in self.MODELS:
+            spec = polynomial_model(1.0, f_coeffs=case.get("f"),
+                                    g_coeffs=case.get("g"),
+                                    h_coeffs=case.get("h"))
+            assert spec.degree == 2
+            got = eval_F_eps(spec, 0.3, u).coeffs[0]
+            want = oracle_F_eps(u, 0.3, K=max_mode, **case)
+            assert deviation(got, want) <= 1e-12
+        assert sizes == [points] * len(self.MODELS)
+
+    # name: (degree, M at N = 10, builder).  Degree 3 sits on the 4N+4
+    # floor; above it M > 10 d + 6.  A potential of degree d makes a drift
+    # of degree 2d - 3 (f = -d2V dV / 2T).
+    CASES = {
+        "cubic h": (3, 45, lambda: (polynomial_model(
+            1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.1, -0.4)), 0.3,
+            dict(f=(0.0, -1.0), h=(1.1, -0.4)))),
+        "quartic f": (4, 48, lambda: (polynomial_model(
+            1.0, f_coeffs=(0.1, -1.0, 0.3, 0.2, -0.4)), 0.3,
+            dict(f=(0.1, -1.0, 0.3, 0.2, -0.4)))),
+        "quartic potential": (5, 60, lambda: potential_case(
+            (0.0, 0.0, 0.0, 0.0, 0.25))),
+        "sextic potential": (9, 100, lambda: potential_case(
+            (0.0, 0.3, -0.5, 0.2, 0.1, -0.05, 0.2))),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_higher_degree_drift_equals_convolution(self, monkeypatch, name):
+        degree, points, build = self.CASES[name]
+        spec, eps, case = build()
+        assert spec.degree == degree
+        u = flat_field(10, 22)
+        want = oracle_F_eps(u, eps, K=10 * degree, **case)
+        sizes = recorded_grid_sizes(monkeypatch)
+        assert deviation(eval_F_eps(spec, eps, u).coeffs[0], want) <= 1e-12
+        assert sizes == [points]
+        # one point short of M > dN + cut, a product aliases onto a kept
+        # mode and the oracle sees it (seen: 5e-9 for the sextic potential,
+        # whose degree-9 products are small, 7e-3 for cubic h)
+        monkeypatch.setattr(models_module, "drift_grid_size",
+                            lambda n, d: d * n + dealias_cut(n))
+        assert deviation(eval_F_eps(spec, eps, u).coeffs[0], want) > 1e-10
+
+    def test_unknown_degree_counts_as_seven(self):
+        # sin g is no polynomial: its grid is alias-free through degree 7,
+        # as the former 8N grid was
+        assert sin_g_model(1.0).degree is None
+        assert ModelSpec(n=1, nu=1.0).degree is None
+        assert [drift_grid_size(n, None) for n in (10, 1024)] == \
+            [drift_grid_size(n, 7) for n in (10, 1024)] == [80, 8000]
+        assert polynomial_model(1.0).degree == 0
 
 
 def quartic_potential() -> PolynomialPotential:

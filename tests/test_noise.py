@@ -1,6 +1,7 @@
 """Tests for the coupled stationary noise engine."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from scipy.integrate import quad
 
 from spdelab import NoiseStream, sample_stationary
 from spdelab.linops import OperatorSpec, symbols
-from spdelab.noise import (_LevelFactors, psi_diff_moment, sample_replicas,
+from spdelab.noise import (PURPOSE_OU_STEP, _LevelFactors, _stacked_normals,
+                           psi_diff_moment, sample_replicas,
                            stationary_samples, step_coupled, step_replicas)
+from spdelab.spectral import Workspace
 
 
 def rates(nu: float, eps: float, k: int) -> float:
@@ -296,6 +299,58 @@ class TestReplicaBlockNoise:
                             (f._covariance(0.05), f.step_factors(0.05)[1])):
             want = unique_factor_colored(f, np.linalg.cholesky(cov), z)
             assert_bitwise(f.colored(factor, z), want)
+
+    def test_stacked_draw_equals_separate_draws(self):
+        streams = [NoiseStream(16, replica=r) for r in range(3)]
+        shape = (33, 1, 2, 2)
+        want = np.stack([s.with_purpose(PURPOSE_OU_STEP).normals(4, shape)
+                         for s in streams])
+        out = np.full((3, *shape), np.nan)
+        assert _stacked_normals(streams, PURPOSE_OU_STEP, 4, shape, out) \
+            is out
+        assert (out == want).all()
+        assert (_stacked_normals(streams, PURPOSE_OU_STEP, 4, shape)
+                == want).all()
+
+    def test_block_path_equals_allocating_step(self):
+        # the in-place step on a workspace against the step that drew each
+        # stream's normals, stacked them, coloured them into a fresh array
+        # and added the decayed state to it
+        streams = [NoiseStream(17, replica=r) for r in range(3)]
+        factors, psi = sample_replicas(self.LEVELS, 2, 9, streams)
+        want = psi.copy()
+        decay, factor = factors.step_factors(0.05)
+        work = Workspace()
+        for step in range(10):
+            z = np.stack([s.with_purpose(PURPOSE_OU_STEP).normals(
+                step + 1, (10, 2, 2, 3)) for s in streams])
+            nxt = factors.colored(factor, z)
+            nxt += decay[:, None, :] * want
+            want = nxt
+            assert step_replicas(factors, streams, step, psi, 0.05,
+                                 work) is psi
+            assert_bitwise(psi, want)
+
+    def test_later_steps_allocate_no_block(self):
+        # 4 replicas x 2 levels x 20,001 modes: the normals and the state
+        # are 2.5 MB each.  After the first step has filled the workspace,
+        # a step's traced memory may rise by no more than numpy's ufunc
+        # buffers (128 KiB here) and the streams' generators.
+        levels = (OperatorSpec(1.0, 0.5), OperatorSpec(1.0, 0.0))
+        streams = [NoiseStream(18, replica=r) for r in range(4)]
+        factors, psi = sample_replicas(levels, 1, 20000, streams)
+        work = Workspace()
+        step_replicas(factors, streams, 0, psi, 0.05, work)
+        tracemalloc.start()
+        try:
+            for step in range(1, 4):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                step_replicas(factors, streams, step, psi, 0.05, work)
+                rise = tracemalloc.get_traced_memory()[1] - before
+                assert rise < psi.nbytes // 8
+        finally:
+            tracemalloc.stop()
 
     def test_step_is_one_einsum_without_fancy_indexing(self, monkeypatch):
         streams = [NoiseStream(15, replica=r) for r in range(3)]

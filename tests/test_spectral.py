@@ -8,9 +8,9 @@ import pytest
 import spdelab.spectral as spectral_module
 from spdelab import SpectralField
 from spdelab.spectral import (ROW_TRANSFORM_POINTS, GridField, Workspace,
-                              dealias, derivative, from_grid, grid_coeffs,
-                              grid_values, sobolev_norm, sup_norm, sup_norms,
-                              to_grid)
+                              dealias, derivative, fast_grid_size, from_grid,
+                              grid_coeffs, grid_values, sobolev_norm, sup_norm,
+                              sup_norms, to_grid)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -115,28 +115,55 @@ class TestGridTransforms:
             from_grid(g, g.grid_size // 2)
 
 
+def smooth(m: int) -> bool:
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+class TestFastGridSize:
+    def test_smallest_smooth_size_at_least_points(self):
+        for points in range(1, 2000):
+            m = fast_grid_size(points)
+            assert m >= points and smooth(m)
+            assert not any(smooth(k) for k in range(points, m))
+
+    def test_drift_grid_sizes(self):
+        # 4N+4 for N = 10, 4095, 4096 and 8192
+        assert [fast_grid_size(p) for p in (44, 16384, 16388, 32772)] == \
+            [45, 16384, 16875, 32805]
+
+
 class TestWorkspace:
     """Kernels that reuse a workspace's arrays give the bits of a fresh
     call, whatever the workspace held before, on either side of the
     row-by-row crossover."""
 
+    # powers of two, and the 2*3*5-smooth (odd) drift grids of N = 4096 and
+    # N = 8192, on both sides of the crossover
     @pytest.mark.parametrize("m", [ROW_TRANSFORM_POINTS // 2,
-                                   ROW_TRANSFORM_POINTS])
+                                   ROW_TRANSFORM_POINTS, 16875, 32805])
     def test_reused_transforms_equal_fresh_ones(self, monkeypatch, m):
         work = Workspace()
         # a 10-mode call on the grid a 20-mode call has filled must not see
         # the higher modes
         for modes in (20, 10, 20):
             coeffs = random_field(3, modes, modes).coeffs
-            fresh = grid_values(coeffs, m)
+            got = []
             for crossover in (m, m + 1):   # one call per row, one batched
                 monkeypatch.setattr(spectral_module, "ROW_TRANSFORM_POINTS",
                                     crossover)
+                fresh = grid_values(coeffs, m)
                 assert np.array_equal(grid_values(coeffs, m, work), fresh)
                 back = grid_coeffs(fresh, modes, work)
                 assert np.array_equal(back, grid_coeffs(fresh, modes))
                 assert np.array_equal(sup_norms(coeffs, work),
                                       sup_norms(coeffs))
+                got.append((fresh, back.copy()))
+            (rows, rows_back), (batched, batched_back) = got
+            assert np.array_equal(rows, batched)
+            assert np.array_equal(rows_back, batched_back)
 
     def test_result_is_the_workspace_array(self):
         work = Workspace()

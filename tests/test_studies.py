@@ -16,9 +16,8 @@ import spdelab.studies as studies_module
 from spdelab.constants import white_noise_constant
 from spdelab.integrate import SimulationConfig
 from spdelab.linops import OperatorSpec
-from spdelab.models import DRIFT_OVERSAMPLE
 from spdelab.noise import step_coupled
-from spdelab.spectral import ROW_TRANSFORM_POINTS, base_grid_size, sup_norm
+from spdelab.spectral import ROW_TRANSFORM_POINTS, fast_grid_size, sup_norm
 from spdelab.studies import (SCHEMA_VERSION, _block_map, calibrate_dt,
                              report_csv_text, report_json_text, tail_csv_text)
 
@@ -160,7 +159,9 @@ class TestConvergenceStudy:
         # the values were recorded with repr from the integrator that ran
         # each replica's three channels through separate drift transforms
         # and measured distances on stored trajectories, so a block core
-        # that moves any digit fails here
+        # that moves any digit fails here; re-recorded when the drift grid
+        # went from 8N points to the 2*3*5-smooth size >= 4N+4, which moved
+        # seven of them by at most 4.3e-16 relative
         cfg = RunConfig(eps_grid=tuple(2.0 ** -j for j in range(3, 7)),
                         replicas=3, seed=3, modes_over_eps=4.0, dt=0.01,
                         t_final=0.2, workers=2)
@@ -168,10 +169,10 @@ class TestConvergenceStudy:
         assert [row["n_modes"] for row in report.per_eps] == [32, 64, 128, 256]
         assert [(row["mean_error"], row["naive_mean_error"])
                 for row in report.per_eps] == [
-            (0.48705890363415266, 0.5243260101614619),
-            (0.3481930913851223, 0.39170819466766016),
-            (0.2673698955123813, 0.30826665575051604),
-            (0.19096987592235834, 0.24791825336203888)]
+            (0.4870589036341526, 0.5243260101614621),
+            (0.34819309138512233, 0.3917081946676603),
+            (0.2673698955123813, 0.3082666557505161),
+            (0.19096987592235837, 0.24791825336203896)]
         assert all(row["n_censored"] == 0 for row in report.per_eps)
 
     @pytest.mark.parametrize("model", [
@@ -235,7 +236,10 @@ class TestTheorem15Study:
         # criterion 7's model on 4 eps levels (N = 32..256), 2 replicas;
         # the values were recorded with repr from the integrator that ran
         # the oversampled sup norm at every step and one transform per
-        # derivative, so a fast path that moves any digit fails here
+        # derivative, so a fast path that moves any digit fails here;
+        # re-recorded when the drift grid went from 8N points to the
+        # 2*3*5-smooth size >= 4N+4, which moved three of them by at most
+        # 1.8e-16 relative
         cfg = RunConfig(study="theorem15", beta=0.6, u0_decay=1.3,
                         eps_grid=tuple(2.0 ** -j for j in range(3, 7)),
                         replicas=2, seed=3, modes_over_eps=4.0, dt=0.01,
@@ -244,9 +248,9 @@ class TestTheorem15Study:
         assert [row["n_modes"] for row in report.per_eps] == [32, 64, 128, 256]
         assert [(row["mean_error"], row["naive_mean_error"])
                 for row in report.per_eps] == [
-            (0.9803151924014839, 0.993965950988728),
-            (0.7916565075798422, 0.8118568275863429),
-            (0.6329172579060249, 0.6541562513023214),
+            (0.9803151924014839, 0.9939659509887281),
+            (0.7916565075798421, 0.8118568275863429),
+            (0.632917257906025, 0.6541562513023214),
             (0.4982555089441466, 0.5234404772294784)]
         assert all(row["n_censored"] == 0 for row in report.per_eps)
 
@@ -282,14 +286,14 @@ class TestTheorem15Study:
 
     def test_worker_split_invariance_on_row_transform_grids(self,
                                                             monkeypatch):
-        # N = 4096 puts the drift grid at 2^15 points, where every transform
-        # runs one row at a time into the run's workspace; each thread's
-        # runs keep their own workspaces
+        # N = 8192 puts the drift grid at 32,805 points, where every
+        # transform runs one row at a time into the run's workspace; each
+        # thread's runs keep their own workspaces
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        m = DRIFT_OVERSAMPLE * base_grid_size(4096)
+        m = fast_grid_size(4 * 8192 + 4)
         assert m >= ROW_TRANSFORM_POINTS
         cfg = dict(eps_grid=(0.5, 0.25), replicas=2, seed=4,
-                   fixed_modes=4096, dt=0.005, t_final=0.01)
+                   fixed_modes=8192, dt=0.005, t_final=0.01)
         one, two = [run_theorem15_study(RunConfig(workers=w, **cfg))
                     for w in (1, 2)]
         assert one.per_eps == two.per_eps
