@@ -144,8 +144,8 @@ def deterministic_profile(max_mode: int, alpha: float, nu: float) -> SpectralFie
     """
     k = np.arange(max_mode + 1, dtype=np.float64)
     coeffs = ((1.0 + k * k) ** -1.0)[None, :].astype(np.complex128)
-    raw = SpectralField(1, max_mode, coeffs)
-    return raw * (1.0 / sobolev_norm(raw, alpha, nu))
+    return SpectralField(1, max_mode,
+                         coeffs * (1.0 / sobolev_norm(coeffs, alpha, nu)))
 
 
 def replica_norms(nu: float, eps: float, gamma: float, v_modes: np.ndarray,
@@ -164,7 +164,6 @@ def replica_norms(nu: float, eps: float, gamma: float, v_modes: np.ndarray,
         phi = (_triple_sum(w_grid, w_grid, v_grid, n)
                - v_modes / (2.0 * eps * math.sqrt(nu)))
         phit = _triple_sum(w_grid, wt_grid, v_grid, n)
-        out.append(tuple(
-            sobolev_norm(SpectralField.from_coeffs(modes), -gamma, nu)
-            for modes in (phi, phit)))
+        out.append(tuple(float(sobolev_norm(modes[None], -gamma, nu))
+                         for modes in (phi, phit)))
     return out

@@ -180,7 +180,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     lines = ["time,sup_norm,sobolev_norm"]
     for t, field in zip(traj.times, traj.fields):
         lines.append(f"{_fmt(t)},{_fmt(sup_norm(field))},"
-                     f"{_fmt(sobolev_norm(field, cfg.beta, spec.nu))}")
+                     f"{_fmt(sobolev_norm(field.coeffs, cfg.beta, spec.nu))}")
     text = "\n".join(lines) + "\n"
     if args.output_csv:
         _atomic_write(_resolve_output(args.output_csv), text)

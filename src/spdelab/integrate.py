@@ -33,12 +33,14 @@ observer: run_mild and couple_runs (the R = 1 case) record trajectories;
 coupled_distances keeps each replica's running maximum sup distance from
 the perturbed run to both limits, measuring all replicas' differences with
 one sup_norms call, and reference_distances its running maximum Sobolev
-distance to fixed reference trajectories.
+distance to fixed reference trajectories, with one sobolev_norm call per
+reference; neither builds a SpectralField.
 
 A run allocates its step arrays once.  Each call of the core owns a
 spectral.Workspace for the drift's input, grid and spectrum and the noise's
-normals and innovations (coupled_distances keeps a second for its 8x grids),
-and updates v, its copy of psi, u = v + scale * psi and the guard's |u| in
+normals and innovations (coupled_distances keeps a second for its 8x
+grids, and reference_distances one array for its differences), and
+updates v, its copy of psi, u = v + scale * psi and the guard's |u| in
 place with out=, in the order the formulas are written, so no bit changes.
 Rows of at least spectral.ROW_TRANSFORM_POINTS points are transformed one
 FFT call at a time, and the model callbacks run on tiles of
@@ -430,15 +432,18 @@ def reference_distances(spec: ModelSpec, eps: float, u0: SpectralField,
     channel = _build_channel(spec, Variant.V_EPS, eps, noise[0], config, None)
     dist = np.full((len(streams), len(references)), math.nan)
     recorded = itertools.count()
+    # the block's differences to one reference, overwritten at every use
+    diff = np.empty((len(streams), spec.n, config.max_mode + 1),
+                    dtype=np.complex128)
 
     def sobolev_distances(t: float, u: np.ndarray, alive: np.ndarray) -> None:
         i = next(recorded)
         for j, ref in enumerate(references):
-            for r in alive[:, 0].nonzero()[0] if i < len(ref.fields) else ():
-                d = sobolev_norm(SpectralField(spec.n, config.max_mode,
-                                               u[r, 0] - ref.fields[i].coeffs),
-                                 beta, spec.nu)
-                dist[r, j] = np.fmax(dist[r, j], d)
+            if i < len(ref.fields):
+                np.subtract(u[:, 0], ref.fields[i].coeffs, out=diff)
+                # a censored row is frozen and never enters a maximum
+                np.fmax(dist[:, j], sobolev_norm(diff, beta, spec.nu),
+                        out=dist[:, j], where=alive[:, 0])
 
     censoring_time = _advance(spec, [channel], u0, noise, streams, config,
                               sobolev_distances)
@@ -461,7 +466,7 @@ def sup_distance(a: Trajectory, b: Trajectory, norm: str = "sup", *,
     if norm == "sobolev":
         if alpha is None or nu is None:
             raise ValueError("sobolev distance needs alpha and nu")
-        measure = lambda d: sobolev_norm(d, alpha, nu)
+        measure = lambda d: sobolev_norm(d.coeffs, alpha, nu)
     elif norm == "sup":
         measure = sup_norm
     else:

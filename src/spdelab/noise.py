@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linops import symbols
-from .spectral import SpectralField, Workspace
+from .spectral import Workspace
 
 # Purpose tags keep independent uses of one base seed on disjoint streams.
 PURPOSE_OU_INIT = 1
@@ -212,9 +212,6 @@ class CoupledOUState:
     psi: np.ndarray  # complex, shape (levels, n_components, max_mode+1)
     stream: NoiseStream
     factors: _LevelFactors
-
-    def psi_field(self, level: int) -> SpectralField:
-        return SpectralField.from_coeffs(self.psi[level])
 
 
 def stationary_samples(levels, n_components: int, max_mode: int,

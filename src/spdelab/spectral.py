@@ -12,9 +12,11 @@ power of two times an oversampling factor; the drift grid
 size, fast_grid_size.
 
 Fields and the functions taking them validate; inner loops call the array
-kernels behind them (grid_values, grid_coeffs, derivative_coeffs) unchecked.
-A Workspace lends those kernels arrays that live as long as a run, so a step
-loop that transforms the same shapes again and again maps no fresh pages.
+kernels behind them (grid_values, grid_coeffs, derivative_coeffs, the
+dealias_cut slice) unchecked.  The norms take coefficient arrays: sup_norms
+a stack of rows, sobolev_norm any leading shape.  A Workspace lends the
+transform kernels arrays that live as long as a run, so a step loop that
+transforms the same shapes again and again maps no fresh pages.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-_TWO_PI = 2.0 * math.pi
-_SQRT_TWO_PI = math.sqrt(_TWO_PI)
+_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 DEALIAS_FRACTION = 2.0 / 3.0  # Orszag's 2/3 rule for quadratic products
 
 # Rows of at least this many grid points are transformed one FFT call at a
@@ -140,9 +141,6 @@ class GridField:
             raise ValueError("non-finite grid value")
         object.__setattr__(self, "values", v)
 
-    def nodes(self) -> np.ndarray:
-        return np.arange(self.grid_size) * (_TWO_PI / self.grid_size)
-
 
 class Workspace:
     """Arrays that the transform kernels reuse from call to call, one per
@@ -209,10 +207,10 @@ def grid_coeffs(values: np.ndarray, max_mode: int,
 
 def derivative_coeffs(coeffs: np.ndarray, order: int,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """Unchecked kernel of derivative: mode k (last axis) times (i*k)^order,
-    with i^order an exact quarter-turn (no complex power), so even orders
-    stay exactly real-scaled and k = 0 stays exactly real.  Written into
-    out when given."""
+    """Spatial derivative of the given order: mode k (last axis) times
+    (i*k)^order, with i^order an exact quarter-turn (no complex power), so
+    even orders stay exactly real-scaled and k = 0 stays exactly real.
+    Written into out when given."""
     k = np.arange(coeffs.shape[-1], dtype=np.float64)
     out = np.multiply(coeffs, k ** order, out=out)
     return np.multiply((1.0, 1j, -1.0, -1j)[order % 4], out, out=out)
@@ -247,27 +245,24 @@ def from_grid(grid: GridField, max_mode: int) -> SpectralField:
                          grid_coeffs(grid.values, max_mode))
 
 
-def derivative(field: SpectralField, order: int = 1) -> SpectralField:
-    """Spatial derivative of the given order (derivative_coeffs)."""
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
-    return SpectralField(field.n_components, field.max_mode,
-                         derivative_coeffs(field.coeffs, order))
-
-
-def sobolev_norm(field: SpectralField, alpha: float, nu: float) -> float:
-    """Weighted l2 norm sqrt(sum_i sum_{|k|<=N} (1+nu*k^2)^alpha |u_{i,k}|^2).
+def sobolev_norm(coeffs: np.ndarray, alpha: float, nu: float) -> np.ndarray:
+    """Weighted l2 norms sqrt(sum_i sum_{|k|<=N} (1+nu*k^2)^alpha |u_{i,k}|^2)
+    of coefficient arrays shaped (..., n, N+1), one per leading index (a
+    scalar for one field's (n, N+1) coefficients).
 
     The implied negative modes are counted, i.e. every k >= 1 term enters
-    twice.  Negative alpha gives the dual (distribution-scale) norms.
+    twice.  Negative alpha gives the dual (distribution-scale) norms.  Each
+    norm is a pairwise sum over its own contiguous rows, so it has the same
+    bits in a stack as alone.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
-    k = np.arange(field.max_mode + 1, dtype=np.float64)
+    k = np.arange(coeffs.shape[-1], dtype=np.float64)
     w = (1.0 + nu * k * k) ** alpha
-    sq = np.abs(field.coeffs) ** 2
-    total = float(np.sum(w[0] * sq[:, 0]) + 2.0 * np.sum(w[1:] * sq[:, 1:]))
-    return math.sqrt(total)
+    tail = np.abs(coeffs[..., 1:]) ** 2   # one contiguous temporary
+    tail *= w[1:]
+    return np.sqrt(np.sum(w[0] * np.abs(coeffs[..., 0]) ** 2, axis=-1)
+                   + 2.0 * np.sum(tail, axis=(-2, -1)))
 
 
 def sup_norms(coeffs: np.ndarray, work: Workspace | None = None) -> list:
@@ -301,9 +296,3 @@ def sup_norm(field: SpectralField) -> float:
     """Max over components of sup_norms(field.coeffs)."""
     return max(0.0, *sup_norms(field.coeffs))
 
-
-def dealias(field: SpectralField) -> SpectralField:
-    """Zero every mode with |k| > dealias_cut(N) (the 2/3 rule)."""
-    c = field.coeffs.copy()
-    c[:, dealias_cut(field.max_mode) + 1:] = 0.0
-    return SpectralField(field.n_components, field.max_mode, c)

@@ -36,14 +36,15 @@ from .noise import (NoiseStream, PURPOSE_INITIAL_FIELD, sample_replicas,
 from .regression import RegressionResult, regress_loglog
 from .spectral import SpectralField, Workspace, sup_norms
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _DYADIC = tuple(2.0 ** -j for j in range(3, 8))
 
 
 @dataclass
 class RunConfig:
-    """Resolved configuration of one study; everything echoes into reports."""
+    """Resolved configuration of one study; all but workers echoes into
+    reports, which do not depend on the worker count."""
 
     study: str = "converge"
     model: dict = field(default_factory=lambda: {
@@ -214,8 +215,10 @@ def _sweep(cfg: RunConfig, study: str, nu: float, per_eps,
            if r["mean_error"] is not None and r["mean_error"] > 0]
     fit = regress_loglog(pts) if len(pts) >= 4 else RegressionResult(
         None, None, None, None)
+    config = cfg.to_dict()
+    del config["workers"]
     return ConvergenceReport(
-        study=study, seed=cfg.seed, config=cfg.to_dict(),
+        study=study, seed=cfg.seed, config=config,
         eps=[r["eps"] for r in rows], per_eps=rows, slope=fit.slope,
         intercept=fit.intercept, r2=fit.r2, ci95=fit.ci95,
         naive_over_corrected=_ratio_at_smallest(rows), constants=constants)

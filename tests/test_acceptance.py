@@ -180,10 +180,11 @@ def _remainder_separation(cfg: RunConfig) -> dict:
         perturbed, naive, corrected = couple_runs(
             spec, [eps], u0, sim, stream, correction=cfg.correction)
         state = sample_stationary(levels, spec.n, sim.max_mode, stream)
-        psi_gap = [state.psi_field(0) - state.psi_field(1)]
+        psi_gap = [SpectralField.from_coeffs(state.psi[0] - state.psi[1])]
         for _ in range(sim.n_steps):
             state = step_coupled(state, sim.dt)
-            psi_gap.append(state.psi_field(0) - state.psi_field(1))
+            psi_gap.append(SpectralField.from_coeffs(state.psi[0]
+                                                     - state.psi[1]))
         psi_gap = psi_gap[::sim.record_stride]
 
         def remainder(limit) -> tuple[float, bool]:

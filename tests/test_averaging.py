@@ -272,7 +272,8 @@ class TestDeterministicProfile:
     def test_unit_alpha_norm(self):
         for n in (16, 64):
             v = deterministic_profile(n, 0.75, 1.0)
-            assert sobolev_norm(v, 0.75, 1.0) == pytest.approx(1.0, rel=1e-12)
+            assert sobolev_norm(v.coeffs, 0.75, 1.0) == pytest.approx(
+                1.0, rel=1e-12)
 
     def test_decay_shape(self):
         v = deterministic_profile(32, 0.75, 1.0)

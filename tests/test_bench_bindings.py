@@ -61,6 +61,11 @@ def test_traced_reduced_study_reports_every_layer(study, run):
     else:
         assert metrics["integrate.run.calls"] == 2 * len(cfg.eps_grid)
         assert metrics["spectral.sobolev_norm.calls"] > 0
+        # the initial field and the limits' recorded fields: the Sobolev
+        # distances measure plain arrays
+        n_steps = cfg.simulation_config(cfg.eps_grid[0]).n_steps
+        assert metrics["spectral.fields_created"] \
+            == 1 + 2 * len(cfg.eps_grid) * (n_steps + 1)
 
 
 def test_traced_to_grid_counts_its_points():

@@ -622,9 +622,8 @@ class TestReferenceDistances:
 
 
 class TestNoFieldsInStepLoop:
-    """The block core works on plain arrays: the step loop builds no
-    SpectralField or GridField; only a Sobolev measurement wraps its
-    difference in one field."""
+    """The block core works on plain arrays: neither the step loop nor a
+    distance measurement builds a SpectralField or GridField."""
 
     def count_fields(self, monkeypatch) -> list:
         built = []
@@ -648,7 +647,7 @@ class TestNoFieldsInStepLoop:
         assert len(block) == 3
         assert built == []
 
-    def test_reference_distances_one_field_per_measurement(self, monkeypatch):
+    def test_reference_distances_builds_no_field(self, monkeypatch):
         spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
         u0 = initial_field(1, 6, 1.5, 0.5, NoiseStream(6))
         cfg = config(max_mode=8, dt=0.05, t_final=0.25)
@@ -659,7 +658,7 @@ class TestNoFieldsInStepLoop:
                                     [NoiseStream(6, replica=r)
                                      for r in range(3)], refs, beta=0.6)
         assert not any(c for pair in block for _, c in pair)
-        assert built == ["SpectralField"] * (3 * 2 * (cfg.n_steps + 1))
+        assert built == []
 
 
 class TestNoGridTemporaries:

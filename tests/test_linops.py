@@ -97,8 +97,9 @@ class TestSemigroup:
         op = OperatorSpec(1.0, 0.25)
         f = random_field(10, 4)
         for alpha in (-0.75, 0.0, 1.0):
-            before = sobolev_norm(f, alpha, op.nu)
-            after = sobolev_norm(apply_semigroup(op, f, 0.13), alpha, op.nu)
+            before = sobolev_norm(f.coeffs, alpha, op.nu)
+            after = sobolev_norm(apply_semigroup(op, f, 0.13).coeffs, alpha,
+                                 op.nu)
             assert after <= before * math.exp(-0.13) + 1e-12
 
     def test_smoothing_bound_sweep(self):

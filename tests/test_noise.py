@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spdelab import NoiseStream, sample_stationary
+from spdelab import NoiseStream, SpectralField, sample_stationary
 from spdelab.linops import OperatorSpec, symbols
 from spdelab.noise import (PURPOSE_OU_STEP, _LevelFactors, _stacked_normals,
                            psi_diff_moment, sample_replicas,
@@ -217,7 +217,7 @@ class TestCoupledStepping:
         assert state.factors.level_index(0.0) == 1
         with pytest.raises(ValueError):
             state.factors.level_index(0.3)
-        field = state.psi_field(0)
+        field = SpectralField.from_coeffs(state.psi[0])
         assert field.n_components == 2 and field.max_mode == 5
         field.coeffs[0, 1] = 99.0
         assert state.psi[0, 0, 1] != 99.0

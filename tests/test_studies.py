@@ -8,10 +8,11 @@ import threading
 import numpy as np
 import pytest
 
-from spdelab import (ConvergenceReport, NoiseStream, RunConfig, Variant,
-                     initial_field, polynomial_model, run_averaging_study,
-                     run_convergence_study, run_psi_coupling_study,
-                     run_theorem15_study, sample_stationary, write_report)
+from spdelab import (ConvergenceReport, NoiseStream, RunConfig, SpectralField,
+                     Variant, initial_field, polynomial_model,
+                     run_averaging_study, run_convergence_study,
+                     run_psi_coupling_study, run_theorem15_study,
+                     sample_stationary, write_report)
 import spdelab.studies as studies_module
 from spdelab.constants import white_noise_constant
 from spdelab.integrate import SimulationConfig
@@ -108,7 +109,9 @@ class TestConvergenceStudy:
         assert isinstance(report, ConvergenceReport)
         assert report.study == "converge"
         assert report.schema_version == SCHEMA_VERSION
-        assert report.config == cfg.to_dict()
+        # every setting but the worker count, which changes no number
+        assert report.config == {key: value for key, value
+                                 in cfg.to_dict().items() if key != "workers"}
         assert report.eps == sorted(cfg.eps_grid, reverse=True)
         for row in report.per_eps:
             assert row["n_replicas"] == cfg.replicas
@@ -305,10 +308,11 @@ def psi_distance_reference(nu, eps, max_mode, dt, t_final, stream):
     alone through step_coupled."""
     state = sample_stationary((OperatorSpec(nu, eps), OperatorSpec(nu, 0.0)),
                               1, max_mode, stream)
-    best = sup_norm(state.psi_field(0) - state.psi_field(1))
+    best = sup_norm(SpectralField.from_coeffs(state.psi[0] - state.psi[1]))
     for _ in range(max(1, int(round(t_final / dt)))):
         state = step_coupled(state, dt)
-        best = max(best, sup_norm(state.psi_field(0) - state.psi_field(1)))
+        best = max(best, sup_norm(SpectralField.from_coeffs(state.psi[0]
+                                                            - state.psi[1])))
     return best
 
 
