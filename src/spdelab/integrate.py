@@ -25,16 +25,16 @@ pair of noise.sample_replicas, psi stacked (R, levels, n, N+1).  Each step
 makes one models.drift call for the block (one grid transform and one
 back-transform) and one noise.step_replicas call, which colours the
 replicas' normals, each drawn from the replica's own counter-based stream,
-with one einsum; inputs are checked when a run starts, and the step loop
-builds no SpectralField but in the guard's rare fallback.  Batched real
-FFTs are bit-identical per row, so a replica's numbers do not depend on
-its block.  At every recorded time the core hands the state to one
-observer: run_mild and couple_runs (the R = 1 case) record trajectories;
+with one einsum; inputs are checked when a run starts, and no SpectralField
+is built after that.  Batched real FFTs are bit-identical per row, so a
+replica's numbers do not depend on its block.  At every recorded time the
+core hands the state to one observer: run_mild and couple_runs (the R = 1
+case) record trajectories, each one (T, n, N+1) coefficient array;
 coupled_distances keeps each replica's running maximum sup distance from
 the perturbed run to both limits, measuring all replicas' differences with
 one sup_norms call, and reference_distances its running maximum Sobolev
 distance to fixed reference trajectories, with one sobolev_norm call per
-reference; neither builds a SpectralField.
+reference.
 
 A run allocates its step arrays once.  Each call of the core owns a
 spectral.Workspace for the drift's input, grid and spectrum and the noise's
@@ -132,7 +132,7 @@ class Trajectory:
     variant: Variant
     eps: float
     times: np.ndarray
-    fields: list[SpectralField]
+    coeffs: np.ndarray   # complex; coeffs[i], shape (n, N+1), at times[i]
     censored: bool = False
     censoring_time: Optional[float] = None
 
@@ -260,8 +260,7 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
         suspects = alive & (1.25 * (1.0 + 1e-12) * bound
                             > config.blowup_cutoff)
         for r, c in zip(*suspects.nonzero()):
-            if sup_norm(SpectralField(n, nmode, u[r, c])) \
-                    > config.blowup_cutoff:
+            if sup_norm(u[r, c]) > config.blowup_cutoff:
                 alive[r, c] = False
                 censoring_time[r][c] = t
         if step % config.record_stride == 0:
@@ -289,20 +288,22 @@ def _recorded(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
               noise, streams, config: SimulationConfig,
               step0: int = 0) -> list[Trajectory]:
     """Run one replica; each channel's trajectory, recorded while live."""
-    times: list[list[float]] = [[] for _ in channels]
-    fields: list[list[SpectralField]] = [[] for _ in channels]
+    times: list[float] = []
+    coeffs = np.empty((len(channels), config.n_steps // config.record_stride
+                       + 1, spec.n, config.max_mode + 1), dtype=np.complex128)
+    kept = np.zeros(len(channels), dtype=int)   # a censored row stays dead
 
     def record(t: float, u: np.ndarray, alive: np.ndarray) -> None:
-        for c in alive[0].nonzero()[0]:
-            times[c].append(t)
-            fields[c].append(SpectralField(spec.n, config.max_mode, u[0, c]))
+        coeffs[alive[0], len(times)] = u[0, alive[0]]
+        kept[alive[0]] += 1
+        times.append(t)
 
     (cens,) = _advance(spec, channels, u0, noise, streams, config, record,
                        step0)
     return [Trajectory(variant=ch.variant, eps=ch.eps,
-                       times=np.asarray(times[c]), fields=fields[c],
+                       times=np.asarray(times[:k]), coeffs=coeffs[c, :k],
                        censored=cens[c] is not None, censoring_time=cens[c])
-            for c, ch in enumerate(channels)]
+            for c, (ch, k) in enumerate(zip(channels, kept))]
 
 
 def run_mild(spec: ModelSpec, variant: Variant, eps: float,
@@ -439,8 +440,8 @@ def reference_distances(spec: ModelSpec, eps: float, u0: SpectralField,
     def sobolev_distances(t: float, u: np.ndarray, alive: np.ndarray) -> None:
         i = next(recorded)
         for j, ref in enumerate(references):
-            if i < len(ref.fields):
-                np.subtract(u[:, 0], ref.fields[i].coeffs, out=diff)
+            if i < len(ref.coeffs):
+                np.subtract(u[:, 0], ref.coeffs[i], out=diff)
                 # a censored row is frozen and never enters a maximum
                 np.fmax(dist[:, j], sobolev_norm(diff, beta, spec.nu),
                         out=dist[:, j], where=alive[:, 0])
@@ -458,24 +459,24 @@ def sup_distance(a: Trajectory, b: Trajectory, norm: str = "sup", *,
     """Max distance over the common uncensored recorded times.
 
     norm = "sup" uses the oversampled sup norm, norm = "sobolev" the
-    alpha-weighted norm (alpha and nu required).  The recording grids must
-    agree where they overlap (one may be a censored prefix of the other).
-    Returns (distance, either_censored); the distance is NaN when no common
-    times remain.
+    alpha-weighted norm (alpha and nu required).  The fields must have the
+    same shape, and the recording grids must agree where they overlap (one
+    may be a censored prefix of the other).  Returns (distance,
+    either_censored); the distance is NaN when no common times remain.
     """
-    if norm == "sobolev":
-        if alpha is None or nu is None:
-            raise ValueError("sobolev distance needs alpha and nu")
-        measure = lambda d: sobolev_norm(d.coeffs, alpha, nu)
-    elif norm == "sup":
-        measure = sup_norm
-    else:
+    if norm == "sobolev" and (alpha is None or nu is None):
+        raise ValueError("sobolev distance needs alpha and nu")
+    if norm not in ("sup", "sobolev"):
         raise ValueError("norm must be 'sup' or 'sobolev'")
+    if a.coeffs.shape[1:] != b.coeffs.shape[1:]:
+        raise ValueError("trajectories' field shapes do not match")
     k = min(len(a.times), len(b.times))
     censored = a.censored or b.censored
     if k == 0:
         return (math.nan, censored)
     if not np.array_equal(a.times[:k], b.times[:k]):
         raise ValueError("trajectories were recorded on different grids")
-    dist = max(measure(a.fields[i] - b.fields[i]) for i in range(k))
-    return (dist, censored)
+    diff = a.coeffs[:k] - b.coeffs[:k]
+    if norm == "sup":
+        return (max(map(sup_norm, diff)), censored)
+    return (sobolev_norm(diff, alpha, nu).max(), censored)

@@ -13,10 +13,11 @@ size, fast_grid_size.
 
 Fields and the functions taking them validate; inner loops call the array
 kernels behind them (grid_values, grid_coeffs, derivative_coeffs, the
-dealias_cut slice) unchecked.  The norms take coefficient arrays: sup_norms
-a stack of rows, sobolev_norm any leading shape.  A Workspace lends the
-transform kernels arrays that live as long as a run, so a step loop that
-transforms the same shapes again and again maps no fresh pages.
+dealias_cut slice) unchecked.  All three norms take coefficient arrays:
+sup_norm one field's (n, N+1), sup_norms a stack of rows, sobolev_norm any
+leading shape.  A Workspace lends the transform kernels arrays that live
+as long as a run, so a step loop that transforms the same shapes again and
+again maps no fresh pages.
 """
 
 from __future__ import annotations
@@ -87,39 +88,6 @@ class SpectralField:
         c = c.copy()
         c[:, 0] = c[:, 0].real
         object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: np.ndarray) -> "SpectralField":
-        coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.complex128))
-        return cls(coeffs.shape[0], coeffs.shape[1] - 1, coeffs)
-
-    @classmethod
-    def constant(cls, values, max_mode: int) -> "SpectralField":
-        """Field identically equal to `values` (one entry per component)."""
-        vals = np.atleast_1d(np.asarray(values, dtype=np.float64))
-        c = np.zeros((vals.shape[0], max_mode + 1), dtype=np.complex128)
-        c[:, 0] = vals * _SQRT_TWO_PI  # constant 1 has coefficient sqrt(2*pi)
-        return cls(vals.shape[0], max_mode, c)
-
-    def _check_compatible(self, other: "SpectralField") -> None:
-        if (self.n_components, self.max_mode) != (other.n_components, other.max_mode):
-            raise ValueError("field shapes do not match")
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check_compatible(other)
-        return SpectralField(self.n_components, self.max_mode,
-                             self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check_compatible(other)
-        return SpectralField(self.n_components, self.max_mode,
-                             self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.n_components, self.max_mode,
-                             self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -292,7 +260,7 @@ def sup_norms(coeffs: np.ndarray, work: Workspace | None = None) -> list:
     return peaks
 
 
-def sup_norm(field: SpectralField) -> float:
-    """Max over components of sup_norms(field.coeffs)."""
-    return max(0.0, *sup_norms(field.coeffs))
+def sup_norm(coeffs: np.ndarray) -> float:
+    """Max of sup_norms over one field's (n, N+1) coefficients."""
+    return max(0.0, *sup_norms(coeffs))
 

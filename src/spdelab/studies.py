@@ -70,6 +70,8 @@ class RunConfig:
         self.eps_grid = tuple(float(e) for e in self.eps_grid)
         if not self.eps_grid or any(e <= 0 for e in self.eps_grid):
             raise ValueError("eps_grid must be positive")
+        if len(set(self.eps_grid)) != len(self.eps_grid):
+            raise ValueError("eps_grid values must be distinct")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
         if self.workers < 1:
@@ -323,6 +325,8 @@ def run_averaging_study(cfg: RunConfig) -> TailScalingReport:
         raise ValueError("gamma and alpha must both exceed 1/2")
     if cfg.replicas < 2:
         raise ValueError("need at least two replicas")
+    if len(cfg.eps_grid) < 3:
+        raise ValueError("need at least three eps_grid values")
     nu = model_from_config(cfg.model)[0].nu
     base = NoiseStream(cfg.seed)
     eps_grid = tuple(sorted(cfg.eps_grid, reverse=True))

@@ -180,16 +180,15 @@ def _remainder_separation(cfg: RunConfig) -> dict:
         perturbed, naive, corrected = couple_runs(
             spec, [eps], u0, sim, stream, correction=cfg.correction)
         state = sample_stationary(levels, spec.n, sim.max_mode, stream)
-        psi_gap = [SpectralField.from_coeffs(state.psi[0] - state.psi[1])]
+        psi_gap = [state.psi[0] - state.psi[1]]
         for _ in range(sim.n_steps):
             state = step_coupled(state, sim.dt)
-            psi_gap.append(SpectralField.from_coeffs(state.psi[0]
-                                                     - state.psi[1]))
+            psi_gap.append(state.psi[0] - state.psi[1])
         psi_gap = psi_gap[::sim.record_stride]
 
         def remainder(limit) -> tuple[float, bool]:
-            k = min(len(perturbed.fields), len(limit.fields))
-            dist = max((sup_norm(perturbed.fields[i] - limit.fields[i]
+            k = min(len(perturbed.times), len(limit.times))
+            dist = max((sup_norm(perturbed.coeffs[i] - limit.coeffs[i]
                                  - psi_gap[i]) for i in range(k)),
                        default=math.nan)
             return dist, perturbed.censored or limit.censored
@@ -363,12 +362,12 @@ def test_criterion_10_oracle_equivalences():
         traj = run_mild(polynomial_model(1.0), Variant.PHI_ZERO, 0.0, zero,
                         None, SimulationConfig(max_mode=8, dt=dt,
                                                t_final=0.5))
-        for t, f in zip(traj.times, traj.fields):
+        for t, c in zip(traj.times, traj.coeffs):
             if t == 0.0:
                 continue
             exact = ROOT_2PI * (1.0 - math.exp(-t))
             etd_dev = max(etd_dev,
-                          abs(f.coeffs[0, 0].real - exact) / exact)
+                          abs(c[0, 0].real - exact) / exact)
     etd_ok = etd_dev <= 1e-12
 
     # Riemann gap of the truncation-matched constant: <= 5 eps at nu = 1.

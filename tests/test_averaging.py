@@ -158,7 +158,7 @@ class TestComputePhi:
         w = sample_w(1.0, 0.5, n, NoiseStream(6))
         v1 = profile(n, {0: 0.3, 1: 0.2 + 0.1j, 4: -0.07})
         v2 = profile(n, {0: -0.1, 2: 0.25j, 3: 0.4})
-        combo = v1 * 1.7 + v2 * (-0.6)
+        combo = SpectralField(1, n, v1.coeffs * 1.7 + v2.coeffs * (-0.6))
         lhs = compute_phi(combo, w)
         rhs = 1.7 * compute_phi(v1, w) - 0.6 * compute_phi(v2, w)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -346,7 +346,7 @@ class TestTailExperiment:
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_validation(self):
-        grid = [0.5, 0.25]
+        grid = [0.5, 0.35, 0.25]
         with pytest.raises(ValueError):
             run_averaging_study(averaging_cfg(grid, 4, 0, gamma=0.5))
         with pytest.raises(ValueError):

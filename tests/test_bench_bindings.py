@@ -11,6 +11,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spdelab import (RunConfig, SpectralField, run_convergence_study,
@@ -61,17 +62,14 @@ def test_traced_reduced_study_reports_every_layer(study, run):
     else:
         assert metrics["integrate.run.calls"] == 2 * len(cfg.eps_grid)
         assert metrics["spectral.sobolev_norm.calls"] > 0
-        # the initial field and the limits' recorded fields: the Sobolev
-        # distances measure plain arrays
-        n_steps = cfg.simulation_config(cfg.eps_grid[0]).n_steps
-        assert metrics["spectral.fields_created"] \
-            == 1 + 2 * len(cfg.eps_grid) * (n_steps + 1)
+        # only the initial field: the limits record coefficient arrays
+        assert metrics["spectral.fields_created"] == 1
 
 
 def test_traced_to_grid_counts_its_points():
     # the work count reads the GridField that spectral.to_grid returns
     spans = load_spans()
-    field = SpectralField.constant([1.0, 2.0], 4)
+    field = SpectralField(2, 4, np.ones((2, 5), dtype=np.complex128))
     grid, metrics = traced(spans, lambda: spans.spectral.to_grid(field, 2))
     assert metrics["spectral.to_grid.calls"] == 1
     assert metrics["spectral.to_grid.points"] == 2 * grid.grid_size == 64

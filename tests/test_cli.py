@@ -1,5 +1,6 @@
 """Tests for the command-line front end: exit codes, output files, schemas."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -172,6 +173,22 @@ class TestSimulateCommand:
                  "--output-csv", str(path)] + STUDY_FLAGS, capsys)
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("variant,digest", [
+        ("phi_eps",
+         "67a711af36b6b0956256ee8aed85be9427dedb8f4d965ad7047371ac94fb0ef5"),
+        ("v_eps",
+         "9dd48184daf3e79eacf34f700842c55cc5b5a96d7c34093764ab3002e36f3424")])
+    def test_csv_pinned(self, tmp_path, capsys, variant, digest):
+        # SHA-256 of the CSV recorded when trajectories were lists of
+        # SpectralFields measured one field at a time; the coefficient
+        # array and the stacked sobolev_norm call must keep every byte
+        path = tmp_path / "traj.csv"
+        code, _, _ = run_cli(
+            ["simulate", "--variant", variant, "--eps", "0.5",
+             "--output-csv", str(path)] + STUDY_FLAGS, capsys)
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestStudyCommands:

@@ -50,11 +50,11 @@ class TestDeterministicRuns:
         for dt in (0.1, 0.05, 0.025):
             traj = run_mild(spec, Variant.PHI_ZERO, 0.0, zero_field(8), None,
                             config(dt=dt, t_final=0.5))
-            for t, f in zip(traj.times, traj.fields):
+            for t, c in zip(traj.times, traj.coeffs):
                 want = ROOT_2PI * (1.0 - math.exp(-t))
-                assert f.coeffs[0, 0] == pytest.approx(want, rel=1e-12,
-                                                       abs=1e-13), (dt, t)
-                np.testing.assert_array_equal(f.coeffs[0, 1:], 0.0)
+                assert c[0, 0] == pytest.approx(want, rel=1e-12,
+                                                abs=1e-13), (dt, t)
+                np.testing.assert_array_equal(c[0, 1:], 0.0)
 
     def test_zero_drift_reduces_to_semigroup(self):
         # f = -1 makes F = 1 + f = 0, so the update is pure mode decay
@@ -62,9 +62,9 @@ class TestDeterministicRuns:
         u0 = scalar_field(8, {0: 0.4, 1: 0.3 - 0.2j, 3: 0.1j})
         traj = run_mild(spec, Variant.PHI_ZERO, 0.0, u0, None, config())
         op = OperatorSpec(1.0, 0.0)
-        for t, f in zip(traj.times, traj.fields):
+        for t, c in zip(traj.times, traj.coeffs):
             want = apply_semigroup(op, u0, float(t))
-            np.testing.assert_allclose(f.coeffs, want.coeffs, rtol=1e-12,
+            np.testing.assert_allclose(c, want.coeffs, rtol=1e-12,
                                        atol=1e-15)
 
     def test_first_order_self_convergence(self):
@@ -74,11 +74,11 @@ class TestDeterministicRuns:
         u0 = scalar_field(8, {0: 0.5, 1: 0.4 + 0.2j, 2: -0.3})
         t_final = 0.5
 
-        def final_field(dt: float) -> SpectralField:
+        def final_field(dt: float) -> np.ndarray:
             traj = run_mild(spec, Variant.PHI_ZERO, 0.0, u0, None,
                             config(dt=dt, t_final=t_final,
                                    record_stride=int(round(t_final / dt))))
-            return traj.fields[-1]
+            return traj.coeffs[-1]
 
         ref = final_field(0.5e-3)
         errs = [sup_norm(final_field(dt) - ref) for dt in (0.02, 0.01, 0.005)]
@@ -91,10 +91,10 @@ class TestDeterministicRuns:
         spec = polynomial_model(1.0)
         u0 = scalar_field(8, {0: 0.7, 2: 0.2})
         traj = run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, config())
-        last = traj.fields[-1]
-        assert last.coeffs[0, 0] == pytest.approx(0.7, rel=1e-12)
+        last = traj.coeffs[-1]
+        assert last[0, 0] == pytest.approx(0.7, rel=1e-12)
         # k = 2 decays by exp(-nu k^2 Q(0) t) = exp(-4t) without the shift
-        assert last.coeffs[0, 2] == pytest.approx(
+        assert last[0, 2] == pytest.approx(
             0.2 * math.exp(-4.0 * 0.5), rel=1e-10)
 
 
@@ -110,8 +110,7 @@ class TestStochasticRuns:
         traj = run_mild(spec, Variant.PHI_EPS, eps, zero_field(n), noise, cfg)
         replay = sample_stationary(ops, 1, n, NoiseStream(0))
         for i, t in enumerate(traj.times):
-            np.testing.assert_array_equal(traj.fields[i].coeffs,
-                                          replay.psi[0])
+            np.testing.assert_array_equal(traj.coeffs[i], replay.psi[0])
             if i < len(traj.times) - 1:
                 replay = step_coupled(replay, cfg.dt)
 
@@ -124,7 +123,7 @@ class TestStochasticRuns:
         traj = run_mild(spec, Variant.V_EPS, eps, zero_field(n), noise, cfg)
         replay = sample_stationary(ops, 1, n, NoiseStream(1))
         for i in range(len(traj.times)):
-            np.testing.assert_allclose(traj.fields[i].coeffs,
+            np.testing.assert_allclose(traj.coeffs[i],
                                        math.sqrt(eps) * replay.psi[0],
                                        rtol=0.0, atol=1e-15)
             if i < len(traj.times) - 1:
@@ -142,7 +141,7 @@ class TestStochasticRuns:
                                     OperatorSpec(nu, 0.0)], 1, n,
                                    NoiseStream(2))
         for i in range(len(perturbed.times)):
-            diff = perturbed.fields[i].coeffs - naive.fields[i].coeffs
+            diff = perturbed.coeffs[i] - naive.coeffs[i]
             np.testing.assert_allclose(diff, replay.psi[0] - replay.psi[1],
                                        rtol=0.0, atol=1e-14)
             if i < len(perturbed.times) - 1:
@@ -158,7 +157,7 @@ class TestStochasticRuns:
         for r in range(reps):
             trajs = couple_runs(spec, [eps], zero_field(n), cfg,
                                 NoiseStream(3, replica=r))
-            d = trajs[0].fields[-1].coeffs - trajs[1].fields[-1].coeffs
+            d = trajs[0].coeffs[-1] - trajs[1].coeffs[-1]
             sq[r] = np.abs(d[0]) ** 2
         for k in (1, 2, 4):
             se = sq[:, k].std(ddof=1) / math.sqrt(reps)
@@ -172,9 +171,7 @@ class TestStochasticRuns:
         u0 = scalar_field(6, {0: 0.3, 1: 0.2})
         trajs = couple_runs(spec, [0.5], u0, cfg, NoiseStream(4))
         naive, corrected = trajs[1], trajs[2]
-        for i in range(len(naive.times)):
-            np.testing.assert_array_equal(naive.fields[i].coeffs,
-                                          corrected.fields[i].coeffs)
+        np.testing.assert_array_equal(naive.coeffs, corrected.coeffs)
 
     def test_correction_constant_changes_corrected_run_only(self):
         spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
@@ -184,12 +181,9 @@ class TestStochasticRuns:
                         correction=0.25)
         b = couple_runs(spec, [0.5], u0, cfg, NoiseStream(5),
                         correction=0.5)
-        np.testing.assert_array_equal(a[0].fields[-1].coeffs,
-                                      b[0].fields[-1].coeffs)
-        np.testing.assert_array_equal(a[1].fields[-1].coeffs,
-                                      b[1].fields[-1].coeffs)
-        assert not np.array_equal(a[2].fields[-1].coeffs,
-                                  b[2].fields[-1].coeffs)
+        np.testing.assert_array_equal(a[0].coeffs[-1], b[0].coeffs[-1])
+        np.testing.assert_array_equal(a[1].coeffs[-1], b[1].coeffs[-1])
+        assert not np.array_equal(a[2].coeffs[-1], b[2].coeffs[-1])
 
     def test_replay_determinism(self):
         spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
@@ -198,7 +192,7 @@ class TestStochasticRuns:
 
         def run():
             trajs = couple_runs(spec, [0.5, 0.25], u0, cfg, NoiseStream(6))
-            return [t.fields[-1].coeffs for t in trajs]
+            return [t.coeffs[-1] for t in trajs]
 
         for x, y in zip(run(), run()):
             np.testing.assert_array_equal(x, y)
@@ -216,11 +210,11 @@ class TestCensoring:
                         cfg)
         assert traj.censored
         assert traj.censoring_time is not None
-        assert len(traj.times) == len(traj.fields)
+        assert traj.coeffs.shape == (len(traj.times), 1, 7)
         assert traj.times.size < cfg.n_steps + 1
         assert all(t < traj.censoring_time for t in traj.times)
-        for f in traj.fields:
-            assert sup_norm(f) <= 50.0
+        for c in traj.coeffs:
+            assert sup_norm(c) <= 50.0
 
     def test_lower_cutoff_censors_no_later(self):
         u0 = scalar_field(6, {0: 6.0, 1: 1.5})
@@ -250,8 +244,8 @@ class TestCensoring:
                      config(max_mode=4))
 
 
-def l1_bound(field: SpectralField) -> float:
-    mag = np.abs(field.coeffs)
+def l1_bound(coeffs: np.ndarray) -> float:
+    mag = np.abs(coeffs)
     return float(np.max(mag[:, 0] + 2.0 * mag[:, 1:].sum(axis=1))) / ROOT_2PI
 
 
@@ -266,28 +260,27 @@ class TestGuardPrefilter:
         calls = []
         real = integrate_module.sup_norm
 
-        def counted(field):
-            calls.append(field)
-            return real(field)
+        def counted(coeffs):
+            calls.append(coeffs.copy())   # the guard passes a view of u
+            return real(coeffs)
 
         monkeypatch.setattr(integrate_module, "sup_norm", counted)
         return calls
 
-    def shapes(self) -> list[SpectralField]:
+    def shapes(self) -> list[np.ndarray]:
         rng = np.random.default_rng(12)
         c = (rng.normal(size=(1, 7)) + 1j * rng.normal(size=(1, 7))) \
             / (1.0 + np.arange(7)) ** 1.5
         c[0, 0] = c[0, 0].real
-        return [SpectralField(1, 6, c),
-                scalar_field(6, {0: 1.0}),
-                scalar_field(6, {6: 1.0}),
-                scalar_field(6, {k: 0.5 for k in range(7)})]
+        return [c] + [scalar_field(6, modes).coeffs for modes in (
+            {0: 1.0}, {6: 1.0}, {k: 0.5 for k in range(7)})]
 
-    def first_step(self, u0: SpectralField) -> Trajectory:
+    def first_step(self, u0: np.ndarray) -> Trajectory:
         # f = -1 zeroes the drift, so after step 0 the field only decays
         # and cannot cross the cutoff that it did not cross at t = 0
         spec = polynomial_model(1.0, f_coeffs=(-1.0,))
-        return run_mild(spec, Variant.PHI_ZERO, 0.0, u0, None,
+        return run_mild(spec, Variant.PHI_ZERO, 0.0,
+                        SpectralField(1, 6, u0), None,
                         config(max_mode=6, dt=0.01, t_final=0.01,
                                blowup_cutoff=self.cutoff))
 
@@ -299,7 +292,7 @@ class TestGuardPrefilter:
                 assert expected == (ratio > 1.0)
                 calls = self.count_fallbacks(monkeypatch)
                 traj = self.first_step(u0)
-                assert traj.censored == expected, (ratio, shape.coeffs)
+                assert traj.censored == expected, (ratio, shape)
                 assert traj.censoring_time == (0.0 if expected else None)
                 if expected:
                     assert calls
@@ -400,6 +393,17 @@ class TestSupDistance:
         with pytest.raises(ValueError, match="different grids"):
             sup_distance(a, c)
 
+    @pytest.mark.parametrize("shape", [(2, 7), (1, 5)])
+    @pytest.mark.parametrize("norm", ["sup", "sobolev"])
+    def test_field_shape_mismatch_rejected(self, shape, norm):
+        # a (k, 1, 7) - (k, 2, 7) difference would broadcast: the component
+        # and mode counts must agree
+        a, _ = self.make_pair(0.0)
+        b = Trajectory(a.variant, a.eps, a.times,
+                       np.zeros((len(a.times),) + shape, dtype=np.complex128))
+        with pytest.raises(ValueError, match="shapes do not match"):
+            sup_distance(a, b, norm, alpha=0.6, nu=1.0)
+
 
 def two_component_model() -> ModelSpec:
     """n = 2 model with every channel: coupled f, diagonal g, full h."""
@@ -471,9 +475,9 @@ class TestReplicaBlock:
         want = reference_couple_runs(spec, 0.25, u0, cfg, NoiseStream(8),
                                      const)
         for traj, fields in zip(trajs, want):
-            assert len(traj.fields) == len(fields) == cfg.n_steps + 1
-            for got, ref in zip(traj.fields, fields):
-                assert np.array_equal(got.coeffs, ref.coeffs)
+            assert len(traj.coeffs) == len(fields) == cfg.n_steps + 1
+            for got, ref in zip(traj.coeffs, fields):
+                assert np.array_equal(got, ref.coeffs)
 
     def oracle(self, spec, eps, u0, cfg, stream):
         perturbed, naive, corrected = couple_runs(spec, [eps], u0, cfg,
@@ -622,8 +626,9 @@ class TestReferenceDistances:
 
 
 class TestNoFieldsInStepLoop:
-    """The block core works on plain arrays: neither the step loop nor a
-    distance measurement builds a SpectralField or GridField."""
+    """The block core works on plain arrays: neither the step loop, nor a
+    recorded trajectory, nor a distance measurement builds a SpectralField
+    or GridField."""
 
     def count_fields(self, monkeypatch) -> list:
         built = []
@@ -636,6 +641,19 @@ class TestNoFieldsInStepLoop:
 
             monkeypatch.setattr(cls, "__post_init__", counted)
         return built
+
+    def test_recorded_runs_build_no_field(self, monkeypatch):
+        spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
+        u0 = initial_field(1, 6, 1.5, 0.5, NoiseStream(5))
+        cfg = config(max_mode=8, dt=0.05, t_final=0.25)
+        built = self.count_fields(monkeypatch)
+        trajs = couple_runs(spec, [0.5], u0, cfg, NoiseStream(5))
+        trajs.append(run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, cfg))
+        assert built == []
+        for traj in trajs:
+            assert traj.coeffs.shape == (cfg.n_steps + 1, 1, 9)
+            # what SpectralField would have forced: mode 0 exactly real
+            assert np.all(traj.coeffs[..., 0].imag == 0.0)
 
     def test_coupled_distances_builds_no_field(self, monkeypatch):
         spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))

@@ -217,7 +217,7 @@ class TestCoupledStepping:
         assert state.factors.level_index(0.0) == 1
         with pytest.raises(ValueError):
             state.factors.level_index(0.3)
-        field = SpectralField.from_coeffs(state.psi[0])
+        field = SpectralField(2, 5, state.psi[0])
         assert field.n_components == 2 and field.max_mode == 5
         field.coeffs[0, 1] = 99.0
         assert state.psi[0, 0, 1] != 99.0

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from spdelab import (ConvergenceReport, NoiseStream, RunConfig, SpectralField,
+from spdelab import (ConvergenceReport, NoiseStream, RunConfig,
                      Variant, initial_field, polynomial_model,
                      run_averaging_study, run_convergence_study,
                      run_psi_coupling_study, run_theorem15_study,
@@ -55,6 +55,9 @@ class TestRunConfig:
             RunConfig(eps_grid=())
         with pytest.raises(ValueError):
             RunConfig(eps_grid=(0.5, -0.25))
+        # a repeated level reruns the same streams and enters the fit twice
+        with pytest.raises(ValueError, match="must be distinct"):
+            RunConfig(eps_grid=(0.5, 0.5, 0.25, 0.2))
         with pytest.raises(ValueError):
             RunConfig(replicas=0)
         with pytest.raises(ValueError):
@@ -308,11 +311,10 @@ def psi_distance_reference(nu, eps, max_mode, dt, t_final, stream):
     alone through step_coupled."""
     state = sample_stationary((OperatorSpec(nu, eps), OperatorSpec(nu, 0.0)),
                               1, max_mode, stream)
-    best = sup_norm(SpectralField.from_coeffs(state.psi[0] - state.psi[1]))
+    best = sup_norm(state.psi[0] - state.psi[1])
     for _ in range(max(1, int(round(t_final / dt)))):
         state = step_coupled(state, dt)
-        best = max(best, sup_norm(SpectralField.from_coeffs(state.psi[0]
-                                                            - state.psi[1])))
+        best = max(best, sup_norm(state.psi[0] - state.psi[1]))
     return best
 
 
@@ -399,6 +401,17 @@ class TestAveragingStudy:
         report = run_averaging_study(cfg)
         assert report.eps == (0.5, 0.4, 0.3)
         assert report.replicas == 4
+
+    def test_fewer_than_three_levels_rejected_before_any_replica(
+            self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("replica_norms ran")
+
+        monkeypatch.setattr(studies_module, "replica_norms", fail)
+        for grid in ((0.5,), (0.5, 0.25)):
+            with pytest.raises(ValueError, match="three eps_grid values"):
+                run_averaging_study(small_cfg(study="averaging",
+                                              eps_grid=grid, replicas=4))
 
     def test_block_split_invariance(self, monkeypatch):
         # every split gives each replica the norms of its own stream, so the
