@@ -22,7 +22,7 @@ from .integrate import (IntegrationError, Variant, resolve_correction,
 from .linops import OperatorSpec
 from .models import (CallbackError, PolynomialPotential,
                      check_effective_drift_identity, from_potential,
-                     model_from_config, potential_spec, validate_model)
+                     model_from_config, validate_model)
 from .noise import NoiseStream, sample_stationary
 from .spectral import sobolev_norm, sup_norm
 from .studies import (RunConfig, initial_field, run_averaging_study,
@@ -97,7 +97,10 @@ def _study_config(args: argparse.Namespace, study: str) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             data[name] = value
-    return RunConfig.from_dict(data)
+    cfg = RunConfig.from_dict(data)
+    # every command checks the step settings, averaging (no steps) too
+    cfg.simulation_config(min(cfg.eps_grid))
+    return cfg
 
 
 def _emit_convergence(report, args: argparse.Namespace) -> int:
@@ -160,6 +163,8 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if not args.eps > 0:
+        raise ValueError("--eps must be positive")
     cfg = _study_config(args, "simulate")
     spec, _ = model_from_config(cfg.model)
     variant = Variant(args.variant)
@@ -195,13 +200,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_path_sampling(args: argparse.Namespace) -> int:
     coeffs = list(args.potential)
     potential = PolynomialPotential.from_univariate(coeffs)
-    p = potential_spec(potential, args.temperature, args.mass)
-    model, eps = from_potential(p)
+    model, eps = from_potential(potential, args.temperature, args.mass)
     rng = np.random.default_rng(args.seed)
-    probes = rng.uniform(-args.box, args.box, size=(p.n, args.probes))
+    probes = rng.uniform(-args.box, args.box, size=(potential.n, args.probes))
 
     summary = {
-        "n": p.n,
+        "n": potential.n,
         "temperature": args.temperature,
         "mass": args.mass,
         "eps": eps,
@@ -210,12 +214,13 @@ def _cmd_path_sampling(args: argparse.Namespace) -> int:
     }
     status = 0
     if args.check:
-        deviation = check_effective_drift_identity(p, probes)
+        deviation = check_effective_drift_identity(
+            potential, args.temperature, probes)
         fd_gap = validate_model(model)
         summary["drift_identity_deviation"] = deviation
         summary["g_derivative_fd_gap"] = fd_gap
         scale = 1.0 + max(abs(c) for c in coeffs)
-        if deviation > 1e-8 * scale:
+        if not deviation <= 1e-8 * scale:   # a NaN deviation fails too
             print(f"corrected-drift identity failed: deviation={deviation:g}",
                   file=sys.stderr)
             status = 2

@@ -24,8 +24,6 @@ import math
 import numpy as np
 from scipy import integrate, special
 
-from .linops import _validate_positive_polynomial
-
 # Tolerances and subdivision budget of the adaptive quadratures.  Improper
 # integrals are split at x = 1 and the tail [1, inf) is mapped onto (0, 1]
 # by x -> 1/x before integration, so the rule never sees an infinite interval.
@@ -89,6 +87,32 @@ def alpha_constant(nu: float, alpha: float) -> float:
     head = p * _quad(lambda u: 1.0 / (1.0 + u ** (2.0 * p)), 0.0, 1.0)
     tail = _quad(lambda t: t ** (2.0 * alpha) / (1.0 + t * t), 0.0, 1.0)
     return (head + tail) / (math.pi * nu ** (alpha + 0.5))
+
+
+def _validate_positive_polynomial(coeffs: tuple[float, ...], what: str) -> None:
+    """Check c0 = 1, positive leading coefficient, and positivity on [0, inf).
+
+    Positivity is established by a root bound (no real nonnegative roots)
+    plus direct sampling on a wide logarithmic grid.
+    """
+    c = np.asarray(coeffs, dtype=np.float64)
+    if c.ndim != 1 or c.size < 1 or not np.all(np.isfinite(c)):
+        raise ValueError(f"{what}: coefficients must be a finite 1-d sequence")
+    if abs(c[0] - 1.0) > 1e-12:
+        raise ValueError(f"{what}: constant term must equal 1 (Q(0) = 1)")
+    if c[-1] <= 0.0:
+        raise ValueError(f"{what}: leading coefficient must be positive")
+    if c.size > 1:
+        roots = np.roots(c[::-1])
+        scale = float(np.max(np.abs(roots), initial=1.0))
+        real_nonneg = roots[(np.abs(roots.imag) <= 1e-9 * scale)
+                            & (roots.real >= -1e-12 * scale)]
+        if real_nonneg.size:
+            raise ValueError(f"{what}: polynomial has a nonnegative real root, "
+                             "so it is not positive on [0, inf)")
+    sample = np.concatenate(([0.0], np.logspace(-6, 12, 181)))
+    if np.any(np.polynomial.polynomial.polyval(sample, c) <= 0.0):
+        raise ValueError(f"{what}: polynomial is nonpositive somewhere on [0, inf)")
 
 
 def poly_constant(nu: float, q_coeffs) -> float:

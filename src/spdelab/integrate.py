@@ -50,10 +50,11 @@ overwrites it.
 
 Runs abort with a censored flag once the sup norm exceeds the configured
 guard; censored trajectories carry no fields at or beyond the censoring
-time, and a censored row of a block stays frozen.  The guard calls the
-oversampled sup_norm only when 1.25 times the l1 bound
-max_i (|c_i0| + 2 sum_{k>=1} |c_ik|) / sqrt(2 pi) exceeds the cutoff; as
-sup_norm is at most 1.25 times the grid maximum, no decision changes.
+time, and a censored row of a block is no longer advanced nor read by any
+observer.  The guard calls the oversampled sup_norm only when 1.25 times
+the l1 bound max_i (|c_i0| + 2 sum_{k>=1} |c_ik|) / sqrt(2 pi) exceeds
+the cutoff; as sup_norm is at most 1.25 times the grid maximum, no
+decision changes.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.max_mode < 1:
             raise ValueError("max_mode must be >= 1")
-        if self.dt <= 0 or self.t_final < self.dt:
-            raise ValueError("need 0 < dt <= t_final")
+        if not 0 < self.dt <= self.t_final < math.inf:
+            raise ValueError("need 0 < dt <= t_final < inf")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if self.blowup_cutoff <= 0:
@@ -234,6 +235,7 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
     decay = np.stack([ch.decay for ch in channels])[:, None, :]
     weight = np.stack([ch.weight for ch in channels])[:, None, :]
     alive = np.ones((n_rep, n_ch), dtype=bool)
+    live = alive[:, :, None, None]   # a view: follows alive
     censoring_time = [[None] * n_ch for _ in range(n_rep)]
     # Run-scoped arrays that every step overwrites; without noise u is v
     # itself.  Observers copy what they keep.
@@ -268,16 +270,14 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
 
     state(0, 0.0)
     for step in range(1, config.n_steps + 1):
+        # A censored row's drift sees zeros and its v is not updated; without
+        # noise u is v, so that v reads 0, but no observer reads a censored
+        # row (the recorder writes live rows, the distance maxima are masked)
+        u[~alive] = 0.0
         # v <- decay * v + weight * fu, in place and rounded as written
-        if alive.all():
-            np.multiply(weight, _drift(channels, u, step, work), out=weighted)
-            np.multiply(decay, v, out=v)
-            np.add(v, weighted, out=v)
-        else:  # censored rows stay frozen; their drift sees zeros
-            live = alive[:, :, None, None]
-            fu = _drift(channels, np.where(live, u, 0.0), step, work)
-            np.multiply(weight, fu, out=weighted)
-            np.copyto(v, decay * v + weighted, where=live)
+        np.multiply(weight, _drift(channels, u, step, work), out=weighted)
+        np.multiply(decay, v, out=v, where=live)
+        np.add(v, weighted, out=v, where=live)
         if noise:
             step_replicas(factors, streams, step0 + step - 1, psi, h, work)
         state(step, step * h)
@@ -406,7 +406,7 @@ def coupled_distances(spec: ModelSpec, eps: float, u0: SpectralField,
         diff = u[:, :1] - u[:, 2:0:-1]                   # (R, 2, n, N+1)
         peaks = sup_norms(diff.reshape(-1, diff.shape[-1]), work)
         d = np.reshape(peaks, diff.shape[:3]).max(axis=2)
-        # a censored row is frozen and never enters a maximum
+        # a censored row never enters a maximum
         np.fmax(dist, d, out=dist, where=alive[:, :1] & alive[:, 2:0:-1])
 
     censoring_time = _advance(spec, channels, u0, noise, streams, config,
@@ -442,7 +442,7 @@ def reference_distances(spec: ModelSpec, eps: float, u0: SpectralField,
         for j, ref in enumerate(references):
             if i < len(ref.coeffs):
                 np.subtract(u[:, 0], ref.coeffs[i], out=diff)
-                # a censored row is frozen and never enters a maximum
+                # a censored row never enters a maximum
                 np.fmax(dist[:, j], sobolev_norm(diff, beta, spec.nu),
                         out=dist[:, j], where=alive[:, 0])
 

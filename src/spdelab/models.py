@@ -85,33 +85,6 @@ class ModelSpec:
             raise ValueError("g and dg must be supplied together")
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Potential-driven problem: scalar potential with derivative callbacks.
-
-    v maps (n, ...) -> (...); dv, d2v, d3v return one, two and three extra
-    leading component axes.  temperature > 0 and mass >= 0.  degree is v's,
-    None when v is not a polynomial.
-    """
-
-    n: int
-    temperature: float
-    mass: float
-    v: Callback
-    dv: Callback
-    d2v: Callback
-    d3v: Callback
-    degree: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("component count must be >= 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.mass < 0:
-            raise ValueError("mass must be nonnegative")
-
-
 class CallbackError(RuntimeError):
     """A model callback failed or returned a malformed array."""
 
@@ -351,48 +324,59 @@ def eval_G_bar(spec: ModelSpec, u: SpectralField, *,
     return _drift_of(spec, plan_G(spec, c), u)
 
 
-def from_potential(p: PotentialSpec) -> tuple[ModelSpec, float]:
-    """Map a potential problem onto the model family; returns (model, eps)."""
-    two_t = 2.0 * p.temperature
+def from_potential(potential: PolynomialPotential, temperature: float,
+                   mass: float) -> tuple[ModelSpec, float]:
+    """Map a potential problem at temperature > 0 and mass >= 0 onto the
+    model family; returns (model, eps)."""
+    if not temperature > 0:
+        raise ValueError("temperature must be positive")
+    if not mass >= 0:
+        raise ValueError("mass must be nonnegative")
+    two_t = 2.0 * temperature
     scale = math.sqrt(two_t)
-    eps = p.mass / scale
+    eps = mass / scale
     nu = 1.0 / two_t
 
     def f(u: np.ndarray) -> np.ndarray:
-        return -np.einsum("ij...,j...->i...", p.d2v(u), p.dv(u)) / two_t
+        return -np.einsum("ij...,j...->i...", potential.d2v(u),
+                          potential.dv(u)) / two_t
 
     def g(u: np.ndarray) -> np.ndarray:
-        return -2.0 * np.asarray(p.d2v(u), dtype=np.float64) / scale
+        return -2.0 * np.asarray(potential.d2v(u), dtype=np.float64) / scale
 
     def dg(u: np.ndarray) -> np.ndarray:
-        return -2.0 * np.asarray(p.d3v(u), dtype=np.float64) / scale
+        return -2.0 * np.asarray(potential.d3v(u), dtype=np.float64) / scale
 
     def h(u: np.ndarray) -> np.ndarray:
-        return -np.asarray(p.d3v(u), dtype=np.float64) / scale
+        return -np.asarray(potential.d3v(u), dtype=np.float64) / scale
 
     # V of degree d: f = d2V dV has degree 2d - 3, g u_xx and h u_x u_x d - 1
-    degree = p.degree and max(2 * p.degree - 3, p.degree - 1)
-    return ModelSpec(n=p.n, nu=nu, f=f, g=g, dg=dg, h=h, degree=degree), eps
+    d = potential.degree
+    degree = d and max(2 * d - 3, d - 1)
+    return ModelSpec(n=potential.n, nu=nu, f=f, g=g, dg=dg, h=h,
+                     degree=degree), eps
 
 
-def check_effective_drift_identity(p: PotentialSpec,
+def check_effective_drift_identity(potential: PolynomialPotential,
+                                   temperature: float,
                                    probes: np.ndarray) -> float:
     """Max discrepancy of the corrected drift against its closed form.
 
     For potential-driven models the corrected reaction must satisfy
     fbar_i = -(1/2T) sum_j d2V_ij dV_j + (1/2) sum_j d3V_ijj; returns the
     max absolute deviation over the probe points (columns of `probes`).
+    The mass sets only eps, so it does not enter.
     """
     probes = np.asarray(probes, dtype=np.float64)
     if probes.ndim == 1:
         probes = probes[:, None]
-    if probes.shape[0] != p.n:
+    if probes.shape[0] != potential.n:
         raise ValueError("probe array must have one row per component")
-    model, _ = from_potential(p)
+    model, _ = from_potential(potential, temperature, 0.0)
     lhs = effective_drift(model)(probes)
-    rhs = (-np.einsum("ij...,j...->i...", p.d2v(probes), p.dv(probes))
-           / (2.0 * p.temperature)
-           + 0.5 * np.einsum("ijj...->i...", p.d3v(probes)))
+    rhs = (-np.einsum("ij...,j...->i...", potential.d2v(probes),
+                      potential.dv(probes)) / (2.0 * temperature)
+           + 0.5 * np.einsum("ijj...->i...", potential.d3v(probes)))
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -449,6 +433,8 @@ class PolynomialPotential:
 
     def __init__(self, n: int, monomials):
         self.n = int(n)
+        if self.n < 1:
+            raise ValueError("component count must be >= 1")
         terms = []
         for coeff, exps in monomials:
             exps = tuple(int(e) for e in exps)
@@ -504,14 +490,6 @@ class PolynomialPotential:
             for i in range(self.n)])
 
 
-def potential_spec(potential: PolynomialPotential, temperature: float,
-                   mass: float) -> PotentialSpec:
-    """Wrap a polynomial potential as a PotentialSpec."""
-    return PotentialSpec(n=potential.n, temperature=temperature, mass=mass,
-                         v=potential.v, dv=potential.dv, d2v=potential.d2v,
-                         d3v=potential.d3v, degree=potential.degree)
-
-
 def random_polynomial_potential(n: int, max_degree: int,
                                 rng: np.random.Generator,
                                 n_terms: int = 10) -> PolynomialPotential:
@@ -547,7 +525,5 @@ def model_from_config(cfg: dict) -> tuple[ModelSpec, float | None]:
                            f_coeffs=cfg.get("f")), None
     if name == "potential":
         pot = PolynomialPotential.from_univariate(cfg["coeffs"])
-        p = potential_spec(pot, cfg["temperature"], cfg.get("mass", 0.0))
-        model, eps = from_potential(p)
-        return model, eps
+        return from_potential(pot, cfg["temperature"], cfg.get("mass", 0.0))
     raise ValueError(f"unknown model name: {name!r}")

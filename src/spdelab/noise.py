@@ -198,8 +198,8 @@ def _stacked_normals(streams, purpose: int, step: int,
 class CoupledOUState:
     """One replica's stationary noise, shared by all perturbation levels.
 
-    psi is indexed (level, component, mode) and sits at `step` (time t) of
-    the replica's stream; the levels and their factorizations are in
+    psi is indexed (level, component, mode) and sits at `step` of the
+    replica's stream; the levels and their factorizations are in
     factors.  The state is advanced functionally: step_coupled returns a
     new state and leaves the input untouched.  Blocks of replicas do not
     use this class: they hold sample_replicas' (factors, psi) pair.  A
@@ -207,7 +207,6 @@ class CoupledOUState:
     instance; do not share one across threads.
     """
 
-    t: float
     step: int
     psi: np.ndarray  # complex, shape (levels, n_components, max_mode+1)
     stream: NoiseStream
@@ -246,8 +245,7 @@ def sample_stationary(levels, n_components: int, max_mode: int,
                       stream: NoiseStream) -> CoupledOUState:
     """Draw one exact joint stationary sample across all levels."""
     factors, psi = sample_replicas(levels, n_components, max_mode, [stream])
-    return CoupledOUState(t=0.0, step=0, psi=psi[0], stream=stream,
-                          factors=factors)
+    return CoupledOUState(step=0, psi=psi[0], stream=stream, factors=factors)
 
 
 def step_replicas(factors: _LevelFactors, streams, step: int,
@@ -280,7 +278,7 @@ def step_coupled(state: CoupledOUState, h: float) -> CoupledOUState:
     """Advance all levels jointly by one exact transition of size h > 0."""
     psi = step_replicas(state.factors, (state.stream,), state.step,
                         state.psi[None].copy(), h)[0]
-    return replace(state, t=state.t + h, step=state.step + 1, psi=psi)
+    return replace(state, step=state.step + 1, psi=psi)
 
 
 def psi_diff_moment(nu: float, eps: float, k: int) -> float:

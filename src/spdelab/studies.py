@@ -76,8 +76,10 @@ class RunConfig:
             raise ValueError("replicas must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.modes_over_eps <= 0:
-            raise ValueError("modes_over_eps must be positive")
+        if not 0 < self.modes_over_eps < math.inf:
+            raise ValueError("modes_over_eps must be positive and finite")
+        if self.u0_modes < 0:
+            raise ValueError("u0_modes must be nonnegative")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -182,10 +184,12 @@ def _aggregate(values: list[tuple[float, bool]]) -> dict:
 
 
 def _ratio_at_smallest(rows: list[dict]) -> Optional[float]:
-    for row in sorted(rows, key=lambda r: r["eps"]):
-        if row.get("naive_mean_error") is not None and row["mean_error"]:
-            return float(row["naive_mean_error"] / row["mean_error"])
-    return None
+    """Naive over corrected mean error at the smallest eps; None when that
+    level has no naive column or no uncensored mean."""
+    row = min(rows, key=lambda r: r["eps"])
+    if row.get("naive_mean_error") is None or not row["mean_error"]:
+        return None
+    return float(row["naive_mean_error"] / row["mean_error"])
 
 
 def _sweep(cfg: RunConfig, study: str, nu: float, per_eps,

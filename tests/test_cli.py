@@ -101,6 +101,29 @@ class TestExitCodes:
         assert "constants" in out
 
 
+SIMULATE = ["simulate", "--variant", "phi_bar", "--eps", "0.5"]
+BAD_FLAGS = [["--u0-modes", "-1"], ["--dt", "0"], ["--t-final", "0"],
+             ["--fixed-modes", "0"], ["--replicas", "0"], ["--workers", "0"],
+             ["--modes-over-eps", "0"], ["--t-final", "inf"],
+             ["--modes-over-eps", "inf"]]
+
+
+@pytest.mark.parametrize("command,flag", [
+    pytest.param(command, flag, id=" ".join(command[:1] + flag))
+    for command, flag in [(SIMULATE[:3], ["--eps", "0"]),
+                          (SIMULATE[:3], ["--eps", "-0.5"])] + [
+        (command, flag)
+        for command in (SIMULATE, ["converge"], ["theorem15"],
+                        ["psi-coupling"], ["averaging"])
+        for flag in BAD_FLAGS]])
+def test_out_of_range_flag_is_config_error(command, flag, capsys):
+    # the flag overrides STUDY_FLAGS' value; argparse keeps the last one
+    code, _, err = run_cli(command + STUDY_FLAGS + flag, capsys)
+    assert code == 1
+    assert "config error:" in err
+    assert "Traceback" not in err
+
+
 class TestConstantsCommand:
     def test_white_noise_value(self, capsys):
         code, out, _ = run_cli(["constants", "--nu", "1.0"], capsys)
@@ -134,6 +157,27 @@ class TestPathSamplingCommand:
         assert data["nu"] == pytest.approx(0.5, rel=1e-12)
         assert "eps=" in out
 
+    def test_json_pinned(self, tmp_path, capsys):
+        # SHA-256 of the summary recorded when the potential reached the
+        # model through a callback spec; the direct mapping keeps each byte
+        out_json = tmp_path / "summary.json"
+        code, _, _ = run_cli(
+            ["path-sampling", "--potential", "0,0,0,0,0.25", "-T", "1.0",
+             "--mass", "0.1", "--output-json", str(out_json)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out_json.read_bytes()).hexdigest() == \
+            "2ced4029106f17c85d6cba474dd9299609d6c117b2fc419079a4d773b3c7a42f"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_deviation_fails_the_check(self, capsys):
+        # at probes near 1e100 both sides overflow to -inf, and their
+        # difference, the deviation, is NaN
+        code, _, err = run_cli(
+            ["path-sampling", "--potential", "0,0,0,0,0.25", "--T", "1.0",
+             "--box", "1e100"], capsys)
+        assert code == 2
+        assert "identity failed: deviation=nan" in err
+
     def test_no_check_skips_identity(self, capsys):
         code, out, _ = run_cli(
             ["path-sampling", "--potential", "0,0,0.5", "--T", "2.0",
@@ -164,6 +208,15 @@ class TestSimulateCommand:
         assert out == ""
         text = path.read_text()
         assert text.startswith("time,sup_norm,sobolev_norm\n")
+
+    @pytest.mark.parametrize("eps", ["0", "-0.5"])
+    def test_nonpositive_eps_rejected(self, capsys, eps):
+        # at eps 0 a limit variant would run on a correction constant of 0
+        code, out, err = run_cli(
+            ["simulate", "--variant", "phi_bar", "--eps", eps]
+            + STUDY_FLAGS, capsys)
+        assert code == 1 and out == ""
+        assert "--eps must be positive" in err
 
     def test_deterministic_repeats(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

@@ -96,6 +96,8 @@ class TestPolyConstant:
         with pytest.raises(ValueError):
             poly_constant(1.0, (2.0, 1.0))      # Q(0) != 1
         with pytest.raises(ValueError):
+            poly_constant(1.0, (1.0, -1.0))     # negative leading coefficient
+        with pytest.raises(ValueError):
             poly_constant(1.0, (1.0, -2.0, 1.0))  # root at y = 1
         with pytest.raises(ValueError):
             poly_constant(0.0, (1.0, 1.0))

@@ -1,5 +1,6 @@
 """Tests for the exponential-Euler integrator and coupled runs."""
 
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -623,6 +624,53 @@ class TestReferenceDistances:
         streams = [NoiseStream(3, replica=r) for r in range(2)]
         block = self.check(spec, 0.01, u0, cfg, streams, refs)
         assert [[c for _, c in pair] for pair in block] == [[True, False]] * 2
+
+
+class TestCensoredBlocksPinned:
+    """Blocks whose censored rows share the live rows' step, pinned to the
+    bits recorded when censored rows took a separate step path.  The
+    oracle tests above run the same step as the code under test, so only
+    a pin can see a change in it."""
+
+    @staticmethod
+    def digest(seed: int) -> tuple[str, int]:
+        """SHA-256 of coupled_distances, reference_distances and each
+        replica's couple_runs trajectories, and the censored flag count,
+        on TestCensoring's blow-up reaction with cutoff 5."""
+        spec = TestCensoring().blowup_spec()
+        u0 = initial_field(1, 6, 1.5, 1.0, NoiseStream(seed))
+        cfg = config(max_mode=6, dt=0.01, t_final=0.3, blowup_cutoff=5.0)
+        streams = [NoiseStream(seed, replica=r) for r in range(5)]
+        limits = [run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, cfg,
+                           correction_constant=c) for c in (0.3, 0.0)]
+        pairs = [p for block in (
+            coupled_distances(spec, 0.25, u0, cfg, streams),
+            reference_distances(spec, 0.25, u0, cfg, streams, limits,
+                                beta=0.6)) for row in block for p in row]
+        sha = hashlib.sha256(np.array([d for d, _ in pairs]).tobytes())
+        sha.update(bytes(c for _, c in pairs))
+        flags = sum(c for _, c in pairs)
+        for stream in streams:
+            for traj in couple_runs(spec, [0.25], u0, cfg, stream):
+                sha.update(traj.coeffs.tobytes() + traj.times.tobytes())
+                sha.update(repr(traj.censoring_time).encode())
+                flags += traj.censored
+        return sha.hexdigest(), flags
+
+    # seed: (SHA-256, censored flags), 103 flags in all
+    PINNED = {
+        0: ("3be69e574a0add4f16f8c63c20b85614cac3cfeb0bf6dc149d37b45d4468c371",
+            29),
+        1: ("c00475fca4ea8806bc8d2c2bb00f7a68a3a28cbbe3503d5c23cedd63ccb75c23",
+            27),
+        2: ("38f4fefe32b8c80baa47a9a0a4f4d3d0dad9e00b29cdce0a7e90ddfaacb5a44f",
+            12),
+        3: ("25a6772a14673bb160c3adf6f8417b466b874dd164bc8caa495da88f1daeae50",
+            35)}
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_bits_pinned(self, seed):
+        assert self.digest(seed) == self.PINNED[seed]
 
 
 class TestNoFieldsInStepLoop:

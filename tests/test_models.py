@@ -10,11 +10,11 @@ import spdelab.spectral as spectral_module
 from spdelab import (CallbackError, ModelSpec, SpectralField,
                      model_from_config, polynomial_model, sin_g_model,
                      white_noise_constant)
-from spdelab.models import (PolynomialPotential, PotentialSpec,
+from spdelab.models import (PolynomialPotential,
                             check_effective_drift_identity, drift,
                             drift_grid_size, effective_drift, eval_F_bar,
                             eval_F_eps, eval_G, eval_G_bar, from_potential,
-                            plan_F_bar, plan_F_eps, plan_G, potential_spec,
+                            plan_F_bar, plan_F_eps, plan_G,
                             random_polynomial_potential, validate_model)
 from spdelab.spectral import (ROW_TRANSFORM_POINTS, GridField, Workspace,
                               dealias_cut, derivative_coeffs, from_grid,
@@ -313,7 +313,7 @@ def drift_models() -> list[ModelSpec]:
     full1 = polynomial_model(0.8, f_coeffs=(0.1, -1.0, 0.2),
                              g_coeffs=(0.5, 0.3), h_coeffs=(0.9, -0.5))
     pot = random_polynomial_potential(2, 4, np.random.default_rng(3))
-    full2, _ = from_potential(potential_spec(pot, 1.5, 0.2))
+    full2, _ = from_potential(pot, 1.5, 0.2)
     return [full1, full2, polynomial_model(1.0, g_coeffs=(1.0, -0.4)),
             polynomial_model(1.0, h_coeffs=(1.0,)),
             polynomial_model(1.0, f_coeffs=(0.0, -1.0))]
@@ -398,7 +398,7 @@ class TestRowsAndTiles:
         # tiles of 1000 // (n R) = 166 points divide neither M = 240
         # (degree 5) nor M = 320 (grad, whose degree is unknown)
         pot = random_polynomial_potential(2, 4, np.random.default_rng(5))
-        spec, _ = from_potential(potential_spec(pot, 1.5, 0.2))
+        spec, _ = from_potential(pot, 1.5, 0.2)
         grad = ModelSpec(n=spec.n, nu=spec.nu, f=spec.f, h=spec.h)
         fields = [random_smooth_field(2, 40, seed) for seed in (3, 4, 5)]
         assert [drift_grid_size(40, d)
@@ -548,16 +548,16 @@ class TestPotentials:
         np.testing.assert_allclose(p.d3v(q)[0, 0, 1, 0], 2.0)
 
     def test_from_potential_parameters(self):
-        p = potential_spec(quartic_potential(), temperature=2.0, mass=0.4)
-        model, eps = from_potential(p)
+        model, eps = from_potential(quartic_potential(), temperature=2.0,
+                                    mass=0.4)
         assert model.nu == pytest.approx(0.25)
         assert eps == pytest.approx(0.4 / 2.0)
         assert model.n == 1
 
     def test_quartic_corrected_drift_value(self):
         # T = 1, V = q^4/4: fbar(q) = -(3/2) q^5 + 3 q, so fbar(1) = 3/2
-        p = potential_spec(quartic_potential(), temperature=1.0, mass=0.1)
-        model, _ = from_potential(p)
+        model, _ = from_potential(quartic_potential(), temperature=1.0,
+                                  mass=0.1)
         fbar = effective_drift(model)
         assert fbar(np.array([[1.0]]))[0, 0] == pytest.approx(1.5, abs=1e-12)
         q = np.array([[0.0, 0.5, -1.3]])
@@ -568,11 +568,13 @@ class TestPotentials:
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = int(rng.integers(1, 4))
-            p = potential_spec(random_polynomial_potential(n, 6, rng),
-                               temperature=float(rng.uniform(0.2, 3.0)),
-                               mass=float(rng.uniform(0.0, 1.0)))
+            pot = random_polynomial_potential(n, 6, rng)
+            temperature = float(rng.uniform(0.2, 3.0))
+            # the mass does not enter; its draw keeps the probes' values
+            rng.uniform(0.0, 1.0)
             probes = rng.uniform(-2.0, 2.0, size=(n, 16))
-            assert check_effective_drift_identity(p, probes) <= 1e-10
+            assert check_effective_drift_identity(pot, temperature,
+                                                  probes) <= 1e-10
 
     def test_correction_invariant_under_linear_term(self):
         # adding b.q to V changes dV only, so fbar - f is unchanged
@@ -583,8 +585,7 @@ class TestPotentials:
         probes = rng.uniform(-1.5, 1.5, size=(2, 8))
 
         def correction(pot):
-            p = potential_spec(pot, temperature=1.3, mass=0.2)
-            model, _ = from_potential(p)
+            model, _ = from_potential(pot, temperature=1.3, mass=0.2)
             fbar = effective_drift(model)(probes)
             f = model.f(probes)
             return fbar - f
@@ -593,18 +594,20 @@ class TestPotentials:
                                    atol=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PotentialSpec(0, 1.0, 0.1, None, None, None, None)
-        with pytest.raises(ValueError):
-            potential_spec(quartic_potential(), temperature=0.0, mass=0.1)
-        with pytest.raises(ValueError):
-            potential_spec(quartic_potential(), temperature=1.0, mass=-0.1)
+        with pytest.raises(ValueError, match="component count"):
+            PolynomialPotential(0, [])
+        # a NaN would map to NaN eps and nu and pass the identity check
+        for temperature in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="temperature"):
+                from_potential(quartic_potential(), temperature, mass=0.1)
+        for mass in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="mass"):
+                from_potential(quartic_potential(), 1.0, mass)
         with pytest.raises(ValueError):
             PolynomialPotential(1, [(1.0, (2, 1))])
         with pytest.raises(ValueError):
-            check_effective_drift_identity(
-                potential_spec(quartic_potential(), 1.0, 0.1),
-                np.zeros((2, 4)))
+            check_effective_drift_identity(quartic_potential(), 1.0,
+                                           np.zeros((2, 4)))
 
 
 class TestValidateModel:

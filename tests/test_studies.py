@@ -64,6 +64,8 @@ class TestRunConfig:
             RunConfig(workers=0)
         with pytest.raises(ValueError):
             RunConfig(modes_over_eps=0.0)
+        with pytest.raises(ValueError, match="u0_modes"):
+            RunConfig(u0_modes=-1)
 
     def test_modes_rule(self):
         cfg = RunConfig(modes_over_eps=8.0)
@@ -221,6 +223,18 @@ class TestConvergenceStudy:
         report = run_convergence_study(cfg)
         assert report.slope is None
         assert report.ci95 is None
+
+    def test_ratio_none_when_smallest_eps_fully_censored(self):
+        # every replica at eps 2^-5 censors; eps 0.25 keeps one, whose
+        # ratio (1.0517) must not stand in for the smallest level's
+        cfg = RunConfig(eps_grid=(0.5, 0.25, 0.125, 0.0625, 0.03125),
+                        replicas=3, t_final=0.1, dt=0.01, blowup_cutoff=1.5)
+        report = run_convergence_study(cfg)
+        smallest = report.per_eps[-1]
+        assert smallest["eps"] == 0.03125
+        assert smallest["n_censored"] == smallest["n_replicas"] == 3
+        assert report.per_eps[1]["n_censored"] < 3
+        assert report.naive_over_corrected is None
 
 
 class TestTheorem15Study:
