@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -198,6 +199,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_path_sampling(args: argparse.Namespace) -> int:
+    if args.probes < 1:
+        raise ValueError("--probes must be >= 1")
+    if not 0 < 2 * args.box < math.inf:   # the probes' range has width 2 box
+        raise ValueError("--box must be positive, with 2 * box finite")
     coeffs = list(args.potential)
     potential = PolynomialPotential.from_univariate(coeffs)
     model, eps = from_potential(potential, args.temperature, args.mass)

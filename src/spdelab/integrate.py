@@ -38,8 +38,9 @@ reference.
 
 A run allocates its step arrays once.  Each call of the core owns a
 spectral.Workspace for the drift's input, grid and spectrum and the noise's
-normals and innovations (coupled_distances keeps a second for its 8x
-grids, and reference_distances one array for its differences), and
+normals and innovations (coupled_distances keeps a second for its
+sup_norms grids of fast_grid_size(8 * (2N+2)) points, and
+reference_distances one array for its differences), and
 updates v, its copy of psi, u = v + scale * psi and the guard's |u| in
 place with out=, in the order the formulas are written, so no bit changes.
 Rows of at least spectral.ROW_TRANSFORM_POINTS points are transformed one
@@ -50,11 +51,11 @@ overwrites it.
 
 Runs abort with a censored flag once the sup norm exceeds the configured
 guard; censored trajectories carry no fields at or beyond the censoring
-time, and a censored row of a block is no longer advanced nor read by any
-observer.  The guard calls the oversampled sup_norm only when 1.25 times
-the l1 bound max_i (|c_i0| + 2 sum_{k>=1} |c_ik|) / sqrt(2 pi) exceeds
-the cutoff; as sup_norm is at most 1.25 times the grid maximum, no
-decision changes.
+time, and a censored row of a block keeps stepping on the drift of the
+zero field but is read by no observer.  The guard calls the oversampled
+sup_norm only when 1.25 times the l1 bound max_i (|c_i0| + 2 sum_{k>=1}
+|c_ik|) / sqrt(2 pi) exceeds the cutoff; as sup_norm is at most 1.25
+times the grid maximum, no decision changes.
 """
 
 from __future__ import annotations
@@ -160,8 +161,6 @@ def _build_channel(spec: ModelSpec, variant: Variant, eps: float,
                    correction_constant: float | None) -> _Channel:
     if not isinstance(variant, Variant):
         raise ValueError("variant must be a Variant member")
-    if variant in _GRADIENT_ONLY and spec.g is not None:
-        raise ValueError(f"{variant.name} requires g identically zero")
     if variant in (Variant.PHI_EPS, Variant.V_EPS) and eps <= 0:
         raise ValueError(f"{variant.name} needs eps > 0")
     own_eps = eps if variant in (Variant.PHI_EPS, Variant.V_EPS) else 0.0
@@ -235,7 +234,6 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
     decay = np.stack([ch.decay for ch in channels])[:, None, :]
     weight = np.stack([ch.weight for ch in channels])[:, None, :]
     alive = np.ones((n_rep, n_ch), dtype=bool)
-    live = alive[:, :, None, None]   # a view: follows alive
     censoring_time = [[None] * n_ch for _ in range(n_rep)]
     # Run-scoped arrays that every step overwrites; without noise u is v
     # itself.  Observers copy what they keep.
@@ -270,14 +268,15 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
 
     state(0, 0.0)
     for step in range(1, config.n_steps + 1):
-        # A censored row's drift sees zeros and its v is not updated; without
-        # noise u is v, so that v reads 0, but no observer reads a censored
-        # row (the recorder writes live rows, the distance maxima are masked)
+        # A censored row's drift sees zeros, and its v keeps evolving on
+        # that drift (without noise u is v, so that v restarts from 0); no
+        # observer reads a censored row (the recorder writes live rows, the
+        # distance maxima are masked)
         u[~alive] = 0.0
         # v <- decay * v + weight * fu, in place and rounded as written
         np.multiply(weight, _drift(channels, u, step, work), out=weighted)
-        np.multiply(decay, v, out=v, where=live)
-        np.add(v, weighted, out=v, where=live)
+        np.multiply(decay, v, out=v)
+        np.add(v, weighted, out=v)
         if noise:
             step_replicas(factors, streams, step0 + step - 1, psi, h, work)
         state(step, step * h)
@@ -400,7 +399,7 @@ def coupled_distances(spec: ModelSpec, eps: float, u0: SpectralField,
     channels, noise = _coupled(spec, [eps], config, streams, correction)
     # columns: corrected (channel 2), naive (channel 1)
     dist = np.full((len(streams), 2), math.nan)
-    work = Workspace()   # the 8x oversampled grids of this run's distances
+    work = Workspace()   # the sup_norms grids of this run's distances
 
     def sup_distances(t: float, u: np.ndarray, alive: np.ndarray) -> None:
         diff = u[:, :1] - u[:, 2:0:-1]                   # (R, 2, n, N+1)

@@ -153,12 +153,13 @@ class DriftPlan(NamedTuple):
 
 
 def drift_grid_size(max_mode: int, degree: Optional[int]) -> int:
-    """Points of drift's grid for modes 0..N: the smallest 2*3*5-smooth
-    M >= 4N+4 on which no product of degree factors (modes up to degree*N)
-    aliases onto a mode the 2/3 cut keeps, M > degree*N + cut.  degree None
-    counts as 7, the highest degree the former 8N grid resolved."""
+    """Points of drift's grid for modes 0..N: fast_grid_size of its
+    contract, max(2N+2, dN + cut + 1).  2N+2 points resolve the modes of u,
+    and on M > dN + cut no product of d factors (modes up to dN) aliases
+    onto a mode the 2/3 cut keeps.  degree None counts as 7, the highest
+    degree the former 8N grid resolved."""
     degree = 7 if degree is None else degree
-    return fast_grid_size(max(4 * max_mode + 4, degree * max_mode
+    return fast_grid_size(max(2 * max_mode + 2, degree * max_mode
                               + dealias_cut(max_mode) + 1))
 
 
@@ -326,12 +327,12 @@ def eval_G_bar(spec: ModelSpec, u: SpectralField, *,
 
 def from_potential(potential: PolynomialPotential, temperature: float,
                    mass: float) -> tuple[ModelSpec, float]:
-    """Map a potential problem at temperature > 0 and mass >= 0 onto the
-    model family; returns (model, eps)."""
-    if not temperature > 0:
-        raise ValueError("temperature must be positive")
-    if not mass >= 0:
-        raise ValueError("mass must be nonnegative")
+    """Map a potential problem at finite temperature > 0 and mass >= 0
+    onto the model family; returns (model, eps)."""
+    if not 0 < temperature < math.inf:
+        raise ValueError("temperature must be positive and finite")
+    if not 0 <= mass < math.inf:
+        raise ValueError("mass must be nonnegative and finite")
     two_t = 2.0 * temperature
     scale = math.sqrt(two_t)
     eps = mass / scale

@@ -6,10 +6,11 @@ k = 0..N.  The coefficient at -k is implied by conjugation (only real fields
 are representable), so the k = 0 coefficient is kept exactly real.
 
 Grid transforms are exact for the represented trigonometric polynomial
-whenever the grid has at least 2N+2 points.  to_grid and sup_norms use a
-power of two times an oversampling factor; the drift grid
-(models.drift_grid_size) and averaging's (M >= 4N+1) the next 2*3*5-smooth
-size, fast_grid_size.
+whenever the grid has at least 2N+2 points.  Every grid has one sizing
+rule: fast_grid_size, the next 2*3*5-smooth size, of the points its
+contract needs, stated where it is called: oversample * (2N+2) for to_grid,
+8 * (2N+2) for sup_norms, max(2N+2, dN + cut + 1) for a degree-d drift
+(models.drift_grid_size) and 4N+1 for averaging's quadratic convolutions.
 
 Fields and the functions taking them validate; inner loops call the array
 kernels behind them (grid_values, grid_coeffs, derivative_coeffs, the
@@ -40,12 +41,6 @@ DEALIAS_FRACTION = 2.0 / 3.0  # Orszag's 2/3 rule for quadratic products
 # batched, 0.84 ms row by row).  Both give the same bits: each row is one
 # transform with the same plan.
 ROW_TRANSFORM_POINTS = 1 << 15
-
-
-def base_grid_size(max_mode: int) -> int:
-    """Smallest power of two that is >= 2*max_mode + 2."""
-    need = 2 * max_mode + 2
-    return 1 << (need - 1).bit_length()
 
 
 def fast_grid_size(points: int) -> int:
@@ -190,13 +185,13 @@ def dealias_cut(max_mode: int) -> int:
 
 
 def to_grid(field: SpectralField, oversample: int = 1) -> GridField:
-    """Evaluate the field on M = oversample * 2^ceil(log2(2N+2)) points.
+    """Evaluate the field on M = fast_grid_size(oversample * (2N+2)) points.
 
     Exact (up to rounding) because M >= 2N+2 resolves every retained mode.
     """
     if oversample < 1:
         raise ValueError("oversample must be a positive integer")
-    m = oversample * base_grid_size(field.max_mode)
+    m = fast_grid_size(oversample * (2 * field.max_mode + 2))
     return GridField(field.n_components, m, grid_values(field.coeffs, m))
 
 
@@ -233,34 +228,28 @@ def sobolev_norm(coeffs: np.ndarray, alpha: float, nu: float) -> np.ndarray:
                    + 2.0 * np.sum(tail, axis=(-2, -1)))
 
 
-def sup_norms(coeffs: np.ndarray, work: Workspace | None = None) -> list:
+def sup_norms(coeffs: np.ndarray, work: Workspace | None = None) -> np.ndarray:
     """Sup norms max_x |u_i(x)| of coefficient rows u_i (shape (i, N+1)) on
-    an 8x oversampled grid, each sharpened by a quadratic fit through the
-    grid maximum.  This is a documented approximation to the true supremum:
-    the parabola vertex recovers the inter-node peak of the trigonometric
-    polynomial to well under 0.1% relative error at this resolution.  The
-    fit adds at most a quarter of the grid maximum (both neighbours lie in
-    [0, y1]): each value is <= 1.25 y1.  One grid_values call serves every
-    row; the fit runs per row in scalar arithmetic, whose rounding of the
-    square differs from the array square's.  The grid is work's, if given.
+    fast_grid_size(8 * (2N+2)) points, each sharpened by a quadratic fit
+    through the grid maximum.  This is a documented approximation to the
+    true supremum.  Its worst case is a peak of the top mode halfway between
+    nodes, which at 8 * (2N+2) points lie under pi/8 apart in that mode's
+    phase: the parabola vertex is then within 5.5e-4 relative of the peak.
+    The fit adds at most a quarter of the grid maximum (both neighbours lie
+    in [0, y1]): each value is <= 1.25 y1.  One grid_values call serves
+    every row, on work's grid if given, and one array expression fits all.
     """
-    m = 8 * base_grid_size(coeffs.shape[-1] - 1)
+    m = fast_grid_size(8 * (2 * (coeffs.shape[-1] - 1) + 2))
     a = grid_values(coeffs, m, work)
     np.abs(a, out=a)
-    peaks = []
-    for i, j in enumerate(np.argmax(a, axis=1)):
-        y0 = a[i, j - 1]
-        y1 = a[i, j]
-        y2 = a[i, (j + 1) % a.shape[1]]
-        denom = 2.0 * y1 - y0 - y2
-        peak = y1
-        if denom > 0.0:
-            peak = y1 + (y2 - y0) ** 2 / (8.0 * denom)
-        peaks.append(peak)
-    return peaks
+    rows, top = np.arange(len(a)), np.argmax(a, axis=1)
+    y0, y1, y2 = a[rows, top - 1], a[rows, top], a[rows, (top + 1) % m]
+    denom = 2.0 * y1 - y0 - y2
+    lift = np.divide((y2 - y0) ** 2, 8.0 * denom,
+                     out=np.zeros_like(denom), where=denom > 0.0)
+    return y1 + lift
 
 
 def sup_norm(coeffs: np.ndarray) -> float:
     """Max of sup_norms over one field's (n, N+1) coefficients."""
-    return max(0.0, *sup_norms(coeffs))
-
+    return float(sup_norms(coeffs).max(initial=0.0))

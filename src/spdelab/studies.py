@@ -76,6 +76,8 @@ class RunConfig:
             raise ValueError("replicas must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.fixed_modes is not None and self.fixed_modes < 1:
+            raise ValueError("fixed_modes must be >= 1")
         if not 0 < self.modes_over_eps < math.inf:
             raise ValueError("modes_over_eps must be positive and finite")
         if self.u0_modes < 0:

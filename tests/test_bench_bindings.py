@@ -72,4 +72,4 @@ def test_traced_to_grid_counts_its_points():
     field = SpectralField(2, 4, np.ones((2, 5), dtype=np.complex128))
     grid, metrics = traced(spans, lambda: spans.spectral.to_grid(field, 2))
     assert metrics["spectral.to_grid.calls"] == 1
-    assert metrics["spectral.to_grid.points"] == 2 * grid.grid_size == 64
+    assert metrics["spectral.to_grid.points"] == 2 * grid.grid_size == 40

@@ -102,25 +102,38 @@ class TestExitCodes:
 
 
 SIMULATE = ["simulate", "--variant", "phi_bar", "--eps", "0.5"]
-BAD_FLAGS = [["--u0-modes", "-1"], ["--dt", "0"], ["--t-final", "0"],
-             ["--fixed-modes", "0"], ["--replicas", "0"], ["--workers", "0"],
-             ["--modes-over-eps", "0"], ["--t-final", "inf"],
-             ["--modes-over-eps", "inf"]]
+# each bad study flag, and the name that its config error line carries
+BAD_FLAGS = [(["--u0-modes", "-1"], "u0_modes"), (["--dt", "0"], "dt"),
+             (["--t-final", "0"], "t_final"),
+             (["--fixed-modes", "0"], "fixed_modes"),
+             (["--replicas", "0"], "replicas"),
+             (["--workers", "0"], "workers"),
+             (["--modes-over-eps", "0"], "modes_over_eps"),
+             (["--t-final", "inf"], "t_final"),
+             (["--modes-over-eps", "inf"], "modes_over_eps")]
+PATH_SAMPLING = ["path-sampling", "--potential", "0,0,0,0,0.25", "-T", "1.0"]
+BAD_PATH_SAMPLING_FLAGS = [
+    (["--box", box], "--box") for box in ("inf", "nan", "1e308", "-1")] + [
+    (["--probes", "0"], "--probes"), (["--probes", "-3"], "--probes"),
+    (["-T", "inf"], "temperature"), (["--mass", "inf"], "mass")]
 
 
-@pytest.mark.parametrize("command,flag", [
-    pytest.param(command, flag, id=" ".join(command[:1] + flag))
-    for command, flag in [(SIMULATE[:3], ["--eps", "0"]),
-                          (SIMULATE[:3], ["--eps", "-0.5"])] + [
-        (command, flag)
+@pytest.mark.parametrize("command,flag,name", [
+    pytest.param(command, flag, name, id=" ".join(command[:1] + flag))
+    for command, flag, name in [
+        (SIMULATE[:3] + STUDY_FLAGS, ["--eps", "0"], "--eps"),
+        (SIMULATE[:3] + STUDY_FLAGS, ["--eps", "-0.5"], "--eps")] + [
+        (command + STUDY_FLAGS, flag, name)
         for command in (SIMULATE, ["converge"], ["theorem15"],
                         ["psi-coupling"], ["averaging"])
-        for flag in BAD_FLAGS]])
-def test_out_of_range_flag_is_config_error(command, flag, capsys):
-    # the flag overrides STUDY_FLAGS' value; argparse keeps the last one
-    code, _, err = run_cli(command + STUDY_FLAGS + flag, capsys)
+        for flag, name in BAD_FLAGS] + [
+        (PATH_SAMPLING, flag, name)
+        for flag, name in BAD_PATH_SAMPLING_FLAGS]])
+def test_out_of_range_flag_is_config_error(command, flag, name, capsys):
+    # the flag overrides the command's value; argparse keeps the last one
+    code, _, err = run_cli(command + flag, capsys)
     assert code == 1
-    assert "config error:" in err
+    assert "config error:" in err and name in err
     assert "Traceback" not in err
 
 
@@ -229,13 +242,16 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("variant,digest", [
         ("phi_eps",
-         "67a711af36b6b0956256ee8aed85be9427dedb8f4d965ad7047371ac94fb0ef5"),
+         "daf0a3d87be0684daedf34192001f2416bf0031347d5f84eb18462eda8b9d47a"),
         ("v_eps",
-         "9dd48184daf3e79eacf34f700842c55cc5b5a96d7c34093764ab3002e36f3424")])
+         "3da1aed8b2b701ea6fc7728d601f394cec5edbf202bf200b40eeb885030818ec")])
     def test_csv_pinned(self, tmp_path, capsys, variant, digest):
         # SHA-256 of the CSV recorded when trajectories were lists of
         # SpectralFields measured one field at a time; the coefficient
-        # array and the stacked sobolev_norm call must keep every byte
+        # array and the stacked sobolev_norm call must keep every byte.
+        # Re-recorded when sup_norms moved to fast_grid_size(8 (2N+2))
+        # points, which moved the sup_norm column by at most 5.5e-5
+        # relative and the sobolev_norm column (drift grid) by 1.1e-16
         path = tmp_path / "traj.csv"
         code, _, _ = run_cli(
             ["simulate", "--variant", variant, "--eps", "0.5",

@@ -1,5 +1,6 @@
 """Tests for the model families, drift evaluation, and corrected limits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -133,7 +134,9 @@ class TestEvalFEps:
     def test_eps_zero_is_reaction_only(self):
         spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0),
                                 g_coeffs=(0.0, 5.0), h_coeffs=(7.0,))
-        bare = polynomial_model(1.0, f_coeffs=(0.0, -1.0))
+        # the grid follows the declared degree, so bare declares spec's
+        bare = dataclasses.replace(polynomial_model(1.0, f_coeffs=(0.0, -1.0)),
+                                   degree=spec.degree)
         u = scalar_field(8, {0: 0.4, 1: 0.3 + 0.2j, 2: -0.1j})
         a = eval_F_eps(spec, 0.0, u)
         b = eval_F_eps(bare, 0.0, u)
@@ -370,13 +373,14 @@ class TestRowsAndTiles:
     """drift transforms by rows from ROW_TRANSFORM_POINTS on and runs the
     callbacks on tiles of POINTWISE_TILE points; neither may move a bit."""
 
-    # drift grids of 32,000 points (just below the crossover) and 32,805
-    # (just above it)
-    @pytest.mark.parametrize("max_mode", [7999, 8192])
+    # degree-2 drift grids of 21,600 points (below the crossover) and
+    # 32,805 (above it)
+    @pytest.mark.parametrize("max_mode", [7999, 12288])
     def test_block_drift_same_by_rows_and_batched(self, monkeypatch,
                                                   max_mode):
         spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
         m = drift_grid_size(max_mode, spec.degree)
+        assert m == {7999: 21600, 12288: 32805}[max_mode]
         assert (m < ROW_TRANSFORM_POINTS) == (max_mode == 7999)
         fields = [random_smooth_field(1, max_mode, seed) for seed in (1, 2)]
         plans = [plan_G(spec, None), plan_F_eps(spec, 0.3)]
@@ -455,20 +459,20 @@ def deviation(got: np.ndarray, want: np.ndarray) -> float:
 
 
 class TestDriftGridContract:
-    """drift's grid is the smallest 2*3*5-smooth M >= 4N+4 with M > dN + cut
-    for the model's degree d, so no product aliases onto a kept mode.  The
-    drifts are checked against the brute-force convolution of their Hermitian
+    """drift's grid is fast_grid_size(max(2N+2, dN + cut + 1)) for the
+    model's degree d, so no product aliases onto a kept mode.  The drifts
+    are checked against the brute-force convolution of their Hermitian
     coefficient sequences, on fields whose spectrum does not decay."""
 
     MODELS = [dict(f=(0.0, -1.0), h=(1.0,)),
               dict(f=(0.1, -1.0, 0.2), g=(0.5, 0.3))]
 
-    # (N, M): 45 points, one batched call; 32,805 points, one call per row
-    @pytest.mark.parametrize("max_mode, points", [(10, 45), (8192, 32805)])
+    # (N, M): 27 points, one batched call; 32,805 points, one call per row
+    @pytest.mark.parametrize("max_mode, points", [(10, 27), (12288, 32805)])
     def test_quadratic_drift_equals_convolution(self, monkeypatch, max_mode,
                                                 points):
         sizes = recorded_grid_sizes(monkeypatch)
-        assert (points >= ROW_TRANSFORM_POINTS) == (max_mode == 8192)
+        assert (points >= ROW_TRANSFORM_POINTS) == (max_mode == 12288)
         u = flat_field(max_mode, 21)
         for case in self.MODELS:
             spec = polynomial_model(1.0, f_coeffs=case.get("f"),
@@ -480,11 +484,11 @@ class TestDriftGridContract:
             assert deviation(got, want) <= 1e-12
         assert sizes == [points] * len(self.MODELS)
 
-    # name: (degree, M at N = 10, builder).  Degree 3 sits on the 4N+4
-    # floor; above it M > 10 d + 6.  A potential of degree d makes a drift
-    # of degree 2d - 3 (f = -d2V dV / 2T).
+    # name: (degree, M at N = 10, build): the smooth size > 10 d + 6.  A
+    # potential of degree d makes a drift of degree 2d - 3
+    # (f = -d2V dV / 2T).
     CASES = {
-        "cubic h": (3, 45, lambda: (polynomial_model(
+        "cubic h": (3, 40, lambda: (polynomial_model(
             1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.1, -0.4)), 0.3,
             dict(f=(0.0, -1.0), h=(1.1, -0.4)))),
         "quartic f": (4, 48, lambda: (polynomial_model(

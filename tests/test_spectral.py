@@ -135,9 +135,11 @@ class TestFastGridSize:
             assert not any(smooth(k) for k in range(points, m))
 
     def test_drift_grid_sizes(self):
-        # 4N+4 for N = 10, 4095, 4096 and 8192
-        assert [fast_grid_size(p) for p in (44, 16384, 16388, 32772)] == \
-            [45, 16384, 16875, 32805]
+        # degree-2 drift contracts 2N + floor(2N/3) + 1 for N = 10, 6144,
+        # 6328, 8192 and 12288
+        assert [fast_grid_size(p) for p in (27, 16385, 16875, 21846,
+                                            32769)] == \
+            [27, 16875, 16875, 21870, 32805]
 
 
 class TestWorkspace:
@@ -145,8 +147,8 @@ class TestWorkspace:
     call, whatever the workspace held before, on either side of the
     row-by-row crossover."""
 
-    # powers of two, and the 2*3*5-smooth (odd) drift grids of N = 4096 and
-    # N = 8192, on both sides of the crossover
+    # powers of two, and the 2*3*5-smooth (odd) degree-2 drift grids of
+    # N = 6328 and N = 12288, on both sides of the crossover
     @pytest.mark.parametrize("m", [ROW_TRANSFORM_POINTS // 2,
                                    ROW_TRANSFORM_POINTS, 16875, 32805])
     def test_reused_transforms_equal_fresh_ones(self, monkeypatch, m):
@@ -284,14 +286,50 @@ class TestNorms:
             0.7, abs=1e-6)
 
     def test_sup_norm_vs_dense_oracle(self):
-        # dense-sampling oracle: evaluate on a 64x oversampled grid
-        for seed in range(5):
-            f = random_field(1, 6, 100 + seed)
-            dense = to_grid(f, oversample=64)
-            oracle = float(np.max(np.abs(dense.values)))
-            approx = sup_norm(f.coeffs)
-            assert abs(approx - oracle) <= 1e-3 * oracle, (seed, approx,
-                                                           oracle)
+        # dense-sampling oracle: evaluate on a 64x oversampled grid.  Random
+        # fields, and the top mode alone with its peak shifted across one
+        # node spacing of sup_norms' grid, fast_grid_size(8 (2N+2))
+        for max_mode in (1, 6, 63, 64, 100, 1023, 1024):
+            m = fast_grid_size(8 * (2 * max_mode + 2))
+            fields = [random_field(1, max_mode, 100 + seed)
+                      for seed in range(5)]
+            for shift in np.linspace(0.0, 1.0, 9):
+                phase = np.exp(2j * math.pi * max_mode * shift / m)
+                fields.append(SpectralField(
+                    1, max_mode, single_mode(max_mode, max_mode, phase)))
+            for f in fields:
+                dense = to_grid(f, oversample=64)
+                oracle = float(np.max(np.abs(dense.values)))
+                approx = sup_norm(f.coeffs)
+                assert abs(approx - oracle) <= 1e-3 * oracle, \
+                    (max_mode, approx, oracle)
+
+
+def sup_norms_by_rows(coeffs: np.ndarray) -> list:
+    """sup_norms' parabola fit row by row in scalar arithmetic, as it was
+    written before it became one array expression: the reference."""
+    m = fast_grid_size(8 * (2 * (coeffs.shape[-1] - 1) + 2))
+    a = np.abs(grid_values(coeffs, m))
+    peaks = []
+    for i, j in enumerate(np.argmax(a, axis=1)):
+        y0, y1, y2 = a[i, j - 1], a[i, j], a[i, (j + 1) % m]
+        denom = 2.0 * y1 - y0 - y2
+        peaks.append(y1 + (y2 - y0) ** 2 / (8.0 * denom) if denom > 0.0
+                     else y1)
+    return peaks
+
+
+class TestSupNormsArrayFit:
+    @pytest.mark.parametrize("max_mode", [1, 6, 64, 1023])
+    def test_equals_the_row_loop(self, max_mode):
+        # random rows, a constant row (flat grid, no fit) and the top mode
+        # alone; the square may round differently as an array, so the
+        # tolerance is four units in the last place
+        rows = np.concatenate([random_field(4, max_mode, max_mode).coeffs,
+                               constant(-2.5, max_mode),
+                               single_mode(max_mode, max_mode, 0.3 + 0.4j)])
+        np.testing.assert_allclose(sup_norms(rows), sup_norms_by_rows(rows),
+                                   rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 def l1_bound(coeffs: np.ndarray) -> float:

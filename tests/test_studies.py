@@ -13,11 +13,15 @@ from spdelab import (ConvergenceReport, NoiseStream, RunConfig,
                      run_averaging_study, run_convergence_study,
                      run_psi_coupling_study, run_theorem15_study,
                      sample_stationary, write_report)
+import spdelab.models as models_module
+import spdelab.spectral as spectral_module
 import spdelab.studies as studies_module
+from spdelab.cli import cli_main
 from spdelab.constants import white_noise_constant
 from spdelab.integrate import SimulationConfig
 from spdelab.linops import OperatorSpec
 from spdelab.noise import step_coupled
+from spdelab.models import drift_grid_size
 from spdelab.spectral import ROW_TRANSFORM_POINTS, fast_grid_size, sup_norm
 from spdelab.studies import (SCHEMA_VERSION, _block_map, calibrate_dt,
                              report_csv_text, report_json_text, tail_csv_text)
@@ -169,7 +173,10 @@ class TestConvergenceStudy:
         # and measured distances on stored trajectories, so a block core
         # that moves any digit fails here; re-recorded when the drift grid
         # went from 8N points to the 2*3*5-smooth size >= 4N+4, which moved
-        # seven of them by at most 4.3e-16 relative
+        # seven of them by at most 4.3e-16 relative, and when sup_norms
+        # (from 32N points) and the drift grid (from its 4N+4 floor) took
+        # fast_grid_size of their contracts, which moved all eight by at
+        # most 1.3e-4 relative
         cfg = RunConfig(eps_grid=tuple(2.0 ** -j for j in range(3, 7)),
                         replicas=3, seed=3, modes_over_eps=4.0, dt=0.01,
                         t_final=0.2, workers=2)
@@ -177,10 +184,10 @@ class TestConvergenceStudy:
         assert [row["n_modes"] for row in report.per_eps] == [32, 64, 128, 256]
         assert [(row["mean_error"], row["naive_mean_error"])
                 for row in report.per_eps] == [
-            (0.4870589036341526, 0.5243260101614621),
-            (0.34819309138512233, 0.3917081946676603),
-            (0.2673698955123813, 0.3082666557505161),
-            (0.19096987592235837, 0.24791825336203896)]
+            (0.48704878335153845, 0.5243174414189927),
+            (0.3481476779843185, 0.39166776954402716),
+            (0.2673648462631462, 0.30826624029595057),
+            (0.1909630210216977, 0.2479165709551141)]
         assert all(row["n_censored"] == 0 for row in report.per_eps)
 
     @pytest.mark.parametrize("model", [
@@ -259,7 +266,8 @@ class TestTheorem15Study:
         # derivative, so a fast path that moves any digit fails here;
         # re-recorded when the drift grid went from 8N points to the
         # 2*3*5-smooth size >= 4N+4, which moved three of them by at most
-        # 1.8e-16 relative
+        # 1.8e-16 relative, and when the degree-2 drift grid lost its 4N+4
+        # floor, which moved one by 1.4e-16 relative
         cfg = RunConfig(study="theorem15", beta=0.6, u0_decay=1.3,
                         eps_grid=tuple(2.0 ** -j for j in range(3, 7)),
                         replicas=2, seed=3, modes_over_eps=4.0, dt=0.01,
@@ -269,7 +277,7 @@ class TestTheorem15Study:
         assert [(row["mean_error"], row["naive_mean_error"])
                 for row in report.per_eps] == [
             (0.9803151924014839, 0.9939659509887281),
-            (0.7916565075798421, 0.8118568275863429),
+            (0.7916565075798422, 0.8118568275863429),
             (0.632917257906025, 0.6541562513023214),
             (0.4982555089441466, 0.5234404772294784)]
         assert all(row["n_censored"] == 0 for row in report.per_eps)
@@ -306,14 +314,14 @@ class TestTheorem15Study:
 
     def test_worker_split_invariance_on_row_transform_grids(self,
                                                             monkeypatch):
-        # N = 8192 puts the drift grid at 32,805 points, where every
-        # transform runs one row at a time into the run's workspace; each
-        # thread's runs keep their own workspaces
+        # N = 12288 puts the default model's drift grid at 32,805 points,
+        # where every drift transform runs one row at a time into the run's
+        # workspace; each thread's runs keep their own workspaces
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        m = fast_grid_size(4 * 8192 + 4)
+        m = drift_grid_size(12288, 2)
         assert m >= ROW_TRANSFORM_POINTS
         cfg = dict(eps_grid=(0.5, 0.25), replicas=2, seed=4,
-                   fixed_modes=8192, dt=0.005, t_final=0.01)
+                   fixed_modes=12288, dt=0.005, t_final=0.01)
         one, two = [run_theorem15_study(RunConfig(workers=w, **cfg))
                     for w in (1, 2)]
         assert one.per_eps == two.per_eps
@@ -353,7 +361,9 @@ class TestPsiCouplingStudy:
         # reduced protocol (N = 32..256, 3 replicas, two blocks); the values
         # were recorded with repr from the study that stepped each replica
         # alone through step_coupled, so a block run that moves any digit
-        # fails here
+        # fails here; re-recorded when sup_norms went from 32N points to
+        # fast_grid_size(8 (2N+2)), which moved all five by at most 1.1e-4
+        # relative
         cfg = RunConfig(study="psi-coupling",
                         eps_grid=tuple(2.0 ** -j for j in range(3, 7)),
                         replicas=3, seed=3, modes_over_eps=4.0, dt=0.01,
@@ -361,9 +371,9 @@ class TestPsiCouplingStudy:
         report = run_psi_coupling_study(cfg)
         assert [row["n_modes"] for row in report.per_eps] == [32, 64, 128, 256]
         assert [row["mean_error"] for row in report.per_eps] == [
-            0.4753499388611673, 0.3446490435486267, 0.25910519827504414,
-            0.18886956339177652]
-        assert report.slope == 0.4406389292452005
+            0.4753302977232035, 0.3446129352954474, 0.2591001852048213,
+            0.18886169344208867]
+        assert report.slope == 0.4406267561197175
 
     def test_rejects_dt_beyond_t_final(self):
         # the steps come from SimulationConfig, as for the other studies
@@ -381,6 +391,37 @@ class TestPsiCouplingStudy:
         assert all(m > 0 for m in means)
         # distances shrink with eps (report rows go largest -> smallest eps)
         assert means[-1] < means[0]
+
+
+def test_every_grid_is_fast_grid_size_of_its_contract(monkeypatch, capsys):
+    # a spy on grid_values during reduced runs of the three rate studies
+    # and simulate sees only the default model's drift grid and sup_norms'
+    # fast_grid_size(8 (2N+2)); theorem15's low cutoff sends suspects to
+    # the guard's sup_norm
+    seen = set()
+    real = spectral_module.grid_values
+
+    def spy(coeffs, m, *rest):
+        seen.add((coeffs.shape[-1] - 1, m))
+        return real(coeffs, m, *rest)
+
+    monkeypatch.setattr(spectral_module, "grid_values", spy)
+    monkeypatch.setattr(models_module, "grid_values", spy)
+    reduced = dict(eps_grid=(0.5, 0.25), replicas=2, seed=1,
+                   modes_over_eps=4.0, dt=0.05, t_final=0.2, u0_modes=6,
+                   workers=2)
+    run_convergence_study(RunConfig(**reduced))
+    run_theorem15_study(RunConfig(study="theorem15", blowup_cutoff=1.5,
+                                  **reduced))
+    run_psi_coupling_study(RunConfig(study="psi-coupling", **reduced))
+    assert cli_main(["simulate", "--variant", "phi_eps", "--eps", "0.25",
+                     "--fixed-modes", "12", "--dt", "0.05",
+                     "--t-final", "0.2", "--u0-modes", "6"]) == 0
+    capsys.readouterr()
+    drift = {(n, drift_grid_size(n, 2)) for n in (8, 12, 16)}
+    distance = {(n, fast_grid_size(8 * (2 * n + 2))) for n in (8, 12, 16)}
+    assert drift <= seen and distance <= seen
+    assert seen <= drift | distance
 
 
 class TestModelNu:
