@@ -204,6 +204,11 @@ def _cmd_path_sampling(args: argparse.Namespace) -> int:
     if not 0 < 2 * args.box < math.inf:   # the probes' range has width 2 box
         raise ValueError("--box must be positive, with 2 * box finite")
     coeffs = list(args.potential)
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ValueError("--potential coefficients must be finite")
+    if args.temperature > 0 and 1.0 / (2.0 * args.temperature) == math.inf:
+        raise ValueError("-T/--temperature is too small: nu = 1/(2T) "
+                         "overflows")
     potential = PolynomialPotential.from_univariate(coeffs)
     model, eps = from_potential(potential, args.temperature, args.mass)
     rng = np.random.default_rng(args.seed)

@@ -25,8 +25,9 @@ pair of noise.sample_replicas, psi stacked (R, levels, n, N+1).  Each step
 makes one models.drift call for the block (one grid transform and one
 back-transform) and one noise.step_replicas call, which colours the
 replicas' normals, each drawn from the replica's own counter-based stream,
-with one einsum; inputs are checked when a run starts, and no SpectralField
-is built after that.  Batched real FFTs are bit-identical per row, so a
+with one multiply-add per level and factor column (added left to right);
+inputs are checked when a run starts, and no SpectralField is built after
+that.  Batched real FFTs are bit-identical per row, so a
 replica's numbers do not depend on its block.  At every recorded time the
 core hands the state to one observer: run_mild and couple_runs (the R = 1
 case) record trajectories, each one (T, n, N+1) coefficient array;
@@ -38,8 +39,8 @@ reference.
 
 A run allocates its step arrays once.  Each call of the core owns a
 spectral.Workspace for the drift's input, grid and spectrum and the noise's
-normals and innovations (coupled_distances keeps a second for its
-sup_norms grids of fast_grid_size(8 * (2N+2)) points, and
+normals, colouring products and innovations (coupled_distances keeps a
+second for its sup_norms grids of fast_grid_size(8 * (2N+2)) points, and
 reference_distances one array for its differences), and
 updates v, its copy of psi, u = v + scale * psi and the guard's |u| in
 place with out=, in the order the formulas are written, so no bit changes.

@@ -79,8 +79,8 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("component count must be >= 1")
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
+        if not 0 < self.nu < math.inf:
+            raise ValueError("nu must be positive and finite")
         if (self.g is None) != (self.dg is None):
             raise ValueError("g and dg must be supplied together")
 

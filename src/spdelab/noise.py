@@ -14,8 +14,12 @@ Both are Gram matrices of the exponentials exp(-a_i s), hence positive
 definite once exactly duplicated rates are deduplicated; duplicates (equal
 levels, and every level at k = 0 where all symbols equal -1) share one row
 of the factor, so they stay bitwise identical.  The factors are expanded
-to one row per level once, when they are built, and colouring a draw is
-then one einsum straight into the complex result.
+to one row per level once, when they are built.  Colouring a draw writes
+each level straight into the complex result: one multiply by the level's
+first factor column, then one multiply-add per further column up to the
+last that is nonzero at some mode, added left to right.  Where a mode has at most two
+distinct rates this is the bits of the matrix product summed in any order;
+with three or more, the sum is taken in that left-to-right order.
 
 A block of replicas holds its noise as one stacked array psi (R, levels,
 n, N+1) next to the factors it shares (sample_replicas, step_replicas);
@@ -24,10 +28,13 @@ CoupledOUState is only the one-replica public state.
 All randomness is drawn through counter-based streams: each block of
 standard normals is a pure function of (base_seed, purpose, replica, step),
 never of consumption order, so runs are reproducible under any scheduling.
+A draw re-keys one Philox generator per thread with the key that
+Philox(SeedSequence(path)) would take, so it builds no generator.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +48,23 @@ PURPOSE_OU_STEP = 2
 PURPOSE_MODE_SET = 3
 PURPOSE_MODE_SET_INDEP = 4
 PURPOSE_INITIAL_FIELD = 5
+
+# Each thread draws through its own generator, re-keyed for every block.
+_THREAD = threading.local()
+_ZEROS = np.zeros(4, dtype=np.uint64)
+_ZEROS.flags.writeable = False
+
+
+def _keyed_generator(key: np.ndarray) -> np.random.Generator:
+    """This thread's generator in the state Philox(seq) starts in, for
+    key = seq.generate_state(2, uint64): counter 0 and an empty buffer."""
+    gen = getattr(_THREAD, "generator", None)
+    if gen is None:
+        gen = _THREAD.generator = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 @dataclass(frozen=True)
@@ -78,7 +102,7 @@ class NoiseStream:
         seq = np.random.SeedSequence(
             entropy=(int(self.base_seed), int(self.purpose),
                      int(self.replica), int(step)))
-        gen = np.random.Generator(np.random.Philox(seq))
+        gen = _keyed_generator(seq.generate_state(2, np.uint64))
         return gen.standard_normal(shape, out=out)
 
 
@@ -90,8 +114,10 @@ class _LevelFactors:
     stationary law and once per step size for the transition law, padded
     with an identity block so the factors stack into one (N+1, m, m) array.
     Each factor is then expanded, once, to one row per level by `inverse`:
-    duplicated levels get the same row, so colouring a draw is one einsum
-    whose level rows are bitwise identical for equal levels.
+    duplicated levels get the same row, so their coloured rows are bitwise
+    identical.  Level i's row is nonzero only in its first columns[i]
+    columns (the factor is lower triangular), which are all that colouring
+    multiplies.
     """
 
     def __init__(self, levels, max_mode: int):
@@ -117,6 +143,7 @@ class _LevelFactors:
         self.unique[mode[fresh], run[fresh]] = srt[fresh]
         self.inverse = np.empty((max_mode + 1, m), dtype=np.intp)
         self.inverse[mode, order] = run
+        self.columns = tuple(int(c) + 1 for c in self.inverse.max(axis=0))
         self.stationary_factor = self._factor(self._covariance())
         self._step_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -166,19 +193,33 @@ class _LevelFactors:
         return hit
 
     def colored(self, factor: np.ndarray, z: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray | None = None,
+                work: Workspace | None = None) -> np.ndarray:
         """Colour standard normals with a per-level factor (stationary or
         transition), batched over modes and leading axes.
 
         z has shape (..., N+1, n_comp, 2, m); returns complex (..., m, n_comp,
-        N+1) with the k = 0 column real, in out when given.  The real and
-        imaginary parts are written straight into the complex result.
+        N+1) with the k = 0 column real, in out when given.  Level i's real
+        and imaginary parts are written straight into the complex result:
+        the product with factor column 0, then += the product with each
+        further column up to columns[i], taken in work's product array (a
+        fresh workspace's if None).
         """
         *lead, n_modes, n_comp, _, m = z.shape
         psi = np.empty((*lead, m, n_comp, n_modes), dtype=np.complex128) \
             if out is None else out
-        parts = psi.view(np.float64).reshape(*lead, m, n_comp, n_modes, 2)
-        np.einsum("kiv,...kcjv->...ickj", factor, z, out=parts)
+        work = Workspace() if work is None else work
+        product = work.array("colour product", z.shape[:-1], np.float64)
+        # (..., m, N+1, n_comp, 2): each level laid out like z's draws
+        parts = np.swapaxes(
+            psi.view(np.float64).reshape(*lead, m, n_comp, n_modes, 2), -3, -2)
+        for i, columns in enumerate(self.columns):
+            dest = parts[..., i, :, :, :]
+            np.multiply(factor[:, i, 0, None, None], z[..., 0], out=dest)
+            for v in range(1, columns):
+                np.multiply(factor[:, i, v, None, None], z[..., v],
+                            out=product)
+                dest += product
         psi[..., 0].imag = 0.0  # k = 0 mode of a real field is real
         return psi
 
@@ -257,7 +298,8 @@ def step_replicas(factors: _LevelFactors, streams, step: int,
     Replica r draws its innovations from streams[r] exactly as a lone state
     on that stream would; the stacked normals are coloured in one call, so
     every replica's result is independent of the others in the stack.  The
-    normals and innovations are work's arrays (a fresh workspace's if None).
+    normals, the colouring's products and the innovations are work's arrays
+    (a fresh workspace's if None).
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
@@ -268,7 +310,7 @@ def step_replicas(factors: _LevelFactors, streams, step: int,
     z = _stacked_normals(streams, PURPOSE_OU_STEP, step + 1, shape,
                          work.array("normals", (n_rep, *shape), np.float64))
     innovation = factors.colored(
-        factor, z, work.array("innovation", psi.shape, np.complex128))
+        factor, z, work.array("innovation", psi.shape, np.complex128), work)
     psi *= decay[:, None, :]
     psi += innovation  # addition commutes: the bits of innovation + decay*psi
     return psi

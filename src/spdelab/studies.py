@@ -40,6 +40,18 @@ SCHEMA_VERSION = 2
 
 _DYADIC = tuple(2.0 ** -j for j in range(3, 8))
 
+# A block is split over threads only when each thread gets at least this
+# many complex state coefficients per step; below that the threads lose
+# more to handing the interpreter lock between short NumPy calls than they
+# gain.  One call per cell, seconds at 1 against 2 threads, on a 2-core
+# x86-64 host: converge, 6 replicas (3(N+1) per replica), N = 64: 0.10-0.13
+# against 0.33-0.36; 128: 0.14-0.17 / 0.39; 256: 0.25 / 0.44; 512: 0.43 /
+# 0.45-0.49; 1,024: 0.85-0.87 / 0.60-0.69.  theorem15, 4 replicas (N+1 per
+# replica), N = 1,024: 0.22 / 0.36-0.39; 2,048 and 4,096 about even;
+# 8,192: 1.29-1.61 / 1.00-1.18; 32,768: 5.4-5.6 / 3.9-4.2.  Both cross
+# over near 8k coefficients per thread.
+BLOCK_COEFFS = 8192
+
 
 @dataclass
 class RunConfig:
@@ -160,11 +172,17 @@ def initial_field(n_components: int, max_mode: int, decay: float,
     return SpectralField(n_components, max_mode, coeffs)
 
 
-def _block_map(fn, replicas: int, workers: int) -> list:
+def _block_map(fn, replicas: int, workers: int, per_replica: int) -> list:
     """fn maps an array of replica indices to one result per replica; the
-    replicas are split into min(workers, cores) contiguous blocks, one per
-    thread (more threads only contend)."""
-    threads = min(workers, os.cpu_count() or 1, replicas)
+    replicas are split into contiguous blocks, one per thread.
+
+    per_replica is the number of complex coefficients one replica's state
+    holds per step.  workers is an upper bound: there are no more threads
+    than cores (more threads only contend), and a thread gets at least
+    BLOCK_COEFFS coefficients, so a small block runs on the calling thread.
+    """
+    threads = min(workers, os.cpu_count() or 1, replicas,
+                  max(1, replicas * per_replica // BLOCK_COEFFS))
     blocks = np.array_split(np.arange(replicas), threads)
     if threads == 1:
         return list(fn(blocks[0]))
@@ -198,8 +216,9 @@ def _sweep(cfg: RunConfig, study: str, nu: float, per_eps,
            constants: dict) -> ConvergenceReport:
     """The eps loop, aggregation, fit and report of the integrator studies.
 
-    For each eps, largest first, per_eps(eps) returns a block function;
-    _block_map runs the replicas through it in contiguous blocks.  A block
+    For each eps, largest first, per_eps(eps) returns a block function and
+    the complex coefficients of one replica's state; _block_map runs the
+    replicas through the function in contiguous blocks.  A block
     gives per replica a tuple of (distance, censored) pairs: the distance
     to the corrected limit and, for studies with a naive column, the
     distance to the naive limit.  Rows with a naive column also carry the
@@ -208,7 +227,8 @@ def _sweep(cfg: RunConfig, study: str, nu: float, per_eps,
     rows = []
     for eps in sorted(cfg.eps_grid, reverse=True):
         n_modes = cfg.modes_for(eps)
-        results = _block_map(per_eps(eps), cfg.replicas, cfg.workers)
+        block, per_replica = per_eps(eps)
+        results = _block_map(block, cfg.replicas, cfg.workers, per_replica)
         row = {"eps": eps, "n_modes": n_modes}
         row.update(_aggregate([r[0] for r in results]))
         if len(results[0]) > 1:
@@ -247,9 +267,10 @@ def run_convergence_study(cfg: RunConfig) -> ConvergenceReport:
 
     def per_eps(eps):
         sim = cfg.simulation_config(eps)
-        return lambda replicas: coupled_distances(
+        # three channels: the perturbed run and both limits
+        return (lambda replicas: coupled_distances(
             spec, eps, u0, sim, [base.with_replica(r) for r in replicas],
-            correction=cfg.correction)
+            correction=cfg.correction), 3 * spec.n * (sim.max_mode + 1))
 
     return _sweep(cfg, "converge", spec.nu, per_eps,
                   {"asymptotic": white_noise_constant(spec.nu)})
@@ -276,9 +297,9 @@ def run_theorem15_study(cfg: RunConfig) -> ConvergenceReport:
                                    sim.max_mode)
         limits = [run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, sim,
                            correction_constant=c) for c in (const, 0.0)]
-        return lambda replicas: reference_distances(
+        return (lambda replicas: reference_distances(
             spec, eps, u0, sim, [base.with_replica(r) for r in replicas],
-            limits, beta=cfg.beta)
+            limits, beta=cfg.beta), spec.n * (sim.max_mode + 1))
 
     return _sweep(cfg, "theorem15", spec.nu, per_eps,
                   {"asymptotic": white_noise_constant(spec.nu),
@@ -312,7 +333,7 @@ def run_psi_coupling_study(cfg: RunConfig) -> ConvergenceReport:
                                                   work))
             return [((float(d), False),) for d in best]
 
-        return block
+        return block, 2 * (sim.max_mode + 1)  # psi at both levels
 
     return _sweep(cfg, "psi-coupling", nu, per_eps,
                   {"asymptotic": white_noise_constant(nu)})
@@ -342,11 +363,12 @@ def run_averaging_study(cfg: RunConfig) -> TailScalingReport:
         mode_counts.append(n)
         v_modes = deterministic_profile(n, cfg.alpha, nu).coeffs[0]
         v_grid = _grid(v_modes)
+        # a replica holds two snapshots of modes 0..N
         norms_p, norms_t = np.array(_block_map(
             lambda replicas: replica_norms(
                 nu, eps, cfg.gamma, v_modes, v_grid,
                 [base.with_replica(r) for r in replicas]),
-            cfg.replicas, cfg.workers)).T
+            cfg.replicas, cfg.workers, 2 * (n + 1))).T
         med_p.append(float(np.quantile(norms_p, 0.5)))
         q90_p.append(float(np.quantile(norms_p, 0.9)))
         med_t.append(float(np.quantile(norms_t, 0.5)))

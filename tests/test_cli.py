@@ -115,7 +115,8 @@ PATH_SAMPLING = ["path-sampling", "--potential", "0,0,0,0,0.25", "-T", "1.0"]
 BAD_PATH_SAMPLING_FLAGS = [
     (["--box", box], "--box") for box in ("inf", "nan", "1e308", "-1")] + [
     (["--probes", "0"], "--probes"), (["--probes", "-3"], "--probes"),
-    (["-T", "inf"], "temperature"), (["--mass", "inf"], "mass")]
+    (["-T", "inf"], "temperature"), (["--mass", "inf"], "mass"),
+    (["-T", "1e-320"], "-T"), (["--potential", "nan"], "--potential")]
 
 
 @pytest.mark.parametrize("command,flag,name", [

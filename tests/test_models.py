@@ -650,6 +650,11 @@ class TestCallbackErrors:
         with pytest.raises(ValueError):
             ModelSpec(n=1, nu=1.0, g=lambda u: u[None])
 
+    @pytest.mark.parametrize("nu", [0.0, -1.0, math.inf, math.nan])
+    def test_nu_must_be_positive_and_finite(self, nu):
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
+            ModelSpec(n=1, nu=nu)
+
 
 class TestModelFromConfig:
     def test_polynomial(self):

@@ -1,6 +1,8 @@
 """Tests for the coupled stationary noise engine."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -52,6 +54,62 @@ class TestNoiseStream:
             NoiseStream(3, replica=-1)
         with pytest.raises(ValueError):
             NoiseStream(3).normals(-1, (2,))
+
+    @staticmethod
+    def fresh_generator_draw(path, shape):
+        """The draw of a generator built for the path alone."""
+        seq = np.random.SeedSequence(entropy=path)
+        return np.random.Generator(np.random.Philox(seq)).standard_normal(
+            shape)
+
+    PATHS = [((7, 2, 3, 11), (4, 5)), ((0, 0, 0, 0), (1,)),
+             ((2 ** 64 - 1, 5, 9, 100), (65, 1, 2, 2)),
+             ((13, 1, 0, 0), (3, 10, 2, 2, 3)), ((7, 2, 3, 12), (0,)),
+             ((99, 4, 1, 0), (1, 1025))]
+
+    def test_equals_a_fresh_generator_per_path(self):
+        # draws of different shapes in turn through the thread's generator,
+        # with and without out=, each equal to its own fresh generator's
+        for _ in range(2):
+            for (seed, purpose, replica, step), shape in self.PATHS:
+                want = self.fresh_generator_draw(
+                    (seed, purpose, replica, step), shape)
+                stream = NoiseStream(seed, replica, purpose)
+                assert (stream.normals(step, shape) == want).all()
+                out = np.full(shape, np.nan)
+                assert stream.normals(step, shape, out=out) is out
+                assert (out == want).all()
+
+    def test_other_threads_draw_the_same_numbers(self):
+        # more threads than cores, switching often, each re-keying its own
+        # generator between the draws of the others
+        wants = [self.fresh_generator_draw(*path) for path in self.PATHS]
+        got = {}
+
+        def draw(tag):
+            got[tag] = [[NoiseStream(seed, replica, purpose).normals(
+                step, shape)
+                for (seed, purpose, replica, step), shape in self.PATHS]
+                for _ in range(20)]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            draw("main")
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(got) == 5
+        for rounds in got.values():
+            for draws in rounds:
+                for a, want in zip(draws, wants):
+                    assert (a == want).all()
 
 
 class TestStationaryLaw:
@@ -270,6 +328,70 @@ def assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
                           np.ascontiguousarray(want).view(np.uint64))
 
 
+def einsum_colored(factor: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The colouring as one einsum of the per-level factor, kept as an
+    oracle."""
+    *lead, n_modes, n_comp, _, m = z.shape
+    psi = np.empty((*lead, m, n_comp, n_modes), dtype=np.complex128)
+    parts = psi.view(np.float64).reshape(*lead, m, n_comp, n_modes, 2)
+    np.einsum("kiv,...kcjv->...ickj", factor, z, out=parts)
+    psi[..., 0].imag = 0.0
+    return psi
+
+
+class TestColouringKernel:
+    """The per-level multiply-adds against the einsum of the same factor."""
+
+    @staticmethod
+    def cases(eps, max_mode, replicas, n_comp):
+        f = _LevelFactors(tuple(OperatorSpec(1.0, e) for e in eps), max_mode)
+        z = NoiseStream(21).normals(
+            0, (replicas, max_mode + 1, n_comp, 2, len(eps)))
+        for factor in (f.stationary_factor, f.step_factors(0.05)[1]):
+            yield f, factor, z
+
+    # one level, two, and three with a duplicate: at most two distinct
+    # rates per mode, so every sum has at most two nonzero terms
+    @pytest.mark.parametrize("eps", [(0.5,), (0.5, 0.0), (0.25, 0.25, 0.0),
+                                     (0.0, 0.5, 0.0)])
+    @pytest.mark.parametrize("max_mode", [0, 9])
+    @pytest.mark.parametrize("replicas", [1, 3])
+    @pytest.mark.parametrize("n_comp", [1, 2])
+    def test_equals_einsum_bit_for_bit(self, eps, max_mode, replicas,
+                                       n_comp):
+        for f, factor, z in self.cases(eps, max_mode, replicas, n_comp):
+            assert_bitwise(f.colored(factor, z), einsum_colored(factor, z))
+            out = np.full((replicas, len(eps), n_comp, max_mode + 1), np.nan,
+                          dtype=np.complex128)
+            work = Workspace()
+            for _ in range(2):  # the second call reuses work's product
+                assert f.colored(factor, z, out, work) is out
+                assert_bitwise(out, einsum_colored(factor, z))
+
+    # three or four distinct rates: the terms are added left to right,
+    # which may differ from the einsum's order in the last bits; the gap is
+    # measured relative to the sum of the terms' magnitudes, since a sum
+    # that cancels has no relative accuracy of its own
+    @pytest.mark.parametrize("eps", [(0.5, 0.25, 0.0),
+                                     (2.0, 1.0, 0.5, 0.0)])
+    def test_distinct_rates_within_rounding_of_einsum(self, eps):
+        for f, factor, z in self.cases(eps, 9, 3, 2):
+            got, want = f.colored(factor, z), einsum_colored(factor, z)
+            scale = einsum_colored(np.abs(factor), np.abs(z))
+            for part in ("real", "imag"):
+                gap = np.abs(getattr(got, part) - getattr(want, part))
+                assert (gap <= 1e-15 * getattr(scale, part)).all()
+            # k = 0, where every rate coincides, keeps its bits
+            assert_bitwise(got[..., 0], want[..., 0])
+
+    def test_columns_follow_the_distinct_rates(self):
+        levels = (OperatorSpec(1.0, 0.5), OperatorSpec(1.0, 0.5),
+                  OperatorSpec(1.0, 0.0))
+        assert _LevelFactors(levels, 9).columns == (2, 2, 1)
+        assert _LevelFactors(levels, 0).columns == (1, 1, 1)
+        assert _LevelFactors(levels[:1], 9).columns == (1,)
+
+
 class TestReplicaBlockNoise:
     """A block's noise is one stacked array; each row must be the lone
     state of its stream, bit for bit."""
@@ -352,7 +474,7 @@ class TestReplicaBlockNoise:
         finally:
             tracemalloc.stop()
 
-    def test_step_is_one_einsum_without_fancy_indexing(self, monkeypatch):
+    def test_step_calls_no_einsum_nor_fancy_indexing(self, monkeypatch):
         streams = [NoiseStream(15, replica=r) for r in range(3)]
         factors, psi = sample_replicas(self.LEVELS, 2, 9, streams)
         psi = step_replicas(factors, streams, 0, psi, 0.05)  # builds factors
@@ -370,7 +492,7 @@ class TestReplicaBlockNoise:
         monkeypatch.setattr(np, "take_along_axis", forbidden)
         for step in range(1, 6):
             psi = step_replicas(factors, streams, step, psi, 0.05)
-        assert len(calls) == 5
+        assert calls == []
 
 
 class TestPsiDiffMoment:

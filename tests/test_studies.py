@@ -23,8 +23,9 @@ from spdelab.linops import OperatorSpec
 from spdelab.noise import step_coupled
 from spdelab.models import drift_grid_size
 from spdelab.spectral import ROW_TRANSFORM_POINTS, fast_grid_size, sup_norm
-from spdelab.studies import (SCHEMA_VERSION, _block_map, calibrate_dt,
-                             report_csv_text, report_json_text, tail_csv_text)
+from spdelab.studies import (BLOCK_COEFFS, SCHEMA_VERSION, _block_map,
+                             calibrate_dt, report_csv_text, report_json_text,
+                             tail_csv_text)
 
 
 def small_cfg(**kw) -> RunConfig:
@@ -161,13 +162,14 @@ class TestConvergenceStudy:
                 barrier.wait()  # the pool does reach the core count
             return [r * r for r in replicas]
 
-        assert _block_map(block, 8, 8) == [r * r for r in range(8)]
+        assert _block_map(block, 8, 8, BLOCK_COEFFS) == \
+            [r * r for r in range(8)]
         assert len(seen) == cores
         if cores == 1:
             assert seen == {threading.get_ident()}
 
     def test_convergence_outputs_pinned(self):
-        # reduced converge protocol (N = 32..256, 3 replicas, two blocks);
+        # reduced converge protocol (N = 32..256, 3 replicas, workers = 2);
         # the values were recorded with repr from the integrator that ran
         # each replica's three channels through separate drift transforms
         # and measured distances on stored trajectories, so a block core
@@ -195,6 +197,8 @@ class TestConvergenceStudy:
         # TestCensoring's blow-up reaction: two of five replicas censor
         {"name": "polynomial", "nu": 1.0, "f": [0.0, 0.0, 0.0, 4.0]}])
     def test_block_split_invariance(self, monkeypatch, model):
+        # a one-coefficient threshold lets every replica have its thread
+        monkeypatch.setattr(studies_module, "BLOCK_COEFFS", 1)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         real = studies_module.coupled_distances
         sizes = []
@@ -219,6 +223,64 @@ class TestConvergenceStudy:
             assert report.per_eps == first
         censored = [row["n_censored"] for row in first]
         assert censored == ([0, 0] if "h" in model else [2, 2])
+
+    def test_small_blocks_run_on_one_thread(self, monkeypatch):
+        # the split-invariance config holds 5 x 3 x 7 = 105 coefficients,
+        # far below BLOCK_COEFFS: one block at any worker count
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        real = studies_module.coupled_distances
+        threads, sizes = set(), []
+
+        def spy(spec, eps, u0, config, streams, **kw):
+            threads.add(threading.get_ident())
+            sizes.append(len(streams))
+            return real(spec, eps, u0, config, streams, **kw)
+
+        monkeypatch.setattr(studies_module, "coupled_distances", spy)
+        cfg = dict(eps_grid=(0.25, 0.2), replicas=5, seed=2, fixed_modes=6,
+                   u0_modes=6, dt=0.01, t_final=0.3, blowup_cutoff=5.0)
+        for workers in (2, 3, 4, 5):
+            sizes.clear()
+            run_convergence_study(RunConfig(workers=workers, **cfg))
+            assert sizes == [5, 5]
+        assert threads == {threading.get_ident()}
+
+    def test_large_block_splits_over_threads(self, monkeypatch):
+        # 6 replicas x 3 channels x 2,049 modes = 36,882 coefficients: four
+        # blocks' worth, capped at the two workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        real = studies_module.coupled_distances
+        sizes = []
+
+        def spy(spec, eps, u0, config, streams, **kw):
+            sizes.append(len(streams))
+            return real(spec, eps, u0, config, streams, **kw)
+
+        monkeypatch.setattr(studies_module, "coupled_distances", spy)
+        cfg = RunConfig(eps_grid=(0.25,), replicas=6, seed=2,
+                        fixed_modes=2048, dt=0.01, t_final=0.02, workers=2)
+        assert 6 * 3 * 2049 >= 2 * 2 * BLOCK_COEFFS
+        report = run_convergence_study(cfg)
+        assert sizes == [3, 3]
+        assert report.per_eps[0]["n_censored"] == 0
+
+    @pytest.mark.parametrize("replicas, per_replica, threads", [
+        (4, BLOCK_COEFFS // 4, 1), (4, BLOCK_COEFFS // 2 - 1, 1),
+        (4, BLOCK_COEFFS // 2, 2), (2, 10 * BLOCK_COEFFS, 2),
+        (1, 10 * BLOCK_COEFFS, 1)])
+    def test_threads_follow_the_block_size(self, monkeypatch, replicas,
+                                           per_replica, threads):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        seen = set()
+
+        def block(reps):
+            seen.add(threading.get_ident())
+            return list(reps)
+
+        assert _block_map(block, replicas, 8, per_replica) == \
+            list(range(replicas))
+        assert len(seen) <= threads
+        assert (threading.get_ident() in seen) == (threads == 1)
 
     def test_seed_changes_results(self):
         a = run_convergence_study(small_cfg(seed=0))
@@ -301,6 +363,7 @@ class TestTheorem15Study:
         # TestCensoring's blow-up reaction: some replicas censor
         {"name": "polynomial", "nu": 1.0, "f": [0.0, 0.0, 0.0, 4.0]}])
     def test_block_split_invariance(self, monkeypatch, model):
+        monkeypatch.setattr(studies_module, "BLOCK_COEFFS", 1)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         cfg = dict(model=model, eps_grid=(0.25, 0.2), replicas=5, seed=2,
                    fixed_modes=6, u0_modes=6, dt=0.01, t_final=0.3,
@@ -344,6 +407,7 @@ class TestPsiCouplingStudy:
     def test_distance_positive_and_deterministic(self, monkeypatch):
         # every block split gives each replica the distance it has when
         # stepped alone
+        monkeypatch.setattr(studies_module, "BLOCK_COEFFS", 1)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         cfg = small_cfg(study="psi", eps_grid=(0.5,), replicas=3)
         want = [psi_distance_reference(1.0, 0.5, 8, 0.05, 0.2,
@@ -358,7 +422,7 @@ class TestPsiCouplingStudy:
             assert report.per_eps == run_psi_coupling_study(cfg).per_eps
 
     def test_psi_coupling_outputs_pinned(self):
-        # reduced protocol (N = 32..256, 3 replicas, two blocks); the values
+        # reduced protocol (N = 32..256, 3 replicas, workers = 2); the values
         # were recorded with repr from the study that stepped each replica
         # alone through step_coupled, so a block run that moves any digit
         # fails here; re-recorded when sup_norms went from 32N points to
@@ -471,6 +535,7 @@ class TestAveragingStudy:
     def test_block_split_invariance(self, monkeypatch):
         # every split gives each replica the norms of its own stream, so the
         # report (JSON text included) does not depend on the worker count
+        monkeypatch.setattr(studies_module, "BLOCK_COEFFS", 1)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         real = studies_module.replica_norms
         sizes = []
