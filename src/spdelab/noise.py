@@ -17,9 +17,10 @@ of the factor, so they stay bitwise identical.  The factors are expanded
 to one row per level once, when they are built.  Colouring a draw writes
 each level straight into the complex result: one multiply by the level's
 first factor column, then one multiply-add per further column up to the
-last that is nonzero at some mode, added left to right.  Where a mode has at most two
-distinct rates this is the bits of the matrix product summed in any order;
-with three or more, the sum is taken in that left-to-right order.
+last that is nonzero at some mode, added left to right.  Where a mode has
+at most two distinct rates these are the bits of the matrix product summed
+in any order; with three or more, the sum is taken in that left-to-right
+order.
 
 A block of replicas holds its noise as one stacked array psi (R, levels,
 n, N+1) next to the factors it shares (sample_replicas, step_replicas);
@@ -49,7 +50,8 @@ PURPOSE_MODE_SET = 3
 PURPOSE_MODE_SET_INDEP = 4
 PURPOSE_INITIAL_FIELD = 5
 
-# Each thread draws through its own generator, re-keyed for every block.
+# Each thread draws through its own generator.  Every draw sets its whole
+# state, so no draw sees what an earlier one left behind.
 _THREAD = threading.local()
 _ZEROS = np.zeros(4, dtype=np.uint64)
 _ZEROS.flags.writeable = False
@@ -209,7 +211,8 @@ class _LevelFactors:
         psi = np.empty((*lead, m, n_comp, n_modes), dtype=np.complex128) \
             if out is None else out
         work = Workspace() if work is None else work
-        product = work.array("colour product", z.shape[:-1], np.float64)
+        product = work.array("colour product", z.shape[:-1], np.float64) \
+            if max(self.columns) > 1 else None
         # (..., m, N+1, n_comp, 2): each level laid out like z's draws
         parts = np.swapaxes(
             psi.view(np.float64).reshape(*lead, m, n_comp, n_modes, 2), -3, -2)

@@ -213,12 +213,12 @@ def _ratio_at_smallest(rows: list[dict]) -> Optional[float]:
 
 
 def _sweep(cfg: RunConfig, study: str, nu: float, per_eps,
-           constants: dict) -> ConvergenceReport:
+           state_rows: int, constants: dict) -> ConvergenceReport:
     """The eps loop, aggregation, fit and report of the integrator studies.
 
-    For each eps, largest first, per_eps(eps) returns a block function and
-    the complex coefficients of one replica's state; _block_map runs the
-    replicas through the function in contiguous blocks.  A block
+    For each eps, largest first, per_eps(eps) returns a block function;
+    _block_map runs the replicas through it in contiguous blocks.  One
+    replica's state is state_rows rows of N+1 complex coefficients.  A block
     gives per replica a tuple of (distance, censored) pairs: the distance
     to the corrected limit and, for studies with a naive column, the
     distance to the naive limit.  Rows with a naive column also carry the
@@ -227,8 +227,8 @@ def _sweep(cfg: RunConfig, study: str, nu: float, per_eps,
     rows = []
     for eps in sorted(cfg.eps_grid, reverse=True):
         n_modes = cfg.modes_for(eps)
-        block, per_replica = per_eps(eps)
-        results = _block_map(block, cfg.replicas, cfg.workers, per_replica)
+        results = _block_map(per_eps(eps), cfg.replicas, cfg.workers,
+                             state_rows * (n_modes + 1))
         row = {"eps": eps, "n_modes": n_modes}
         row.update(_aggregate([r[0] for r in results]))
         if len(results[0]) > 1:
@@ -267,12 +267,12 @@ def run_convergence_study(cfg: RunConfig) -> ConvergenceReport:
 
     def per_eps(eps):
         sim = cfg.simulation_config(eps)
-        # three channels: the perturbed run and both limits
-        return (lambda replicas: coupled_distances(
+        return lambda replicas: coupled_distances(
             spec, eps, u0, sim, [base.with_replica(r) for r in replicas],
-            correction=cfg.correction), 3 * spec.n * (sim.max_mode + 1))
+            correction=cfg.correction)
 
-    return _sweep(cfg, "converge", spec.nu, per_eps,
+    # three channels: the perturbed run and both limits
+    return _sweep(cfg, "converge", spec.nu, per_eps, 3 * spec.n,
                   {"asymptotic": white_noise_constant(spec.nu)})
 
 
@@ -297,11 +297,11 @@ def run_theorem15_study(cfg: RunConfig) -> ConvergenceReport:
                                    sim.max_mode)
         limits = [run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, sim,
                            correction_constant=c) for c in (const, 0.0)]
-        return (lambda replicas: reference_distances(
+        return lambda replicas: reference_distances(
             spec, eps, u0, sim, [base.with_replica(r) for r in replicas],
-            limits, beta=cfg.beta), spec.n * (sim.max_mode + 1))
+            limits, beta=cfg.beta)
 
-    return _sweep(cfg, "theorem15", spec.nu, per_eps,
+    return _sweep(cfg, "theorem15", spec.nu, per_eps, spec.n,
                   {"asymptotic": white_noise_constant(spec.nu),
                    "sobolev_beta": cfg.beta})
 
@@ -333,9 +333,10 @@ def run_psi_coupling_study(cfg: RunConfig) -> ConvergenceReport:
                                                   work))
             return [((float(d), False),) for d in best]
 
-        return block, 2 * (sim.max_mode + 1)  # psi at both levels
+        return block
 
-    return _sweep(cfg, "psi-coupling", nu, per_eps,
+    # psi at both levels
+    return _sweep(cfg, "psi-coupling", nu, per_eps, 2,
                   {"asymptotic": white_noise_constant(nu)})
 
 
