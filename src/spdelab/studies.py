@@ -43,13 +43,14 @@ _DYADIC = tuple(2.0 ** -j for j in range(3, 8))
 # A block is split over threads only when each thread gets at least this
 # many complex state coefficients per step; below that the threads lose
 # more to handing the interpreter lock between short NumPy calls than they
-# gain.  One call per cell, seconds at 1 against 2 threads, on a 2-core
-# x86-64 host: converge, 6 replicas (3(N+1) per replica), N = 64: 0.10-0.13
-# against 0.33-0.36; 128: 0.14-0.17 / 0.39; 256: 0.25 / 0.44; 512: 0.43 /
-# 0.45-0.49; 1,024: 0.85-0.87 / 0.60-0.69.  theorem15, 4 replicas (N+1 per
-# replica), N = 1,024: 0.22 / 0.36-0.39; 2,048 and 4,096 about even;
-# 8,192: 1.29-1.61 / 1.00-1.18; 32,768: 5.4-5.6 / 3.9-4.2.  Both cross
-# over near 8k coefficients per thread.
+# gain.  One study call at one eps per cell, two calls each, seconds on 1
+# thread / 2 threads, 2-core x86-64 host.  converge, 6 replicas (3(N+1)
+# coefficients each): N = 64: 0.06-0.07 / 0.25; 128: 0.11-0.15 / 0.26-0.27;
+# 256: 0.21-0.22 / 0.33-0.34; 512: 0.26-0.32 / 0.35-0.37; 1,024: 0.52-0.55
+# / 0.36-0.48.  theorem15, 4 replicas (N+1 each, plus the two limit runs):
+# N = 1,024: 0.23-0.29 / 0.35-0.36; 2,048: 0.36-0.41 / 0.33-0.40; 4,096:
+# 0.67-0.71 / 0.56-0.61; 8,192: 1.28-1.30 / 0.87-0.97; 32,768: 4.5-5.3 /
+# 3.1-3.5.  Both cross over between 4k and 8k coefficients per thread.
 BLOCK_COEFFS = 8192
 
 
