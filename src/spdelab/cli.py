@@ -30,6 +30,11 @@ from .studies import (RunConfig, initial_field, run_averaging_study,
                       run_convergence_study, run_psi_coupling_study,
                       run_theorem15_study, write_report, _atomic_write, _fmt)
 
+# path-sampling's --probes bound, checked before any array is made: the
+# identity check holds several float64 arrays of this many points per
+# component at once
+MAX_PROBES = 10 ** 6
+
 
 class _UsageError(Exception):
     pass
@@ -199,8 +204,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_path_sampling(args: argparse.Namespace) -> int:
-    if args.probes < 1:
-        raise ValueError("--probes must be >= 1")
+    if not 1 <= args.probes <= MAX_PROBES:
+        raise ValueError(f"--probes must be in 1..{MAX_PROBES}")
     if not 0 < 2 * args.box < math.inf:   # the probes' range has width 2 box
         raise ValueError("--box must be positive, with 2 * box finite")
     coeffs = list(args.potential)
@@ -294,7 +299,9 @@ def build_parser() -> _Parser:
                    default=True,
                    help="verify the corrected-drift identity (exit 2 on "
                         "failure)")
-    p.add_argument("--probes", type=int, default=64)
+    p.add_argument("--probes", type=int, default=64,
+                   help="random probe points of the identity check, "
+                        f"1..{MAX_PROBES:,}")
     p.add_argument("--box", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-json")

@@ -27,10 +27,11 @@ back-transform) and one noise.step_replicas call, which colours the
 replicas' normals, each drawn from the replica's own counter-based stream,
 with one multiply-add per level and factor column (added left to right);
 inputs are checked when a run starts, and no SpectralField is built after
-that.  Batched real FFTs are bit-identical per row, so a
-replica's numbers do not depend on its block.  At every recorded time the
-core hands the state to one observer: run_mild and couple_runs (the R = 1
-case) record trajectories, each one (T, n, N+1) coefficient array;
+that.  Batched real FFTs are bit-identical per row, so a replica's numbers
+do not depend on its block.  At every step time i * dt, i = 0..n_steps,
+the core hands the state to one observer: run_mild and couple_runs (the
+R = 1 case) record trajectories, each one (n_steps + 1, n, N+1)
+coefficient array;
 coupled_distances keeps each replica's running maximum sup distance from
 the perturbed run to both limits, measuring all replicas' differences with
 one sup_norms call, and reference_distances its running maximum Sobolev
@@ -106,7 +107,6 @@ class SimulationConfig:
     max_mode: int
     dt: float
     t_final: float
-    record_stride: int = 1
     blowup_cutoff: float = 1e3
 
     def __post_init__(self) -> None:
@@ -114,8 +114,6 @@ class SimulationConfig:
             raise ValueError("max_mode must be >= 1")
         if not 0 < self.dt <= self.t_final < math.inf:
             raise ValueError("need 0 < dt <= t_final < inf")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
         if self.blowup_cutoff <= 0:
             raise ValueError("blowup_cutoff must be positive")
 
@@ -126,7 +124,7 @@ class SimulationConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded fields of one run at times i * dt * record_stride.
+    """Recorded fields of one run at times i * dt.
 
     Censored trajectories keep only the fields recorded strictly before
     censoring_time.
@@ -215,10 +213,10 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
 
     noise is the block's (factors, psi) pair from sample_replicas, psi
     (R, levels, n, N+1) at step step0 of the replicas' streams, or None
-    for a deterministic run of one replica.  At every recorded time
-    observe(t, u, alive) gets the state u (R, C, n, N+1) and the (R, C)
-    mask of uncensored rows.  Returns each [replica][channel] censoring
-    time, None for a row that ran to the end.
+    for a deterministic run of one replica.  At every step time i * dt,
+    i = 0..n_steps, observe(t, u, alive) gets the state u (R, C, n, N+1)
+    and the (R, C) mask of uncensored rows.  Returns each
+    [replica][channel] censoring time, None for a row that ran to the end.
     """
     n, nmode, h = spec.n, config.max_mode, config.dt
     factors, psi = (noise[0], noise[1].copy()) if noise else (None, None)
@@ -264,8 +262,7 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
             if sup_norm(u[r, c]) > config.blowup_cutoff:
                 alive[r, c] = False
                 censoring_time[r][c] = t
-        if step % config.record_stride == 0:
-            observe(t, u, alive)
+        observe(t, u, alive)
 
     state(0, 0.0)
     for step in range(1, config.n_steps + 1):
@@ -289,8 +286,8 @@ def _recorded(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
               step0: int = 0) -> list[Trajectory]:
     """Run one replica; each channel's trajectory, recorded while live."""
     times: list[float] = []
-    coeffs = np.empty((len(channels), config.n_steps // config.record_stride
-                       + 1, spec.n, config.max_mode + 1), dtype=np.complex128)
+    coeffs = np.empty((len(channels), config.n_steps + 1, spec.n,
+                       config.max_mode + 1), dtype=np.complex128)
     kept = np.zeros(len(channels), dtype=int)   # a censored row stays dead
 
     def record(t: float, u: np.ndarray, alive: np.ndarray) -> None:

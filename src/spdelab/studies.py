@@ -24,13 +24,14 @@ import numpy as np
 from .averaging import (MODES_EXPONENT, _grid, deterministic_profile,
                         replica_norms)
 from .constants import truncation_matched_constant, white_noise_constant
-# couple_runs and sample_stationary are not called here; they stay bound in
-# this module because bench/spans.py traces the names the studies import.
+# couple_runs, sample_stationary and sup_distance are not called here; they
+# stay bound in this module because bench/spans.py traces the names the
+# studies import.
 from .integrate import (SimulationConfig, Variant, couple_runs,
                         coupled_distances, reference_distances,
                         resolve_correction, run_mild, sup_distance)
 from .linops import OperatorSpec
-from .models import ModelSpec, model_from_config
+from .models import model_from_config
 from .noise import (NoiseStream, PURPOSE_INITIAL_FIELD, sample_replicas,
                     sample_stationary, step_replicas)
 from .regression import RegressionResult, regress_loglog
@@ -384,35 +385,6 @@ def run_averaging_study(cfg: RunConfig) -> TailScalingReport:
         median_phi=tuple(med_p), q90_phi=tuple(q90_p),
         median_phi_tilde=tuple(med_t), q90_phi_tilde=tuple(q90_t),
         slope_phi=fit_p, slope_phi_tilde=fit_t)
-
-
-def calibrate_dt(spec: ModelSpec, variant: Variant, eps: float,
-                 u0: SpectralField, config: SimulationConfig,
-                 tolerance: float, max_halvings: int = 8, *,
-                 correction_constant: float | None = None) -> float:
-    """Halve dt until successive deterministic refinements agree.
-
-    Runs the variant with the noise frozen at zero, comparing each run with
-    its half-step refinement on the coarse recording grid, and returns the
-    first dt whose refinement changes the trajectory by less than
-    `tolerance` in sup norm.  Used offline to pin study defaults.
-    """
-    dt = config.dt
-    stride = config.record_stride
-    prev = run_mild(spec, variant, eps, u0, None, config,
-                    correction_constant=correction_constant)
-    for _ in range(max_halvings):
-        stride *= 2
-        dt /= 2.0
-        refined = run_mild(spec, variant, eps, u0, None,
-                           dataclasses.replace(config, dt=dt,
-                                               record_stride=stride),
-                           correction_constant=correction_constant)
-        gap, _ = sup_distance(prev, refined)
-        if gap < tolerance:
-            return dt * 2.0
-        prev = refined
-    raise RuntimeError(f"dt did not stabilize within {max_halvings} halvings")
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,6 @@ def _remainder_separation(cfg: RunConfig) -> dict:
         for _ in range(sim.n_steps):
             state = step_coupled(state, sim.dt)
             psi_gap.append(state.psi[0] - state.psi[1])
-        psi_gap = psi_gap[::sim.record_stride]
 
         def remainder(limit) -> tuple[float, bool]:
             k = min(len(perturbed.times), len(limit.times))
@@ -383,14 +382,18 @@ def test_criterion_10_oracle_equivalences():
     assert ok, (line, devs)
 
 
-def test_criterion_11_deterministic_reports(tmp_path):
+def test_criterion_11_deterministic_reports(tmp_path, split_blocks):
     # The same study config and seed must produce byte-identical CSV
-    # reports when rerun and when executed with 1, 4, or 8 workers.
+    # reports when rerun and when executed with 1, 4, or 8 workers.  The
+    # blocks are split at any size, so 4 and 8 workers do run each level's
+    # replicas on more than one thread.
     cfg_kw = dict(eps_grid=(0.5, 0.4, 0.3, 0.25), replicas=3, seed=0,
                   fixed_modes=8, dt=0.05, t_final=0.2, u0_modes=6)
     blobs = []
     for tag, workers in (("w1a", 1), ("w1b", 1), ("w4", 4), ("w8", 8)):
-        report = run_convergence_study(RunConfig(workers=workers, **cfg_kw))
+        report, levels = split_blocks(workers, lambda: run_convergence_study(
+            RunConfig(workers=workers, **cfg_kw)))
+        assert levels == len(cfg_kw["eps_grid"])
         path = tmp_path / f"{tag}.csv"
         write_report(report, str(path), None)
         blobs.append(path.read_bytes())

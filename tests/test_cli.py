@@ -115,6 +115,7 @@ PATH_SAMPLING = ["path-sampling", "--potential", "0,0,0,0,0.25", "-T", "1.0"]
 BAD_PATH_SAMPLING_FLAGS = [
     (["--box", box], "--box") for box in ("inf", "nan", "1e308", "-1")] + [
     (["--probes", "0"], "--probes"), (["--probes", "-3"], "--probes"),
+    (["--probes", "100000000000"], "--probes"),
     (["-T", "inf"], "temperature"), (["--mass", "inf"], "mass"),
     (["-T", "1e-320"], "-T"), (["--potential", "nan"], "--potential")]
 
@@ -272,19 +273,22 @@ class TestStudyCommands:
             assert "slope" in out
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_workers_do_not_change_csv(self, tmp_path, capsys):
+    def test_workers_do_not_change_csv(self, tmp_path, capsys,
+                                       split_blocks):
         # nor the JSON bytes, for an integrator study and the averaging
-        # study: no report echoes the worker count
+        # study: no report echoes the worker count.  The blocks are split
+        # at any size, so 4 workers do run each level on two threads.
         for study in ("converge", "averaging"):
             outputs = []
             for workers in ("1", "4"):
                 paths = [tmp_path / f"{study}-w{workers}.{ext}"
                          for ext in ("csv", "json")]
-                code, _, _ = run_cli(
-                    [study, "--output-csv", str(paths[0]),
-                     "--output-json", str(paths[1]),
-                     "--workers", workers] + STUDY_FLAGS, capsys)
+                (code, _, _), levels = split_blocks(int(workers), lambda: (
+                    run_cli([study, "--output-csv", str(paths[0]),
+                             "--output-json", str(paths[1]),
+                             "--workers", workers] + STUDY_FLAGS, capsys)))
                 assert code == 0
+                assert levels == 4
                 outputs.append(tuple(path.read_bytes() for path in paths))
             assert outputs[0] == outputs[1]
 

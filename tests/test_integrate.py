@@ -1,5 +1,6 @@
 """Tests for the exponential-Euler integrator and coupled runs."""
 
+import dataclasses
 import hashlib
 import math
 import sys
@@ -76,8 +77,7 @@ class TestDeterministicRuns:
 
         def final_field(dt: float) -> np.ndarray:
             traj = run_mild(spec, Variant.PHI_ZERO, 0.0, u0, None,
-                            config(dt=dt, t_final=t_final,
-                                   record_stride=int(round(t_final / dt))))
+                            config(dt=dt, t_final=t_final))
             return traj.coeffs[-1]
 
         ref = final_field(0.5e-3)
@@ -128,6 +128,30 @@ class TestStochasticRuns:
                                        rtol=0.0, atol=1e-15)
             if i < len(traj.times) - 1:
                 replay = step_coupled(replay, cfg.dt)
+
+    def test_advanced_state_continues_its_stream(self):
+        # run_mild on a state that step_coupled advanced k steps draws its
+        # noise from step k of the state's stream on.  With no f, g or h
+        # and u0 = 0, V_EPS keeps v = 0 exactly, so u is sqrt(eps) psi
+        nu, eps, n, k = 1.0, 0.25, 6, 4
+        spec = ModelSpec(n=1, nu=nu)
+        cfg = config(max_mode=n, dt=0.05, t_final=0.2)
+        chain = [sample_stationary([OperatorSpec(nu, eps)], 1, n,
+                                   NoiseStream(5))]
+        for _ in range(k + cfg.n_steps):
+            chain.append(step_coupled(chain[-1], cfg.dt))
+        scaled = [math.sqrt(eps) * state.psi[0] for state in chain]
+
+        def replays_chain(state) -> bool:
+            traj = run_mild(spec, Variant.V_EPS, eps, zero_field(n), state,
+                            cfg)
+            assert len(traj.coeffs) == cfg.n_steps + 1
+            return all(np.array_equal(c, scaled[k + j])
+                       for j, c in enumerate(traj.coeffs))
+
+        assert chain[k].step == k and replays_chain(chain[k])
+        # the same psi on step 0 of the stream draws other innovations
+        assert not replays_chain(dataclasses.replace(chain[k], step=0))
 
     def test_coupled_difference_is_noise_difference_for_pure_forcing(self):
         # no reaction beyond the constant: the perturbed and naive solutions
@@ -389,7 +413,7 @@ class TestSupDistance:
 
     def test_grid_mismatch_rejected(self):
         a, _ = self.make_pair(0.0)
-        c, _ = self.make_pair(0.0, dt=0.05, record_stride=2)
+        c, _ = self.make_pair(0.0, dt=0.1)
         with pytest.raises(ValueError, match="different grids"):
             sup_distance(a, c)
 
@@ -495,15 +519,14 @@ class TestReplicaBlock:
                 assert d == d0 or (math.isnan(d) and math.isnan(d0))
         return block
 
-    @pytest.mark.parametrize("model,stride", [
-        (polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,)), 1),
-        (polynomial_model(1.0, f_coeffs=(0.0, -1.0), g_coeffs=(1.0, 0.3),
-                          h_coeffs=(1.0, 0.5)), 2),
-        (two_component_model(), 1)])
-    def test_distances_equal_trajectory_oracle(self, model, stride):
+    @pytest.mark.parametrize("model", [
+        polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,)),
+        polynomial_model(1.0, f_coeffs=(0.0, -1.0), g_coeffs=(1.0, 0.3),
+                         h_coeffs=(1.0, 0.5)),
+        two_component_model()])
+    def test_distances_equal_trajectory_oracle(self, model):
         u0 = initial_field(model.n, 8, 1.5, 0.5, NoiseStream(4))
-        cfg = config(max_mode=16, dt=0.01, t_final=0.2,
-                     record_stride=stride)
+        cfg = config(max_mode=16, dt=0.01, t_final=0.2)
         streams = [NoiseStream(4, replica=r) for r in range(4)]
         block = self.check(model, 0.25, u0, cfg, streams)
         assert not any(c for pair in block for _, c in pair)
@@ -535,8 +558,7 @@ class TestReplicaBlock:
                           [NoiseStream(1, replica=r) for r in range(3)])
         assert calls == ["grid_values", "grid_coeffs"] * cfg.n_steps
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_one_sup_norms_call_per_recorded_time(self, monkeypatch, stride):
+    def test_one_sup_norms_call_per_recorded_time(self, monkeypatch):
         # all replicas' (corrected, naive) differences go to one call
         calls = []
         real = integrate_module.sup_norms
@@ -547,10 +569,10 @@ class TestReplicaBlock:
 
         monkeypatch.setattr(integrate_module, "sup_norms", counted)
         spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
-        cfg = config(max_mode=8, dt=0.05, t_final=0.25, record_stride=stride)
+        cfg = config(max_mode=8, dt=0.05, t_final=0.25)
         coupled_distances(spec, 0.5, zero_field(8), cfg,
                           [NoiseStream(1, replica=r) for r in range(3)])
-        assert calls == [(3 * 2, 9)] * (cfg.n_steps // stride + 1)
+        assert calls == [(3 * 2, 9)] * (cfg.n_steps + 1)
 
     def test_non_finite_drift_names_channel_and_step(self):
         # h is only used by the perturbed channel and by the corrected
@@ -588,12 +610,10 @@ class TestReferenceDistances:
                 assert d == d0 or (math.isnan(d) and math.isnan(d0))
         return block
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_distances_equal_trajectory_oracle(self, stride):
+    def test_distances_equal_trajectory_oracle(self):
         spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
         u0 = initial_field(1, 8, 1.5, 0.5, NoiseStream(4))
-        cfg = config(max_mode=16, dt=0.01, t_final=0.2,
-                     record_stride=stride)
+        cfg = config(max_mode=16, dt=0.01, t_final=0.2)
         streams = [NoiseStream(4, replica=r) for r in range(3)]
         block = self.check(spec, 0.25, u0, cfg, streams,
                            self.limits(spec, u0, cfg, (0.4, 0.0)))
@@ -786,12 +806,14 @@ class TestNoGridTemporaries:
 
 
 class TestRecordingAndValidation:
-    def test_record_stride(self):
+    def test_every_step_is_recorded(self):
         spec = polynomial_model(1.0)
+        cfg = config(max_mode=4, dt=0.05, t_final=0.5)
         traj = run_mild(spec, Variant.PHI_ZERO, 0.0, zero_field(4), None,
-                        config(max_mode=4, dt=0.05, t_final=0.5,
-                               record_stride=2))
-        np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+                        cfg)
+        np.testing.assert_array_equal(
+            traj.times, np.arange(cfg.n_steps + 1) * cfg.dt)
+        assert traj.coeffs.shape == (cfg.n_steps + 1, 1, 5)
 
     def test_missing_variant_rejected(self):
         # the variant is an argument only: SimulationConfig carries none,
@@ -848,9 +870,9 @@ class TestRecordingAndValidation:
             SimulationConfig(max_mode=4, dt=0.0, t_final=1.0)
         with pytest.raises(ValueError):
             SimulationConfig(max_mode=4, dt=0.5, t_final=0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SimulationConfig(max_mode=4, dt=0.1, t_final=1.0,
-                             record_stride=0)
+                             record_stride=2)
         with pytest.raises(ValueError):
             SimulationConfig(max_mode=4, dt=0.1, t_final=1.0,
                              blowup_cutoff=0.0)

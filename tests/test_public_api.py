@@ -1,5 +1,7 @@
 """The package's top-level names are the documented API and nothing more."""
 
+import dataclasses
+
 import spdelab
 
 DOCUMENTED = [
@@ -26,6 +28,14 @@ def test_all_is_the_documented_list():
     # a new re-export must be added here (and to the README) on purpose
     assert sorted(spdelab.__all__) == sorted(DOCUMENTED)
     assert len(DOCUMENTED) == len(set(DOCUMENTED)) == 28
+
+
+def test_simulation_config_fields_are_pinned():
+    # a new discretization knob must be added here (and to the README) on
+    # purpose; every run observes every step of the grid t = i * dt
+    assert tuple(f.name for f in dataclasses.fields(
+        spdelab.SimulationConfig)) == ("max_mode", "dt", "t_final",
+                                       "blowup_cutoff")
 
 
 def test_every_listed_name_resolves():

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from spdelab import (ConvergenceReport, NoiseStream, RunConfig,
-                     Variant, initial_field, polynomial_model,
-                     run_averaging_study, run_convergence_study,
+                     initial_field, run_averaging_study, run_convergence_study,
                      run_psi_coupling_study, run_theorem15_study,
                      sample_stationary, write_report)
 import spdelab.models as models_module
@@ -18,13 +17,12 @@ import spdelab.spectral as spectral_module
 import spdelab.studies as studies_module
 from spdelab.cli import cli_main
 from spdelab.constants import white_noise_constant
-from spdelab.integrate import SimulationConfig
 from spdelab.linops import OperatorSpec
 from spdelab.noise import step_coupled
 from spdelab.models import drift_grid_size
 from spdelab.spectral import ROW_TRANSFORM_POINTS, fast_grid_size, sup_norm
 from spdelab.studies import (BLOCK_COEFFS, SCHEMA_VERSION, _block_map,
-                             calibrate_dt, report_csv_text, report_json_text,
+                             report_csv_text, report_json_text,
                              tail_csv_text)
 
 
@@ -143,9 +141,13 @@ class TestConvergenceStudy:
                 row["mean_error"], rel=1e-12)
         assert report.naive_over_corrected == pytest.approx(1.0, rel=1e-12)
 
-    def test_deterministic_across_worker_counts(self):
-        reports = [run_convergence_study(small_cfg(workers=w))
-                   for w in (1, 4)]
+    def test_deterministic_across_worker_counts(self, split_blocks):
+        reports = []
+        for workers in (1, 4):
+            report, levels = split_blocks(workers, lambda: (
+                run_convergence_study(small_cfg(workers=workers))))
+            assert levels == len(report.eps)
+            reports.append(report)
         a, b = reports
         assert a.per_eps == b.per_eps
         assert a.slope == b.slope
@@ -556,27 +558,6 @@ class TestAveragingStudy:
         assert texts[0] == texts[1] == texts[2]
 
 
-class TestCalibrateDt:
-    def test_returns_stable_dt(self):
-        spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0))
-        u0 = initial_field(1, 6, 1.5, 1.0, NoiseStream(0))
-        sim = SimulationConfig(max_mode=8, dt=0.05, t_final=0.2)
-        dt = calibrate_dt(spec, Variant.PHI_ZERO, 0.0, u0, sim,
-                          tolerance=1e-3)
-        assert dt <= 0.05
-        # the returned dt must itself satisfy the tolerance when refined
-        ratio = round(0.05 / dt)
-        assert math.isclose(dt * ratio, 0.05, rel_tol=1e-12)
-
-    def test_impossible_tolerance_raises(self):
-        spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0))
-        u0 = initial_field(1, 6, 1.5, 1.0, NoiseStream(0))
-        sim = SimulationConfig(max_mode=8, dt=0.05, t_final=0.2)
-        with pytest.raises(RuntimeError, match="halvings"):
-            calibrate_dt(spec, Variant.PHI_ZERO, 0.0, u0, sim,
-                         tolerance=0.0, max_halvings=3)
-
-
 class TestSerialization:
     def test_csv_schema(self):
         report = run_convergence_study(small_cfg())
@@ -633,10 +614,13 @@ class TestSerialization:
         write_report(report, str(csv_path), None)
         assert csv_path.read_text() == report_csv_text(report)
 
-    def test_byte_identical_output_across_worker_counts(self, tmp_path):
+    def test_byte_identical_output_across_worker_counts(self, tmp_path,
+                                                        split_blocks):
         texts = []
         for w in (1, 4, 8):
-            report = run_convergence_study(small_cfg(workers=w))
+            report, levels = split_blocks(
+                w, lambda: run_convergence_study(small_cfg(workers=w)))
+            assert levels == len(report.eps)
             path = tmp_path / f"w{w}.csv"
             write_report(report, str(path), None)
             texts.append(path.read_bytes())
