@@ -558,8 +558,10 @@ class TestReplicaBlock:
                           [NoiseStream(1, replica=r) for r in range(3)])
         assert calls == ["grid_values", "grid_coeffs"] * cfg.n_steps
 
-    def test_one_sup_norms_call_per_recorded_time(self, monkeypatch):
-        # all replicas' (corrected, naive) differences go to one call
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_one_sup_norms_call_per_recorded_time(self, monkeypatch, refine):
+        # all replicas' (corrected, naive) differences go to one call, once
+        # per step on the base time grid and on the one refined twofold
         calls = []
         real = integrate_module.sup_norms
 
@@ -569,9 +571,10 @@ class TestReplicaBlock:
 
         monkeypatch.setattr(integrate_module, "sup_norms", counted)
         spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
-        cfg = config(max_mode=8, dt=0.05, t_final=0.25)
+        cfg = config(max_mode=8, dt=0.05 / refine, t_final=0.25)
         coupled_distances(spec, 0.5, zero_field(8), cfg,
                           [NoiseStream(1, replica=r) for r in range(3)])
+        assert cfg.n_steps == 5 * refine
         assert calls == [(3 * 2, 9)] * (cfg.n_steps + 1)
 
     def test_non_finite_drift_names_channel_and_step(self):
@@ -610,10 +613,12 @@ class TestReferenceDistances:
                 assert d == d0 or (math.isnan(d) and math.isnan(d0))
         return block
 
-    def test_distances_equal_trajectory_oracle(self):
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_distances_equal_trajectory_oracle(self, refine):
+        # on the base time grid and on the one refined twofold
         spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
         u0 = initial_field(1, 8, 1.5, 0.5, NoiseStream(4))
-        cfg = config(max_mode=16, dt=0.01, t_final=0.2)
+        cfg = config(max_mode=16, dt=0.01 / refine, t_final=0.2)
         streams = [NoiseStream(4, replica=r) for r in range(3)]
         block = self.check(spec, 0.25, u0, cfg, streams,
                            self.limits(spec, u0, cfg, (0.4, 0.0)))
