@@ -118,8 +118,13 @@ def _emit_convergence(report, args: argparse.Namespace) -> int:
         print(f"eps={row['eps']:<12g} modes={row['n_modes']:<6d} "
               f"mean={mean_txt} censored={row['n_censored']}/"
               f"{row['n_replicas']}")
-    if report.slope is None:
-        print("slope: not fit (need 4 uncensored eps levels)")
+    censored = [f"{row['eps']:g}" for row in report.per_eps
+                if row["n_censored"]]
+    if censored:
+        print(f"slope: not fit (censored replicas at eps "
+              f"{', '.join(censored)})")
+    elif report.slope is None:
+        print("slope: not fit (need 4 eps levels)")
     else:
         lo, hi = report.ci95
         print(f"slope={report.slope:.4f}  ci95=[{lo:.4f}, {hi:.4f}]  "

@@ -28,15 +28,16 @@ replicas' normals, each drawn from the replica's own counter-based stream,
 with one multiply-add per level and factor column (added left to right);
 inputs are checked when a run starts, and no SpectralField is built after
 that.  Batched real FFTs are bit-identical per row, so a replica's numbers
-do not depend on its block.  At every step time i * dt, i = 0..n_steps,
-the core hands the state to one observer: run_mild and couple_runs (the
-R = 1 case) record trajectories, each one (n_steps + 1, n, N+1)
-coefficient array;
+do not depend on its block.  The core is a generator that yields the
+state at every step time i * dt, i = 0..n_steps, and each consumer reads
+it with a for loop: run_mild and couple_runs (the R = 1 case) record
+trajectories, each one (n_steps + 1, n, N+1) coefficient array;
 coupled_distances keeps each replica's running maximum sup distance from
 the perturbed run to both limits, measuring all replicas' differences with
-one sup_norms call, and reference_distances its running maximum Sobolev
-distance to fixed reference trajectories, with one sobolev_norm call per
-reference.
+one sup_norms call; reference_distances steps the deterministic limits as
+one block beside the replicas' block, records neither, and keeps each
+replica's running maximum Sobolev distance to each limit, with one
+sobolev_norm call per limit.
 
 A run allocates its step arrays once.  Each call of the core owns a
 spectral.Workspace for the drift's input, grid and spectrum and the noise's
@@ -48,13 +49,13 @@ place with out=, in the order the formulas are written, so no bit changes.
 Rows of at least spectral.ROW_TRANSFORM_POINTS points are transformed one
 FFT call at a time, and the model callbacks run on tiles of
 models.POINTWISE_TILE points, so that the transforms and the drift map no
-fresh pages after the first step.  Observers see u until the next step
+fresh pages after the first step.  Consumers see u until the next step
 overwrites it.
 
 Runs abort with a censored flag once the sup norm exceeds the configured
 guard; censored trajectories carry no fields at or beyond the censoring
 time, and a censored row of a block keeps stepping on the drift of the
-zero field but is read by no observer.  The guard calls the oversampled
+zero field but is read by no consumer.  The guard calls the oversampled
 sup_norm only when 1.25 times the l1 bound max_i (|c_i0| + 2 sum_{k>=1}
 |c_ik|) / sqrt(2 pi) exceeds the cutoff; as sup_norm is at most 1.25
 times the grid maximum, no decision changes.
@@ -63,7 +64,6 @@ times the grid maximum, no decision changes.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -207,16 +207,15 @@ def _drift(channels: list[_Channel], u: np.ndarray, step: int,
 
 
 def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
-             noise, streams, config: SimulationConfig, observe,
-             step0: int = 0) -> list[list[Optional[float]]]:
+             noise, streams, config: SimulationConfig, step0: int = 0):
     """Drive all channels of all replicas in lockstep from u0.
 
     noise is the block's (factors, psi) pair from sample_replicas, psi
     (R, levels, n, N+1) at step step0 of the replicas' streams, or None
-    for a deterministic run of one replica.  At every step time i * dt,
-    i = 0..n_steps, observe(t, u, alive) gets the state u (R, C, n, N+1)
-    and the (R, C) mask of uncensored rows.  Returns each
-    [replica][channel] censoring time, None for a row that ran to the end.
+    for a deterministic run of one replica.  Yields (t, u, alive) at every
+    step time t = i * dt, i = 0..n_steps: the state u (R, C, n, N+1) and
+    the (R, C) mask of uncensored rows, both overwritten by the next step.
+    A row is censored from the first yielded time at which it is not alive.
     """
     n, nmode, h = spec.n, config.max_mode, config.dt
     factors, psi = (noise[0], noise[1].copy()) if noise else (None, None)
@@ -233,9 +232,8 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
     decay = np.stack([ch.decay for ch in channels])[:, None, :]
     weight = np.stack([ch.weight for ch in channels])[:, None, :]
     alive = np.ones((n_rep, n_ch), dtype=bool)
-    censoring_time = [[None] * n_ch for _ in range(n_rep)]
     # Run-scoped arrays that every step overwrites; without noise u is v
-    # itself.  Observers copy what they keep.
+    # itself.  Consumers copy what they keep.
     work = Workspace()
     u = np.empty_like(v) if noisy else v
     shifted = np.empty((n_rep, n, nmode + 1), dtype=np.complex128)
@@ -243,7 +241,20 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
     finite = np.empty_like(v.view(np.float64), dtype=bool)
     mag = np.empty(v.shape)
 
-    def state(step: int, t: float) -> None:
+    for step in range(config.n_steps + 1):
+        if step:
+            # A censored row's drift sees zeros, and its v keeps evolving
+            # on that drift (without noise u is v, so that v restarts from
+            # 0); no consumer reads a censored row (the recorder writes live
+            # rows, the distance maxima are masked)
+            u[~alive] = 0.0
+            # v <- decay * v + weight * fu, in place and rounded as written
+            np.multiply(weight, _drift(channels, u, step, work), out=weighted)
+            np.multiply(decay, v, out=v)
+            np.add(v, weighted, out=v)
+            if noise:
+                step_replicas(factors, streams, step0 + step - 1, psi, h,
+                              work)
         if noisy:
             np.copyto(u, v)
         for c, level, scale in noisy:
@@ -261,45 +272,25 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
         for r, c in zip(*suspects.nonzero()):
             if sup_norm(u[r, c]) > config.blowup_cutoff:
                 alive[r, c] = False
-                censoring_time[r][c] = t
-        observe(t, u, alive)
-
-    state(0, 0.0)
-    for step in range(1, config.n_steps + 1):
-        # A censored row's drift sees zeros, and its v keeps evolving on
-        # that drift (without noise u is v, so that v restarts from 0); no
-        # observer reads a censored row (the recorder writes live rows, the
-        # distance maxima are masked)
-        u[~alive] = 0.0
-        # v <- decay * v + weight * fu, in place and rounded as written
-        np.multiply(weight, _drift(channels, u, step, work), out=weighted)
-        np.multiply(decay, v, out=v)
-        np.add(v, weighted, out=v)
-        if noise:
-            step_replicas(factors, streams, step0 + step - 1, psi, h, work)
-        state(step, step * h)
-    return censoring_time
+        yield step * h, u, alive
 
 
 def _recorded(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
               noise, streams, config: SimulationConfig,
               step0: int = 0) -> list[Trajectory]:
     """Run one replica; each channel's trajectory, recorded while live."""
-    times: list[float] = []
-    coeffs = np.empty((len(channels), config.n_steps + 1, spec.n,
+    times = np.arange(config.n_steps + 1) * config.dt
+    coeffs = np.empty((len(channels), len(times), spec.n,
                        config.max_mode + 1), dtype=np.complex128)
     kept = np.zeros(len(channels), dtype=int)   # a censored row stays dead
-
-    def record(t: float, u: np.ndarray, alive: np.ndarray) -> None:
-        coeffs[alive[0], len(times)] = u[0, alive[0]]
+    for i, (_, u, alive) in enumerate(_advance(spec, channels, u0, noise,
+                                               streams, config, step0)):
+        coeffs[alive[0], i] = u[0, alive[0]]
         kept[alive[0]] += 1
-        times.append(t)
-
-    (cens,) = _advance(spec, channels, u0, noise, streams, config, record,
-                       step0)
-    return [Trajectory(variant=ch.variant, eps=ch.eps,
-                       times=np.asarray(times[:k]), coeffs=coeffs[c, :k],
-                       censored=cens[c] is not None, censoring_time=cens[c])
+    return [Trajectory(variant=ch.variant, eps=ch.eps, times=times[:k],
+                       coeffs=coeffs[c, :k], censored=k < len(times),
+                       censoring_time=float(times[k]) if k < len(times)
+                       else None)
             for c, (ch, k) in enumerate(zip(channels, kept))]
 
 
@@ -398,56 +389,53 @@ def coupled_distances(spec: ModelSpec, eps: float, u0: SpectralField,
     # columns: corrected (channel 2), naive (channel 1)
     dist = np.full((len(streams), 2), math.nan)
     work = Workspace()   # the sup_norms grids of this run's distances
-
-    def sup_distances(t: float, u: np.ndarray, alive: np.ndarray) -> None:
+    for _, u, alive in _advance(spec, channels, u0, noise, streams, config):
         diff = u[:, :1] - u[:, 2:0:-1]                   # (R, 2, n, N+1)
         peaks = sup_norms(diff.reshape(-1, diff.shape[-1]), work)
         d = np.reshape(peaks, diff.shape[:3]).max(axis=2)
         # a censored row never enters a maximum
         np.fmax(dist, d, out=dist, where=alive[:, :1] & alive[:, 2:0:-1])
-
-    censoring_time = _advance(spec, channels, u0, noise, streams, config,
-                              sup_distances)
-    return [tuple((float(d), times[0] is not None or times[c] is not None)
+        del diff, peaks, d   # not held through the next step's drift
+    return [tuple((float(d), not (live[0] and live[c]))
                   for d, c in zip(row, (2, 1)))
-            for row, times in zip(dist, censoring_time)]
+            for row, live in zip(dist, alive)]
 
 
 def reference_distances(spec: ModelSpec, eps: float, u0: SpectralField,
-                        config: SimulationConfig, streams,
-                        references: list[Trajectory], *, beta: float
-                        ) -> list[tuple[tuple[float, bool], ...]]:
+                        config: SimulationConfig, streams, *, constants,
+                        beta: float) -> list[tuple[tuple[float, bool], ...]]:
     """run_mild of V_EPS at eps for a block of replicas, one per stream,
-    advanced in lockstep without recording fields.
+    measured against the deterministic V_LIMIT runs with the given
+    correction constants, all advanced in lockstep without recording
+    fields.
 
-    references are trajectories recorded on the same config (the
-    deterministic limits).  Returns per replica, for each reference, the
-    value and censored flag that sup_distance(run, reference, "sobolev",
-    alpha=beta, nu=spec.nu) gives on the replica's trajectory.
+    Returns per replica, for each constant c, the value and censored flag
+    that sup_distance(run, limit, "sobolev", alpha=beta, nu=spec.nu) gives
+    on the replica's trajectory and run_mild(spec, V_LIMIT, 0.0, u0, None,
+    config, correction_constant=c).
     """
     noise = sample_replicas([OperatorSpec(spec.nu, eps)], spec.n,
                             config.max_mode, streams)
     channel = _build_channel(spec, Variant.V_EPS, eps, noise[0], config, None)
-    dist = np.full((len(streams), len(references)), math.nan)
-    recorded = itertools.count()
-    # the block's differences to one reference, overwritten at every use
+    limits = [_build_channel(spec, Variant.V_LIMIT, 0.0, None, config, c)
+              for c in constants]
+    dist = np.full((len(streams), len(limits)), math.nan)
+    # the block's differences to one limit, overwritten at every use
     diff = np.empty((len(streams), spec.n, config.max_mode + 1),
                     dtype=np.complex128)
-
-    def sobolev_distances(t: float, u: np.ndarray, alive: np.ndarray) -> None:
-        i = next(recorded)
-        for j, ref in enumerate(references):
-            if i < len(ref.coeffs):
-                np.subtract(u[:, 0], ref.coeffs[i], out=diff)
-                # a censored row never enters a maximum
-                np.fmax(dist[:, j], sobolev_norm(diff, beta, spec.nu),
-                        out=dist[:, j], where=alive[:, 0])
-
-    censoring_time = _advance(spec, [channel], u0, noise, streams, config,
-                              sobolev_distances)
-    return [tuple((float(d), cens is not None or ref.censored)
-                  for d, ref in zip(row, references))
-            for row, (cens,) in zip(dist, censoring_time)]
+    # the limits step first, so that a step's first-use allocations come
+    # before the replicas' noise step
+    for (_, lim, lim_alive), (_, u, alive) in zip(
+            _advance(spec, limits, u0, None, (), config),
+            _advance(spec, [channel], u0, noise, streams, config)):
+        for j in lim_alive[0].nonzero()[0]:
+            np.subtract(u[:, 0], lim[0, j], out=diff)
+            # a censored row never enters a maximum
+            np.fmax(dist[:, j], sobolev_norm(diff, beta, spec.nu),
+                    out=dist[:, j], where=alive[:, 0])
+    return [tuple((float(d), not (live and lim_live))
+                  for d, lim_live in zip(row, lim_alive[0]))
+            for row, (live,) in zip(dist, alive)]
 
 
 def sup_distance(a: Trajectory, b: Trajectory, norm: str = "sup", *,

@@ -24,12 +24,12 @@ import numpy as np
 from .averaging import (MODES_EXPONENT, _grid, deterministic_profile,
                         replica_norms)
 from .constants import truncation_matched_constant, white_noise_constant
-# couple_runs, sample_stationary and sup_distance are not called here; they
-# stay bound in this module because bench/spans.py traces the names the
-# studies import.
-from .integrate import (SimulationConfig, Variant, couple_runs,
-                        coupled_distances, reference_distances,
-                        resolve_correction, run_mild, sup_distance)
+# couple_runs, run_mild, sample_stationary and sup_distance are not called
+# here; they stay bound in this module because bench/spans.py traces the
+# names the studies import.
+from .integrate import (SimulationConfig, couple_runs, coupled_distances,
+                        reference_distances, resolve_correction, run_mild,
+                        sup_distance)
 from .linops import OperatorSpec
 from .models import model_from_config
 from .noise import (NoiseStream, PURPOSE_INITIAL_FIELD, sample_replicas,
@@ -224,7 +224,9 @@ def _sweep(cfg: RunConfig, study: str, nu: float, per_eps,
     gives per replica a tuple of (distance, censored) pairs: the distance
     to the corrected limit and, for studies with a naive column, the
     distance to the naive limit.  Rows with a naive column also carry the
-    truncation-matched constant.
+    truncation-matched constant.  The means drop censored replicas, which
+    biases them toward survivors, so no fit is made when any level has a
+    censored replica.
     """
     rows = []
     for eps in sorted(cfg.eps_grid, reverse=True):
@@ -243,8 +245,9 @@ def _sweep(cfg: RunConfig, study: str, nu: float, per_eps,
 
     pts = [(r["eps"], r["mean_error"]) for r in rows
            if r["mean_error"] is not None and r["mean_error"] > 0]
-    fit = regress_loglog(pts) if len(pts) >= 4 else RegressionResult(
-        None, None, None, None)
+    censored = any(r["n_censored"] for r in rows)
+    fit = regress_loglog(pts) if len(pts) >= 4 and not censored \
+        else RegressionResult(None, None, None, None)
     config = cfg.to_dict()
     del config["workers"]
     return ConvergenceReport(
@@ -282,9 +285,10 @@ def run_theorem15_study(cfg: RunConfig) -> ConvergenceReport:
     """Small-noise experiment: stochastic runs against the deterministic
     limits, measured in the Sobolev beta norm.
 
-    The deterministic corrected and naive limits are integrated once per
-    eps (they carry no noise); the replicas run only the stochastic variant
-    and are measured against the limits' recorded fields as they go.
+    The deterministic corrected and naive limits (they carry no noise) are
+    stepped as one block beside each block of replicas, which run only the
+    stochastic variant and are measured against the limits as they go;
+    no field is recorded.
     """
     spec, _ = model_from_config(cfg.model)
     if spec.g is not None:
@@ -297,11 +301,9 @@ def run_theorem15_study(cfg: RunConfig) -> ConvergenceReport:
         sim = cfg.simulation_config(eps)
         const = resolve_correction(cfg.correction, spec.nu, eps,
                                    sim.max_mode)
-        limits = [run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, sim,
-                           correction_constant=c) for c in (const, 0.0)]
         return lambda replicas: reference_distances(
             spec, eps, u0, sim, [base.with_replica(r) for r in replicas],
-            limits, beta=cfg.beta)
+            constants=(const, 0.0), beta=cfg.beta)
 
     return _sweep(cfg, "theorem15", spec.nu, per_eps, spec.n,
                   {"asymptotic": white_noise_constant(spec.nu),

@@ -22,16 +22,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def split_blocks(monkeypatch):
     """split_blocks(workers, run) calls run() with BLOCK_COEFFS = 1 on eight
     cores, checks that workers > 1 split each eps level's replicas into at
-    least 2 blocks, as seen by coupled_distances (converge) and
-    replica_norms (averaging), and returns run's result with the number of
-    levels seen."""
+    least 2 blocks, as seen by coupled_distances (converge),
+    reference_distances (theorem15) and replica_norms (averaging), and
+    returns run's result with the number of levels seen."""
     monkeypatch.setattr(studies_module, "BLOCK_COEFFS", 1)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     blocks = defaultdict(list)
-    for name in ("coupled_distances", "replica_norms"):
+    for name in ("coupled_distances", "reference_distances",
+                 "replica_norms"):
         real = getattr(studies_module, name)
 
-        # both take eps second and the block's streams last
+        # each takes eps second and the block's streams last positional
         def spy(*args, real=real, **kw):
             blocks[args[1]].append(len(args[-1]))
             return real(*args, **kw)

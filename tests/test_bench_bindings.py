@@ -60,9 +60,10 @@ def test_traced_reduced_study_reports_every_layer(study, run):
         # only the initial field: the block core runs on plain arrays
         assert metrics["spectral.fields_created"] == 1
     else:
-        assert metrics["integrate.run.calls"] == 2 * len(cfg.eps_grid)
+        # the limits step in lockstep beside the replicas, unrecorded
+        assert metrics["integrate.run.calls"] == 0
         assert metrics["spectral.sobolev_norm.calls"] > 0
-        # only the initial field: the limits record coefficient arrays
+        # only the initial field
         assert metrics["spectral.fields_created"] == 1
 
 

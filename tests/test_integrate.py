@@ -590,16 +590,14 @@ class TestReplicaBlock:
 
 class TestReferenceDistances:
     """reference_distances advances a block of V_EPS replicas in lockstep
-    and measures them against fixed trajectories as it goes; each replica
-    must give what run_mild and sup_distance give it alone."""
+    beside the deterministic limits and measures them as it goes; each
+    replica must give what run_mild and sup_distance give it alone."""
 
-    def limits(self, spec, u0, cfg, constants):
-        return [run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, cfg,
+    def check(self, spec, eps, u0, cfg, streams, constants):
+        block = reference_distances(spec, eps, u0, cfg, streams,
+                                    constants=constants, beta=0.6)
+        refs = [run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, cfg,
                          correction_constant=c) for c in constants]
-
-    def check(self, spec, eps, u0, cfg, streams, refs):
-        block = reference_distances(spec, eps, u0, cfg, streams, refs,
-                                    beta=0.6)
         assert len(block) == len(streams)
         for got, stream in zip(block, streams):
             noise = sample_stationary([OperatorSpec(spec.nu, eps)], spec.n,
@@ -620,8 +618,7 @@ class TestReferenceDistances:
         u0 = initial_field(1, 8, 1.5, 0.5, NoiseStream(4))
         cfg = config(max_mode=16, dt=0.01 / refine, t_final=0.2)
         streams = [NoiseStream(4, replica=r) for r in range(3)]
-        block = self.check(spec, 0.25, u0, cfg, streams,
-                           self.limits(spec, u0, cfg, (0.4, 0.0)))
+        block = self.check(spec, 0.25, u0, cfg, streams, (0.4, 0.0))
         assert not any(c for pair in block for _, c in pair)
 
     def test_block_with_censored_and_surviving_replicas(self):
@@ -629,24 +626,23 @@ class TestReferenceDistances:
         u0 = initial_field(1, 6, 1.5, 1.0, NoiseStream(2))
         cfg = config(max_mode=6, dt=0.01, t_final=0.3, blowup_cutoff=5.0)
         streams = [NoiseStream(2, replica=r) for r in range(5)]
-        block = self.check(spec, 0.25, u0, cfg, streams,
-                           self.limits(spec, u0, cfg, (None, 0.0)))
+        block = self.check(spec, 0.25, u0, cfg, streams, (None, 0.0))
         flags = [pair[0][1] for pair in block]
         assert 0 < sum(flags) < len(flags)
 
     def test_censored_reference_censors_every_replica(self):
-        # a reference that blows up before the end (it starts from large
-        # data) censors every replica's distance to it, measured over the
-        # reference's recorded prefix, and leaves the other one's untouched
-        spec = TestCensoring().blowup_spec()
+        # a limit that blows up before the end (its correction constant
+        # 1e3 drives it) censors every replica's distance to it, measured
+        # over the limit's live prefix, and leaves the other one's untouched
+        spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
         u0 = scalar_field(6, {0: 0.5})
         cfg = config(max_mode=6, dt=0.01, t_final=0.3, blowup_cutoff=50.0)
-        refs = (self.limits(spec, scalar_field(6, {0: 6.0, 1: 1.5}), cfg,
-                            (None,))
-                + self.limits(spec, u0, cfg, (None,)))
+        refs = [run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, cfg,
+                         correction_constant=c) for c in (1e3, 0.0)]
         assert refs[0].censored and not refs[1].censored
+        assert len(refs[0].times) > 1
         streams = [NoiseStream(3, replica=r) for r in range(2)]
-        block = self.check(spec, 0.01, u0, cfg, streams, refs)
+        block = self.check(spec, 0.01, u0, cfg, streams, (1e3, 0.0))
         assert [[c for _, c in pair] for pair in block] == [[True, False]] * 2
 
 
@@ -665,12 +661,11 @@ class TestCensoredBlocksPinned:
         u0 = initial_field(1, 6, 1.5, 1.0, NoiseStream(seed))
         cfg = config(max_mode=6, dt=0.01, t_final=0.3, blowup_cutoff=5.0)
         streams = [NoiseStream(seed, replica=r) for r in range(5)]
-        limits = [run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, cfg,
-                           correction_constant=c) for c in (0.3, 0.0)]
         pairs = [p for block in (
             coupled_distances(spec, 0.25, u0, cfg, streams),
-            reference_distances(spec, 0.25, u0, cfg, streams, limits,
-                                beta=0.6)) for row in block for p in row]
+            reference_distances(spec, 0.25, u0, cfg, streams,
+                                constants=(0.3, 0.0), beta=0.6))
+                 for row in block for p in row]
         sha = hashlib.sha256(np.array([d for d, _ in pairs]).tobytes())
         sha.update(bytes(c for _, c in pairs))
         flags = sum(c for _, c in pairs)
@@ -743,12 +738,11 @@ class TestNoFieldsInStepLoop:
         spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
         u0 = initial_field(1, 6, 1.5, 0.5, NoiseStream(6))
         cfg = config(max_mode=8, dt=0.05, t_final=0.25)
-        refs = [run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, cfg,
-                         correction_constant=c) for c in (0.4, 0.0)]
         built = self.count_fields(monkeypatch)
         block = reference_distances(spec, 0.25, u0, cfg,
                                     [NoiseStream(6, replica=r)
-                                     for r in range(3)], refs, beta=0.6)
+                                     for r in range(3)],
+                                    constants=(0.4, 0.0), beta=0.6)
         assert not any(c for pair in block for _, c in pair)
         assert built == []
 
@@ -760,8 +754,9 @@ class TestNoGridTemporaries:
     def test_later_steps_allocate_no_grid_row(self, monkeypatch):
         # a V_EPS block of 2 replicas at N = 12288 (drift grid M = 32,805,
         # transformed row by row, one row 256 KiB) measured against its two
-        # limits.  Tracing every bytecode instruction, traced memory may not
-        # rise by a row within one instruction from the second step on.  The
+        # limits, which step first in the same loop.  Tracing every bytecode
+        # instruction, traced memory may not rise by a row within one
+        # instruction from the replicas' first noise step on.  The
         # largest arrays left are a tile's callback temporaries (2^14 points,
         # 128 KiB) and numpy's ufunc buffers.  The noise step is not
         # measured: it has no grid, and its block of 2 x 12289 normals is
@@ -771,8 +766,6 @@ class TestNoGridTemporaries:
         cfg = config(max_mode=12288, dt=0.005, t_final=0.02)
         m = drift_grid_size(cfg.max_mode, spec.degree)
         assert m >= ROW_TRANSFORM_POINTS
-        refs = [run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, cfg,
-                         correction_constant=c) for c in (None, 0.0)]
         row_bytes = 8 * m
         steps, rises, last = [], [], [0]
         in_noise = [False]
@@ -802,7 +795,7 @@ class TestNoGridTemporaries:
         try:
             reference_distances(spec, 0.25, u0, cfg,
                                 [NoiseStream(7, replica=r) for r in (0, 1)],
-                                refs, beta=0.6)
+                                constants=(None, 0.0), beta=0.6)
         finally:
             sys.settrace(None)
             tracemalloc.stop()

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,7 @@ class TestConvergenceStudy:
         assert smallest["n_censored"] == smallest["n_replicas"] == 3
         assert report.per_eps[1]["n_censored"] < 3
         assert report.naive_over_corrected is None
+        assert report.slope is None
 
 
 class TestTheorem15Study:
@@ -364,18 +366,38 @@ class TestTheorem15Study:
         {"name": "polynomial", "nu": 1.0, "f": [0.0, -1.0], "h": [1.0]},
         # TestCensoring's blow-up reaction: some replicas censor
         {"name": "polynomial", "nu": 1.0, "f": [0.0, 0.0, 0.0, 4.0]}])
-    def test_block_split_invariance(self, monkeypatch, model):
-        monkeypatch.setattr(studies_module, "BLOCK_COEFFS", 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    def test_block_split_invariance(self, split_blocks, model):
+        # every block steps its own copy of the two limits
         cfg = dict(model=model, eps_grid=(0.25, 0.2), replicas=5, seed=2,
                    fixed_modes=6, u0_modes=6, dt=0.01, t_final=0.3,
                    blowup_cutoff=5.0)
-        reports = [run_theorem15_study(RunConfig(workers=w, **cfg))
-                   for w in (1, 2, 3, 5)]
+        reports = []
+        for workers in (1, 2, 3, 5):
+            report, levels = split_blocks(workers, lambda: (
+                run_theorem15_study(RunConfig(workers=workers, **cfg))))
+            assert levels == len(cfg["eps_grid"])
+            reports.append(report)
         for report in reports[1:]:
             assert report.per_eps == reports[0].per_eps
         censored = [row["n_censored"] for row in reports[0].per_eps]
         assert (sum(censored) == 0) == ("h" in model)
+
+    def test_records_no_limit(self):
+        # the limits step beside the replicas, so a level's traced peak
+        # stays below one recorded limit, (n_steps + 1) x (N+1) complex
+        cfg = RunConfig(study="theorem15", eps_grid=(2.0 ** -9,), replicas=2,
+                        workers=1)
+        sim = cfg.simulation_config(cfg.eps_grid[0])
+        assert sim.max_mode == 4096
+        recorded = (sim.n_steps + 1) * (sim.max_mode + 1) * 16
+        tracemalloc.start()
+        try:
+            report = run_theorem15_study(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.per_eps[0]["n_censored"] == 0
+        assert peak < recorded
 
     def test_worker_split_invariance_on_row_transform_grids(self,
                                                             monkeypatch):
