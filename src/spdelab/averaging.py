@@ -66,6 +66,11 @@ def _mirror(modes: np.ndarray) -> np.ndarray:
     return np.concatenate([np.conj(modes[..., :0:-1]), modes], axis=-1)
 
 
+def _mode_scale(nu: float, eps: float, max_mode: int) -> np.ndarray:
+    """sqrt(sigma_k / 2) over k = 1..N: the scale of each part of w_k."""
+    return np.sqrt(sigma_mode(nu, eps, np.arange(1, max_mode + 1)) / 2.0)
+
+
 def _w_batch(nu: float, eps: float, max_mode: int, stream: NoiseStream,
              reps: int, purpose: int) -> np.ndarray:
     """reps independent snapshots, shape (reps, 2N+1), Hermitian rows."""
@@ -74,8 +79,7 @@ def _w_batch(nu: float, eps: float, max_mode: int, stream: NoiseStream,
     if max_mode < 1:
         raise ValueError("max_mode must be >= 1")
     z = stream.with_purpose(purpose).normals(0, (reps, max_mode, 2))
-    sig = sigma_mode(nu, eps, np.arange(1, max_mode + 1))
-    pos = np.sqrt(sig / 2.0) * (z[:, :, 0] + 1j * z[:, :, 1])
+    pos = _mode_scale(nu, eps, max_mode) * (z[:, :, 0] + 1j * z[:, :, 1])
     return _mirror(np.concatenate([np.zeros((reps, 1)), pos], axis=1))
 
 
@@ -92,10 +96,10 @@ def _grid(modes: np.ndarray) -> np.ndarray:
     return sfft.irfft(modes, n=size, norm="forward")
 
 
-def _triple_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                max_mode: int) -> np.ndarray:
-    """(1/2 pi) sum_{k+l+m=n} a_k b_l c_m over n = 0..N, from grid values."""
-    return sfft.rfft(a * b * c, norm="forward")[:max_mode + 1] / _TWO_PI
+def _triple_sum(product: np.ndarray, max_mode: int) -> np.ndarray:
+    """(1/2 pi) sum_{k+l+m=n} a_k b_l c_m over n = 0..N, from the product
+    a b c of the three fields' grid values."""
+    return sfft.rfft(product, norm="forward")[:max_mode + 1] / _TWO_PI
 
 
 def compute_phi(v: SpectralField, w: ModeEnsemble) -> np.ndarray:
@@ -104,7 +108,7 @@ def compute_phi(v: SpectralField, w: ModeEnsemble) -> np.ndarray:
     if v.coeffs.shape != (1, n + 1):
         raise ValueError("profile must be scalar and share the cutoff")
     w_grid = _grid(w.w[n:])
-    phi = _triple_sum(w_grid, w_grid, _grid(v.coeffs[0]), n)
+    phi = _triple_sum(w_grid * w_grid * _grid(v.coeffs[0]), n)
     return _mirror(phi - v.coeffs[0] / (2.0 * w.eps * math.sqrt(w.nu)))
 
 
@@ -116,8 +120,8 @@ def compute_phi_tilde(v: SpectralField, w: ModeEnsemble,
         raise ValueError("profile must be scalar and share the cutoff")
     if (w.nu, w.eps) != (w_tilde.nu, w_tilde.eps):
         raise ValueError("mode sets must share (nu, eps)")
-    return _mirror(_triple_sum(_grid(w.w[n:]), _grid(w_tilde.w[n:]),
-                               _grid(v.coeffs[0]), n))
+    return _mirror(_triple_sum(
+        _grid(w.w[n:]) * _grid(w_tilde.w[n:]) * _grid(v.coeffs[0]), n))
 
 
 def coefficients_to_field(seq: np.ndarray) -> SpectralField:
@@ -148,22 +152,55 @@ def deterministic_profile(max_mode: int, alpha: float, nu: float) -> SpectralFie
                          coeffs * (1.0 / sobolev_norm(coeffs, alpha, nu)))
 
 
-def replica_norms(nu: float, eps: float, gamma: float, v_modes: np.ndarray,
-                  v_grid: np.ndarray, streams) -> list[tuple[float, float]]:
+def level_terms(nu: float, eps: float, alpha: float,
+                max_mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """replica_norms' inputs shared by every replica of one level: the
+    deterministic profile's _grid values, the snapshot scale (_mode_scale's)
+    and the centring v_n / (2 eps sqrt(nu)) over n = 0..N."""
+    v_modes = deterministic_profile(max_mode, alpha, nu).coeffs[0]
+    return (_grid(v_modes), _mode_scale(nu, eps, max_mode),
+            v_modes / (2.0 * eps * math.sqrt(nu)))
+
+
+def _snapshot_grid(scale: np.ndarray, stream: NoiseStream) -> np.ndarray:
+    """_grid of one _w_batch row's modes 0..N, drawn straight into them.
+
+    scale is _mode_scale's; the stream's purpose picks w or its copy.
+    """
+    n = scale.shape[0]
+    modes = np.empty(n + 1, dtype=np.complex128)
+    modes[0] = 0.0
+    stream.normals(0, (1, n, 2),
+                   out=modes[1:].view(np.float64).reshape(1, n, 2))
+    modes[1:] *= scale
+    return _grid(modes)
+
+
+def replica_norms(nu: float, gamma: float, v_grid: np.ndarray,
+                  scale: np.ndarray, centring: np.ndarray,
+                  streams) -> list[tuple[float, float]]:
     """(||phi||_{-gamma}, ||phi_tilde||_{-gamma}) for each stream's snapshot.
 
-    Every replica shares the profile's modes 0..N (v_modes) and _grid values
-    (v_grid); one replica's grids are live at a time, never a block's.
+    v_grid, scale and centring are the level's level_terms.  Per thread, at
+    most three grids are live: the w and w_tilde grids and one transform.
+    Each triple product is formed in place in the same order as
+    compute_phi's, so the norms keep its bits.
     """
-    n = v_modes.shape[0] - 1
+    n = scale.shape[0]
+
+    def norm(modes: np.ndarray) -> float:
+        return float(sobolev_norm(modes[None], -gamma, nu))
+
     out = []
     for sub in streams:
-        w_grid, wt_grid = (
-            _grid(_w_batch(nu, eps, n, sub, 1, purpose)[0, n:])
-            for purpose in (PURPOSE_MODE_SET, PURPOSE_MODE_SET_INDEP))
-        phi = (_triple_sum(w_grid, w_grid, v_grid, n)
-               - v_modes / (2.0 * eps * math.sqrt(nu)))
-        phit = _triple_sum(w_grid, wt_grid, v_grid, n)
-        out.append(tuple(float(sobolev_norm(modes[None], -gamma, nu))
-                         for modes in (phi, phit)))
+        w = _snapshot_grid(scale, sub.with_purpose(PURPOSE_MODE_SET))
+        w_tilde = _snapshot_grid(scale,
+                                 sub.with_purpose(PURPOSE_MODE_SET_INDEP))
+        w_tilde *= w
+        w_tilde *= v_grid
+        phit = norm(_triple_sum(w_tilde, n))
+        del w_tilde
+        w *= w
+        w *= v_grid
+        out.append((norm(_triple_sum(w, n) - centring), phit))
     return out

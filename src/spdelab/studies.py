@@ -21,8 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .averaging import (MODES_EXPONENT, _grid, deterministic_profile,
-                        replica_norms)
+from .averaging import MODES_EXPONENT, level_terms, replica_norms
 from .constants import truncation_matched_constant, white_noise_constant
 # couple_runs, run_mild, sample_stationary and sup_distance are not called
 # here; they stay bound in this module because bench/spans.py traces the
@@ -58,7 +57,8 @@ BLOCK_COEFFS = 8192
 @dataclass
 class RunConfig:
     """Resolved configuration of one study; all but workers echoes into
-    reports, which do not depend on the worker count."""
+    reports, which do not depend on the worker count.  workers defaults to
+    every core; _block_map still runs small levels on one thread."""
 
     study: str = "converge"
     model: dict = field(default_factory=lambda: {
@@ -66,7 +66,7 @@ class RunConfig:
     eps_grid: tuple[float, ...] = _DYADIC
     replicas: int = 20
     seed: int = 0
-    workers: int = 1
+    workers: int = field(default_factory=lambda: os.cpu_count() or 1)
     modes_over_eps: float = 8.0
     fixed_modes: Optional[int] = None
     dt: float = 0.005
@@ -348,7 +348,7 @@ def run_averaging_study(cfg: RunConfig) -> TailScalingReport:
     """Fluctuation-norm scaling via the single-time averaging lab.
 
     For each eps, largest first, N = ceil(modes_over_eps / eps^MODES_EXPONENT)
-    and the profile is deterministic_profile's; _block_map runs the replicas
+    and the level's terms are level_terms'; _block_map runs the replicas
     through replica_norms.  Reports medians and 90% quantiles plus the
     log-log slope of eps * median against eps (expected +1/2).  The model
     sets only nu.
@@ -366,12 +366,11 @@ def run_averaging_study(cfg: RunConfig) -> TailScalingReport:
     for eps in eps_grid:
         n = int(math.ceil(cfg.modes_over_eps / eps ** MODES_EXPONENT))
         mode_counts.append(n)
-        v_modes = deterministic_profile(n, cfg.alpha, nu).coeffs[0]
-        v_grid = _grid(v_modes)
+        level = level_terms(nu, eps, cfg.alpha, n)
         # a replica holds two snapshots of modes 0..N
         norms_p, norms_t = np.array(_block_map(
             lambda replicas: replica_norms(
-                nu, eps, cfg.gamma, v_modes, v_grid,
+                nu, cfg.gamma, *level,
                 [base.with_replica(r) for r in replicas]),
             cfg.replicas, cfg.workers, 2 * (n + 1))).T
         med_p.append(float(np.quantile(norms_p, 0.5)))

@@ -28,13 +28,16 @@ def split_blocks(monkeypatch):
     monkeypatch.setattr(studies_module, "BLOCK_COEFFS", 1)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     blocks = defaultdict(list)
-    for name in ("coupled_distances", "reference_distances",
-                 "replica_norms"):
+    # each takes the block's streams last positional; the integrator studies
+    # take eps second, and replica_norms the level's centring before the
+    # streams, one entry per mode 0..N
+    for name, level in (("coupled_distances", lambda args: args[1]),
+                        ("reference_distances", lambda args: args[1]),
+                        ("replica_norms", lambda args: len(args[-2]))):
         real = getattr(studies_module, name)
 
-        # each takes eps second and the block's streams last positional
-        def spy(*args, real=real, **kw):
-            blocks[args[1]].append(len(args[-1]))
+        def spy(*args, real=real, level=level, **kw):
+            blocks[level(args)].append(len(args[-1]))
             return real(*args, **kw)
 
         monkeypatch.setattr(studies_module, name, spy)

@@ -1,6 +1,7 @@
 """Tests for the single-time averaging diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ import pytest
 from spdelab import (NoiseStream, RunConfig, SpectralField, compute_phi,
                      deterministic_profile, run_averaging_study, sample_w)
 from spdelab.averaging import (ModeEnsemble, _w_batch, coefficients_to_field,
-                               compute_phi_tilde)
+                               compute_phi_tilde, level_terms, replica_norms)
 from spdelab.constants import sigma_mode
 from spdelab.noise import PURPOSE_MODE_SET, PURPOSE_MODE_SET_INDEP
-from spdelab.spectral import sobolev_norm
+from spdelab.spectral import fast_grid_size, sobolev_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -281,6 +282,44 @@ class TestDeterministicProfile:
         assert ratio == pytest.approx((1.0 + 4.0) / (1.0 + 16.0), rel=1e-12)
 
 
+class TestReplicaNorms:
+    """The study's per-replica kernel against the public phi functions."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 4096])
+    def test_bits_equal_compute_phi_norms(self, n):
+        # N = 1 and 2 put the grid at exactly 4N+1 points, the no-alias edge
+        nu, eps, gamma = 0.7, 0.3, 0.75
+        streams = [NoiseStream(5, replica=r) for r in range(3)]
+        got = replica_norms(nu, gamma, *level_terms(nu, eps, 0.75, n), streams)
+        v = deterministic_profile(n, 0.75, nu)
+        want = []
+        for sub in streams:
+            w = sample_w(nu, eps, n, sub)
+            wt = ModeEnsemble(nu, eps, n, _w_batch(
+                nu, eps, n, sub, 1, PURPOSE_MODE_SET_INDEP)[0])
+            want.append(tuple(
+                float(sobolev_norm(seq[n:][None], -gamma, nu))
+                for seq in (compute_phi(v, w), compute_phi_tilde(v, w, wt))))
+        assert got == want
+
+    def test_replicas_hold_at_most_four_grids(self):
+        # the working set that every thread multiplies: w, w_tilde or a
+        # zero-padded spectrum, one transform output and the half-grid
+        # modes 0..N read 3.5 grids.  A grid kept past its product, or a
+        # replica's arrays kept into the next one's draws, goes past 4.
+        nu, eps, n = 1.0, 0.01, 2 ** 14
+        args = level_terms(nu, eps, 0.75, n)
+        streams = [NoiseStream(3, replica=r) for r in range(2)]
+        replica_norms(nu, 0.75, *args, streams)  # first-call set-up
+        tracemalloc.start()
+        try:
+            replica_norms(nu, 0.75, *args, streams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * fast_grid_size(4 * n + 1) * 8, peak
+
+
 def averaging_cfg(eps_grid, replicas: int, seed: int, **kw) -> RunConfig:
     return RunConfig(study="averaging", eps_grid=tuple(eps_grid),
                      replicas=replicas, seed=seed, **kw)
@@ -314,14 +353,17 @@ class TestTailExperiment:
         assert a.median_phi == b.median_phi
         assert a.slope_phi.slope == b.slope_phi.slope
 
-    def test_matches_direct_convolution(self):
+    def test_matches_direct_convolution(self, split_blocks):
         # every replica recomputed from its own draws by np.convolve (no
-        # FFT, no shared grid): a v or w grid that went stale across
-        # replicas, blocks or eps levels would move the quantiles
+        # FFT, no shared grid): a v or w grid, scale or centring that went
+        # stale across replicas, blocks or eps levels would move the
+        # quantiles.  Each level is split over two threads, which share
+        # the level's terms.
         nu, gamma, alpha, reps = 1.0, 0.75, 0.75, 6
         eps_grid = [0.5, 0.35, 0.25]
-        report = run_averaging_study(averaging_cfg(eps_grid, reps, 4,
-                                                   workers=2))
+        report, levels = split_blocks(2, lambda: run_averaging_study(
+            averaging_cfg(eps_grid, reps, 4, workers=2)))
+        assert levels == len(eps_grid)
         for i, eps in enumerate(eps_grid):
             n = report.max_modes[i]
             k = np.arange(-n, n + 1, dtype=np.float64)
