@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .constants import sigma_mode
 from .noise import NoiseStream, PURPOSE_MODE_SET, PURPOSE_MODE_SET_INDEP
@@ -90,16 +89,26 @@ def sample_w(nu: float, eps: float, max_mode: int,
     return ModeEnsemble(nu=nu, eps=eps, max_mode=max_mode, w=w)
 
 
-def _grid(modes: np.ndarray) -> np.ndarray:
-    """Values of the real field with modes 0..N on the no-alias grid."""
-    size = fast_grid_size(4 * (modes.shape[-1] - 1) + 1)
-    return sfft.irfft(modes, n=size, norm="forward")
+def _grid_size(max_mode: int) -> int:
+    """Points of the no-alias grid for modes 0..N: fast_grid_size(4N+1)."""
+    return fast_grid_size(4 * max_mode + 1)
 
 
-def _triple_sum(product: np.ndarray, max_mode: int) -> np.ndarray:
+def _grid(modes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Values of the real field with modes 0..N on the no-alias grid (in
+    out when given)."""
+    return np.fft.irfft(modes, n=_grid_size(modes.shape[-1] - 1),
+                        norm="forward", out=out)
+
+
+def _triple_sum(product: np.ndarray, max_mode: int,
+                out: np.ndarray | None = None) -> np.ndarray:
     """(1/2 pi) sum_{k+l+m=n} a_k b_l c_m over n = 0..N, from the product
-    a b c of the three fields' grid values."""
-    return sfft.rfft(product, norm="forward")[:max_mode + 1] / _TWO_PI
+    a b c of the three fields' grid values.  Given out, the whole spectrum
+    of the product, the result is a view of it."""
+    modes = np.fft.rfft(product, norm="forward", out=out)[:max_mode + 1]
+    modes /= _TWO_PI
+    return modes
 
 
 def compute_phi(v: SpectralField, w: ModeEnsemble) -> np.ndarray:
@@ -162,18 +171,19 @@ def level_terms(nu: float, eps: float, alpha: float,
             v_modes / (2.0 * eps * math.sqrt(nu)))
 
 
-def _snapshot_grid(scale: np.ndarray, stream: NoiseStream) -> np.ndarray:
-    """_grid of one _w_batch row's modes 0..N, drawn straight into them.
+def _snapshot_grid(scale: np.ndarray, stream: NoiseStream,
+                   modes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """_grid of one _w_batch row's modes 0..N, drawn straight into modes
+    (N+1 complex values), into out.
 
     scale is _mode_scale's; the stream's purpose picks w or its copy.
     """
     n = scale.shape[0]
-    modes = np.empty(n + 1, dtype=np.complex128)
     modes[0] = 0.0
     stream.normals(0, (1, n, 2),
                    out=modes[1:].view(np.float64).reshape(1, n, 2))
     modes[1:] *= scale
-    return _grid(modes)
+    return _grid(modes, out)
 
 
 def replica_norms(nu: float, gamma: float, v_grid: np.ndarray,
@@ -181,26 +191,33 @@ def replica_norms(nu: float, gamma: float, v_grid: np.ndarray,
                   streams) -> list[tuple[float, float]]:
     """(||phi||_{-gamma}, ||phi_tilde||_{-gamma}) for each stream's snapshot.
 
-    v_grid, scale and centring are the level's level_terms.  Per thread, at
-    most three grids are live: the w and w_tilde grids and one transform.
-    Each triple product is formed in place in the same order as
-    compute_phi's, so the norms keep its bits.
+    v_grid, scale and centring are the level's level_terms.  Per thread,
+    three grids serve every replica: w, w_tilde and the spectrum of their
+    products, whose head holds each snapshot's modes 0..N while it is
+    drawn; so no replica maps fresh pages.  Each triple product is formed in
+    place in the same order as compute_phi's, and each sum divided and
+    centred in place, so the norms keep its bits.
     """
     n = scale.shape[0]
+    m = _grid_size(n)
+    w, w_tilde = np.empty(m), np.empty(m)
+    spectrum = np.empty(m // 2 + 1, dtype=np.complex128)
+    modes = spectrum[:n + 1]
 
     def norm(modes: np.ndarray) -> float:
         return float(sobolev_norm(modes[None], -gamma, nu))
 
     out = []
     for sub in streams:
-        w = _snapshot_grid(scale, sub.with_purpose(PURPOSE_MODE_SET))
-        w_tilde = _snapshot_grid(scale,
-                                 sub.with_purpose(PURPOSE_MODE_SET_INDEP))
+        _snapshot_grid(scale, sub.with_purpose(PURPOSE_MODE_SET), modes, w)
+        _snapshot_grid(scale, sub.with_purpose(PURPOSE_MODE_SET_INDEP),
+                       modes, w_tilde)
         w_tilde *= w
         w_tilde *= v_grid
-        phit = norm(_triple_sum(w_tilde, n))
-        del w_tilde
+        phit = norm(_triple_sum(w_tilde, n, spectrum))
         w *= w
         w *= v_grid
-        out.append((norm(_triple_sum(w, n) - centring), phit))
+        phi = _triple_sum(w, n, spectrum)
+        phi -= centring
+        out.append((norm(phi), phit))
     return out

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
 
 # Tolerances and subdivision budget of the adaptive quadratures.  Improper
 # integrals are split at x = 1 and the tail [1, inf) is mapped onto (0, 1]
@@ -37,6 +36,8 @@ class QuadratureError(RuntimeError):
 
 
 def _quad(fn, lo: float, hi: float) -> float:
+    from scipy import integrate  # only the constants command needs it
+
     value, err = integrate.quad(fn, lo, hi, epsabs=QUAD_ABS_TOL,
                                 epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT)
     if not math.isfinite(value):
@@ -171,6 +172,8 @@ def _lattice_sum(nu: float, eps: float, sigma) -> float:
     bounded per sign by (1/eps^3) (1/(5 K^5) + nu/(3 K^3)); K (at least
     1000) keeps both signs together below 1e-12.
     """
+    from scipy import special  # only the constants command needs it
+
     if eps <= 0:
         raise ValueError("eps must be positive")
     k = (2.0 * (nu / 3.0 + 0.2) / (1e-12 * eps ** 3)) ** (1.0 / 3.0)

@@ -46,11 +46,12 @@ second for its sup_norms grids of fast_grid_size(8 * (2N+2)) points, and
 reference_distances one array for its differences), and
 updates v, its copy of psi, u = v + scale * psi and the guard's |u| in
 place with out=, in the order the formulas are written, so no bit changes.
-Rows of at least spectral.ROW_TRANSFORM_POINTS points are transformed one
-FFT call at a time, and the model callbacks run on tiles of
+Rows of at least spectral.ROW_TRANSFORM_POINTS points are transformed
+forward one FFT call at a time, and the model callbacks run on tiles of
 models.POINTWISE_TILE points, so that the transforms and the drift map no
-fresh pages after the first step.  Consumers see u until the next step
-overwrites it.
+fresh pages after the first step.  Each run tags its replicas' streams
+with the noise-step purpose once, not at every step.  Consumers see u
+until the next step overwrites it.
 
 Runs abort with a censored flag once the sup norm exceeds the configured
 guard; censored trajectories carry no fields at or beyond the censoring
@@ -78,9 +79,9 @@ from . import models
 from .models import (DriftPlan, ModelSpec, eval_F_bar, eval_F_eps, eval_G,
                      eval_G_bar, plan_F_bar, plan_F_eps, plan_G,
                      validate_model)
-from .noise import (CoupledOUState, NoiseStream, _LevelFactors,
-                    sample_replicas, sample_stationary, step_coupled,
-                    step_replicas)
+from .noise import (PURPOSE_OU_STEP, CoupledOUState, NoiseStream,
+                    _LevelFactors, sample_replicas, sample_stationary,
+                    step_coupled, step_replicas)
 from .spectral import (SpectralField, Workspace, sobolev_norm, sup_norm,
                        sup_norms)
 
@@ -219,6 +220,7 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
     """
     n, nmode, h = spec.n, config.max_mode, config.dt
     factors, psi = (noise[0], noise[1].copy()) if noise else (None, None)
+    streams = [s.with_purpose(PURPOSE_OU_STEP) for s in streams]
     n_rep = len(psi) if noise else 1
     n_ch = len(channels)
     noisy = [(c, ch.noise_level, ch.noise_scale)

@@ -50,11 +50,16 @@ from .spectral import (SpectralField, Workspace, dealias_cut,
 Callback = Callable[[np.ndarray], np.ndarray]
 
 # Pointwise callbacks run on grid tiles of at most this many points (all
-# components and replicas together).  Their temporaries, such as polyval's,
-# then stay small enough for glibc to reuse instead of mapping fresh pages:
-# one theorem15 bench call made 15,000 minor faults at 2^14 points per tile
-# and 92,700 at 2^15.
-POINTWISE_TILE = 1 << 14
+# components and replicas together).  Each of their float64 temporaries,
+# such as polyval's, is then 96 KiB, under glibc's default 128 KiB mmap
+# threshold, and a tile's few of them fit in the heap's free top, which
+# glibc reuses instead of mapping fresh pages.  Without SciPy loaded, one
+# theorem15 bench call made 3,400 minor faults at this tile in every run.
+# With larger tiles the count followed allocations made elsewhere: 3,500 or
+# 12,300 at 15,360 points, 3,550 to 23,300 at 2^14.  Smaller ones pay per
+# call: at 2^13 points the converge bench read 0.916 s against 0.839 s at
+# 15,360 (medians of 6 runs on a 2-core host).
+POINTWISE_TILE = 12 << 10
 
 
 @dataclass(frozen=True)
@@ -253,8 +258,11 @@ def effective_drift(spec: ModelSpec,
                     constant: float | None = None) -> Callback:
     """Pointwise corrected reaction fbar = f + c (trace h - trace dg).
 
-    c defaults to the white-noise constant 1/(2 sqrt(nu)); pass a
-    finite-truncation value to match a mode-truncated simulation.
+    Both traces are partial, over the last two slots: component i gets
+    sum_j h_ijj and sum_j dg_ijj, where dg[i, j, k] = d_k g_ij is traced
+    over (j, k), i.e. sum_j d_j g_ij.  c defaults to the white-noise
+    constant 1/(2 sqrt(nu)); pass a finite-truncation value to match a
+    mode-truncated simulation.
     """
     c = white_noise_constant(spec.nu) if constant is None else float(constant)
 

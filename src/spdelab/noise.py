@@ -94,6 +94,10 @@ class NoiseStream:
         return replace(self, replica=int(replica))
 
     def with_purpose(self, purpose: int) -> "NoiseStream":
+        """This path under purpose; the stream itself if it has it already,
+        so a step loop that derives its streams once re-tags nothing."""
+        if purpose == self.purpose:
+            return self
         return replace(self, purpose=int(purpose))
 
     def normals(self, step: int, shape: tuple[int, ...],
@@ -300,9 +304,11 @@ def step_replicas(factors: _LevelFactors, streams, step: int,
 
     Replica r draws its innovations from streams[r] exactly as a lone state
     on that stream would; the stacked normals are coloured in one call, so
-    every replica's result is independent of the others in the stack.  The
-    normals, the colouring's products and the innovations are work's arrays
-    (a fresh workspace's if None).
+    every replica's result is independent of the others in the stack.  A
+    step loop passes streams it tagged PURPOSE_OU_STEP once per run, which
+    with_purpose then returns as they are.  The normals, the colouring's
+    products and the innovations are work's arrays (a fresh workspace's if
+    None).
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")

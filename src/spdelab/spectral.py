@@ -23,29 +23,56 @@ again maps no fresh pages.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 DEALIAS_FRACTION = 2.0 / 3.0  # Orszag's 2/3 rule for quadratic products
 
-# Rows of at least this many grid points are transformed one FFT call at a
-# time.  A call over several such rows allocates pocketfft's own buffer each
-# time, which glibc maps afresh; one row into an out= array allocates
-# nothing.  With every call batched, one theorem15 bench call made 85,000
-# minor faults against 15,000.  Smaller rows keep one batched call, which is
-# faster there (18 rows of 8,192 points on a 2-core x86-64 host: 0.55 ms
-# batched, 0.84 ms row by row).  Both give the same bits: each row is one
-# transform with the same plan.
-ROW_TRANSFORM_POINTS = 1 << 15
+# Forward transforms of rows of at least this many grid points make one FFT
+# call per row.  A batched rfft over such rows allocates a buffer of a few
+# rows at every call, which glibc maps (or trims and refaults) afresh unless
+# an earlier free has raised its dynamic mmap and trim thresholds: in a
+# fresh process two rows of 10,000 points fault at every batched call and
+# two of 9,216 do not.  One row into an out= array maps nothing, and costs
+# what a faulting batched call does (2 rows of 21,870 points: 0.59 ms one
+# by one, 0.60 ms batched, 0.33 ms batched without the faults).  Without
+# SciPy loaded, one theorem15 bench call made 31,100 minor faults with the
+# rfft batched below 2^15 points and 3,400 with this crossover (NumPy 2.4,
+# 2-core x86-64 host).  Inverse transforms stay batched at every size: a
+# batched irfft maps no buffer, and at 32,768 modes it is faster than one
+# call per row.  Both give the same bits: each row is one transform with
+# the same plan.
+ROW_TRANSFORM_POINTS = 1 << 13
+
+
+def _smooth_sizes(limit: int) -> tuple[int, ...]:
+    """Every 2*3*5-smooth number up to limit, ascending."""
+    sizes = []
+    p5 = 1
+    while p5 <= limit:
+        p35 = p5
+        while p35 <= limit:
+            sizes.extend(p35 << j for j in range((limit // p35).bit_length()))
+            p35 *= 3
+        p5 *= 5
+    return tuple(sorted(sizes))
+
+
+# 1,849 sizes, listed in half a millisecond; a grid of more than 2^32
+# points would not fit in memory
+_FAST_SIZES = _smooth_sizes(1 << 32)
 
 
 def fast_grid_size(points: int) -> int:
-    """Smallest 2*3*5-smooth grid size >= points (a fast real FFT length)."""
-    return sfft.next_fast_len(points, real=True)
+    """Smallest 2*3*5-smooth grid size >= points (a fast real FFT length),
+    for 1 <= points <= 2^32: one bisection of the sizes listed at import."""
+    if not 1 <= points <= _FAST_SIZES[-1]:
+        raise ValueError(f"no grid size for {points} points")
+    return _FAST_SIZES[bisect.bisect_left(_FAST_SIZES, points)]
 
 
 @dataclass(frozen=True)
@@ -136,13 +163,8 @@ def grid_values(coeffs: np.ndarray, m: int,
     the bits of a transform of the zero-padded half spectrum.
     """
     work = Workspace() if work is None else work
-    rows, modes = coeffs.shape[:-1], coeffs.shape[-1]
-    grid = work.array("grid", rows + (m,), np.float64)
-    if m < ROW_TRANSFORM_POINTS:
-        np.fft.irfft(coeffs, m, axis=-1, out=grid)
-    else:
-        for row, out in zip(coeffs.reshape(-1, modes), grid.reshape(-1, m)):
-            np.fft.irfft(row, m, out=out)
+    grid = work.array("grid", coeffs.shape[:-1] + (m,), np.float64)
+    np.fft.irfft(coeffs, m, axis=-1, out=grid)
     grid *= m / _SQRT_TWO_PI
     return grid
 
@@ -222,7 +244,8 @@ def sobolev_norm(coeffs: np.ndarray, alpha: float, nu: float) -> np.ndarray:
         raise ValueError("nu must be positive")
     k = np.arange(coeffs.shape[-1], dtype=np.float64)
     w = (1.0 + nu * k * k) ** alpha
-    tail = np.abs(coeffs[..., 1:]) ** 2   # one contiguous temporary
+    tail = np.abs(coeffs[..., 1:])   # one contiguous temporary
+    np.square(tail, out=tail)
     tail *= w[1:]
     return np.sqrt(np.sum(w[0] * np.abs(coeffs[..., 0]) ** 2, axis=-1)
                    + 2.0 * np.sum(tail, axis=(-2, -1)))

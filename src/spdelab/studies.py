@@ -31,8 +31,8 @@ from .integrate import (SimulationConfig, couple_runs, coupled_distances,
                         sup_distance)
 from .linops import OperatorSpec
 from .models import model_from_config
-from .noise import (NoiseStream, PURPOSE_INITIAL_FIELD, sample_replicas,
-                    sample_stationary, step_replicas)
+from .noise import (NoiseStream, PURPOSE_INITIAL_FIELD, PURPOSE_OU_STEP,
+                    sample_replicas, sample_stationary, step_replicas)
 from .regression import RegressionResult, regress_loglog
 from .spectral import SpectralField, Workspace, sup_norms
 
@@ -96,6 +96,10 @@ class RunConfig:
             raise ValueError("modes_over_eps must be positive and finite")
         if self.u0_modes < 0:
             raise ValueError("u0_modes must be nonnegative")
+        if "mass" in self.model:
+            # a potential's mass sets only its eps, which eps_grid replaces
+            raise ValueError("model key 'mass' has no effect: every study "
+                             "takes eps from eps_grid")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -327,6 +331,7 @@ def run_psi_coupling_study(cfg: RunConfig) -> ConvergenceReport:
         def block(replicas) -> list:
             streams = [base.with_replica(r) for r in replicas]
             factors, psi = sample_replicas(levels, 1, sim.max_mode, streams)
+            streams = [s.with_purpose(PURPOSE_OU_STEP) for s in streams]
             best = np.zeros(len(streams))
             work = Workspace()
             for step in range(sim.n_steps + 1):

@@ -303,10 +303,11 @@ class TestReplicaNorms:
         assert got == want
 
     def test_replicas_hold_at_most_four_grids(self):
-        # the working set that every thread multiplies: w, w_tilde or a
-        # zero-padded spectrum, one transform output and the half-grid
-        # modes 0..N read 3.5 grids.  A grid kept past its product, or a
-        # replica's arrays kept into the next one's draws, goes past 4.
+        # the working set that every thread reuses from replica to
+        # replica: w, w_tilde and the products' spectrum, whose head holds
+        # the modes 0..N being drawn, plus a norm's quarter-grid
+        # temporaries, read 3.76 grids.  A separate half-grid of modes, or
+        # a grid more, goes past 4.
         nu, eps, n = 1.0, 0.01, 2 ** 14
         args = level_terms(nu, eps, 0.75, n)
         streams = [NoiseStream(3, replica=r) for r in range(2)]

@@ -46,6 +46,20 @@ class TestExitCodes:
         assert code == 1
         assert "unknown config keys" in err
 
+    @pytest.mark.parametrize("command", ["converge", "theorem15",
+                                         "psi-coupling", "averaging",
+                                         "simulate"])
+    def test_potential_mass_is_config_error(self, command, capsys):
+        # no study reads a model's eps, so a mass there would be ignored
+        model = json.dumps({"name": "potential", "coeffs": [0.0, 0.0, 0.5],
+                            "temperature": 1.0, "mass": 0.1})
+        extra = SIMULATE[1:] if command == "simulate" else []
+        code, _, err = run_cli([command, *extra, "--model", model,
+                                *STUDY_FLAGS], capsys)
+        assert code == 1
+        assert "config error:" in err and "'mass'" in err
+        assert "Traceback" not in err
+
     def test_missing_config_file_is_config_error(self, capsys):
         code, _, err = run_cli(["converge", "--config", "/no/such.json"],
                                capsys)

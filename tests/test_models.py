@@ -219,6 +219,63 @@ class TestEffectiveDrift:
         np.testing.assert_allclose(out.coeffs, want, atol=1e-12)
 
 
+def constant_tensor(tensor: np.ndarray):
+    """A callback that returns tensor at every point of its (n, ...) input."""
+    def callback(u: np.ndarray) -> np.ndarray:
+        point = tensor.reshape(tensor.shape + (1,) * (u.ndim - 1))
+        return np.broadcast_to(point, tensor.shape + u.shape[1:])
+
+    return callback
+
+
+class TestTraceSlots:
+    """For systems the correction is c (sum_j h_ijj - sum_j d_j g_ij), a
+    partial trace over the last two slots.  On two components a single
+    nonzero slot, [0, 1, 1], tells the right pairing, which gives (c, 0)
+    at every point, from a wrong one such as [j, i, j] or [j, j, i]."""
+
+    C = 0.37
+    PROBES = np.random.default_rng(0).uniform(-2.0, 2.0, size=(2, 7))
+
+    @staticmethod
+    def unit_slot() -> np.ndarray:
+        tensor = np.zeros((2, 2, 2))
+        tensor[0, 1, 1] = 1.0
+        return tensor
+
+    def expected(self, value: float) -> np.ndarray:
+        out = np.zeros_like(self.PROBES)
+        out[0] = value
+        return out
+
+    def h_model(self) -> ModelSpec:
+        return ModelSpec(n=2, nu=1.0, h=constant_tensor(self.unit_slot()),
+                         degree=2)
+
+    def test_h_traced_over_last_two_slots(self):
+        got = effective_drift(self.h_model(), self.C)(self.PROBES)
+        np.testing.assert_array_equal(got, self.expected(self.C))
+
+    def test_plan_G_constant_traced_over_last_two_slots(self):
+        # at u_x = 0 only the constant's trace is left of plan_G's drift
+        plan = plan_G(self.h_model(), self.C)
+        got = plan.pointwise(self.PROBES, [np.zeros_like(self.PROBES)])
+        np.testing.assert_array_equal(got, self.expected(self.C))
+
+    def test_dg_traced_over_last_two_slots(self):
+        # g_01 = u_1, so dg[0, 1, 1] = d_1 g_01 = 1 is the only nonzero slot
+        def g(u: np.ndarray) -> np.ndarray:
+            out = np.zeros((2, 2) + u.shape[1:])
+            out[0, 1] = u[1]
+            return out
+
+        spec = ModelSpec(n=2, nu=1.0, g=g,
+                         dg=constant_tensor(self.unit_slot()))
+        assert validate_model(spec) < 1e-9
+        got = effective_drift(spec, self.C)(self.PROBES)
+        np.testing.assert_array_equal(got, self.expected(-self.C))
+
+
 class TestGradientVariants:
     def test_g_channel_rejected(self):
         spec = polynomial_model(1.0, g_coeffs=(1.0, 1.0))
@@ -370,18 +427,19 @@ def field_block(fields: list[SpectralField], n_plans: int) -> np.ndarray:
 
 
 class TestRowsAndTiles:
-    """drift transforms by rows from ROW_TRANSFORM_POINTS on and runs the
-    callbacks on tiles of POINTWISE_TILE points; neither may move a bit."""
+    """drift's forward transform goes by rows from ROW_TRANSFORM_POINTS on,
+    and drift runs the callbacks on tiles of POINTWISE_TILE points; neither
+    may move a bit."""
 
-    # degree-2 drift grids of 21,600 points (below the crossover) and
-    # 32,805 (above it)
+    # degree-2 drift grids of 21,600 points (even) and 32,805 (odd), both
+    # above the crossover, which is moved to each side of them
     @pytest.mark.parametrize("max_mode", [7999, 12288])
     def test_block_drift_same_by_rows_and_batched(self, monkeypatch,
                                                   max_mode):
         spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
         m = drift_grid_size(max_mode, spec.degree)
         assert m == {7999: 21600, 12288: 32805}[max_mode]
-        assert (m < ROW_TRANSFORM_POINTS) == (max_mode == 7999)
+        assert m >= ROW_TRANSFORM_POINTS
         fields = [random_smooth_field(1, max_mode, seed) for seed in (1, 2)]
         plans = [plan_G(spec, None), plan_F_eps(spec, 0.3)]
         u = field_block(fields, len(plans))

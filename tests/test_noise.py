@@ -9,11 +9,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spdelab import NoiseStream, SpectralField, sample_stationary
+import spdelab.noise as noise_module
+from spdelab import (NoiseStream, SimulationConfig, SpectralField,
+                     polynomial_model, sample_stationary)
+from spdelab.integrate import coupled_distances
 from spdelab.linops import OperatorSpec, symbols
-from spdelab.noise import (PURPOSE_OU_STEP, _LevelFactors, _stacked_normals,
-                           psi_diff_moment, sample_replicas,
-                           stationary_samples, step_coupled, step_replicas)
+from spdelab.noise import (PURPOSE_OU_INIT, PURPOSE_OU_STEP, _LevelFactors,
+                           _stacked_normals, psi_diff_moment,
+                           sample_replicas, stationary_samples, step_coupled,
+                           step_replicas)
 from spdelab.spectral import Workspace
 
 
@@ -452,6 +456,34 @@ class TestReplicaBlockNoise:
             assert step_replicas(factors, streams, step, psi, 0.05,
                                  work) is psi
             assert_bitwise(psi, want)
+
+    def test_runs_tag_step_streams_once(self, monkeypatch):
+        # a stream that carries its purpose already is its own re-tag, and
+        # a run derives its replicas' PURPOSE_OU_STEP streams once (the
+        # initial draw derives PURPOSE_OU_INIT ones), whatever its length
+        stream = NoiseStream(19, replica=2, purpose=PURPOSE_OU_STEP)
+        assert stream.with_purpose(PURPOSE_OU_STEP) is stream
+        derived = []
+        real = noise_module.replace
+
+        def counted(obj, **changes):
+            derived.append(changes)
+            return real(obj, **changes)
+
+        monkeypatch.setattr(noise_module, "replace", counted)
+        spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
+        u0 = SpectralField(1, 0, np.zeros((1, 1)))
+        streams = [NoiseStream(19, replica=r) for r in range(3)]
+        counts = []
+        for t_final in (0.1, 0.5):
+            derived.clear()
+            coupled_distances(spec, 0.5, u0,
+                              SimulationConfig(max_mode=4, dt=0.05,
+                                               t_final=t_final), streams)
+            counts.append(len(derived))
+        assert counts == [6, 6]
+        assert derived == [{"purpose": PURPOSE_OU_INIT}] * 3 \
+            + [{"purpose": PURPOSE_OU_STEP}] * 3
 
     def test_later_steps_allocate_no_block(self):
         # 4 replicas x 2 levels x 20,001 modes: the normals and the state

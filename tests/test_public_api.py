@@ -1,6 +1,9 @@
 """The package's top-level names are the documented API and nothing more."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import spdelab
 
@@ -41,3 +44,29 @@ def test_simulation_config_fields_are_pinned():
 def test_every_listed_name_resolves():
     for name in spdelab.__all__:
         assert getattr(spdelab, name) is not None, name
+
+
+def test_import_and_studies_load_no_scipy():
+    # SciPy serves only the constants command's quadratures and trigamma:
+    # importing the package and running each study loads no SciPy module,
+    # so no study call pays its import time and memory
+    src = os.path.dirname(os.path.dirname(spdelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """
+import sys
+import spdelab
+small = dict(replicas=3, fixed_modes=8, dt=0.05, t_final=0.2, u0_modes=6,
+             workers=1, eps_grid=(0.5, 0.4, 0.3, 0.25))
+fits = [spdelab.run_convergence_study(spdelab.RunConfig(**small)).ci95,
+        spdelab.run_theorem15_study(
+            spdelab.RunConfig(study="theorem15", **small)).ci95,
+        spdelab.run_averaging_study(spdelab.RunConfig(
+            study="averaging", **small)).slope_phi.ci95]
+assert all(ci is not None for ci in fits), fits
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

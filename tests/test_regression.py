@@ -1,15 +1,11 @@
 """Tests for the log-log rate fits."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
-import spdelab
-from spdelab.regression import RegressionResult, regress_loglog
+from spdelab.regression import (RegressionResult, regress_loglog,
+                                t_quantile_975)
 
 
 class TestRegressLoglog:
@@ -57,15 +53,12 @@ class TestRegressLoglog:
             regress_loglog([(2.0, 1.0), (2.0, 2.0), (2.0, 4.0)])
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs over a second to import; the t quantile comes from
-    # scipy.special instead, so no spdelab process pays for it
-    src = os.path.dirname(os.path.dirname(spdelab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, spdelab; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+def test_t_quantile_matches_scipy():
+    for dof in range(1, 201):
+        assert t_quantile_975(dof) == pytest.approx(
+            special.stdtrit(dof, 0.975), rel=1e-12, abs=0.0)
+
+
+def test_t_quantile_rejects_dof_below_one():
+    with pytest.raises(ValueError, match="dof"):
+        t_quantile_975(0)

@@ -7,7 +7,7 @@ import pytest
 
 import spdelab.spectral as spectral_module
 from spdelab import SpectralField
-from spdelab.spectral import (ROW_TRANSFORM_POINTS, GridField, Workspace,
+from spdelab.spectral import (GridField, Workspace,
                               dealias_cut, derivative_coeffs, fast_grid_size,
                               from_grid, grid_coeffs, grid_values,
                               sobolev_norm, sup_norm, sup_norms, to_grid)
@@ -141,16 +141,28 @@ class TestFastGridSize:
                                             32769)] == \
             [27, 16875, 16875, 21870, 32805]
 
+    def test_equals_scipy_next_fast_len(self):
+        # the sizes SciPy's real FFT would pick, for every n up to 2^20
+        from scipy.fft import next_fast_len
+        top = 1 << 20
+        assert [fast_grid_size(n) for n in range(1, top + 1)] == \
+            [next_fast_len(n, real=True) for n in range(1, top + 1)]
+
+    def test_range(self):
+        assert fast_grid_size(1 << 32) == 1 << 32
+        for points in (0, (1 << 32) + 1):
+            with pytest.raises(ValueError, match="grid size"):
+                fast_grid_size(points)
+
 
 class TestWorkspace:
     """Kernels that reuse a workspace's arrays give the bits of a fresh
-    call, whatever the workspace held before, on either side of the
-    row-by-row crossover."""
+    call, whatever the workspace held before, with the forward transform
+    batched and row by row."""
 
     # powers of two, and the 2*3*5-smooth (odd) degree-2 drift grids of
-    # N = 6328 and N = 12288, on both sides of the crossover
-    @pytest.mark.parametrize("m", [ROW_TRANSFORM_POINTS // 2,
-                                   ROW_TRANSFORM_POINTS, 16875, 32805])
+    # N = 6328 and N = 12288; the crossover is moved to each side of m
+    @pytest.mark.parametrize("m", [1 << 14, 1 << 15, 16875, 32805])
     def test_reused_transforms_equal_fresh_ones(self, monkeypatch, m):
         work = Workspace()
         # a 10-mode call on the grid a 20-mode call has filled must not see

@@ -41,6 +41,16 @@ class TestRunConfig:
         assert cfg.model["name"] == "polynomial"
         assert cfg.correction == "truncation-matched"
 
+    def test_model_mass_rejected(self):
+        # every study takes eps from eps_grid, so a potential's mass (which
+        # sets only its eps) would be silently dropped
+        model = {"name": "potential", "coeffs": [0.0, 0.0, 0.5],
+                 "temperature": 2.0, "mass": 0.1}
+        with pytest.raises(ValueError, match="'mass'"):
+            small_cfg(model=model)
+        with pytest.raises(ValueError, match="'mass'"):
+            RunConfig.from_dict({"model": model})
+
     def test_from_dict_round_trip(self):
         cfg = small_cfg(replicas=5)
         again = RunConfig.from_dict(cfg.to_dict())
@@ -517,7 +527,7 @@ class TestModelNu:
     potential at temperature T runs at nu = 1/(2T)."""
 
     POTENTIAL = {"name": "potential", "coeffs": [0.0, 0.0, 0.5],
-                 "temperature": 2.0, "mass": 0.1}
+                 "temperature": 2.0}
     SAME_NU = {"name": "polynomial", "nu": 0.25}
 
     def test_psi_coupling_uses_model_nu(self):
