@@ -36,16 +36,23 @@ coupled_distances keeps each replica's running maximum sup distance from
 the perturbed run to both limits, measuring all replicas' differences with
 one sup_norms call; reference_distances steps the deterministic limits as
 one block beside the replicas' block, records neither, and keeps each
-replica's running maximum Sobolev distance to each limit, with one
-sobolev_norm call per limit.
+replica's running maximum Sobolev distance to each limit, measured a chunk
+of replicas at a time.
 
-A run allocates its step arrays once.  Each call of the core owns a
-spectral.Workspace for the drift's input, grid and spectrum and the noise's
-normals, colouring products and innovations (coupled_distances keeps a
-second for its sup_norms grids of fast_grid_size(8 * (2N+2)) points, and
-reference_distances one array for its differences), and
-updates v, its copy of psi, u = v + scale * psi and the guard's |u| in
-place with out=, in the order the formulas are written, so no bit changes.
+A run allocates its step arrays once, one per role: v, u (v itself
+without noise), the guard's finiteness mask and |u|, and a
+spectral.Workspace for the drift's input, grid and spectrum and the
+noise's normals, colouring products and innovations.  psi is the caller's
+array, advanced in place (run_mild hands over a copy of its state's).  The
+weight multiplies the drift's result in its workspace array, which is then
+added to decay * v; u is written as scale * psi, then v is added to it
+(addition commutes); every update runs in place with out=, rounded as the
+formulas are written, so no bit changes.  coupled_distances keeps a second
+workspace for its sup_norms grids of fast_grid_size(8 * (2N+2)) points.
+reference_distances steps its limits and replicas on one workspace, and
+measures their differences through one array of at most
+models.POINTWISE_TILE points (or one replica), so neither its differences
+nor sobolev_norm's temporary grows with the block.
 Rows of at least spectral.ROW_TRANSFORM_POINTS points are transformed
 forward one FFT call at a time, and the model callbacks run on tiles of
 models.POINTWISE_TILE points, so that the transforms and the drift map no
@@ -208,21 +215,28 @@ def _drift(channels: list[_Channel], u: np.ndarray, step: int,
 
 
 def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
-             noise, streams, config: SimulationConfig, step0: int = 0):
+             noise, streams, config: SimulationConfig, step0: int = 0,
+             work: Workspace | None = None):
     """Drive all channels of all replicas in lockstep from u0.
 
     noise is the block's (factors, psi) pair from sample_replicas, psi
     (R, levels, n, N+1) at step step0 of the replicas' streams, or None
-    for a deterministic run of one replica.  Yields (t, u, alive) at every
-    step time t = i * dt, i = 0..n_steps: the state u (R, C, n, N+1) and
-    the (R, C) mask of uncensored rows, both overwritten by the next step.
-    A row is censored from the first yielded time at which it is not alive.
+    for a deterministic run of one replica; psi is advanced in place, so
+    the caller hands over an array it does not read again.  Yields (t, u,
+    alive) at every step time t = i * dt, i = 0..n_steps: the state u (R,
+    C, n, N+1) and the (R, C) mask of uncensored rows, both overwritten by
+    the next step.  A row is censored from the first yielded time at which
+    it is not alive.  work (a fresh workspace if None) lends the drift and
+    the noise step their arrays; runs stepped in lockstep on one thread may
+    share it.
     """
     n, nmode, h = spec.n, config.max_mode, config.dt
-    factors, psi = (noise[0], noise[1].copy()) if noise else (None, None)
+    factors, psi = noise if noise else (None, None)
     streams = [s.with_purpose(PURPOSE_OU_STEP) for s in streams]
     n_rep = len(psi) if noise else 1
     n_ch = len(channels)
+    # a block's channels all carry noise or none does (no caller puts a
+    # V_LIMIT channel beside noisy ones), so the noisy ones write u whole
     noisy = [(c, ch.noise_level, ch.noise_scale)
              for c, ch in enumerate(channels) if ch.noise_level is not None]
     if u0.n_components != n:
@@ -236,10 +250,8 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
     alive = np.ones((n_rep, n_ch), dtype=bool)
     # Run-scoped arrays that every step overwrites; without noise u is v
     # itself.  Consumers copy what they keep.
-    work = Workspace()
+    work = Workspace() if work is None else work
     u = np.empty_like(v) if noisy else v
-    shifted = np.empty((n_rep, n, nmode + 1), dtype=np.complex128)
-    weighted = np.empty_like(v)
     finite = np.empty_like(v.view(np.float64), dtype=bool)
     mag = np.empty(v.shape)
 
@@ -250,17 +262,19 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
             # 0); no consumer reads a censored row (the recorder writes live
             # rows, the distance maxima are masked)
             u[~alive] = 0.0
-            # v <- decay * v + weight * fu, in place and rounded as written
-            np.multiply(weight, _drift(channels, u, step, work), out=weighted)
+            # v <- decay * v + weight * fu, in place and rounded as written:
+            # the weight multiplies the drift's workspace result
+            fu = _drift(channels, u, step, work)
+            np.multiply(fu, weight, out=fu)
             np.multiply(decay, v, out=v)
-            np.add(v, weighted, out=v)
+            np.add(v, fu, out=v)
             if noise:
                 step_replicas(factors, streams, step0 + step - 1, psi, h,
                               work)
-        if noisy:
-            np.copyto(u, v)
+        # u <- v + scale * psi, channel by channel; addition commutes
         for c, level, scale in noisy:
-            u[:, c] += np.multiply(scale, psi[:, level], out=shifted)
+            np.multiply(scale, psi[:, level], out=u[:, c])
+            u[:, c] += v[:, c]
         if not np.isfinite(u.view(np.float64), out=finite).all():
             bad = np.argwhere(~np.isfinite(u).all(axis=(2, 3)))[0][1]
             raise IntegrationError(f"non-finite state in "
@@ -312,7 +326,8 @@ def run_mild(spec: ModelSpec, variant: Variant, eps: float,
                         correction_constant)
     if noise is None:
         return _recorded(spec, [ch], u0, None, (), config)[0]
-    return _recorded(spec, [ch], u0, (factors, noise.psi[None]),
+    # the run steps its own copy: the state stays the caller's
+    return _recorded(spec, [ch], u0, (factors, noise.psi[None].copy()),
                      [noise.stream], config, noise.step)[0]
 
 
@@ -421,20 +436,30 @@ def reference_distances(spec: ModelSpec, eps: float, u0: SpectralField,
     channel = _build_channel(spec, Variant.V_EPS, eps, noise[0], config, None)
     limits = [_build_channel(spec, Variant.V_LIMIT, 0.0, None, config, c)
               for c in constants]
-    dist = np.full((len(streams), len(limits)), math.nan)
-    # the block's differences to one limit, overwritten at every use
-    diff = np.empty((len(streams), spec.n, config.max_mode + 1),
+    n_rep = len(streams)
+    dist = np.full((n_rep, len(limits)), math.nan)
+    # the differences of a chunk of replicas to one limit, at most
+    # POINTWISE_TILE points (or one replica), overwritten at every use;
+    # each norm sums its own rows, so chunking keeps its bits
+    rows = max(1, models.POINTWISE_TILE // (spec.n * (config.max_mode + 1)))
+    diff = np.empty((min(rows, n_rep), spec.n, config.max_mode + 1),
                     dtype=np.complex128)
     # the limits step first, so that a step's first-use allocations come
-    # before the replicas' noise step
+    # before the replicas' noise step; each run consumes its drift before
+    # the other's next one, so both share one workspace
+    work = Workspace()
     for (_, lim, lim_alive), (_, u, alive) in zip(
-            _advance(spec, limits, u0, None, (), config),
-            _advance(spec, [channel], u0, noise, streams, config)):
+            _advance(spec, limits, u0, None, (), config, work=work),
+            _advance(spec, [channel], u0, noise, streams, config,
+                     work=work)):
         for j in lim_alive[0].nonzero()[0]:
-            np.subtract(u[:, 0], lim[0, j], out=diff)
-            # a censored row never enters a maximum
-            np.fmax(dist[:, j], sobolev_norm(diff, beta, spec.nu),
-                    out=dist[:, j], where=alive[:, 0])
+            for lo in range(0, n_rep, rows):
+                hi = min(n_rep, lo + rows)
+                d = diff[:hi - lo]
+                np.subtract(u[lo:hi, 0], lim[0, j], out=d)
+                # a censored row never enters a maximum
+                np.fmax(dist[lo:hi, j], sobolev_norm(d, beta, spec.nu),
+                        out=dist[lo:hi, j], where=alive[lo:hi, 0])
     return [tuple((float(d), not (live and lim_live))
                   for d, lim_live in zip(row, lim_alive[0]))
             for row, (live,) in zip(dist, alive)]

@@ -138,7 +138,10 @@ class Workspace:
 
     A kernel's result may be a workspace array; it stays valid until the
     next call that writes the same role and shape.  A workspace belongs to
-    one run on one thread.
+    one thread.  Several runs stepped in lockstep there may share it when
+    each consumes a kernel's result before the others' next call, as
+    theorem15's deterministic limits and replicas do; runs of equal shapes
+    then share the arrays too.
     """
 
     def __init__(self) -> None:

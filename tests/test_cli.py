@@ -370,3 +370,13 @@ class TestConsoleScript:
         data = json.loads(proc.stdout)
         assert data["white_noise_constant"] == pytest.approx(
             0.5 / 2.0 ** 0.5, rel=1e-12)
+
+    def test_package_runs_as_module(self):
+        # python -m spdelab runs the CLI where the console script is not
+        # installed
+        proc = subprocess.run([sys.executable, "-m", "spdelab", "--help"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        for command in ("constants", "simulate", "converge", "theorem15",
+                        "psi-coupling", "averaging", "path-sampling"):
+            assert command in proc.stdout

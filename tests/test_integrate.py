@@ -16,11 +16,13 @@ from spdelab import (IntegrationError, ModelSpec, NoiseStream,
                      initial_field, polynomial_model, run_mild,
                      sample_stationary, truncation_matched_constant)
 from spdelab.integrate import (Trajectory, coupled_distances,
-                               reference_distances, sup_distance)
+                               reference_distances, resolve_correction,
+                               sup_distance)
 from spdelab.linops import (OperatorSpec, apply_semigroup, etd_weights,
                             symbols)
 from spdelab.models import drift_grid_size, eval_F_bar, eval_F_eps
 from spdelab.noise import psi_diff_moment, step_coupled
+from spdelab.regression import regress_loglog
 from spdelab.spectral import ROW_TRANSFORM_POINTS, GridField, sup_norm
 
 ROOT_2PI = math.sqrt(2.0 * math.pi)
@@ -220,6 +222,25 @@ class TestStochasticRuns:
 
         for x, y in zip(run(), run()):
             np.testing.assert_array_equal(x, y)
+
+    def test_run_mild_leaves_its_inputs_untouched(self):
+        # the block core steps the psi it is handed in place; run_mild hands
+        # it a copy, so the caller's state and initial data keep their bits
+        # and a second run from the same state replays the first
+        spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
+        cfg = config(max_mode=6, dt=0.05, t_final=0.2)
+        u0 = initial_field(1, 6, 1.5, 0.5, NoiseStream(8))
+        state = sample_stationary([OperatorSpec(1.0, 0.25),
+                                   OperatorSpec(1.0, 0.0)], 1, 6,
+                                  NoiseStream(8))
+        psi, coeffs = state.psi.copy(), u0.coeffs.copy()
+        runs = [run_mild(spec, variant, 0.25, u0, state, cfg)
+                for variant in (Variant.PHI_EPS, Variant.PHI_EPS,
+                                Variant.PHI_BAR)]
+        assert state.psi.tobytes() == psi.tobytes()
+        assert u0.coeffs.tobytes() == coeffs.tobytes()
+        assert runs[0].coeffs.tobytes() == runs[1].coeffs.tobytes()
+        assert not np.array_equal(runs[0].coeffs, runs[2].coeffs)
 
 
 class TestCensoring:
@@ -586,6 +607,65 @@ class TestReplicaBlock:
         with pytest.raises(IntegrationError, match="PHI_EPS run at step 1"):
             coupled_distances(spec, 0.5, zero_field(4), config(max_mode=4),
                               [NoiseStream(0)])
+
+
+class TestTraceSlotRate:
+    """The rate studies on a two-component model where the correction's
+    trace slots matter: nu = 1, f = -u and a constant h whose one nonzero
+    entry is H[0, 1, 1] = 1.  The corrected reaction adds c sum_j H_ijj =
+    (c, 0); every wrong pairing of the slots, such as sum_j H_jij or
+    sum_j H_jji, traces this H to 0, so a wrong-slot corrected limit is the
+    naive limit and reads naive/corrected = 1 exactly.  A reduced protocol
+    (N = 8/eps, dt = 0.005, T = 0.5, 4 replicas) takes about 4 s."""
+
+    @staticmethod
+    def model() -> ModelSpec:
+        tensor = np.zeros((2, 2, 2))
+        tensor[0, 1, 1] = 1.0
+
+        def h(u: np.ndarray) -> np.ndarray:
+            point = tensor.reshape(tensor.shape + (1,) * (u.ndim - 1))
+            return np.broadcast_to(point, tensor.shape + u.shape[1:])
+
+        return ModelSpec(n=2, nu=1.0, f=lambda u: -u, h=h, degree=2)
+
+    @classmethod
+    def sweep(cls, levels, distances) -> tuple[float, float]:
+        """Slope of the mean corrected distance over eps = 2^-j, j in
+        levels, and the naive/corrected ratio of the means at the last."""
+        spec = cls.model()
+        u0 = initial_field(2, 16, 1.5, 1.0, NoiseStream(0))
+        streams = [NoiseStream(0, replica=r) for r in range(4)]
+        points = []
+        for j in levels:
+            eps = 2.0 ** -j
+            sim = config(max_mode=8 * 2 ** j, dt=0.005, t_final=0.5)
+            rows = distances(spec, eps, u0, sim, streams)
+            assert not any(c for pair in rows for _, c in pair)
+            corrected, naive = np.mean([[d for d, _ in pair]
+                                        for pair in rows], axis=0)
+            points.append((eps, corrected))
+        return regress_loglog(points).slope, naive / corrected
+
+    def test_coupled_distances(self):
+        # effective_drift's traces, through the PHI_BAR channel; measured
+        # slope 0.438, ratio 1.41 at 2^-6
+        slope, ratio = self.sweep(range(3, 7), coupled_distances)
+        assert 0.3 <= slope <= 0.7
+        assert ratio >= 1.25
+
+    def test_reference_distances(self):
+        # plan_G's constant trace, through the V_LIMIT channel; measured
+        # slope 0.376, ratio 1.63 at 2^-9
+        def distances(spec, eps, u0, sim, streams):
+            const = resolve_correction("truncation-matched", spec.nu, eps,
+                                       sim.max_mode)
+            return reference_distances(spec, eps, u0, sim, streams,
+                                       constants=(const, 0.0), beta=0.6)
+
+        slope, ratio = self.sweep(range(6, 10), distances)
+        assert slope >= 0.25
+        assert ratio >= 1.25
 
 
 class TestReferenceDistances:

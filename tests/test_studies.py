@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -13,11 +14,13 @@ from spdelab import (ConvergenceReport, NoiseStream, RunConfig,
                      initial_field, run_averaging_study, run_convergence_study,
                      run_psi_coupling_study, run_theorem15_study,
                      sample_stationary, write_report)
+import spdelab.integrate as integrate_module
 import spdelab.models as models_module
 import spdelab.spectral as spectral_module
 import spdelab.studies as studies_module
 from spdelab.cli import cli_main
 from spdelab.constants import white_noise_constant
+from spdelab.integrate import SimulationConfig, reference_distances
 from spdelab.linops import OperatorSpec
 from spdelab.noise import step_coupled
 from spdelab.models import drift_grid_size
@@ -408,6 +411,70 @@ class TestTheorem15Study:
             tracemalloc.stop()
         assert report.per_eps[0]["n_censored"] == 0
         assert peak < recorded
+
+    def test_one_level_peak_under_28_states(self):
+        # the limits and replicas share one workspace, the drift's result
+        # takes the weight in place, u is written from psi and v without a
+        # copy of either, and the Sobolev distances are measured a chunk of
+        # rows at a time: the level peaks at 3.2 MB of traced memory, 24.6
+        # block states of R x n x (N+1) complex values (4.4 MB, 33.5
+        # states, with a workspace per run and those arrays held apart)
+        cfg = RunConfig(study="theorem15", eps_grid=(2.0 ** -9,), replicas=2,
+                        workers=1)
+        sim = cfg.simulation_config(cfg.eps_grid[0])
+        assert sim.max_mode == 4096
+        state = cfg.replicas * (sim.max_mode + 1) * 16
+        tracemalloc.start()
+        try:
+            report = run_theorem15_study(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.per_eps[0]["n_censored"] == 0
+        assert peak < 28 * state
+
+    def test_later_steps_make_no_block_temporary(self, monkeypatch):
+        # from the second step on a reference_distances step uses only
+        # arrays it holds already: tracing every bytecode instruction,
+        # traced memory rises by less than one block state (R x n x (N+1)
+        # complex) within any instruction, the noise step and the Sobolev
+        # distances included.  The largest rise left is numpy's ufunc
+        # buffer (128 KiB), as large as the difference of one replica
+        spec, _ = models_module.model_from_config(RunConfig().model)
+        n_max, n_rep = 1 << 13, 2
+        sim = SimulationConfig(max_mode=n_max, dt=0.005, t_final=0.02)
+        state = n_rep * spec.n * (n_max + 1) * 16
+        steps, rises, last = [0], [], [0]
+        real = integrate_module._advance
+
+        def counted(*args, **kw):
+            for item in real(*args, **kw):
+                steps[0] += args[3] is not None   # the replicas' block
+                yield item
+
+        def trace(frame, event, arg):
+            frame.f_trace_opcodes = True
+            current, peak = tracemalloc.get_traced_memory()
+            if steps[0] > 1:
+                rises.append(peak - last[0])
+            last[0] = current
+            tracemalloc.reset_peak()
+            return trace
+
+        monkeypatch.setattr(integrate_module, "_advance", counted)
+        u0 = initial_field(spec.n, 16, 1.3, 1.0, NoiseStream(7))
+        tracemalloc.start()
+        sys.settrace(trace)
+        try:
+            reference_distances(spec, 2.0 ** -10, u0, sim,
+                                [NoiseStream(7, replica=r)
+                                 for r in range(n_rep)],
+                                constants=(None, 0.0), beta=0.6)
+        finally:
+            sys.settrace(None)
+            tracemalloc.stop()
+        assert steps[0] == sim.n_steps + 1
+        assert len(rises) > 1000 and max(rises) < state
 
     def test_worker_split_invariance_on_row_transform_grids(self,
                                                             monkeypatch):
