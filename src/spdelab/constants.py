@@ -5,7 +5,8 @@ noise spectrum and on the dissipation family:
 
 * white noise, default family:  1 / (2 sqrt(nu));
 * spatially colored noise with spectral exponent alpha in (0, 1/2):
-      (1 / (pi nu^{alpha+1/2})) * int_0^inf dx / (x^{2 alpha} (1 + x^2));
+      (1 / (pi nu^{alpha+1/2})) * int_0^inf dx / (x^{2 alpha} (1 + x^2))
+      = 1 / (2 nu^{alpha+1/2} cos(pi alpha));
 * general polynomial family Q:  (1 / (pi nu)) * int_0^inf dx / Q(x^2);
 * finite spectral truncation:   (eps / 2 pi) * sum_{|k|<=N} sigma_k with
       sigma_k = k^2 / (1 + nu k^2 + eps^2 k^4),
@@ -23,9 +24,9 @@ import math
 
 import numpy as np
 
-# Tolerances and subdivision budget of the adaptive quadratures.  Improper
-# integrals are split at x = 1 and the tail [1, inf) is mapped onto (0, 1]
-# by x -> 1/x before integration, so the rule never sees an infinite interval.
+# Tolerances and subdivision budget of poly_constant's adaptive quadratures.
+# Its improper integral is split at x = 1 and the tail [1, inf) is mapped
+# onto (0, 1] by x -> 1/x, so the rule never sees an infinite interval.
 QUAD_ABS_TOL = 1e-12
 QUAD_REL_TOL = 1e-10
 QUAD_LIMIT = 200
@@ -73,21 +74,15 @@ def white_noise_constant(nu: float) -> float:
 
 
 def alpha_constant(nu: float, alpha: float) -> float:
-    """Correction constant for forcing with spectral decay exponent alpha.
-
-    Valid for alpha in (0, 1/2).  The integrand x^{-2 alpha}/(1+x^2) has an
-    integrable endpoint singularity which is removed analytically by the
-    substitution x = u^{1/(1-2 alpha)} on [0, 1]; the tail is mapped to (0, 1]
-    by x -> 1/x.  nu enters only through the prefactor nu^{-(alpha+1/2)}.
-    """
+    """Correction constant 1 / (2 nu^{alpha+1/2} cos(pi alpha)) for forcing
+    with spectral decay exponent alpha in (0, 1/2): the closed form of
+    (1 / (pi nu^{alpha+1/2})) int_0^inf dx / (x^{2 alpha} (1 + x^2)), as
+    that integral is (pi/2) / cos(pi alpha)."""
     if nu <= 0:
         raise ValueError("nu must be positive")
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
-    p = 1.0 / (1.0 - 2.0 * alpha)
-    head = p * _quad(lambda u: 1.0 / (1.0 + u ** (2.0 * p)), 0.0, 1.0)
-    tail = _quad(lambda t: t ** (2.0 * alpha) / (1.0 + t * t), 0.0, 1.0)
-    return (head + tail) / (math.pi * nu ** (alpha + 0.5))
+    return 1.0 / (2.0 * nu ** (alpha + 0.5) * math.cos(math.pi * alpha))
 
 
 def _validate_positive_polynomial(coeffs: tuple[float, ...], what: str) -> None:

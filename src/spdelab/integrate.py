@@ -39,26 +39,31 @@ one block beside the replicas' block, records neither, and keeps each
 replica's running maximum Sobolev distance to each limit, measured a chunk
 of replicas at a time.
 
-A run allocates its step arrays once, one per role: v, u (v itself
-without noise), the guard's finiteness mask and |u|, and a
-spectral.Workspace for the drift's input, grid and spectrum and the
-noise's normals, colouring products and innovations.  psi is the caller's
-array, advanced in place (run_mild hands over a copy of its state's).  The
-weight multiplies the drift's result in its workspace array, which is then
-added to decay * v; u is written as scale * psi, then v is added to it
-(addition commutes); every update runs in place with out=, rounded as the
-formulas are written, so no bit changes.  coupled_distances keeps a second
-workspace for its sup_norms grids of fast_grid_size(8 * (2N+2)) points.
-reference_distances steps its limits and replicas on one workspace, and
-measures their differences through one array of at most
-models.POINTWISE_TILE points (or one replica), so neither its differences
-nor sobolev_norm's temporary grows with the block.
+A run's scratch is one array per role.  A run allocates v and u (v
+itself without noise) once and takes every other step array from one
+spectral.Workspace per block run: the drift's input, grid, spectrum and
+finiteness mask, the guard's finiteness mask and |u|, and the noise's
+normals, colouring products and innovations.  reference_distances steps
+theorem15's limits and replicas on one workspace, so the two runs share
+each of these arrays.  psi is the caller's array, advanced in place
+(run_mild hands over a copy of its state's).  The weight multiplies the
+drift's result in its workspace array, which is then added to decay * v;
+u is written as scale * psi, then v is added to it (addition commutes);
+every update runs in place with out=, rounded as the formulas are
+written, so no bit changes.  coupled_distances keeps a second workspace
+for its sup_norms grids of fast_grid_size(8 * (2N+2)) points: merged
+into the run's, it raised the converge bench's peak RSS by 0.3 MiB.
+reference_distances measures its differences through one array of at
+most models.POINTWISE_TILE points (or one replica), so neither its
+differences nor sobolev_norm's temporary grows with the block.
 Rows of at least spectral.ROW_TRANSFORM_POINTS points are transformed
-forward one FFT call at a time, and the model callbacks run on tiles of
-models.POINTWISE_TILE points, so that the transforms and the drift map no
-fresh pages after the first step.  Each run tags its replicas' streams
-with the noise-step purpose once, not at every step.  Consumers see u
-until the next step overwrites it.
+forward one FFT call at a time, as a batched rfft over such rows allocates
+a buffer of a few rows at every call, and the model callbacks run on
+tiles of models.POINTWISE_TILE points, so that each of their temporaries
+stays under glibc's default mmap threshold: the transforms and the drift
+map no fresh pages after the first step.  Each run tags its replicas'
+streams with the noise-step purpose once, not at every step.  Consumers
+see u until the next step overwrites it.
 
 Runs abort with a censored flag once the sup norm exceeds the configured
 guard; censored trajectories carry no fields at or beyond the censoring
@@ -226,9 +231,9 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
     alive) at every step time t = i * dt, i = 0..n_steps: the state u (R,
     C, n, N+1) and the (R, C) mask of uncensored rows, both overwritten by
     the next step.  A row is censored from the first yielded time at which
-    it is not alive.  work (a fresh workspace if None) lends the drift and
-    the noise step their arrays; runs stepped in lockstep on one thread may
-    share it.
+    it is not alive.  work (a fresh workspace if None) lends the drift, the
+    guard and the noise step their arrays; runs stepped in lockstep on one
+    thread may share it.
     """
     n, nmode, h = spec.n, config.max_mode, config.dt
     factors, psi = noise if noise else (None, None)
@@ -252,8 +257,6 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
     # itself.  Consumers copy what they keep.
     work = Workspace() if work is None else work
     u = np.empty_like(v) if noisy else v
-    finite = np.empty_like(v.view(np.float64), dtype=bool)
-    mag = np.empty(v.shape)
 
     for step in range(config.n_steps + 1):
         if step:
@@ -275,12 +278,15 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
         for c, level, scale in noisy:
             np.multiply(scale, psi[:, level], out=u[:, c])
             u[:, c] += v[:, c]
+        # the guard's scratch is taken at every step, so that runs sharing
+        # the workspace share it too
+        finite = work.array("finite", (*v.shape[:-1], 2 * v.shape[-1]), bool)
         if not np.isfinite(u.view(np.float64), out=finite).all():
             bad = np.argwhere(~np.isfinite(u).all(axis=(2, 3)))[0][1]
             raise IntegrationError(f"non-finite state in "
                                    f"{channels[bad].variant.name} run at "
                                    f"step {step}")
-        np.abs(u, out=mag)
+        mag = np.abs(u, out=work.array("magnitude", v.shape, np.float64))
         bound = (2 * mag.sum(axis=-1) - mag[..., 0]).max(axis=-1) \
             / np.sqrt(2 * np.pi)
         suspects = alive & (1.25 * (1.0 + 1e-12) * bound
@@ -445,8 +451,8 @@ def reference_distances(spec: ModelSpec, eps: float, u0: SpectralField,
     diff = np.empty((min(rows, n_rep), spec.n, config.max_mode + 1),
                     dtype=np.complex128)
     # the limits step first, so that a step's first-use allocations come
-    # before the replicas' noise step; each run consumes its drift before
-    # the other's next one, so both share one workspace
+    # before the replicas' noise step; each run consumes its workspace
+    # arrays before the other's next step, so both share one workspace
     work = Workspace()
     for (_, lim, lim_alive), (_, u, alive) in zip(
             _advance(spec, limits, u0, None, (), config, work=work),

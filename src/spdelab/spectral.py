@@ -16,9 +16,8 @@ Fields and the functions taking them validate; inner loops call the array
 kernels behind them (grid_values, grid_coeffs, derivative_coeffs, the
 dealias_cut slice) unchecked.  All three norms take coefficient arrays:
 sup_norm one field's (n, N+1), sup_norms a stack of rows, sobolev_norm any
-leading shape.  A Workspace lends the transform kernels arrays that live
-as long as a run, so a step loop that transforms the same shapes again and
-again maps no fresh pages.
+leading shape.  A Workspace lends the kernels one buffer per role for as
+long as a run, so a step loop that repeats its calls maps no fresh pages.
 """
 
 from __future__ import annotations
@@ -133,28 +132,29 @@ class GridField:
 
 
 class Workspace:
-    """Arrays that the transform kernels reuse from call to call, one per
-    role and shape, so that repeating a transform allocates nothing.
+    """Scratch arrays that the kernels reuse from call to call, one buffer
+    per role, so that repeating a call allocates nothing.
 
-    A kernel's result may be a workspace array; it stays valid until the
-    next call that writes the same role and shape.  A workspace belongs to
-    one thread.  Several runs stepped in lockstep there may share it when
-    each consumes a kernel's result before the others' next call, as
-    theorem15's deterministic limits and replicas do; runs of equal shapes
-    then share the arrays too.
+    A request returns a C-contiguous view of the head of its role's
+    buffer, which is remade only when a request needs more elements or
+    another dtype.  A kernel's result may be such a view; it stays valid
+    until the next request for the same role.  A workspace belongs to one
+    thread.  Several runs stepped in lockstep there may share it when each
+    consumes a kernel's result before the others' next call, as theorem15's
+    deterministic limits and replicas do; they then share every array.
     """
 
     def __init__(self) -> None:
         self._arrays: dict = {}
 
     def array(self, role, shape: tuple, dtype) -> np.ndarray:
-        """The array for role and shape, made on first use; callers
+        """An array of the given shape and dtype on role's buffer; callers
         overwrite it whole."""
-        key = (role, shape)
-        out = self._arrays.get(key)
-        if out is None:
-            out = self._arrays[key] = np.empty(shape, dtype)
-        return out
+        size = math.prod(shape)
+        buf = self._arrays.get(role)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._arrays[role] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 def grid_values(coeffs: np.ndarray, m: int,

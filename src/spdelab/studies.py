@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -81,6 +82,14 @@ class RunConfig:
     u0_amplitude: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("replicas", "seed", "workers", "fixed_modes",
+                     "u0_modes"):
+            value = getattr(self, name)
+            if name == "fixed_modes" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         self.eps_grid = tuple(float(e) for e in self.eps_grid)
         if not self.eps_grid or any(e <= 0 for e in self.eps_grid):
             raise ValueError("eps_grid must be positive")
@@ -116,7 +125,7 @@ class RunConfig:
 
     def modes_for(self, eps: float) -> int:
         if self.fixed_modes is not None:
-            return int(self.fixed_modes)
+            return self.fixed_modes
         return int(math.ceil(self.modes_over_eps / eps))
 
     def simulation_config(self, eps: float) -> SimulationConfig:
@@ -253,6 +262,7 @@ def _sweep(cfg: RunConfig, study: str, nu: float, per_eps,
     fit = regress_loglog(pts) if len(pts) >= 4 and not censored \
         else RegressionResult(None, None, None, None)
     config = cfg.to_dict()
+    config["study"] = study
     del config["workers"]
     return ConvergenceReport(
         study=study, seed=cfg.seed, config=config,

@@ -60,6 +60,18 @@ class TestExitCodes:
         assert "config error:" in err and "'mass'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name,value", [
+        ("replicas", 2.5), ("fixed_modes", 8.7), ("workers", 1.5),
+        ("u0_modes", True), ("seed", 0.5)])
+    def test_non_integer_count_is_config_error(self, tmp_path, capsys,
+                                               name, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({name: value}))
+        code, _, err = run_cli(["converge", "--config", str(path),
+                                *STUDY_FLAGS[:2]], capsys)
+        assert code == 1
+        assert "config error:" in err and f"{name} must be an integer" in err
+
     def test_missing_config_file_is_config_error(self, capsys):
         code, _, err = run_cli(["converge", "--config", "/no/such.json"],
                                capsys)
@@ -84,7 +96,7 @@ class TestExitCodes:
 
     def test_quadrature_failure_is_numerical_failure(self, capsys,
                                                      monkeypatch):
-        # far too few subdivisions for the near-singular endpoint
+        # far too few subdivisions for Q(y) = 1 + 1e-6 y's peaked tail
         import warnings
 
         monkeypatch.setattr(constants_module, "QUAD_LIMIT", 10)
@@ -92,7 +104,7 @@ class TestExitCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code, _, err = run_cli(["constants", "--nu", "1.0",
-                                    "--alpha", "0.4999"], capsys)
+                                    "--q", "1.0,1e-6"], capsys)
         assert code == 2
         assert "numerical failure" in err
 

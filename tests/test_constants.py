@@ -12,9 +12,17 @@ from spdelab.constants import (_surrogate_mode_sum, alpha_constant,
                                poly_constant, riemann_gap)
 
 
-def alpha_closed_form(nu: float, alpha: float) -> float:
-    # int_0^inf x^{-2a}/(1+x^2) dx = (pi/2)/cos(pi a) for a in (0, 1/2)
-    return 1.0 / (2.0 * nu ** (alpha + 0.5) * math.cos(math.pi * alpha))
+def alpha_quadrature(nu: float, alpha: float) -> float:
+    # (1/(pi nu^{a+1/2})) int_0^inf x^{-2a}/(1+x^2) dx by adaptive
+    # quadrature: the endpoint singularity on [0, 1] as an algebraic weight
+    from scipy.integrate import quad
+
+    head, e1 = quad(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, weight="alg",
+                    wvar=(-2.0 * alpha, 0.0), epsabs=1e-13, epsrel=1e-12)
+    tail, e2 = quad(lambda x: x ** (-2.0 * alpha) / (1.0 + x * x), 1.0,
+                    math.inf, epsabs=1e-13, epsrel=1e-12)
+    assert e1 + e2 < 1e-10
+    return (head + tail) / (math.pi * nu ** (alpha + 0.5))
 
 
 class TestWhiteNoiseConstant:
@@ -37,7 +45,7 @@ class TestAlphaConstant:
         for nu in (0.5, 1.0, 3.0):
             for alpha in (0.05, 0.2, 0.35, 0.45):
                 assert alpha_constant(nu, alpha) == pytest.approx(
-                    alpha_closed_form(nu, alpha), rel=1e-9), (nu, alpha)
+                    alpha_quadrature(nu, alpha), rel=1e-9), (nu, alpha)
 
     def test_small_alpha_approaches_white_noise(self):
         for nu in (0.5, 1.0, 2.0):
@@ -171,10 +179,11 @@ class TestRiemannGap:
 
 
 class TestQuadratureConfig:
-    """The module-level tolerances and subdivision budget of the quadratures."""
+    """The module-level tolerances and subdivision budget of poly_constant's
+    quadratures."""
 
     def test_quadrature_error_is_raised(self, monkeypatch):
-        # far too few subdivisions for the near-singular endpoint
+        # far too few subdivisions for the tail's peak of width 1e-3 at t = 0
         import warnings
 
         monkeypatch.setattr(constants_module, "QUAD_ABS_TOL", 1e-13)
@@ -183,4 +192,4 @@ class TestQuadratureConfig:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(QuadratureError):
-                alpha_constant(1.0, 0.4999)
+                poly_constant(1.0, (1.0, 1e-6))

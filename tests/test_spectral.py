@@ -185,11 +185,25 @@ class TestWorkspace:
             assert np.array_equal(rows_back, batched_back)
 
     def test_result_is_the_workspace_array(self):
+        # one buffer per role: a result is a C-contiguous view of its head,
+        # which a smaller request reuses and a larger one remakes
         work = Workspace()
         coeffs = random_field(2, 8, 1).coeffs
-        assert grid_values(coeffs, 32, work) is grid_values(coeffs, 32, work)
-        assert grid_values(coeffs, 64, work) is not \
-            grid_values(coeffs, 32, work)
+        big = grid_values(coeffs, 64, work)
+        small = grid_values(coeffs, 32, work)
+        assert small.shape == (2, 32) and small.flags.c_contiguous
+        assert np.shares_memory(small, big)
+        assert np.shares_memory(grid_values(coeffs, 64, work), big)
+        assert np.array_equal(grid_values(coeffs, 32, work),
+                              grid_values(coeffs, 32))
+        bigger = grid_values(coeffs, 128, work)
+        assert not np.shares_memory(bigger, big)
+        assert np.shares_memory(grid_values(coeffs, 64, work), bigger)
+        # another role, or another dtype for the role, has its own buffer
+        assert not np.shares_memory(work.array("other", (2, 64), np.float64),
+                                    bigger)
+        flags = work.array("grid", (2, 64), bool)
+        assert flags.dtype == bool and not np.shares_memory(flags, bigger)
 
 
 class TestDerivative:
