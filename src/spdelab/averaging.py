@@ -77,7 +77,7 @@ def _w_batch(nu: float, eps: float, max_mode: int, stream: NoiseStream,
         raise ValueError("nu and eps must be positive")
     if max_mode < 1:
         raise ValueError("max_mode must be >= 1")
-    z = stream.with_purpose(purpose).normals(0, (reps, max_mode, 2))
+    z = stream.normals(purpose, 0, (reps, max_mode, 2))
     pos = _mode_scale(nu, eps, max_mode) * (z[:, :, 0] + 1j * z[:, :, 1])
     return _mirror(np.concatenate([np.zeros((reps, 1)), pos], axis=1))
 
@@ -171,16 +171,16 @@ def level_terms(nu: float, eps: float, alpha: float,
             v_modes / (2.0 * eps * math.sqrt(nu)))
 
 
-def _snapshot_grid(scale: np.ndarray, stream: NoiseStream,
+def _snapshot_grid(scale: np.ndarray, stream: NoiseStream, purpose: int,
                    modes: np.ndarray, out: np.ndarray) -> np.ndarray:
     """_grid of one _w_batch row's modes 0..N, drawn straight into modes
     (N+1 complex values), into out.
 
-    scale is _mode_scale's; the stream's purpose picks w or its copy.
+    scale is _mode_scale's; purpose picks w or its copy.
     """
     n = scale.shape[0]
     modes[0] = 0.0
-    stream.normals(0, (1, n, 2),
+    stream.normals(purpose, 0, (1, n, 2),
                    out=modes[1:].view(np.float64).reshape(1, n, 2))
     modes[1:] *= scale
     return _grid(modes, out)
@@ -209,9 +209,8 @@ def replica_norms(nu: float, gamma: float, v_grid: np.ndarray,
 
     out = []
     for sub in streams:
-        _snapshot_grid(scale, sub.with_purpose(PURPOSE_MODE_SET), modes, w)
-        _snapshot_grid(scale, sub.with_purpose(PURPOSE_MODE_SET_INDEP),
-                       modes, w_tilde)
+        _snapshot_grid(scale, sub, PURPOSE_MODE_SET, modes, w)
+        _snapshot_grid(scale, sub, PURPOSE_MODE_SET_INDEP, modes, w_tilde)
         w_tilde *= w
         w_tilde *= v_grid
         phit = norm(_triple_sum(w_tilde, n, spectrum))

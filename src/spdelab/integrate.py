@@ -20,9 +20,9 @@ Variants:
             the corrected reaction (g must vanish), no noise.
 
 One core advances a block of R replicas by C channels in lockstep on plain
-arrays: v is held as (R, C, n, N+1), and the noise as the (factors, psi)
-pair of noise.sample_replicas, psi stacked (R, levels, n, N+1).  Each step
-makes one models.drift call for the block (one grid transform and one
+arrays: v is held as (R, C, n, N+1), and the noise as the block's
+noise.CoupledOUState, psi stacked (R, levels, n, N+1).  Each step makes one
+models.drift call for the block (one grid transform and one
 back-transform) and one noise.step_replicas call, which colours the
 replicas' normals, each drawn from the replica's own counter-based stream,
 with one multiply-add per level and factor column (added left to right);
@@ -45,8 +45,8 @@ spectral.Workspace per block run: the drift's input, grid, spectrum and
 finiteness mask, the guard's finiteness mask and |u|, and the noise's
 normals, colouring products and innovations.  reference_distances steps
 theorem15's limits and replicas on one workspace, so the two runs share
-each of these arrays.  psi is the caller's array, advanced in place
-(run_mild hands over a copy of its state's).  The weight multiplies the
+each of these arrays.  The noise state is the caller's, advanced in place
+(run_mild hands over a copy of its state).  The weight multiplies the
 drift's result in its workspace array, which is then added to decay * v;
 u is written as scale * psi, then v is added to it (addition commutes);
 every update runs in place with out=, rounded as the formulas are
@@ -61,9 +61,8 @@ forward one FFT call at a time, as a batched rfft over such rows allocates
 a buffer of a few rows at every call, and the model callbacks run on
 tiles of models.POINTWISE_TILE points, so that each of their temporaries
 stays under glibc's default mmap threshold: the transforms and the drift
-map no fresh pages after the first step.  Each run tags its replicas'
-streams with the noise-step purpose once, not at every step.  Consumers
-see u until the next step overwrites it.
+map no fresh pages after the first step.  Consumers see u until the
+next step overwrites it.
 
 Runs abort with a censored flag once the sup norm exceeds the configured
 guard; censored trajectories carry no fields at or beyond the censoring
@@ -78,7 +77,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -91,9 +90,8 @@ from . import models
 from .models import (DriftPlan, ModelSpec, eval_F_bar, eval_F_eps, eval_G,
                      eval_G_bar, plan_F_bar, plan_F_eps, plan_G,
                      validate_model)
-from .noise import (PURPOSE_OU_STEP, CoupledOUState, NoiseStream,
-                    _LevelFactors, sample_replicas, sample_stationary,
-                    step_coupled, step_replicas)
+from .noise import (CoupledOUState, NoiseStream, sample_replicas,
+                    sample_stationary, step_coupled, step_replicas)
 from .spectral import (SpectralField, Workspace, sobolev_norm, sup_norm,
                        sup_norms)
 
@@ -169,7 +167,7 @@ class _Channel:
 
 
 def _build_channel(spec: ModelSpec, variant: Variant, eps: float,
-                   factors: Optional[_LevelFactors], config: SimulationConfig,
+                   noise: Optional[CoupledOUState], config: SimulationConfig,
                    correction_constant: float | None) -> _Channel:
     if not isinstance(variant, Variant):
         raise ValueError("variant must be a Variant member")
@@ -192,8 +190,8 @@ def _build_channel(spec: ModelSpec, variant: Variant, eps: float,
                        else float(correction_constant))
     level: Optional[int] = None
     scale = 0.0
-    if variant in _STOCHASTIC and factors is not None:
-        level = factors.level_index(own_eps)
+    if variant in _STOCHASTIC and noise is not None:
+        level = noise.factors.level_index(own_eps)
         scale = math.sqrt(eps) if variant is Variant.V_EPS else 1.0
     return _Channel(
         variant=variant, eps=eps,
@@ -220,25 +218,22 @@ def _drift(channels: list[_Channel], u: np.ndarray, step: int,
 
 
 def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
-             noise, streams, config: SimulationConfig, step0: int = 0,
+             noise: Optional[CoupledOUState], config: SimulationConfig,
              work: Workspace | None = None):
     """Drive all channels of all replicas in lockstep from u0.
 
-    noise is the block's (factors, psi) pair from sample_replicas, psi
-    (R, levels, n, N+1) at step step0 of the replicas' streams, or None
-    for a deterministic run of one replica; psi is advanced in place, so
-    the caller hands over an array it does not read again.  Yields (t, u,
-    alive) at every step time t = i * dt, i = 0..n_steps: the state u (R,
-    C, n, N+1) and the (R, C) mask of uncensored rows, both overwritten by
-    the next step.  A row is censored from the first yielded time at which
-    it is not alive.  work (a fresh workspace if None) lends the drift, the
-    guard and the noise step their arrays; runs stepped in lockstep on one
-    thread may share it.
+    noise is the block's state from sample_replicas, one replica per row of
+    its psi, or None for a deterministic run of one replica.  Its psi and
+    step are advanced in place: at the i-th yielded time the state sits at
+    step i.  Yields (t, u, alive) at every step time t = i * dt, i =
+    0..n_steps: the state u (R, C, n, N+1) and the (R, C) mask of
+    uncensored rows, both overwritten by the next step.  A row is censored
+    from the first yielded time at which it is not alive.  work (a fresh
+    workspace if None) lends the drift, the guard and the noise step their
+    arrays; runs stepped in lockstep on one thread may share it.
     """
     n, nmode, h = spec.n, config.max_mode, config.dt
-    factors, psi = noise if noise else (None, None)
-    streams = [s.with_purpose(PURPOSE_OU_STEP) for s in streams]
-    n_rep = len(psi) if noise else 1
+    n_rep = 1 if noise is None else len(noise.psi)
     n_ch = len(channels)
     # a block's channels all carry noise or none does (no caller puts a
     # V_LIMIT channel beside noisy ones), so the noisy ones write u whole
@@ -271,12 +266,11 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
             np.multiply(fu, weight, out=fu)
             np.multiply(decay, v, out=v)
             np.add(v, fu, out=v)
-            if noise:
-                step_replicas(factors, streams, step0 + step - 1, psi, h,
-                              work)
+            if noise is not None:
+                step_replicas(noise, h, work)
         # u <- v + scale * psi, channel by channel; addition commutes
         for c, level, scale in noisy:
-            np.multiply(scale, psi[:, level], out=u[:, c])
+            np.multiply(scale, noise.psi[:, level], out=u[:, c])
             u[:, c] += v[:, c]
         # the guard's scratch is taken at every step, so that runs sharing
         # the workspace share it too
@@ -298,15 +292,15 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
 
 
 def _recorded(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
-              noise, streams, config: SimulationConfig,
-              step0: int = 0) -> list[Trajectory]:
+              noise: Optional[CoupledOUState],
+              config: SimulationConfig) -> list[Trajectory]:
     """Run one replica; each channel's trajectory, recorded while live."""
     times = np.arange(config.n_steps + 1) * config.dt
     coeffs = np.empty((len(channels), len(times), spec.n,
                        config.max_mode + 1), dtype=np.complex128)
     kept = np.zeros(len(channels), dtype=int)   # a censored row stays dead
     for i, (_, u, alive) in enumerate(_advance(spec, channels, u0, noise,
-                                               streams, config, step0)):
+                                               config)):
         coeffs[alive[0], i] = u[0, alive[0]]
         kept[alive[0]] += 1
     return [Trajectory(variant=ch.variant, eps=ch.eps, times=times[:k],
@@ -323,18 +317,18 @@ def run_mild(spec: ModelSpec, variant: Variant, eps: float,
     """Integrate one variant; returns its recorded trajectory.
 
     noise = None freezes the stochastic convolution at zero (deterministic
-    run); otherwise the state must contain a level matching the variant's
-    eps (level 0.0 for the limit variants) and carries its own stream.
+    run); otherwise the state is one replica's (sample_stationary's), must
+    contain a level matching the variant's eps (level 0.0 for the limit
+    variants), and is left as it is: the run steps a copy.
     """
+    if noise is not None:
+        if len(noise.psi) != 1:
+            raise ValueError("run_mild needs the noise state of one replica")
+        noise = replace(noise, psi=noise.psi.copy())
     validate_model(spec)  # one dg cross-check per run (none without g)
-    factors = None if noise is None else noise.factors
-    ch = _build_channel(spec, variant, eps, factors, config,
+    ch = _build_channel(spec, variant, eps, noise, config,
                         correction_constant)
-    if noise is None:
-        return _recorded(spec, [ch], u0, None, (), config)[0]
-    # the run steps its own copy: the state stays the caller's
-    return _recorded(spec, [ch], u0, (factors, noise.psi[None].copy()),
-                     [noise.stream], config, noise.step)[0]
+    return _recorded(spec, [ch], u0, noise, config)[0]
 
 
 def resolve_correction(correction, nu: float, eps: float,
@@ -357,9 +351,9 @@ def resolve_correction(correction, nu: float, eps: float,
 
 
 def _coupled(spec: ModelSpec, eps_levels, config: SimulationConfig, streams,
-             correction) -> tuple[list[_Channel], tuple]:
-    """Channels [each eps, naive, corrected] and the (factors, psi) noise
-    pair of a block of replicas, one per stream."""
+             correction) -> tuple[list[_Channel], CoupledOUState]:
+    """Channels [each eps, naive, corrected] and the noise state of a block
+    of replicas, one per stream."""
     eps_levels = [float(e) for e in eps_levels]
     if not eps_levels or any(e <= 0 for e in eps_levels):
         raise ValueError("eps levels must be positive")
@@ -370,14 +364,14 @@ def _coupled(spec: ModelSpec, eps_levels, config: SimulationConfig, streams,
                                config.max_mode)
     ops = [OperatorSpec(spec.nu, e) for e in eps_levels]
     ops.append(OperatorSpec(spec.nu, 0.0))
-    factors, psi = sample_replicas(ops, spec.n, config.max_mode, streams)
-    channels = [_build_channel(spec, Variant.PHI_EPS, e, factors, config,
+    noise = sample_replicas(ops, spec.n, config.max_mode, streams)
+    channels = [_build_channel(spec, Variant.PHI_EPS, e, noise, config,
                                None) for e in eps_levels]
-    channels.append(_build_channel(spec, Variant.PHI_ZERO, 0.0, factors,
-                                   config, None))
-    channels.append(_build_channel(spec, Variant.PHI_BAR, 0.0, factors,
-                                   config, const))
-    return channels, (factors, psi)
+    channels.append(_build_channel(spec, Variant.PHI_ZERO, 0.0, noise, config,
+                                   None))
+    channels.append(_build_channel(spec, Variant.PHI_BAR, 0.0, noise, config,
+                                   const))
+    return channels, noise
 
 
 def couple_runs(spec: ModelSpec, eps_levels, u0: SpectralField,
@@ -394,7 +388,7 @@ def couple_runs(spec: ModelSpec, eps_levels, u0: SpectralField,
     """
     channels, noise = _coupled(spec, eps_levels, config, [stream],
                                correction)
-    return _recorded(spec, channels, u0, noise, [stream], config)
+    return _recorded(spec, channels, u0, noise, config)
 
 
 def coupled_distances(spec: ModelSpec, eps: float, u0: SpectralField,
@@ -412,7 +406,7 @@ def coupled_distances(spec: ModelSpec, eps: float, u0: SpectralField,
     # columns: corrected (channel 2), naive (channel 1)
     dist = np.full((len(streams), 2), math.nan)
     work = Workspace()   # the sup_norms grids of this run's distances
-    for _, u, alive in _advance(spec, channels, u0, noise, streams, config):
+    for _, u, alive in _advance(spec, channels, u0, noise, config):
         diff = u[:, :1] - u[:, 2:0:-1]                   # (R, 2, n, N+1)
         peaks = sup_norms(diff.reshape(-1, diff.shape[-1]), work)
         d = np.reshape(peaks, diff.shape[:3]).max(axis=2)
@@ -439,7 +433,7 @@ def reference_distances(spec: ModelSpec, eps: float, u0: SpectralField,
     """
     noise = sample_replicas([OperatorSpec(spec.nu, eps)], spec.n,
                             config.max_mode, streams)
-    channel = _build_channel(spec, Variant.V_EPS, eps, noise[0], config, None)
+    channel = _build_channel(spec, Variant.V_EPS, eps, noise, config, None)
     limits = [_build_channel(spec, Variant.V_LIMIT, 0.0, None, config, c)
               for c in constants]
     n_rep = len(streams)
@@ -455,9 +449,8 @@ def reference_distances(spec: ModelSpec, eps: float, u0: SpectralField,
     # arrays before the other's next step, so both share one workspace
     work = Workspace()
     for (_, lim, lim_alive), (_, u, alive) in zip(
-            _advance(spec, limits, u0, None, (), config, work=work),
-            _advance(spec, [channel], u0, noise, streams, config,
-                     work=work)):
+            _advance(spec, limits, u0, None, config, work),
+            _advance(spec, [channel], u0, noise, config, work)):
         for j in lim_alive[0].nonzero()[0]:
             for lo in range(0, n_rep, rows):
                 hi = min(n_rep, lo + rows)

@@ -22,13 +22,15 @@ at most two distinct rates these are the bits of the matrix product summed
 in any order; with three or more, the sum is taken in that left-to-right
 order.
 
-A block of replicas holds its noise as one stacked array psi (R, levels,
-n, N+1) next to the factors it shares (sample_replicas, step_replicas);
-CoupledOUState is only the one-replica public state.
+A block of R replicas holds its noise as one CoupledOUState: psi stacked
+(R, levels, n, N+1), the replicas' streams, the step psi sits at, and the
+factors the replicas share.  sample_replicas draws it and step_replicas
+advances it in place; a lone replica is the block of one stream.
 
 All randomness is drawn through counter-based streams: each block of
 standard normals is a pure function of (base_seed, purpose, replica, step),
 never of consumption order, so runs are reproducible under any scheduling.
+A stream is a (base_seed, replica) pair, and each draw names its purpose.
 A draw re-keys one Philox generator per thread with the key that
 Philox(SeedSequence(path)) would take, so it builds no generator.
 """
@@ -71,7 +73,7 @@ def _keyed_generator(key: np.ndarray) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class NoiseStream:
-    """Counter-based Gaussian stream.
+    """Counter-based Gaussian stream of one replica.
 
     Draws are indexed by the derivation path (base_seed, purpose, replica,
     step); each path yields one block of standard normals whose layout over
@@ -81,7 +83,6 @@ class NoiseStream:
 
     base_seed: int
     replica: int = 0
-    purpose: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.base_seed, (int, np.integer)) or \
@@ -93,21 +94,14 @@ class NoiseStream:
     def with_replica(self, replica: int) -> "NoiseStream":
         return replace(self, replica=int(replica))
 
-    def with_purpose(self, purpose: int) -> "NoiseStream":
-        """This path under purpose; the stream itself if it has it already,
-        so a step loop that derives its streams once re-tags nothing."""
-        if purpose == self.purpose:
-            return self
-        return replace(self, purpose=int(purpose))
-
-    def normals(self, step: int, shape: tuple[int, ...],
+    def normals(self, purpose: int, step: int, shape: tuple[int, ...],
                 out: np.ndarray | None = None) -> np.ndarray:
-        """Standard normal block for the given step of this path (in out)."""
+        """Standard normal block for (purpose, step) of this path (in out)."""
         if step < 0:
             raise ValueError("step must be nonnegative")
         seq = np.random.SeedSequence(
-            entropy=(int(self.base_seed), int(self.purpose),
-                     int(self.replica), int(step)))
+            entropy=(int(self.base_seed), int(purpose), int(self.replica),
+                     int(step)))
         gen = _keyed_generator(seq.generate_state(2, np.uint64))
         return gen.standard_normal(shape, out=out)
 
@@ -234,30 +228,30 @@ class _LevelFactors:
 def _stacked_normals(streams, purpose: int, step: int,
                      shape: tuple[int, ...],
                      out: np.ndarray | None = None) -> np.ndarray:
-    """One block of normals per stream, in a lone state's layout, stacked
+    """One block of normals per stream, in a lone replica's layout, stacked
     (R, *shape): each row is drawn straight into out (fresh if None)."""
     out = np.empty((len(streams), *shape)) if out is None else out
     for s, row in zip(streams, out):
-        s.with_purpose(purpose).normals(step, shape, out=row)
+        s.normals(purpose, step, shape, out=row)
     return out
 
 
 @dataclass
 class CoupledOUState:
-    """One replica's stationary noise, shared by all perturbation levels.
+    """The stationary noise of a block of replicas, shared by all
+    perturbation levels.
 
-    psi is indexed (level, component, mode) and sits at `step` of the
-    replica's stream; the levels and their factorizations are in
-    factors.  The state is advanced functionally: step_coupled returns a
-    new state and leaves the input untouched.  Blocks of replicas do not
-    use this class: they hold sample_replicas' (factors, psi) pair.  A
-    state (and its cached factorizations) is confined to one simulation
-    instance; do not share one across threads.
+    psi is indexed (replica, level, component, mode); row r is driven by
+    streams[r] and every row sits at `step`.  The levels and their
+    factorizations are in factors, which the rows share.  step_replicas
+    advances psi and step in place; step_coupled steps a copy.  A state
+    (and its cached factorizations) belongs to one block run; do not share
+    one across threads.
     """
 
+    psi: np.ndarray  # complex, shape (R, levels, n_components, max_mode+1)
+    streams: tuple[NoiseStream, ...]
     step: int
-    psi: np.ndarray  # complex, shape (levels, n_components, max_mode+1)
-    stream: NoiseStream
     factors: _LevelFactors
 
 
@@ -269,67 +263,66 @@ def stationary_samples(levels, n_components: int, max_mode: int,
     statistical estimators that need many independent draws cheaply.
     """
     factors = _LevelFactors(levels, max_mode)
-    z = stream.with_purpose(PURPOSE_OU_INIT).normals(
-        0, (reps, max_mode + 1, n_components, 2, len(factors.levels)))
+    z = stream.normals(PURPOSE_OU_INIT, 0, (reps, max_mode + 1, n_components,
+                                            2, len(factors.levels)))
     return factors.colored(factors.stationary_factor, z)
 
 
 def sample_replicas(levels, n_components: int, max_mode: int,
-                    streams) -> tuple[_LevelFactors, np.ndarray]:
+                    streams) -> CoupledOUState:
     """One exact joint stationary sample across all levels per stream.
 
-    Returns the block's (factors, psi) pair: one factorization of the
-    levels, and psi (R, levels, n_components, max_mode+1) coloured in one
-    call, whose row r equals sample_stationary(streams[r]).psi.  The pair
-    belongs to one block of replicas advanced together (by one thread).
+    Returns the block's state at step 0: one factorization of the levels,
+    and psi (R, levels, n_components, max_mode+1) coloured in one call,
+    whose row r is the sample of streams[r] alone.
     """
     factors = _LevelFactors(levels, max_mode)
     z = _stacked_normals(streams, PURPOSE_OU_INIT, 0,
                          (max_mode + 1, n_components, 2, len(factors.levels)))
-    return factors, factors.colored(factors.stationary_factor, z)
+    return CoupledOUState(psi=factors.colored(factors.stationary_factor, z),
+                          streams=tuple(streams), step=0, factors=factors)
 
 
 def sample_stationary(levels, n_components: int, max_mode: int,
                       stream: NoiseStream) -> CoupledOUState:
-    """Draw one exact joint stationary sample across all levels."""
-    factors, psi = sample_replicas(levels, n_components, max_mode, [stream])
-    return CoupledOUState(step=0, psi=psi[0], stream=stream, factors=factors)
+    """Draw one exact joint stationary sample across all levels: the state
+    of the block of one stream."""
+    return sample_replicas(levels, n_components, max_mode, [stream])
 
 
-def step_replicas(factors: _LevelFactors, streams, step: int,
-                  psi: np.ndarray, h: float,
-                  work: Workspace | None = None) -> np.ndarray:
-    """Advance a stack of replica states psi (R, levels, n_comp, N+1) in
-    place from `step` by one exact transition of size h > 0; returns psi.
+def step_replicas(state: CoupledOUState, h: float,
+                  work: Workspace | None = None) -> CoupledOUState:
+    """Advance a block's state in place by one exact transition of size
+    h > 0; returns the state.
 
-    Replica r draws its innovations from streams[r] exactly as a lone state
-    on that stream would; the stacked normals are coloured in one call, so
-    every replica's result is independent of the others in the stack.  A
-    step loop passes streams it tagged PURPOSE_OU_STEP once per run, which
-    with_purpose then returns as they are.  The normals, the colouring's
-    products and the innovations are work's arrays (a fresh workspace's if
-    None).
+    Row r draws its innovations from streams[r] exactly as the block of
+    that stream alone would; the stacked normals are coloured in one call,
+    so every row's result is independent of the others.  The normals, the
+    colouring's products and the innovations are work's arrays (a fresh
+    workspace's if None).
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
     work = Workspace() if work is None else work
-    decay, factor = factors.step_factors(h)
+    decay, factor = state.factors.step_factors(h)
+    psi = state.psi
     n_rep, n_levels, n_comp, n_modes = psi.shape
     shape = (n_modes, n_comp, 2, n_levels)
-    z = _stacked_normals(streams, PURPOSE_OU_STEP, step + 1, shape,
-                         work.array("normals", (n_rep, *shape), np.float64))
-    innovation = factors.colored(
+    z = _stacked_normals(state.streams, PURPOSE_OU_STEP, state.step + 1,
+                         shape, work.array("normals", (n_rep, *shape),
+                                           np.float64))
+    innovation = state.factors.colored(
         factor, z, work.array("innovation", psi.shape, np.complex128), work)
     psi *= decay[:, None, :]
     psi += innovation  # addition commutes: the bits of innovation + decay*psi
-    return psi
+    state.step += 1
+    return state
 
 
 def step_coupled(state: CoupledOUState, h: float) -> CoupledOUState:
-    """Advance all levels jointly by one exact transition of size h > 0."""
-    psi = step_replicas(state.factors, (state.stream,), state.step,
-                        state.psi[None].copy(), h)[0]
-    return replace(state, step=state.step + 1, psi=psi)
+    """Advance all levels jointly by one exact transition of size h > 0,
+    on a copy: the given state is left as it is."""
+    return step_replicas(replace(state, psi=state.psi.copy()), h)
 
 
 def psi_diff_moment(nu: float, eps: float, k: int) -> float:

@@ -32,8 +32,8 @@ from .integrate import (SimulationConfig, couple_runs, coupled_distances,
                         sup_distance)
 from .linops import OperatorSpec
 from .models import model_from_config
-from .noise import (NoiseStream, PURPOSE_INITIAL_FIELD, PURPOSE_OU_STEP,
-                    sample_replicas, sample_stationary, step_replicas)
+from .noise import (NoiseStream, PURPOSE_INITIAL_FIELD, sample_replicas,
+                    sample_stationary, step_replicas)
 from .regression import RegressionResult, regress_loglog
 from .spectral import SpectralField, Workspace, sup_norms
 
@@ -105,6 +105,13 @@ class RunConfig:
             raise ValueError("modes_over_eps must be positive and finite")
         if self.u0_modes < 0:
             raise ValueError("u0_modes must be nonnegative")
+        for name in ("beta", "gamma", "alpha", "u0_decay", "u0_amplitude",
+                     "correction"):
+            value = getattr(self, name)
+            if not isinstance(value, str) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
+        if math.isnan(self.blowup_cutoff):   # inf turns the guard off
+            raise ValueError("blowup_cutoff must not be NaN")
         if "mass" in self.model:
             # a potential's mass sets only its eps, which eps_grid replaces
             raise ValueError("model key 'mass' has no effect: every study "
@@ -174,12 +181,12 @@ def initial_field(n_components: int, max_mode: int, decay: float,
                   amplitude: float, stream: NoiseStream) -> SpectralField:
     """Smooth random initial data with coefficients ~ (1+k^2)^{-decay}.
 
-    Drawn once per study (purpose-tagged stream, replica 0) and reused at
-    every eps level; the mode count is fixed so the field is literally the
-    same function in every run.
+    Drawn once per study (replica 0, its own purpose) and reused at every
+    eps level; the mode count is fixed so the field is literally the same
+    function in every run.
     """
-    z = stream.with_replica(0).with_purpose(PURPOSE_INITIAL_FIELD).normals(
-        0, (n_components, max_mode + 1, 2))
+    z = stream.with_replica(0).normals(PURPOSE_INITIAL_FIELD, 0,
+                                       (n_components, max_mode + 1, 2))
     k = np.arange(max_mode + 1, dtype=np.float64)
     amp = amplitude * (1.0 + k * k) ** (-decay)
     coeffs = amp * (z[:, :, 0] + 1j * z[:, :, 1]) / math.sqrt(2.0)
@@ -339,16 +346,14 @@ def run_psi_coupling_study(cfg: RunConfig) -> ConvergenceReport:
         sim = cfg.simulation_config(eps)
 
         def block(replicas) -> list:
-            streams = [base.with_replica(r) for r in replicas]
-            factors, psi = sample_replicas(levels, 1, sim.max_mode, streams)
-            streams = [s.with_purpose(PURPOSE_OU_STEP) for s in streams]
-            best = np.zeros(len(streams))
+            noise = sample_replicas(levels, 1, sim.max_mode,
+                                    [base.with_replica(r) for r in replicas])
+            psi = noise.psi[:, :, 0]   # a view: each step updates it
             work = Workspace()
-            for step in range(sim.n_steps + 1):
-                if step:
-                    step_replicas(factors, streams, step - 1, psi, sim.dt,
-                                  work)
-                best = np.maximum(best, sup_norms(psi[:, 0, 0] - psi[:, 1, 0],
+            best = sup_norms(psi[:, 0] - psi[:, 1], work)
+            for _ in range(sim.n_steps):
+                step_replicas(noise, sim.dt, work)
+                best = np.maximum(best, sup_norms(psi[:, 0] - psi[:, 1],
                                                   work))
             return [((float(d), False),) for d in best]
 

@@ -180,10 +180,10 @@ def _remainder_separation(cfg: RunConfig) -> dict:
         perturbed, naive, corrected = couple_runs(
             spec, [eps], u0, sim, stream, correction=cfg.correction)
         state = sample_stationary(levels, spec.n, sim.max_mode, stream)
-        psi_gap = [state.psi[0] - state.psi[1]]
+        psi_gap = [state.psi[0, 0] - state.psi[0, 1]]
         for _ in range(sim.n_steps):
             state = step_coupled(state, sim.dt)
-            psi_gap.append(state.psi[0] - state.psi[1])
+            psi_gap.append(state.psi[0, 0] - state.psi[0, 1])
 
         def remainder(limit) -> tuple[float, bool]:
             k = min(len(perturbed.times), len(limit.times))

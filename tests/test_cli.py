@@ -72,6 +72,24 @@ class TestExitCodes:
         assert code == 1
         assert "config error:" in err and f"{name} must be an integer" in err
 
+    @pytest.mark.parametrize("command,flag", [
+        ("theorem15", "--beta"), ("averaging", "--gamma"),
+        ("converge", "--correction"), ("converge", "--u0-decay"),
+        ("averaging", "--alpha")])
+    def test_nan_flag_is_config_error(self, capsys, command, flag):
+        code, _, err = run_cli([command, *STUDY_FLAGS, flag, "nan"], capsys)
+        assert code == 1
+        name = flag[2:].replace("-", "_")
+        assert "config error:" in err and f"{name} must be finite" in err
+
+    def test_nan_blowup_cutoff_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"blowup_cutoff": NaN}')
+        code, _, err = run_cli(["converge", "--config", str(path),
+                                *STUDY_FLAGS], capsys)
+        assert code == 1
+        assert "config error: blowup_cutoff must not be NaN" in err
+
     def test_missing_config_file_is_config_error(self, capsys):
         code, _, err = run_cli(["converge", "--config", "/no/such.json"],
                                capsys)

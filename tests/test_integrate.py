@@ -21,7 +21,7 @@ from spdelab.integrate import (Trajectory, coupled_distances,
 from spdelab.linops import (OperatorSpec, apply_semigroup, etd_weights,
                             symbols)
 from spdelab.models import drift_grid_size, eval_F_bar, eval_F_eps
-from spdelab.noise import psi_diff_moment, step_coupled
+from spdelab.noise import psi_diff_moment, sample_replicas, step_coupled
 from spdelab.regression import regress_loglog
 from spdelab.spectral import ROW_TRANSFORM_POINTS, GridField, sup_norm
 
@@ -112,9 +112,37 @@ class TestStochasticRuns:
         traj = run_mild(spec, Variant.PHI_EPS, eps, zero_field(n), noise, cfg)
         replay = sample_stationary(ops, 1, n, NoiseStream(0))
         for i, t in enumerate(traj.times):
-            np.testing.assert_array_equal(traj.coeffs[i], replay.psi[0])
+            np.testing.assert_array_equal(traj.coeffs[i], replay.psi[0, 0])
             if i < len(traj.times) - 1:
                 replay = step_coupled(replay, cfg.dt)
+
+    def test_block_run_steps_the_callers_state(self):
+        # the core advances the state it is handed: at the i-th yielded
+        # time the caller's state sits at step i, and with the drift zeroed
+        # and u0 = 0 each channel's u is its level's psi, bit for bit
+        nu, eps, n = 1.0, 0.5, 6
+        spec = polynomial_model(nu, f_coeffs=(-1.0,))
+        cfg = config(max_mode=n, dt=0.05, t_final=0.25)
+        streams = [NoiseStream(3, replica=r) for r in range(3)]
+        channels, noise = integrate_module._coupled(
+            spec, [eps], cfg, streams, "asymptotic")
+        assert noise.psi.shape == (3, 2, 1, n + 1)
+        times = 0
+        for i, (_, u, alive) in enumerate(integrate_module._advance(
+                spec, channels, zero_field(n), noise, cfg)):
+            assert noise.step == i and alive.all()
+            # channels: perturbed (level eps), naive and corrected (level 0)
+            for c, level in enumerate((0, 1, 1)):
+                assert np.array_equal(u[:, c], noise.psi[:, level])
+            times += 1
+        assert times == cfg.n_steps + 1
+
+    def test_run_mild_needs_one_replica(self):
+        noise = sample_replicas([OperatorSpec(1.0, 0.5)], 1, 4,
+                                [NoiseStream(3, replica=r) for r in range(2)])
+        with pytest.raises(ValueError, match="one replica"):
+            run_mild(polynomial_model(1.0), Variant.PHI_EPS, 0.5,
+                     zero_field(4), noise, config(max_mode=4))
 
     def test_v_eps_noise_enters_with_sqrt_eps(self):
         nu, eps, n = 1.0, 0.25, 6
@@ -126,7 +154,7 @@ class TestStochasticRuns:
         replay = sample_stationary(ops, 1, n, NoiseStream(1))
         for i in range(len(traj.times)):
             np.testing.assert_allclose(traj.coeffs[i],
-                                       math.sqrt(eps) * replay.psi[0],
+                                       math.sqrt(eps) * replay.psi[0, 0],
                                        rtol=0.0, atol=1e-15)
             if i < len(traj.times) - 1:
                 replay = step_coupled(replay, cfg.dt)
@@ -142,7 +170,7 @@ class TestStochasticRuns:
                                    NoiseStream(5))]
         for _ in range(k + cfg.n_steps):
             chain.append(step_coupled(chain[-1], cfg.dt))
-        scaled = [math.sqrt(eps) * state.psi[0] for state in chain]
+        scaled = [math.sqrt(eps) * state.psi[0, 0] for state in chain]
 
         def replays_chain(state) -> bool:
             traj = run_mild(spec, Variant.V_EPS, eps, zero_field(n), state,
@@ -168,8 +196,9 @@ class TestStochasticRuns:
                                    NoiseStream(2))
         for i in range(len(perturbed.times)):
             diff = perturbed.coeffs[i] - naive.coeffs[i]
-            np.testing.assert_allclose(diff, replay.psi[0] - replay.psi[1],
-                                       rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(
+                diff, replay.psi[0, 0] - replay.psi[0, 1], rtol=0.0,
+                atol=1e-14)
             if i < len(perturbed.times) - 1:
                 replay = step_coupled(replay, cfg.dt)
 
@@ -491,7 +520,7 @@ def reference_couple_runs(spec, eps, u0, cfg, stream, constant):
     fields = [[] for _ in lam]
 
     def compose():
-        return [SpectralField(spec.n, cfg.max_mode, x + noise.psi[level])
+        return [SpectralField(spec.n, cfg.max_mode, x + noise.psi[0, level])
                 for x, level in zip(v, (0, 1, 1))]
 
     u = compose()

@@ -9,12 +9,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import spdelab.noise as noise_module
-from spdelab import (NoiseStream, SimulationConfig, SpectralField,
-                     polynomial_model, sample_stationary)
-from spdelab.integrate import coupled_distances
+from spdelab import NoiseStream, SpectralField, sample_stationary
 from spdelab.linops import OperatorSpec, symbols
-from spdelab.noise import (PURPOSE_OU_INIT, PURPOSE_OU_STEP, _LevelFactors,
+from spdelab.noise import (PURPOSE_OU_STEP, _LevelFactors,
                            _stacked_normals, psi_diff_moment,
                            sample_replicas, stationary_samples, step_coupled,
                            step_replicas)
@@ -27,17 +24,17 @@ def rates(nu: float, eps: float, k: int) -> float:
 
 class TestNoiseStream:
     def test_same_path_same_numbers(self):
-        s = NoiseStream(7, replica=3, purpose=2)
-        a = s.normals(11, (4, 5))
-        b = s.normals(11, (4, 5))
+        s = NoiseStream(7, replica=3)
+        a = s.normals(2, 11, (4, 5))
+        b = s.normals(2, 11, (4, 5))
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_paths_differ(self):
         base = NoiseStream(7)
-        draws = [base.normals(0, (8,)),
-                 base.with_replica(1).normals(0, (8,)),
-                 base.with_purpose(1).normals(0, (8,)),
-                 base.normals(1, (8,))]
+        draws = [base.normals(0, 0, (8,)),
+                 base.with_replica(1).normals(0, 0, (8,)),
+                 base.normals(1, 0, (8,)),
+                 base.normals(0, 1, (8,))]
         for i in range(len(draws)):
             for j in range(i + 1, len(draws)):
                 assert not np.array_equal(draws[i], draws[j])
@@ -45,8 +42,8 @@ class TestNoiseStream:
     def test_shape_independent_prefix(self):
         # a longer request extends, never reshuffles, the short one
         s = NoiseStream(42)
-        short = s.normals(0, (6,))
-        long = s.normals(0, (12,))
+        short = s.normals(0, 0, (6,))
+        long = s.normals(0, 0, (12,))
         np.testing.assert_array_equal(long[:6], short)
 
     def test_validation(self):
@@ -57,7 +54,7 @@ class TestNoiseStream:
         with pytest.raises(ValueError):
             NoiseStream(3, replica=-1)
         with pytest.raises(ValueError):
-            NoiseStream(3).normals(-1, (2,))
+            NoiseStream(3).normals(0, -1, (2,))
 
     @staticmethod
     def fresh_generator_draw(path, shape):
@@ -78,10 +75,10 @@ class TestNoiseStream:
             for (seed, purpose, replica, step), shape in self.PATHS:
                 want = self.fresh_generator_draw(
                     (seed, purpose, replica, step), shape)
-                stream = NoiseStream(seed, replica, purpose)
-                assert (stream.normals(step, shape) == want).all()
+                stream = NoiseStream(seed, replica)
+                assert (stream.normals(purpose, step, shape) == want).all()
                 out = np.full(shape, np.nan)
-                assert stream.normals(step, shape, out=out) is out
+                assert stream.normals(purpose, step, shape, out=out) is out
                 assert (out == want).all()
 
     def test_other_threads_draw_the_same_numbers(self):
@@ -91,8 +88,8 @@ class TestNoiseStream:
         got = {}
 
         def draw(tag):
-            got[tag] = [[NoiseStream(seed, replica, purpose).normals(
-                step, shape)
+            got[tag] = [[NoiseStream(seed, replica).normals(
+                purpose, step, shape)
                 for (seed, purpose, replica, step), shape in self.PATHS]
                 for _ in range(20)]
 
@@ -211,8 +208,8 @@ class TestCoupledStepping:
         for r in range(reps):
             state = sample_stationary([OperatorSpec(nu, eps)], 1, n,
                                       NoiseStream(4, replica=r))
-            before = state.psi[0, 0].copy()
-            after = step_coupled(state, h).psi[0, 0]
+            before = state.psi[0, 0, 0].copy()
+            after = step_coupled(state, h).psi[0, 0, 0]
             prods[r] = after * np.conj(before)
         for k in range(n + 1):
             a = rates(nu, eps, k)
@@ -224,11 +221,11 @@ class TestCoupledStepping:
         op = OperatorSpec(1.0, 0.25)
         state = sample_stationary([op, op, OperatorSpec(1.0, 0.0)], 2, 8,
                                   NoiseStream(5))
-        np.testing.assert_array_equal(state.psi[0], state.psi[1])
+        np.testing.assert_array_equal(state.psi[0, 0], state.psi[0, 1])
         for _ in range(5):
             state = step_coupled(state, 0.05)
-        np.testing.assert_array_equal(state.psi[0], state.psi[1])
-        assert not np.array_equal(state.psi[0], state.psi[2])
+        np.testing.assert_array_equal(state.psi[0, 0], state.psi[0, 1])
+        assert not np.array_equal(state.psi[0, 0], state.psi[0, 2])
 
     def test_mode_zero_shared_by_all_levels(self):
         # every symbol equals -1 at k = 0, so the k = 0 process is common
@@ -236,8 +233,8 @@ class TestCoupledStepping:
                                    OperatorSpec(1.0, 0.0)], 1, 6,
                                   NoiseStream(6))
         state = step_coupled(state, 0.1)
-        assert state.psi[0, 0, 0] == state.psi[1, 0, 0]
-        assert state.psi[0, 0, 0].imag == 0.0
+        assert state.psi[0, 0, 0, 0] == state.psi[0, 1, 0, 0]
+        assert state.psi[0, 0, 0, 0].imag == 0.0
 
     def test_step_is_functional(self):
         state = sample_stationary([OperatorSpec(1.0, 0.5)], 1, 4,
@@ -279,10 +276,12 @@ class TestCoupledStepping:
         assert state.factors.level_index(0.0) == 1
         with pytest.raises(ValueError):
             state.factors.level_index(0.3)
-        field = SpectralField(2, 5, state.psi[0])
+        assert state.psi.shape == (1, 2, 2, 6) and state.step == 0
+        assert state.streams == (NoiseStream(11),)
+        field = SpectralField(2, 5, state.psi[0, 0])
         assert field.n_components == 2 and field.max_mode == 5
         field.coeffs[0, 1] = 99.0
-        assert state.psi[0, 0, 1] != 99.0
+        assert state.psi[0, 0, 0, 1] != 99.0
 
 
 def loop_dedup(rates: np.ndarray):
@@ -350,7 +349,7 @@ class TestColouringKernel:
     def cases(eps, max_mode, replicas, n_comp):
         f = _LevelFactors(tuple(OperatorSpec(1.0, e) for e in eps), max_mode)
         z = NoiseStream(21).normals(
-            0, (replicas, max_mode + 1, n_comp, 2, len(eps)))
+            0, 0, (replicas, max_mode + 1, n_comp, 2, len(eps)))
         for factor in (f.stationary_factor, f.step_factors(0.05)[1]):
             yield f, factor, z
 
@@ -407,20 +406,23 @@ class TestReplicaBlockNoise:
     @pytest.mark.parametrize("replicas", [1, 3])
     def test_block_equals_lone_states(self, replicas):
         streams = [NoiseStream(13, replica=r) for r in range(replicas)]
-        factors, psi = sample_replicas(self.LEVELS, 2, 9, streams)
+        block = sample_replicas(self.LEVELS, 2, 9, streams)
         states = [sample_stationary(self.LEVELS, 2, 9, s) for s in streams]
-        assert psi.shape == (replicas, 3, 2, 10)
+        assert block.psi.shape == (replicas, 3, 2, 10)
+        assert block.streams == tuple(streams)
         for step in range(6):
             if step:
-                psi = step_replicas(factors, streams, step - 1, psi, 0.05)
+                assert step_replicas(block, 0.05) is block
                 states = [step_coupled(s, 0.05) for s in states]
-            for row, state in zip(psi, states):
-                assert_bitwise(row, state.psi)
+            assert block.step == step
+            for row, state in zip(block.psi, states):
+                assert state.step == step
+                assert_bitwise(row, state.psi[0])
 
     @pytest.mark.parametrize("replicas", [1, 3])
     def test_colouring_equals_unique_factor_oracle(self, replicas):
         f = _LevelFactors(self.LEVELS, 9)
-        z = NoiseStream(14).normals(0, (replicas, 10, 2, 2, 3))
+        z = NoiseStream(14).normals(0, 0, (replicas, 10, 2, 2, 3))
         for cov, factor in ((f._covariance(), f.stationary_factor),
                             (f._covariance(0.05), f.step_factors(0.05)[1])):
             want = unique_factor_colored(f, np.linalg.cholesky(cov), z)
@@ -429,7 +431,7 @@ class TestReplicaBlockNoise:
     def test_stacked_draw_equals_separate_draws(self):
         streams = [NoiseStream(16, replica=r) for r in range(3)]
         shape = (33, 1, 2, 2)
-        want = np.stack([s.with_purpose(PURPOSE_OU_STEP).normals(4, shape)
+        want = np.stack([s.normals(PURPOSE_OU_STEP, 4, shape)
                          for s in streams])
         out = np.full((3, *shape), np.nan)
         assert _stacked_normals(streams, PURPOSE_OU_STEP, 4, shape, out) \
@@ -443,47 +445,19 @@ class TestReplicaBlockNoise:
         # stream's normals, stacked them, coloured them into a fresh array
         # and added the decayed state to it
         streams = [NoiseStream(17, replica=r) for r in range(3)]
-        factors, psi = sample_replicas(self.LEVELS, 2, 9, streams)
+        block = sample_replicas(self.LEVELS, 2, 9, streams)
+        psi, factors = block.psi, block.factors
         want = psi.copy()
         decay, factor = factors.step_factors(0.05)
         work = Workspace()
         for step in range(10):
-            z = np.stack([s.with_purpose(PURPOSE_OU_STEP).normals(
-                step + 1, (10, 2, 2, 3)) for s in streams])
+            z = np.stack([s.normals(PURPOSE_OU_STEP, step + 1, (10, 2, 2, 3))
+                          for s in streams])
             nxt = factors.colored(factor, z)
             nxt += decay[:, None, :] * want
             want = nxt
-            assert step_replicas(factors, streams, step, psi, 0.05,
-                                 work) is psi
+            assert step_replicas(block, 0.05, work).psi is psi
             assert_bitwise(psi, want)
-
-    def test_runs_tag_step_streams_once(self, monkeypatch):
-        # a stream that carries its purpose already is its own re-tag, and
-        # a run derives its replicas' PURPOSE_OU_STEP streams once (the
-        # initial draw derives PURPOSE_OU_INIT ones), whatever its length
-        stream = NoiseStream(19, replica=2, purpose=PURPOSE_OU_STEP)
-        assert stream.with_purpose(PURPOSE_OU_STEP) is stream
-        derived = []
-        real = noise_module.replace
-
-        def counted(obj, **changes):
-            derived.append(changes)
-            return real(obj, **changes)
-
-        monkeypatch.setattr(noise_module, "replace", counted)
-        spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
-        u0 = SpectralField(1, 0, np.zeros((1, 1)))
-        streams = [NoiseStream(19, replica=r) for r in range(3)]
-        counts = []
-        for t_final in (0.1, 0.5):
-            derived.clear()
-            coupled_distances(spec, 0.5, u0,
-                              SimulationConfig(max_mode=4, dt=0.05,
-                                               t_final=t_final), streams)
-            counts.append(len(derived))
-        assert counts == [6, 6]
-        assert derived == [{"purpose": PURPOSE_OU_INIT}] * 3 \
-            + [{"purpose": PURPOSE_OU_STEP}] * 3
 
     def test_later_steps_allocate_no_block(self):
         # 4 replicas x 2 levels x 20,001 modes: the normals and the state
@@ -492,24 +466,24 @@ class TestReplicaBlockNoise:
         # buffers (128 KiB here) and the streams' generators.
         levels = (OperatorSpec(1.0, 0.5), OperatorSpec(1.0, 0.0))
         streams = [NoiseStream(18, replica=r) for r in range(4)]
-        factors, psi = sample_replicas(levels, 1, 20000, streams)
+        block = sample_replicas(levels, 1, 20000, streams)
         work = Workspace()
-        step_replicas(factors, streams, 0, psi, 0.05, work)
+        step_replicas(block, 0.05, work)
         tracemalloc.start()
         try:
-            for step in range(1, 4):
+            for _ in range(3):
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                step_replicas(factors, streams, step, psi, 0.05, work)
+                step_replicas(block, 0.05, work)
                 rise = tracemalloc.get_traced_memory()[1] - before
-                assert rise < psi.nbytes // 8
+                assert rise < block.psi.nbytes // 8
         finally:
             tracemalloc.stop()
 
     def test_step_calls_no_einsum_nor_fancy_indexing(self, monkeypatch):
         streams = [NoiseStream(15, replica=r) for r in range(3)]
-        factors, psi = sample_replicas(self.LEVELS, 2, 9, streams)
-        psi = step_replicas(factors, streams, 0, psi, 0.05)  # builds factors
+        block = sample_replicas(self.LEVELS, 2, 9, streams)
+        step_replicas(block, 0.05)  # builds the step factors
         calls = []
         real = np.einsum
 
@@ -522,8 +496,8 @@ class TestReplicaBlockNoise:
 
         monkeypatch.setattr(np, "einsum", einsum)
         monkeypatch.setattr(np, "take_along_axis", forbidden)
-        for step in range(1, 6):
-            psi = step_replicas(factors, streams, step, psi, 0.05)
+        for _ in range(5):
+            step_replicas(block, 0.05)
         assert calls == []
 
 

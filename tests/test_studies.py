@@ -101,6 +101,26 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             RunConfig.from_dict({name: value})
 
+    @pytest.mark.parametrize("name,value", [
+        ("beta", math.nan), ("beta", math.inf), ("gamma", math.nan),
+        ("alpha", -math.inf), ("u0_decay", math.nan),
+        ("u0_amplitude", math.inf), ("correction", math.nan),
+        ("correction", -math.inf)])
+    def test_floats_must_be_finite(self, name, value):
+        # a NaN beta gave every level mean=nan and no fit; a NaN gamma or
+        # u0_decay failed only after (or deep inside) the run
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RunConfig(**{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RunConfig.from_dict({name: value})
+
+    def test_blowup_cutoff_may_be_inf_but_not_nan(self):
+        # a NaN cutoff turned the censoring guard off without a word
+        with pytest.raises(ValueError, match="blowup_cutoff must not be NaN"):
+            RunConfig(blowup_cutoff=math.nan)
+        assert RunConfig(blowup_cutoff=math.inf).simulation_config(
+            0.5).blowup_cutoff == math.inf
+
     def test_modes_rule(self):
         cfg = RunConfig(modes_over_eps=8.0)
         assert cfg.modes_for(0.125) == 64
@@ -552,10 +572,10 @@ def psi_distance_reference(nu, eps, max_mode, dt, t_final, stream):
     alone through step_coupled."""
     state = sample_stationary((OperatorSpec(nu, eps), OperatorSpec(nu, 0.0)),
                               1, max_mode, stream)
-    best = sup_norm(state.psi[0] - state.psi[1])
+    best = sup_norm(state.psi[0, 0] - state.psi[0, 1])
     for _ in range(max(1, int(round(t_final / dt)))):
         state = step_coupled(state, dt)
-        best = max(best, sup_norm(state.psi[0] - state.psi[1]))
+        best = max(best, sup_norm(state.psi[0, 0] - state.psi[0, 1]))
     return best
 
 
@@ -720,6 +740,31 @@ class TestAveragingStudy:
             assert sizes == split * 3
             texts.append(report_json_text(report))
         assert texts[0] == texts[1] == texts[2]
+
+
+    def test_averaging_outputs_pinned(self):
+        # reduced protocol (N = 32..725, 5 replicas, workers = 2); recorded
+        # with repr when each NoiseStream still carried its draws' purpose,
+        # so a change to how the snapshots are drawn that moves any digit
+        # fails here
+        report = run_averaging_study(RunConfig(
+            study="averaging", eps_grid=tuple(2.0 ** -j for j in range(2, 6)),
+            replicas=5, seed=3, modes_over_eps=4.0, workers=2))
+        assert report.max_modes == (32, 91, 256, 725)
+        assert report.median_phi == (
+            0.9666089609815043, 1.3976424717082467, 1.9124684696039995,
+            2.3947743016092415)
+        assert report.q90_phi == (
+            1.337512811192881, 2.473563433477393, 3.65929328081844,
+            4.715133093737201)
+        assert report.median_phi_tilde == (
+            0.3343456923986758, 0.6812388496635127, 1.29583705277605,
+            1.3385261015951873)
+        assert report.q90_phi_tilde == (
+            1.0218222305685971, 1.587836856186513, 2.108213917961651,
+            2.753423243699456)
+        assert report.slope_phi.slope == 0.562090313413683
+        assert report.slope_phi_tilde.slope == 0.30686497904406884
 
 
 class TestSerialization:
