@@ -109,6 +109,8 @@ class Variant(enum.Enum):
 _STOCHASTIC = {Variant.PHI_EPS, Variant.PHI_ZERO, Variant.PHI_BAR,
                Variant.V_EPS}
 _GRADIENT_ONLY = {Variant.V_EPS, Variant.V_LIMIT}
+# resolve_correction's named settings; any other correction is a number
+CORRECTIONS = ("truncation-matched", "asymptotic")
 
 
 @dataclass(frozen=True)
@@ -346,8 +348,8 @@ def resolve_correction(correction, nu: float, eps: float,
     if isinstance(correction, (int, float)) and not isinstance(correction,
                                                                bool):
         return float(correction)
-    raise ValueError("correction must be 'truncation-matched', "
-                     "'asymptotic', or a float")
+    raise ValueError(f"correction must be a float or one of {CORRECTIONS}, "
+                     f"not {correction!r}")
 
 
 def _coupled(spec: ModelSpec, eps_levels, config: SimulationConfig, streams,

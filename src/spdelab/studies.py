@@ -27,9 +27,9 @@ from .constants import truncation_matched_constant, white_noise_constant
 # couple_runs, run_mild, sample_stationary and sup_distance are not called
 # here; they stay bound in this module because bench/spans.py traces the
 # names the studies import.
-from .integrate import (SimulationConfig, couple_runs, coupled_distances,
-                        reference_distances, resolve_correction, run_mild,
-                        sup_distance)
+from .integrate import (CORRECTIONS, SimulationConfig, couple_runs,
+                        coupled_distances, reference_distances,
+                        resolve_correction, run_mild, sup_distance)
 from .linops import OperatorSpec
 from .models import model_from_config
 from .noise import (NoiseStream, PURPOSE_INITIAL_FIELD, sample_replicas,
@@ -110,6 +110,10 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, str) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, not {value!r}")
+        if isinstance(self.correction, bool) or isinstance(
+                self.correction, str) and self.correction not in CORRECTIONS:
+            raise ValueError(f"correction must be a float or one of "
+                             f"{CORRECTIONS}, not {self.correction!r}")
         if math.isnan(self.blowup_cutoff):   # inf turns the guard off
             raise ValueError("blowup_cutoff must not be NaN")
         if "mass" in self.model:

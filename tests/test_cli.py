@@ -82,6 +82,38 @@ class TestExitCodes:
         name = flag[2:].replace("-", "_")
         assert "config error:" in err and f"{name} must be finite" in err
 
+    @pytest.mark.parametrize("command", ["converge", "theorem15",
+                                         "psi-coupling", "averaging",
+                                         "simulate"])
+    def test_unknown_correction_is_config_error(self, command, capsys):
+        # psi-coupling and averaging, which read no constant, exited 0 and
+        # echoed the name; converge failed only as its first level started
+        extra = SIMULATE[1:] if command == "simulate" else []
+        code, out, err = run_cli([command, *extra, *STUDY_FLAGS,
+                                  "--correction", "foo"], capsys)
+        assert code == 1 and out == ""
+        assert "config error: correction must be a float or one of" in err
+        assert "'foo'" in err
+
+    def test_boolean_correction_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"correction": true}')
+        code, _, err = run_cli(["psi-coupling", "--config", str(path),
+                                *STUDY_FLAGS], capsys)
+        assert code == 1
+        assert "config error: correction must be a float" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--nu", "nan"], ["--nu", "inf"],
+        ["--nu", "1", "--eps", "inf", "--max-mode", "10"],
+        ["--nu", "1", "--eps", "nan"]], ids=" ".join)
+    def test_non_finite_constants_input_is_config_error(self, flags, capsys):
+        # --nu nan printed NaN (not JSON), --nu inf printed 0.0, and
+        # --eps inf printed NaN, each with exit 0
+        code, out, err = run_cli(["constants", *flags], capsys)
+        assert code == 1 and out == ""
+        assert "config error:" in err and "must be" in err
+
     def test_nan_blowup_cutoff_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text('{"blowup_cutoff": NaN}')
@@ -114,17 +146,12 @@ class TestExitCodes:
 
     def test_quadrature_failure_is_numerical_failure(self, capsys,
                                                      monkeypatch):
-        # far too few subdivisions for Q(y) = 1 + 1e-6 y's peaked tail
-        import warnings
-
-        monkeypatch.setattr(constants_module, "QUAD_LIMIT", 10)
-        monkeypatch.setattr(constants_module, "QUAD_REL_TOL", 1e-13)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code, _, err = run_cli(["constants", "--nu", "1.0",
-                                    "--q", "1.0,1e-6"], capsys)
+        # far too few panels for Q(y) = 1 + 1e-6 y's peaked tail
+        monkeypatch.setattr(constants_module, "QUAD_MAX_PANELS", 64)
+        code, _, err = run_cli(["constants", "--nu", "1.0",
+                                "--q", "1.0,1e-6"], capsys)
         assert code == 2
-        assert "numerical failure" in err
+        assert "numerical failure" in err and "64 panels" in err
 
     def test_blowup_censors_gracefully(self, capsys):
         # with the default guard the same run censors: exit 0, note on

@@ -8,8 +8,16 @@ import pytest
 import spdelab.constants as constants_module
 from spdelab import (QuadratureError, truncation_matched_constant,
                      white_noise_constant)
-from spdelab.constants import (_surrogate_mode_sum, alpha_constant,
-                               poly_constant, riemann_gap)
+from spdelab.constants import alpha_constant, poly_constant, riemann_gap
+
+# each public constant called at (nu, eps), and whether it reads eps
+PUBLIC = {
+    "white_noise_constant": (lambda nu, eps: white_noise_constant(nu), False),
+    "alpha_constant": (lambda nu, eps: alpha_constant(nu, 0.25), False),
+    "poly_constant": (lambda nu, eps: poly_constant(nu, (1.0, 1.0)), False),
+    "truncation_matched_constant": (
+        lambda nu, eps: truncation_matched_constant(nu, eps, 8), True),
+    "riemann_gap": (riemann_gap, True)}
 
 
 def alpha_quadrature(nu: float, alpha: float) -> float:
@@ -23,6 +31,30 @@ def alpha_quadrature(nu: float, alpha: float) -> float:
                     math.inf, epsabs=1e-13, epsrel=1e-12)
     assert e1 + e2 < 1e-10
     return (head + tail) / (math.pi * nu ** (alpha + 0.5))
+
+
+def riemann_gap_direct_sum(nu: float, eps: float) -> float:
+    # the lattice sum summed directly up to a cutoff K, plus the exact
+    # trigamma tail of its leading 1/(eps^2 k^2) behaviour; the residual of
+    # that replacement is at most (1/eps^3)(1/(5 K^5) + nu/(3 K^3)) per
+    # sign, and K keeps both signs together below 1e-12
+    from scipy.special import polygamma
+
+    cutoff = max(1000, math.ceil(
+        (2.0 * (nu / 3.0 + 0.2) / (1e-12 * eps ** 3)) ** (1.0 / 3.0)))
+    total = 0.0
+    for lo in range(1, cutoff + 1, 1 << 20):
+        k2 = np.arange(lo, min(cutoff, lo + (1 << 20) - 1) + 1,
+                       dtype=np.float64)
+        k2 *= k2
+        den = (eps * eps) * k2
+        den += nu
+        den *= k2
+        den += 1.0
+        k2 /= den                      # sigma_k, in place
+        total += float(np.sum(k2))
+    tail = float(polygamma(1, cutoff + 1)) / (eps * eps)
+    return abs(math.pi / math.sqrt(nu) - eps * (2.0 * total + 2.0 * tail))
 
 
 class TestWhiteNoiseConstant:
@@ -79,6 +111,11 @@ class TestPolyConstant:
         # Q(y) = (1+y)^2: (1/pi) int dx/(1+x^2)^2 = 1/4
         assert poly_constant(1.0, (1.0, 2.0, 1.0)) == pytest.approx(0.25,
                                                                     rel=1e-10)
+
+    def test_cubed_family(self):
+        # Q(y) = (1+y)^3, a triple root: (1/pi) int dx/(1+x^2)^3 = 3/16
+        assert poly_constant(1.0, (1.0, 3.0, 3.0, 1.0)) == pytest.approx(
+            3.0 / 16.0, rel=1e-12)
 
     def test_quartic_vs_quadrature_oracle(self):
         # independent oracle on the same integral with a plain finite split
@@ -162,14 +199,17 @@ class TestRiemannGap:
                 # gap stays O(eps) with a nu-dependent prefactor
                 assert riemann_gap(nu, eps) <= 10.0 * eps / math.sqrt(nu)
 
-    def test_surrogate_sum_matches_coth_closed_form(self):
-        # sum_k eps/(nu + eps^2 k^2) = (pi/sqrt(nu)) coth(pi sqrt(nu)/eps)
-        for nu in (0.5, 1.0, 2.0):
-            for eps in (1.0, 0.25, 2.0 ** -6):
-                x = math.pi * math.sqrt(nu) / eps
-                closed = (math.pi / math.sqrt(nu)) / math.tanh(x)
-                assert _surrogate_mode_sum(nu, eps) == pytest.approx(
-                    closed, rel=1e-11), (nu, eps)
+    def test_closed_form_matches_direct_sum(self):
+        # eps from 2^0 to 2^-13, and at and around the double root nu/2,
+        # where the closed form switches to its sinh(pi(s - t))/(s - t) form
+        for nu in (0.05, 0.3, 1.0, 3.0, 10.0):
+            for eps in [2.0 ** -j for j in range(14)] + [
+                    nu / 2.0 * (1.0 + d)
+                    for d in (0.0, 1e-3, -1e-3, 1e-8, -1e-8)]:
+                got = riemann_gap(nu, eps)
+                assert type(got) is float
+                assert got == pytest.approx(riemann_gap_direct_sum(nu, eps),
+                                            abs=1e-12), (nu, eps)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -177,19 +217,43 @@ class TestRiemannGap:
         with pytest.raises(ValueError):
             riemann_gap(1.0, 0.0)
 
+    def test_out_of_range_sum_raises(self):
+        # at nu = 1e40, sqrt(b) ~ 1e-20 and 1 - exp(-2 pi sqrt(b)) rounds
+        # to 0: the gap must come back as an error, not as NaN
+        with pytest.raises(FloatingPointError, match="out of floating"):
+            riemann_gap(1e40, 0.5)
+        assert riemann_gap(1.0, 1e220) == math.pi   # the sum itself is ~0
+
 
 class TestQuadratureConfig:
-    """The module-level tolerances and subdivision budget of poly_constant's
-    quadratures."""
+    """The module-level tolerance and panel cap of poly_constant's rule."""
 
     def test_quadrature_error_is_raised(self, monkeypatch):
-        # far too few subdivisions for the tail's peak of width 1e-3 at t = 0
-        import warnings
+        # far too few panels for the tail's peak of width 1e-3 at t = 0
+        monkeypatch.setattr(constants_module, "QUAD_MAX_PANELS", 64)
+        with pytest.raises(QuadratureError, match="64 panels"):
+            poly_constant(1.0, (1.0, 1e-6))
 
-        monkeypatch.setattr(constants_module, "QUAD_ABS_TOL", 1e-13)
-        monkeypatch.setattr(constants_module, "QUAD_REL_TOL", 1e-13)
-        monkeypatch.setattr(constants_module, "QUAD_LIMIT", 10)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(QuadratureError):
-                poly_constant(1.0, (1.0, 1e-6))
+    def test_peaked_tail_converges_under_the_cap(self):
+        # (1/pi) int dx/(1 + 1e-6 x^2) = 1/(2 sqrt(1e-6)) = 500
+        assert poly_constant(1.0, (1.0, 1e-6)) == pytest.approx(500.0,
+                                                                rel=1e-12)
+
+    def test_too_peaked_tail_raises_under_the_default_cap(self):
+        # the true value is 1/(2 sqrt(1e-12)) = 5e5; QUADPACK with its
+        # 200 subdivisions returned 3.3e-12 here without raising
+        with pytest.raises(QuadratureError):
+            poly_constant(1.0, (1.0, 1e-12))
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_nu_or_eps_is_rejected(name, bad):
+    # a NaN or infinite input gave NaN or 0.0, which the constants command
+    # printed (NaN is not valid JSON) and exited 0
+    call, reads_eps = PUBLIC[name]
+    with pytest.raises(ValueError, match="nu must be positive and finite"):
+        call(bad, 0.125)
+    if reads_eps:
+        with pytest.raises(ValueError, match="eps must be .* finite"):
+            call(1.0, bad)

@@ -47,15 +47,17 @@ def test_every_listed_name_resolves():
 
 
 def test_import_and_studies_load_no_scipy():
-    # SciPy serves only the constants command's quadratures and trigamma:
-    # importing the package and running each study loads no SciPy module,
-    # so no study call pays its import time and memory
+    # NumPy is the only runtime dependency: importing the package, running
+    # each study and a constants call with every option load no SciPy
+    # module, and run with every SciPy import made to fail
     src = os.path.dirname(os.path.dirname(spdelab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = """
-import sys
+import contextlib, io, json, sys
+sys.modules["scipy"] = None   # any SciPy import now raises ImportError
 import spdelab
+from spdelab.cli import cli_main
 small = dict(replicas=3, fixed_modes=8, dt=0.05, t_final=0.2, u0_modes=6,
              workers=1, eps_grid=(0.5, 0.4, 0.3, 0.25))
 fits = [spdelab.run_convergence_study(spdelab.RunConfig(**small)).ci95,
@@ -64,7 +66,12 @@ fits = [spdelab.run_convergence_study(spdelab.RunConfig(**small)).ci95,
         spdelab.run_averaging_study(spdelab.RunConfig(
             study="averaging", **small)).slope_phi.ci95]
 assert all(ci is not None for ci in fits), fits
-print(sorted(m for m in sys.modules if m.startswith("scipy")))
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert cli_main(["constants", "--nu", "1", "--eps", "0.01", "--max-mode",
+                     "800", "--alpha", "0.25", "--q", "1,3,3,1"]) == 0
+assert len(json.loads(out.getvalue())) == 5
+print(sorted(m for m, mod in sys.modules.items()
+             if m.startswith("scipy") and mod is not None))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)

@@ -114,6 +114,21 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             RunConfig.from_dict({name: value})
 
+    @pytest.mark.parametrize("value", ["foo", "Asymptotic", "", True, False])
+    def test_correction_must_be_known(self, value):
+        # an unknown name passed psi-coupling and averaging, which read no
+        # constant, and failed converge only as its first level started
+        for make in (lambda: RunConfig(correction=value),
+                     lambda: RunConfig.from_dict({"correction": value})):
+            with pytest.raises(ValueError, match="correction must be a float "
+                               "or one of"):
+                make()
+
+    @pytest.mark.parametrize("value", ["truncation-matched", "asymptotic",
+                                       0.0, 0.45, 1])
+    def test_correction_names_and_numbers_pass(self, value):
+        assert RunConfig(correction=value).correction == value
+
     def test_blowup_cutoff_may_be_inf_but_not_nan(self):
         # a NaN cutoff turned the censoring guard off without a word
         with pytest.raises(ValueError, match="blowup_cutoff must not be NaN"):
