@@ -103,10 +103,7 @@ def _study_config(args: argparse.Namespace, study: str) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             data[name] = value
-    cfg = RunConfig.from_dict(data)
-    # every command checks the step settings, averaging (no steps) too
-    cfg.simulation_config(min(cfg.eps_grid))
-    return cfg
+    return RunConfig.from_dict(data)
 
 
 def _emit_convergence(report, args: argparse.Namespace) -> int:

@@ -44,8 +44,11 @@ def _integrate_unit(fn) -> float:
     nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
     previous, panels = math.nan, 1
     while panels <= QUAD_MAX_PANELS:
-        x = (np.arange(panels, dtype=np.float64)[:, None] + nodes) / panels
-        value = float(np.sum(fn(x) @ weights)) / panels
+        rules = np.empty(panels)   # each panel's rule, 4,096 at a time
+        for lo in range(0, panels, 4096):
+            x = np.arange(lo, min(panels, lo + 4096), dtype=np.float64)
+            rules[lo:lo + 4096] = fn((x[:, None] + nodes) / panels) @ weights
+        value = float(np.sum(rules)) / panels
         if abs(value - previous) <= QUAD_TOL * abs(value):  # False for NaN
             return value
         previous, panels = value, 2 * panels

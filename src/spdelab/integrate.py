@@ -41,11 +41,10 @@ of replicas at a time.
 
 A run's scratch is one array per role.  A run allocates v and u (v
 itself without noise) once and takes every other step array from one
-spectral.Workspace per block run: the drift's input, grid, spectrum and
-finiteness mask, the guard's finiteness mask and |u|, and the noise's
-normals, colouring products and innovations.  reference_distances steps
-theorem15's limits and replicas on one workspace, so the two runs share
-each of these arrays.  The noise state is the caller's, advanced in place
+spectral.Workspace per block run: the drift's input, grid and spectrum,
+the guard's |u|, and the noise's normals, colouring products and
+innovations.  reference_distances steps theorem15's limits and replicas
+on one workspace, so the two runs share each of these arrays.  The noise state is the caller's, advanced in place
 (run_mild hands over a copy of its state).  The weight multiplies the
 drift's result in its workspace array, which is then added to decay * v;
 u is written as scale * psi, then v is added to it (addition commutes);
@@ -70,7 +69,11 @@ time, and a censored row of a block keeps stepping on the drift of the
 zero field but is read by no consumer.  The guard calls the oversampled
 sup_norm only when 1.25 times the l1 bound max_i (|c_i0| + 2 sum_{k>=1}
 |c_ik|) / sqrt(2 pi) exceeds the cutoff; as sup_norm is at most 1.25
-times the grid maximum, no decision changes.
+times the grid maximum, no decision changes.  The bound is the step's
+only finiteness test: a row holding a non-finite coefficient has a
+non-finite bound, and raises IntegrationError (naming its channel and
+step) before the step yields; NumPy's invalid and overflow warnings are
+silenced only in the update, the composition of u and the bound.
 """
 
 from __future__ import annotations
@@ -127,6 +130,8 @@ class SimulationConfig:
             raise ValueError("max_mode must be >= 1")
         if not 0 < self.dt <= self.t_final < math.inf:
             raise ValueError("need 0 < dt <= t_final < inf")
+        if math.isnan(self.blowup_cutoff):   # inf turns the guard off
+            raise ValueError("blowup_cutoff must not be NaN")
         if self.blowup_cutoff <= 0:
             raise ValueError("blowup_cutoff must be positive")
 
@@ -203,22 +208,6 @@ def _build_channel(spec: ModelSpec, variant: Variant, eps: float,
         noise_level=level, noise_scale=scale)
 
 
-def _drift(channels: list[_Channel], u: np.ndarray, step: int,
-           work: Workspace) -> np.ndarray:
-    """models.drift of every channel and replica of u (R, C, n, N+1) on the
-    run's workspace, raising IntegrationError if a channel's drift is not
-    finite."""
-    fu = models.drift([ch.drift for ch in channels], u.transpose(1, 2, 0, 3),
-                      work)
-    finite = np.isfinite(fu, out=work.array("finite drift", fu.shape, bool))
-    finite = finite.reshape(len(channels), -1).all(axis=1)
-    if not finite.all():
-        raise IntegrationError(f"non-finite drift in "
-                               f"{channels[finite.argmin()].variant.name} "
-                               f"run at step {step}")
-    return fu.transpose(2, 0, 1, 3)
-
-
 def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
              noise: Optional[CoupledOUState], config: SimulationConfig,
              work: Workspace | None = None):
@@ -264,27 +253,31 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
             u[~alive] = 0.0
             # v <- decay * v + weight * fu, in place and rounded as written:
             # the weight multiplies the drift's workspace result
-            fu = _drift(channels, u, step, work)
-            np.multiply(fu, weight, out=fu)
-            np.multiply(decay, v, out=v)
-            np.add(v, fu, out=v)
+            fu = models.drift([ch.drift for ch in channels],
+                              u.transpose(1, 2, 0, 3),
+                              work).transpose(2, 0, 1, 3)
+            with np.errstate(invalid="ignore", over="ignore"):
+                np.multiply(fu, weight, out=fu)
+                np.multiply(decay, v, out=v)
+                np.add(v, fu, out=v)
             if noise is not None:
                 step_replicas(noise, h, work)
         # u <- v + scale * psi, channel by channel; addition commutes
-        for c, level, scale in noisy:
-            np.multiply(scale, noise.psi[:, level], out=u[:, c])
-            u[:, c] += v[:, c]
-        # the guard's scratch is taken at every step, so that runs sharing
-        # the workspace share it too
-        finite = work.array("finite", (*v.shape[:-1], 2 * v.shape[-1]), bool)
-        if not np.isfinite(u.view(np.float64), out=finite).all():
-            bad = np.argwhere(~np.isfinite(u).all(axis=(2, 3)))[0][1]
-            raise IntegrationError(f"non-finite state in "
-                                   f"{channels[bad].variant.name} run at "
-                                   f"step {step}")
-        mag = np.abs(u, out=work.array("magnitude", v.shape, np.float64))
-        bound = (2 * mag.sum(axis=-1) - mag[..., 0]).max(axis=-1) \
-            / np.sqrt(2 * np.pi)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for c, level, scale in noisy:
+                np.multiply(scale, noise.psi[:, level], out=u[:, c])
+                u[:, c] += v[:, c]
+            mag = np.abs(u, out=work.array("magnitude", v.shape, np.float64))
+            bound = (2 * mag.sum(axis=-1) - mag[..., 0]).max(axis=-1) \
+                / np.sqrt(2 * np.pi)
+        # only a row with a non-finite bound can hold a non-finite
+        # coefficient; a finite row whose bound overflowed stays a suspect
+        if not np.isfinite(bound).all():
+            bad = np.argwhere(~np.isfinite(u).all(axis=(2, 3)))
+            if len(bad):
+                raise IntegrationError(
+                    f"non-finite state in {channels[bad[0][1]].variant.name} "
+                    f"run at step {step} (a drift callback or an overflow)")
         suspects = alive & (1.25 * (1.0 + 1e-12) * bound
                             > config.blowup_cutoff)
         for r, c in zip(*suspects.nonzero()):

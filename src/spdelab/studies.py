@@ -114,12 +114,12 @@ class RunConfig:
                 self.correction, str) and self.correction not in CORRECTIONS:
             raise ValueError(f"correction must be a float or one of "
                              f"{CORRECTIONS}, not {self.correction!r}")
-        if math.isnan(self.blowup_cutoff):   # inf turns the guard off
-            raise ValueError("blowup_cutoff must not be NaN")
         if "mass" in self.model:
             # a potential's mass sets only its eps, which eps_grid replaces
             raise ValueError("model key 'mass' has no effect: every study "
                              "takes eps from eps_grid")
+        # every study checks the step settings, averaging (no steps) too
+        self.simulation_config(min(self.eps_grid))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

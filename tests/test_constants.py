@@ -1,6 +1,7 @@
 """Tests for the drift-correction constants and lattice sums."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,20 @@ class TestQuadratureConfig:
         # (1/pi) int dx/(1 + 1e-6 x^2) = 1/(2 sqrt(1e-6)) = 500
         assert poly_constant(1.0, (1.0, 1e-6)) == pytest.approx(500.0,
                                                                 rel=1e-12)
+
+    def test_panels_are_evaluated_in_chunks(self):
+        # (1, 1e-10) stops at the cap, 2^16 panels of 20 nodes: evaluated
+        # at once, each temporary held 10 MiB and the call peaked at 60 MiB
+        poly_constant(1.0, (1.0, 1.0))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            value = poly_constant(1.0, (1.0, 1e-10))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(5e4, rel=1e-12)
+        assert peak < 8 * 2 ** 20
 
     def test_too_peaked_tail_raises_under_the_default_cap(self):
         # the true value is 1/(2 sqrt(1e-12)) = 5e5; QUADPACK with its

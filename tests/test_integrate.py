@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import sys
 import tracemalloc
@@ -316,6 +317,129 @@ class TestCensoring:
         with pytest.raises(IntegrationError, match="step 1"):
             run_mild(bad, Variant.PHI_ZERO, 0.0, zero_field(4), None,
                      config(max_mode=4))
+
+
+def reaction_model() -> ModelSpec:
+    return polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
+
+
+def nan_once_in_replica(call: int):
+    """A reaction -u whose call-th evaluation (counting from 0) writes NaN
+    into replica 1 of its (n, R, points) grid values."""
+    calls = itertools.count()
+
+    def f(u):
+        out = -u
+        if next(calls) == call:
+            out[:, 1] = np.nan
+        return out
+
+    return f
+
+
+def coupled_block(spec: ModelSpec, n_rep: int) -> None:
+    coupled_distances(spec, 0.5, zero_field(4), config(max_mode=4),
+                      [NoiseStream(1, replica=r) for r in range(n_rep)])
+
+
+def random_phase_field(n_modes: int, modulus: float) -> SpectralField:
+    # a real k = 0 mode and random phases above it, all of one modulus
+    rng = np.random.default_rng(0)
+    c = modulus * np.exp(2j * np.pi * rng.random((1, n_modes)))
+    c[0, 0] = modulus
+    return SpectralField(1, n_modes - 1, c)
+
+
+class TestFinitenessTest:
+    """The guard's l1 bound is the step's only finiteness test: a row
+    holding a non-finite coefficient has a non-finite bound, and the step
+    raises IntegrationError naming the variant and step before it yields,
+    with no NumPy warning escaping."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case,want", [
+        ("inf-reaction", "PHI_ZERO run at step 1"),
+        ("nan-h", "PHI_EPS run at step 1"),
+        ("nan-block", "PHI_ZERO run at step 3")])
+    def test_failing_setups_raise_at_their_step(self, case, want):
+        # the steps and variants the former drift and state scans named
+        with pytest.raises(IntegrationError, match=want):
+            if case == "inf-reaction":
+                spec = ModelSpec(n=1, nu=1.0,
+                                 f=lambda u: np.full_like(u, np.inf))
+                run_mild(spec, Variant.PHI_ZERO, 0.0, zero_field(4), None,
+                         config(max_mode=4))
+            elif case == "nan-h":
+                # h is read only by PHI_EPS and the corrected reaction
+                coupled_block(ModelSpec(n=1, nu=1.0, h=lambda u: np.full(
+                    (1, 1, 1) + u.shape[1:], np.nan)), 1)
+            else:
+                # each step calls f once per channel, in the order (PHI_EPS,
+                # PHI_ZERO, PHI_BAR): call 7 is step 3's PHI_ZERO, where
+                # replica 1 alone turns NaN
+                coupled_block(ModelSpec(n=1, nu=1.0, f=nan_once_in_replica(7),
+                                        h=lambda u: np.ones(
+                                            (1, 1, 1) + u.shape[1:])), 3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_bound_of_finite_row_is_censored(self):
+        # 2 * 20,000 * 1e305 overflows the l1 bound of a finite state: the
+        # row is a guard suspect, and sup_norm censors it at t = 0
+        traj = run_mild(reaction_model(), Variant.V_LIMIT, 0.0,
+                        random_phase_field(20_000, 1e305), None,
+                        config(max_mode=19_999, dt=0.05, t_final=0.1))
+        assert traj.censored and traj.censoring_time == 0.0
+        assert traj.times.size == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_state_raises_at_step_1(self):
+        # 101 modes of 1e307: finite at t = 0 and not censored there, but
+        # the first step's drift overflows (and warns, outside the guard)
+        # and the state goes non-finite
+        with pytest.raises(IntegrationError, match="V_LIMIT run at step 1"):
+            run_mild(reaction_model(), Variant.V_LIMIT, 0.0,
+                     random_phase_field(101, 1e307), None,
+                     config(max_mode=100, dt=0.05, t_final=0.1))
+
+
+class TestLimitGap:
+    """With f = -u, h = 1 and nu = 1 the drift is linear, and the corrected
+    reaction only adds the constant c tr h = c: the two limits differ by
+    c on the k = 0 mode alone, where the exponential-Euler recursion has a
+    closed form."""
+
+    @pytest.mark.parametrize("max_mode", [64, 256])
+    @pytest.mark.parametrize("c", [0.5, 0.3])
+    def test_corrected_minus_naive(self, max_mode, c):
+        # k = 0 has decay e^{-dt} and weight 1 - e^{-dt} on d' = -2d + c:
+        # d_n = c sqrt(2 pi) (1 - (2 e^{-dt} - 1)^n) / 2
+        cfg = config(max_mode=max_mode, dt=0.05, t_final=0.5)
+        u0 = initial_field(1, 16, 1.5, 1.0, NoiseStream(3))
+        _, naive, corrected = couple_runs(reaction_model(), [0.25], u0, cfg,
+                                          NoiseStream(3), correction=c)
+        gap = corrected.coeffs - naive.coeffs
+        n = np.arange(len(gap))
+        phi = (1.0 - (2.0 * math.exp(-cfg.dt) - 1.0) ** n) / 2.0
+        np.testing.assert_allclose(gap[:, 0, 1:], 0.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(gap[:, 0, 0], c * ROOT_2PI * phi,
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("max_mode", [64, 256])
+    @pytest.mark.parametrize("c", [0.5, 0.3])
+    def test_v_limit_minus_uncorrected(self, max_mode, c):
+        # the unshifted k = 0 mode is neutral, so its weight is dt on
+        # d' = -d + c: d_n = c sqrt(2 pi) (1 - (1 - dt)^n)
+        cfg = config(max_mode=max_mode, dt=0.05, t_final=0.5)
+        u0 = initial_field(1, 16, 1.5, 1.0, NoiseStream(3))
+        runs = [run_mild(reaction_model(), Variant.V_LIMIT, 0.0, u0, None,
+                         cfg, correction_constant=const)
+                for const in (c, 0.0)]
+        gap = runs[0].coeffs - runs[1].coeffs
+        n = np.arange(len(gap))
+        np.testing.assert_allclose(gap[:, 0, 1:], 0.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            gap[:, 0, 0], c * ROOT_2PI * (1.0 - (1.0 - cfg.dt) ** n),
+            rtol=0, atol=1e-14)
 
 
 def l1_bound(coeffs: np.ndarray) -> float:
@@ -970,6 +1094,7 @@ class TestRecordingAndValidation:
             couple_runs(spec, [0.5], u0, cfg, NoiseStream(0),
                         correction=True)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_simulation_config_validation(self):
         with pytest.raises(ValueError):
             SimulationConfig(max_mode=0, dt=0.1, t_final=1.0)
@@ -983,6 +1108,12 @@ class TestRecordingAndValidation:
         with pytest.raises(ValueError):
             SimulationConfig(max_mode=4, dt=0.1, t_final=1.0,
                              blowup_cutoff=0.0)
+        with pytest.raises(ValueError, match="blowup_cutoff must not be NaN"):
+            SimulationConfig(max_mode=4, dt=0.1, t_final=1.0,
+                             blowup_cutoff=math.nan)
+        # inf turns the guard off
+        SimulationConfig(max_mode=4, dt=0.1, t_final=1.0,
+                         blowup_cutoff=math.inf)
         assert SimulationConfig(max_mode=4, dt=0.1, t_final=1.0).n_steps == 10
 
     def test_trajectory_ordering_of_couple_runs(self):

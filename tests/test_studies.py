@@ -129,6 +129,15 @@ class TestRunConfig:
     def test_correction_names_and_numbers_pass(self, value):
         assert RunConfig(correction=value).correction == value
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("study", ["converge", "theorem15",
+                                       "psi-coupling", "averaging"])
+    def test_step_settings_are_checked_at_construction(self, study):
+        # RunConfig builds its SimulationConfig, so every study rejects
+        # dt > t_final before it runs, the averaging study (no steps) too
+        with pytest.raises(ValueError, match="need 0 < dt <= t_final"):
+            RunConfig(study=study, dt=1.0, t_final=0.5)
+
     def test_blowup_cutoff_may_be_inf_but_not_nan(self):
         # a NaN cutoff turned the censoring guard off without a word
         with pytest.raises(ValueError, match="blowup_cutoff must not be NaN"):
@@ -515,10 +524,8 @@ class TestTheorem15Study:
         reference_distances(spec, 2.0 ** -5, u0, sim,
                             [NoiseStream(7, replica=r) for r in range(3)],
                             constants=(None, 0.0), beta=0.6)
-        assert {"drift input", "finite drift", "finite",
-                "magnitude"} <= set(requests)
-        for role in ("drift input", "finite drift", "finite", "magnitude",
-                     "grid", "spectrum"):
+        assert {"drift input", "magnitude"} <= set(requests)
+        for role in ("drift input", "magnitude", "grid", "spectrum"):
             lim, rep = requests[role][-2:]
             assert lim.shape != rep.shape, role
             assert np.shares_memory(lim, rep), role
@@ -642,9 +649,9 @@ class TestPsiCouplingStudy:
 
     def test_rejects_dt_beyond_t_final(self):
         # the steps come from SimulationConfig, as for the other studies
-        cfg = RunConfig(study="psi-coupling", dt=1.0, t_final=0.5,
-                        eps_grid=(0.5,), replicas=1, fixed_modes=8)
         with pytest.raises(ValueError, match="need 0 < dt <= t_final"):
+            cfg = RunConfig(study="psi-coupling", dt=1.0, t_final=0.5,
+                            eps_grid=(0.5,), replicas=1, fixed_modes=8)
             run_psi_coupling_study(cfg)
 
     def test_study_report(self):
