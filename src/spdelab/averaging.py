@@ -188,8 +188,8 @@ def _snapshot_grid(scale: np.ndarray, stream: NoiseStream, purpose: int,
 
 def replica_norms(nu: float, gamma: float, v_grid: np.ndarray,
                   scale: np.ndarray, centring: np.ndarray,
-                  streams) -> list[tuple[float, float]]:
-    """(||phi||_{-gamma}, ||phi_tilde||_{-gamma}) for each stream's snapshot.
+                  streams) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (||phi||_{-gamma}, ||phi_tilde||_{-gamma}) over the streams.
 
     v_grid, scale and centring are the level's level_terms.  Per thread,
     three grids serve every replica: w, w_tilde and the spectrum of their
@@ -207,8 +207,8 @@ def replica_norms(nu: float, gamma: float, v_grid: np.ndarray,
     def norm(modes: np.ndarray) -> float:
         return float(sobolev_norm(modes[None], -gamma, nu))
 
-    out = []
-    for sub in streams:
+    out = np.empty((2, len(streams)))
+    for i, sub in enumerate(streams):
         _snapshot_grid(scale, sub, PURPOSE_MODE_SET, modes, w)
         _snapshot_grid(scale, sub, PURPOSE_MODE_SET_INDEP, modes, w_tilde)
         w_tilde *= w
@@ -218,5 +218,5 @@ def replica_norms(nu: float, gamma: float, v_grid: np.ndarray,
         w *= v_grid
         phi = _triple_sum(w, n, spectrum)
         phi -= centring
-        out.append((norm(phi), phit))
-    return out
+        out[:, i] = norm(phi), phit
+    return out[0], out[1]

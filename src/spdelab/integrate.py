@@ -37,43 +37,45 @@ the perturbed run to both limits, measuring all replicas' differences with
 one sup_norms call; reference_distances steps the deterministic limits as
 one block beside the replicas' block, records neither, and keeps each
 replica's running maximum Sobolev distance to each limit, measured a chunk
-of replicas at a time.
+of replicas at a time.  Both return (R, limits) arrays: the maxima and
+their censored flags.
 
-A run's scratch is one array per role.  A run allocates v and u (v
-itself without noise) once and takes every other step array from one
+A run's scratch is one array per role.  A run allocates v and u (v itself
+without noise) once and takes every other step array from one
 spectral.Workspace per block run: the drift's input, grid and spectrum,
 the guard's |u|, and the noise's normals, colouring products and
-innovations.  reference_distances steps theorem15's limits and replicas
-on one workspace, so the two runs share each of these arrays.  The noise state is the caller's, advanced in place
-(run_mild hands over a copy of its state).  The weight multiplies the
-drift's result in its workspace array, which is then added to decay * v;
-u is written as scale * psi, then v is added to it (addition commutes);
-every update runs in place with out=, rounded as the formulas are
-written, so no bit changes.  coupled_distances keeps a second workspace
-for its sup_norms grids of fast_grid_size(8 * (2N+2)) points: merged
-into the run's, it raised the converge bench's peak RSS by 0.3 MiB.
-reference_distances measures its differences through one array of at
-most models.POINTWISE_TILE points (or one replica), so neither its
-differences nor sobolev_norm's temporary grows with the block.
-Rows of at least spectral.ROW_TRANSFORM_POINTS points are transformed
-forward one FFT call at a time, as a batched rfft over such rows allocates
-a buffer of a few rows at every call, and the model callbacks run on
-tiles of models.POINTWISE_TILE points, so that each of their temporaries
-stays under glibc's default mmap threshold: the transforms and the drift
-map no fresh pages after the first step.  Consumers see u until the
-next step overwrites it.
+innovations.  reference_distances steps theorem15's limits and replicas on
+one workspace, so the two runs share each of these arrays.  The noise
+state is the caller's, advanced in place (run_mild hands over a copy of
+its state).  The weight multiplies the drift's result in its workspace
+array, which is then added to decay * v; u is written as scale * psi, then
+v is added to it (addition commutes); every update runs in place with
+out=, rounded as the formulas are written, so no bit changes.
+coupled_distances keeps a second workspace for its sup_norms grids of
+fast_grid_size(8 * (2N+2)) points: merged into the run's, it raised the
+converge bench's peak RSS by 0.3 MiB.  reference_distances measures its
+differences through one array of at most models.POINTWISE_TILE points (or
+one replica), so neither its differences nor sobolev_norm's temporary
+grows with the block.  Rows of at least spectral.ROW_TRANSFORM_POINTS
+points are transformed forward one FFT call at a time, as a batched rfft
+over such rows allocates a buffer of a few rows at every call, and the
+model callbacks run on tiles of models.POINTWISE_TILE points, so that each
+of their temporaries stays under glibc's default mmap threshold: the
+transforms and the drift map no fresh pages after the first step.
+Consumers see u until the next step overwrites it.
 
 Runs abort with a censored flag once the sup norm exceeds the configured
-guard; censored trajectories carry no fields at or beyond the censoring
-time, and a censored row of a block keeps stepping on the drift of the
-zero field but is read by no consumer.  The guard calls the oversampled
-sup_norm only when 1.25 times the l1 bound max_i (|c_i0| + 2 sum_{k>=1}
-|c_ik|) / sqrt(2 pi) exceeds the cutoff; as sup_norm is at most 1.25
-times the grid maximum, no decision changes.  The bound is the step's
-only finiteness test: a row holding a non-finite coefficient has a
-non-finite bound, and raises IntegrationError (naming its channel and
-step) before the step yields; NumPy's invalid and overflow warnings are
-silenced only in the update, the composition of u and the bound.
+guard or reads NaN (a finite row whose grid values overflow); censored
+trajectories carry no fields at or beyond the censoring time, and a
+censored row of a block keeps stepping on the drift of the zero field but
+is read by no consumer.  The guard calls the oversampled sup_norm only
+when 1.25 times the l1 bound max_i (|c_i0| + 2 sum_{k>=1} |c_ik|) /
+sqrt(2 pi) exceeds the cutoff; as sup_norm is at most 1.25 times the grid
+maximum, no decision changes.  The bound is the step's only finiteness
+test: a row holding a non-finite coefficient has a non-finite bound, and
+raises IntegrationError (naming its channel and step) before the step
+yields; NumPy's invalid and overflow warnings are silenced only in the
+update, the composition of u and the bound.
 """
 
 from __future__ import annotations
@@ -281,7 +283,8 @@ def _advance(spec: ModelSpec, channels: list[_Channel], u0: SpectralField,
         suspects = alive & (1.25 * (1.0 + 1e-12) * bound
                             > config.blowup_cutoff)
         for r, c in zip(*suspects.nonzero()):
-            if sup_norm(u[r, c]) > config.blowup_cutoff:
+            # a finite row whose grid values overflow reads NaN: censored
+            if not sup_norm(u[r, c]) <= config.blowup_cutoff:
                 alive[r, c] = False
         yield step * h, u, alive
 
@@ -389,13 +392,14 @@ def couple_runs(spec: ModelSpec, eps_levels, u0: SpectralField,
 def coupled_distances(spec: ModelSpec, eps: float, u0: SpectralField,
                       config: SimulationConfig, streams, *,
                       correction: str | float = "truncation-matched"
-                      ) -> list[tuple[tuple[float, bool], tuple[float, bool]]]:
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """couple_runs at one eps for a block of replicas, one per stream,
     advanced in lockstep without recording fields.
 
-    Returns per replica (sup_distance(perturbed, corrected),
-    sup_distance(perturbed, naive)) with the same values and censored flags
-    that sup_distance gives on couple_runs' trajectories.
+    Returns (dist, censored), each (R, 2) with one row per stream and the
+    columns (corrected, naive): the values and censored flags that
+    sup_distance(perturbed, corrected) and sup_distance(perturbed, naive)
+    give on couple_runs' trajectories.
     """
     channels, noise = _coupled(spec, [eps], config, streams, correction)
     # columns: corrected (channel 2), naive (channel 1)
@@ -408,22 +412,21 @@ def coupled_distances(spec: ModelSpec, eps: float, u0: SpectralField,
         # a censored row never enters a maximum
         np.fmax(dist, d, out=dist, where=alive[:, :1] & alive[:, 2:0:-1])
         del diff, peaks, d   # not held through the next step's drift
-    return [tuple((float(d), not (live[0] and live[c]))
-                  for d, c in zip(row, (2, 1)))
-            for row, live in zip(dist, alive)]
+    return dist, ~(alive[:, :1] & alive[:, 2:0:-1])
 
 
 def reference_distances(spec: ModelSpec, eps: float, u0: SpectralField,
                         config: SimulationConfig, streams, *, constants,
-                        beta: float) -> list[tuple[tuple[float, bool], ...]]:
+                        beta: float) -> tuple[np.ndarray, np.ndarray]:
     """run_mild of V_EPS at eps for a block of replicas, one per stream,
     measured against the deterministic V_LIMIT runs with the given
     correction constants, all advanced in lockstep without recording
     fields.
 
-    Returns per replica, for each constant c, the value and censored flag
-    that sup_distance(run, limit, "sobolev", alpha=beta, nu=spec.nu) gives
-    on the replica's trajectory and run_mild(spec, V_LIMIT, 0.0, u0, None,
+    Returns (dist, censored), each (R, len(constants)) with one row per
+    stream and one column per constant c: the value and censored flag that
+    sup_distance(run, limit, "sobolev", alpha=beta, nu=spec.nu) gives on
+    the replica's trajectory and run_mild(spec, V_LIMIT, 0.0, u0, None,
     config, correction_constant=c).
     """
     noise = sample_replicas([OperatorSpec(spec.nu, eps)], spec.n,
@@ -454,9 +457,7 @@ def reference_distances(spec: ModelSpec, eps: float, u0: SpectralField,
                 # a censored row never enters a maximum
                 np.fmax(dist[lo:hi, j], sobolev_norm(d, beta, spec.nu),
                         out=dist[lo:hi, j], where=alive[lo:hi, 0])
-    return [tuple((float(d), not (live and lim_live))
-                  for d, lim_live in zip(row, lim_alive[0]))
-            for row, (live,) in zip(dist, alive)]
+    return dist, ~(alive[:, :1] & lim_alive[0])
 
 
 def sup_distance(a: Trajectory, b: Trajectory, norm: str = "sup", *,

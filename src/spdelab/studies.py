@@ -91,8 +91,9 @@ class RunConfig:
                                                          numbers.Integral):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
         self.eps_grid = tuple(float(e) for e in self.eps_grid)
-        if not self.eps_grid or any(e <= 0 for e in self.eps_grid):
-            raise ValueError("eps_grid must be positive")
+        if not self.eps_grid or not all(0 < e < math.inf
+                                        for e in self.eps_grid):
+            raise ValueError("eps_grid must be positive and finite")
         if len(set(self.eps_grid)) != len(self.eps_grid):
             raise ValueError("eps_grid values must be distinct")
         if self.replicas < 1:
@@ -198,27 +199,30 @@ def initial_field(n_components: int, max_mode: int, decay: float,
     return SpectralField(n_components, max_mode, coeffs)
 
 
-def _block_map(fn, replicas: int, workers: int, per_replica: int) -> list:
-    """fn maps an array of replica indices to one result per replica; the
-    replicas are split into contiguous blocks, one per thread.
+def _block_map(fn, cfg: RunConfig, per_replica: int) -> tuple:
+    """fn maps a block's streams, NoiseStream(cfg.seed) at each replica of
+    a contiguous run, to a tuple of arrays with one row per replica;
+    returns each array over all cfg.replicas, in replica order.
 
     per_replica is the number of complex coefficients one replica's state
     holds per step.  workers is an upper bound: there are no more threads
     than cores (more threads only contend), and a thread gets at least
     BLOCK_COEFFS coefficients, so a small block runs on the calling thread.
     """
-    threads = min(workers, os.cpu_count() or 1, replicas,
-                  max(1, replicas * per_replica // BLOCK_COEFFS))
-    blocks = np.array_split(np.arange(replicas), threads)
+    base = NoiseStream(cfg.seed)
+    threads = min(cfg.workers, os.cpu_count() or 1, cfg.replicas,
+                  max(1, cfg.replicas * per_replica // BLOCK_COEFFS))
+    blocks = [[base.with_replica(r) for r in replicas] for replicas
+              in np.array_split(np.arange(cfg.replicas), threads)]
     if threads == 1:
-        return list(fn(blocks[0]))
+        return fn(blocks[0])
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [res for part in pool.map(fn, blocks) for res in part]
+        return tuple(map(np.concatenate, zip(*pool.map(fn, blocks))))
 
 
-def _aggregate(values: list[tuple[float, bool]]) -> dict:
+def _aggregate(values: np.ndarray, censored: np.ndarray) -> dict:
     """Mean/spread of uncensored replicas plus the censored count."""
-    ok = np.asarray([v for v, censored in values if not censored])
+    ok = values[~censored]
     out = {"n_replicas": len(values),
            "n_censored": int(len(values) - ok.size),
            "mean_error": None, "std_error": None, "stderr_mean": None}
@@ -238,29 +242,30 @@ def _ratio_at_smallest(rows: list[dict]) -> Optional[float]:
     return float(row["naive_mean_error"] / row["mean_error"])
 
 
-def _sweep(cfg: RunConfig, study: str, nu: float, per_eps,
+def _sweep(cfg: RunConfig, study: str, nu: float, block,
            state_rows: int, constants: dict) -> ConvergenceReport:
     """The eps loop, aggregation, fit and report of the integrator studies.
 
-    For each eps, largest first, per_eps(eps) returns a block function;
-    _block_map runs the replicas through it in contiguous blocks.  One
-    replica's state is state_rows rows of N+1 complex coefficients.  A block
-    gives per replica a tuple of (distance, censored) pairs: the distance
-    to the corrected limit and, for studies with a naive column, the
-    distance to the naive limit.  Rows with a naive column also carry the
-    truncation-matched constant.  The means drop censored replicas, which
-    biases them toward survivors, so no fit is made when any level has a
-    censored replica.
+    For each eps, largest first, _block_map runs the replicas through
+    block(eps, sim, streams) in contiguous blocks, sim being the level's
+    SimulationConfig.  One replica's state is state_rows rows of N+1
+    complex coefficients.  A block returns (dist, censored), each (R,
+    columns): column 0 is the distance to the corrected limit and, for
+    studies with a naive column, column 1 the distance to the naive limit.
+    Rows with a naive column also carry the truncation-matched constant.
+    The means drop censored replicas, which biases them toward survivors,
+    so no fit is made when any level has a censored replica.
     """
     rows = []
     for eps in sorted(cfg.eps_grid, reverse=True):
-        n_modes = cfg.modes_for(eps)
-        results = _block_map(per_eps(eps), cfg.replicas, cfg.workers,
-                             state_rows * (n_modes + 1))
+        sim = cfg.simulation_config(eps)
+        n_modes = sim.max_mode
+        dist, censored = _block_map(lambda streams: block(eps, sim, streams),
+                                    cfg, state_rows * (n_modes + 1))
         row = {"eps": eps, "n_modes": n_modes}
-        row.update(_aggregate([r[0] for r in results]))
-        if len(results[0]) > 1:
-            naive_stats = _aggregate([r[1] for r in results])
+        row.update(_aggregate(dist[:, 0], censored[:, 0]))
+        if dist.shape[1] > 1:
+            naive_stats = _aggregate(dist[:, 1], censored[:, 1])
             row["naive_mean_error"] = naive_stats["mean_error"]
             row["naive_std_error"] = naive_stats["std_error"]
             row["truncation_matched_constant"] = truncation_matched_constant(
@@ -291,18 +296,15 @@ def run_convergence_study(cfg: RunConfig) -> ConvergenceReport:
     fit to a power law.
     """
     spec, _ = model_from_config(cfg.model)
-    base = NoiseStream(cfg.seed)
     u0 = initial_field(spec.n, cfg.u0_modes, cfg.u0_decay, cfg.u0_amplitude,
-                       base)
+                       NoiseStream(cfg.seed))
 
-    def per_eps(eps):
-        sim = cfg.simulation_config(eps)
-        return lambda replicas: coupled_distances(
-            spec, eps, u0, sim, [base.with_replica(r) for r in replicas],
-            correction=cfg.correction)
+    def block(eps, sim, streams):
+        return coupled_distances(spec, eps, u0, sim, streams,
+                                 correction=cfg.correction)
 
     # three channels: the perturbed run and both limits
-    return _sweep(cfg, "converge", spec.nu, per_eps, 3 * spec.n,
+    return _sweep(cfg, "converge", spec.nu, block, 3 * spec.n,
                   {"asymptotic": white_noise_constant(spec.nu)})
 
 
@@ -318,19 +320,16 @@ def run_theorem15_study(cfg: RunConfig) -> ConvergenceReport:
     spec, _ = model_from_config(cfg.model)
     if spec.g is not None:
         raise ValueError("small-noise study requires a model with g = 0")
-    base = NoiseStream(cfg.seed)
     u0 = initial_field(spec.n, cfg.u0_modes, cfg.u0_decay, cfg.u0_amplitude,
-                       base)
+                       NoiseStream(cfg.seed))
 
-    def per_eps(eps):
-        sim = cfg.simulation_config(eps)
+    def block(eps, sim, streams):
         const = resolve_correction(cfg.correction, spec.nu, eps,
                                    sim.max_mode)
-        return lambda replicas: reference_distances(
-            spec, eps, u0, sim, [base.with_replica(r) for r in replicas],
-            constants=(const, 0.0), beta=cfg.beta)
+        return reference_distances(spec, eps, u0, sim, streams,
+                                   constants=(const, 0.0), beta=cfg.beta)
 
-    return _sweep(cfg, "theorem15", spec.nu, per_eps, spec.n,
+    return _sweep(cfg, "theorem15", spec.nu, block, spec.n,
                   {"asymptotic": white_noise_constant(spec.nu),
                    "sobolev_beta": cfg.beta})
 
@@ -343,28 +342,20 @@ def run_psi_coupling_study(cfg: RunConfig) -> ConvergenceReport:
     The model sets only nu.
     """
     nu = model_from_config(cfg.model)[0].nu
-    base = NoiseStream(cfg.seed)
 
-    def per_eps(eps):
-        levels = (OperatorSpec(nu, eps), OperatorSpec(nu, 0.0))
-        sim = cfg.simulation_config(eps)
-
-        def block(replicas) -> list:
-            noise = sample_replicas(levels, 1, sim.max_mode,
-                                    [base.with_replica(r) for r in replicas])
-            psi = noise.psi[:, :, 0]   # a view: each step updates it
-            work = Workspace()
-            best = sup_norms(psi[:, 0] - psi[:, 1], work)
-            for _ in range(sim.n_steps):
-                step_replicas(noise, sim.dt, work)
-                best = np.maximum(best, sup_norms(psi[:, 0] - psi[:, 1],
-                                                  work))
-            return [((float(d), False),) for d in best]
-
-        return block
+    def block(eps, sim, streams):
+        noise = sample_replicas((OperatorSpec(nu, eps), OperatorSpec(nu, 0.0)),
+                                1, sim.max_mode, streams)
+        psi = noise.psi[:, :, 0]   # a view: each step updates it
+        work = Workspace()
+        best = sup_norms(psi[:, 0] - psi[:, 1], work)
+        for _ in range(sim.n_steps):
+            step_replicas(noise, sim.dt, work)
+            best = np.maximum(best, sup_norms(psi[:, 0] - psi[:, 1], work))
+        return best[:, None], np.zeros((len(best), 1), dtype=bool)
 
     # psi at both levels
-    return _sweep(cfg, "psi-coupling", nu, per_eps, 2,
+    return _sweep(cfg, "psi-coupling", nu, block, 2,
                   {"asymptotic": white_noise_constant(nu)})
 
 
@@ -384,7 +375,6 @@ def run_averaging_study(cfg: RunConfig) -> TailScalingReport:
     if len(cfg.eps_grid) < 3:
         raise ValueError("need at least three eps_grid values")
     nu = model_from_config(cfg.model)[0].nu
-    base = NoiseStream(cfg.seed)
     eps_grid = tuple(sorted(cfg.eps_grid, reverse=True))
     med_p, q90_p, med_t, q90_t, mode_counts = [], [], [], [], []
     for eps in eps_grid:
@@ -392,11 +382,9 @@ def run_averaging_study(cfg: RunConfig) -> TailScalingReport:
         mode_counts.append(n)
         level = level_terms(nu, eps, cfg.alpha, n)
         # a replica holds two snapshots of modes 0..N
-        norms_p, norms_t = np.array(_block_map(
-            lambda replicas: replica_norms(
-                nu, cfg.gamma, *level,
-                [base.with_replica(r) for r in replicas]),
-            cfg.replicas, cfg.workers, 2 * (n + 1))).T
+        norms_p, norms_t = _block_map(
+            lambda streams: replica_norms(nu, cfg.gamma, *level, streams),
+            cfg, 2 * (n + 1))
         med_p.append(float(np.quantile(norms_p, 0.5)))
         q90_p.append(float(np.quantile(norms_p, 0.9)))
         med_t.append(float(np.quantile(norms_t, 0.5)))

@@ -337,6 +337,14 @@ def nan_once_in_replica(call: int):
     return f
 
 
+def pairs(block) -> list[tuple[tuple[float, bool], ...]]:
+    """A block kernel's (dist, censored) arrays as per-replica tuples of
+    (distance, censored) pairs, one pair per column."""
+    dist, censored = block
+    return [tuple(zip(map(float, d), map(bool, c)))
+            for d, c in zip(dist, censored)]
+
+
 def coupled_block(spec: ModelSpec, n_rep: int) -> None:
     coupled_distances(spec, 0.5, zero_field(4), config(max_mode=4),
                       [NoiseStream(1, replica=r) for r in range(n_rep)])
@@ -392,14 +400,16 @@ class TestFinitenessTest:
         assert traj.times.size == 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowed_state_raises_at_step_1(self):
-        # 101 modes of 1e307: finite at t = 0 and not censored there, but
-        # the first step's drift overflows (and warns, outside the guard)
-        # and the state goes non-finite
-        with pytest.raises(IntegrationError, match="V_LIMIT run at step 1"):
-            run_mild(reaction_model(), Variant.V_LIMIT, 0.0,
-                     random_phase_field(101, 1e307), None,
-                     config(max_mode=100, dt=0.05, t_final=0.1))
+    def test_nan_sup_norm_of_finite_row_is_censored(self):
+        # 101 modes of 1e307: finite coefficients whose grid values
+        # overflow, so sup_norm reads NaN.  The row is censored at t = 0;
+        # a guard that kept it alive let the first step's drift overflow
+        # into IntegrationError at step 1
+        traj = run_mild(reaction_model(), Variant.V_LIMIT, 0.0,
+                        random_phase_field(101, 1e307), None,
+                        config(max_mode=100, dt=0.05, t_final=0.1))
+        assert traj.censored and traj.censoring_time == 0.0
+        assert traj.times.size == 0
 
 
 class TestLimitGap:
@@ -684,7 +694,7 @@ class TestReplicaBlock:
                 sup_distance(perturbed, naive))
 
     def check(self, spec, eps, u0, cfg, streams):
-        block = coupled_distances(spec, eps, u0, cfg, streams)
+        block = pairs(coupled_distances(spec, eps, u0, cfg, streams))
         assert len(block) == len(streams)
         for got, stream in zip(block, streams):
             want = self.oracle(spec, eps, u0, cfg, stream)
@@ -793,10 +803,9 @@ class TestTraceSlotRate:
         for j in levels:
             eps = 2.0 ** -j
             sim = config(max_mode=8 * 2 ** j, dt=0.005, t_final=0.5)
-            rows = distances(spec, eps, u0, sim, streams)
-            assert not any(c for pair in rows for _, c in pair)
-            corrected, naive = np.mean([[d for d, _ in pair]
-                                        for pair in rows], axis=0)
+            dist, censored = distances(spec, eps, u0, sim, streams)
+            assert not censored.any()
+            corrected, naive = dist.mean(axis=0)
             points.append((eps, corrected))
         return regress_loglog(points).slope, naive / corrected
 
@@ -827,8 +836,8 @@ class TestReferenceDistances:
     replica must give what run_mild and sup_distance give it alone."""
 
     def check(self, spec, eps, u0, cfg, streams, constants):
-        block = reference_distances(spec, eps, u0, cfg, streams,
-                                    constants=constants, beta=0.6)
+        block = pairs(reference_distances(spec, eps, u0, cfg, streams,
+                                          constants=constants, beta=0.6))
         refs = [run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, cfg,
                          correction_constant=c) for c in constants]
         assert len(block) == len(streams)
@@ -894,14 +903,14 @@ class TestCensoredBlocksPinned:
         u0 = initial_field(1, 6, 1.5, 1.0, NoiseStream(seed))
         cfg = config(max_mode=6, dt=0.01, t_final=0.3, blowup_cutoff=5.0)
         streams = [NoiseStream(seed, replica=r) for r in range(5)]
-        pairs = [p for block in (
+        kept = [p for block in (
             coupled_distances(spec, 0.25, u0, cfg, streams),
             reference_distances(spec, 0.25, u0, cfg, streams,
                                 constants=(0.3, 0.0), beta=0.6))
-                 for row in block for p in row]
-        sha = hashlib.sha256(np.array([d for d, _ in pairs]).tobytes())
-        sha.update(bytes(c for _, c in pairs))
-        flags = sum(c for _, c in pairs)
+                for row in pairs(block) for p in row]
+        sha = hashlib.sha256(np.array([d for d, _ in kept]).tobytes())
+        sha.update(bytes(c for _, c in kept))
+        flags = sum(c for _, c in kept)
         for stream in streams:
             for traj in couple_runs(spec, [0.25], u0, cfg, stream):
                 sha.update(traj.coeffs.tobytes() + traj.times.tobytes())
@@ -962,8 +971,8 @@ class TestNoFieldsInStepLoop:
         u0 = initial_field(1, 6, 1.5, 0.5, NoiseStream(5))
         cfg = config(max_mode=8, dt=0.05, t_final=0.25)
         built = self.count_fields(monkeypatch)
-        block = coupled_distances(spec, 0.5, u0, cfg,
-                                  [NoiseStream(5, replica=r) for r in range(3)])
+        block = pairs(coupled_distances(
+            spec, 0.5, u0, cfg, [NoiseStream(5, replica=r) for r in range(3)]))
         assert len(block) == 3
         assert built == []
 
@@ -972,11 +981,11 @@ class TestNoFieldsInStepLoop:
         u0 = initial_field(1, 6, 1.5, 0.5, NoiseStream(6))
         cfg = config(max_mode=8, dt=0.05, t_final=0.25)
         built = self.count_fields(monkeypatch)
-        block = reference_distances(spec, 0.25, u0, cfg,
-                                    [NoiseStream(6, replica=r)
-                                     for r in range(3)],
-                                    constants=(0.4, 0.0), beta=0.6)
-        assert not any(c for pair in block for _, c in pair)
+        _, censored = reference_distances(spec, 0.25, u0, cfg,
+                                          [NoiseStream(6, replica=r)
+                                           for r in range(3)],
+                                          constants=(0.4, 0.0), beta=0.6)
+        assert censored.shape == (3, 2) and not censored.any()
         assert built == []
 
 

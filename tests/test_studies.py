@@ -75,8 +75,11 @@ class TestRunConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(eps_grid=())
-        with pytest.raises(ValueError):
-            RunConfig(eps_grid=(0.5, -0.25))
+        # inf ran a level at N = 0 modes and nan failed deep in the run
+        for bad in (-0.25, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="eps_grid must be positive "
+                               "and finite"):
+                RunConfig(eps_grid=(0.5, bad))
         # a repeated level reruns the same streams and enters the fit twice
         with pytest.raises(ValueError, match="must be distinct"):
             RunConfig(eps_grid=(0.5, 0.5, 0.25, 0.2))
@@ -233,14 +236,18 @@ class TestConvergenceStudy:
         barrier = threading.Barrier(cores, timeout=10)
         seen = set()
 
-        def block(replicas):
+        def block(streams):
             seen.add(threading.get_ident())
             if cores > 1:
                 barrier.wait()  # the pool does reach the core count
-            return [r * r for r in replicas]
+            return (np.array([s.replica ** 2 for s in streams]),
+                    np.array([s.base_seed for s in streams]))
 
-        assert _block_map(block, 8, 8, BLOCK_COEFFS) == \
-            [r * r for r in range(8)]
+        squares, seeds = _block_map(block, RunConfig(replicas=8, seed=5,
+                                                     workers=8),
+                                    BLOCK_COEFFS)
+        assert squares.tolist() == [r * r for r in range(8)]
+        assert seeds.tolist() == [5] * 8
         assert len(seen) == cores
         if cores == 1:
             assert seen == {threading.get_ident()}
@@ -350,12 +357,13 @@ class TestConvergenceStudy:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         seen = set()
 
-        def block(reps):
+        def block(streams):
             seen.add(threading.get_ident())
-            return list(reps)
+            return (np.array([s.replica for s in streams]),)
 
-        assert _block_map(block, replicas, 8, per_replica) == \
-            list(range(replicas))
+        got, = _block_map(block, RunConfig(replicas=replicas, workers=8),
+                          per_replica)
+        assert got.tolist() == list(range(replicas))
         assert len(seen) <= threads
         assert (threading.get_ident() in seen) == (threads == 1)
 
