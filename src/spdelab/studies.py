@@ -1,8 +1,10 @@
 """Convergence-rate studies, their reports, and deterministic file output.
 
 Every study is a pure function of (config, seed): replicas are indexed
-tasks on counter-based streams, aggregation walks arrays in replica order,
-and the report writers format floats by shortest round-trip repr, so rerun
+tasks on counter-based streams, each eps level depends only on (config,
+eps), aggregation walks the levels largest eps first and each level's
+arrays in replica order, whichever thread or forked process ran them, and
+the report writers format floats by shortest round-trip repr, so rerun
 outputs are byte-identical at any worker count.  Replicas share their random
 numbers across the eps grid (common random numbers), which smooths rate
 estimates without biasing per-eps statistics.
@@ -15,7 +17,9 @@ import json
 import math
 import numbers
 import os
+import pickle
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -58,8 +62,10 @@ BLOCK_COEFFS = 8192
 @dataclass
 class RunConfig:
     """Resolved configuration of one study; all but workers echoes into
-    reports, which do not depend on the worker count.  workers defaults to
-    every core; _block_map still runs small levels on one thread."""
+    reports, which do not depend on the worker count.  workers, an upper
+    bound on the cores a study uses, defaults to every usable core: the
+    integrator studies may run their eps levels in that many processes,
+    and _block_map still runs small levels on one thread."""
 
     study: str = "converge"
     model: dict = field(default_factory=lambda: {
@@ -67,7 +73,7 @@ class RunConfig:
     eps_grid: tuple[float, ...] = _DYADIC
     replicas: int = 20
     seed: int = 0
-    workers: int = field(default_factory=lambda: os.cpu_count() or 1)
+    workers: int = field(default_factory=lambda: usable_cores())
     modes_over_eps: float = 8.0
     fixed_modes: Optional[int] = None
     dt: float = 0.005
@@ -199,6 +205,15 @@ def initial_field(n_components: int, max_mode: int, decay: float,
     return SpectralField(n_components, max_mode, coeffs)
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one (taskset and cpusets narrow it, and os.cpu_count
+    does not see that), else the installed count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _block_map(fn, cfg: RunConfig, per_replica: int) -> tuple:
     """fn maps a block's streams, NoiseStream(cfg.seed) at each replica of
     a contiguous run, to a tuple of arrays with one row per replica;
@@ -210,7 +225,7 @@ def _block_map(fn, cfg: RunConfig, per_replica: int) -> tuple:
     BLOCK_COEFFS coefficients, so a small block runs on the calling thread.
     """
     base = NoiseStream(cfg.seed)
-    threads = min(cfg.workers, os.cpu_count() or 1, cfg.replicas,
+    threads = min(cfg.workers, usable_cores(), cfg.replicas,
                   max(1, cfg.replicas * per_replica // BLOCK_COEFFS))
     blocks = [[base.with_replica(r) for r in replicas] for replicas
               in np.array_split(np.arange(cfg.replicas), threads)]
@@ -218,6 +233,99 @@ def _block_map(fn, cfg: RunConfig, per_replica: int) -> tuple:
         return fn(blocks[0])
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return tuple(map(np.concatenate, zip(*pool.map(fn, blocks))))
+
+
+def _levels_here(run, cfg: RunConfig, costs: list) -> list:
+    """The in-process level map: every level on the calling process, in
+    level order."""
+    return [run(cfg, i) for i in range(len(costs))]
+
+
+def _map_levels(run, cfg: RunConfig, costs: list) -> list:
+    """[run(cfg, i) for each level i], in level order; costs[i] is level
+    i's relative cost.
+
+    The levels run in procs = min(total, levels) forked processes, total =
+    min(workers, usable cores), each child running its levels with workers
+    total // procs.  A child gets its share up front: each level, largest
+    cost first, goes to the least-loaded child.  It runs its share in level
+    order, stops at its first exception, pipes back its results or that
+    exception, pickled, and ends in os._exit.  The parent raises the first
+    failing level in level order, and reaps every child.  With one
+    process, without fork as the platform's default start method, or while
+    the caller runs other threads (a fork copies none of them), the levels
+    run here instead.
+    """
+    total = min(cfg.workers, usable_cores())
+    procs = min(total, len(costs))
+    if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return _levels_here(run, cfg, costs)
+    import multiprocessing   # on this path only, so no import costs set-up
+    import signal
+    if multiprocessing.get_all_start_methods()[0] != "fork":
+        return _levels_here(run, cfg, costs)
+
+    shares, loads = [[] for _ in range(procs)], [0] * procs
+    for i in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
+        least = loads.index(min(loads))
+        shares[least].append(i)
+        loads[least] += costs[i]
+    sub = dataclasses.replace(cfg, workers=total // procs)
+    pipes, running, outcomes = [], set(), {}
+    try:
+        for share in shares:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_share(run, sub, sorted(share), write)
+            running.add(pid)
+            os.close(write)
+            pipes.append((pid, os.fdopen(read, "rb")))
+        for pid, pipe in pipes:
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            running.remove(pid)
+            if not data:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(
+                    "an eps-level process ended without a result: " +
+                    (f"killed by signal {-code}" if code < 0
+                     else f"exit status {code}"))
+            outcomes.update((i, outcome) for i, *outcome in pickle.loads(data))
+    finally:
+        for _, pipe in pipes:
+            pipe.close()
+        for pid in running:   # left running by an exception here
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failed = [i for i, (ok, _) in outcomes.items() if not ok]
+    if failed:
+        raise outcomes[min(failed)][1]
+    return [outcomes[i][1] for i in range(len(costs))]
+
+
+def _run_share(run, cfg: RunConfig, share: list, write: int) -> None:
+    """A forked child's whole life: run share's levels in order up to the
+    first that raises, write [(level, ok, result or exception)] to the pipe
+    end write, pickled, and exit.  No path returns into the caller."""
+    code = 1
+    try:
+        out = []
+        for i in share:
+            try:
+                out.append((i, True, run(cfg, i)))
+            except Exception as exc:
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                out.append((i, False, exc))
+                break
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(out))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _aggregate(values: np.ndarray, censored: np.ndarray) -> dict:
@@ -246,22 +354,31 @@ def _sweep(cfg: RunConfig, study: str, nu: float, block,
            state_rows: int, constants: dict) -> ConvergenceReport:
     """The eps loop, aggregation, fit and report of the integrator studies.
 
-    For each eps, largest first, _block_map runs the replicas through
-    block(eps, sim, streams) in contiguous blocks, sim being the level's
-    SimulationConfig.  One replica's state is state_rows rows of N+1
-    complex coefficients.  A block returns (dist, censored), each (R,
-    columns): column 0 is the distance to the corrected limit and, for
-    studies with a naive column, column 1 the distance to the naive limit.
-    Rows with a naive column also carry the truncation-matched constant.
-    The means drop censored replicas, which biases them toward survivors,
-    so no fit is made when any level has a censored replica.
+    The levels are the eps values, largest first.  _map_levels runs them,
+    concurrently in forked processes where it can, at cost N+1 each; at
+    each level _block_map runs the replicas through block(eps, sim,
+    streams) in contiguous blocks, sim being the level's SimulationConfig.
+    One replica's state is state_rows rows of N+1 complex coefficients.  A
+    block returns (dist, censored), each (R, columns): column 0 is the
+    distance to the corrected limit and, for studies with a naive column,
+    column 1 the distance to the naive limit.  The rows are aggregated here,
+    in level order; rows with a naive column also carry the
+    truncation-matched constant.  The means drop censored replicas, which
+    biases them toward survivors, so no fit is made when any level has a
+    censored replica.
     """
+    levels = sorted(cfg.eps_grid, reverse=True)
+    sims = [cfg.simulation_config(eps) for eps in levels]
+
+    def level(sub, i):
+        eps, sim = levels[i], sims[i]
+        return _block_map(lambda streams: block(eps, sim, streams), sub,
+                          state_rows * (sim.max_mode + 1))
+
+    results = _map_levels(level, cfg, [sim.max_mode + 1 for sim in sims])
     rows = []
-    for eps in sorted(cfg.eps_grid, reverse=True):
-        sim = cfg.simulation_config(eps)
+    for eps, sim, (dist, censored) in zip(levels, sims, results):
         n_modes = sim.max_mode
-        dist, censored = _block_map(lambda streams: block(eps, sim, streams),
-                                    cfg, state_rows * (n_modes + 1))
         row = {"eps": eps, "n_modes": n_modes}
         row.update(_aggregate(dist[:, 0], censored[:, 0]))
         if dist.shape[1] > 1:

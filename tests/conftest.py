@@ -1,5 +1,6 @@
 """Shared pytest hooks: echo acceptance verdict lines in the run summary,
-and a fixture that makes studies split their replicas over threads."""
+and fixtures that keep a study's levels on the test's process and make
+studies split their replicas over threads."""
 
 import os
 
@@ -18,14 +19,39 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
-def split_blocks(monkeypatch):
+def levels_here(monkeypatch):
+    """Runs every integrator study's eps levels on the test's own process,
+    one after another, where spies on the functions a level calls see
+    every call (in a forked child they would not)."""
+    monkeypatch.setattr(studies_module, "_map_levels",
+                        studies_module._levels_here)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A list that gains an entry for every os.fork the test's process
+    makes, counted in the parent before the child exists."""
+    made = []
+    real = os.fork
+
+    def counted():
+        made.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+@pytest.fixture
+def split_blocks(monkeypatch, levels_here):
     """split_blocks(workers, run) calls run() with BLOCK_COEFFS = 1 on eight
     cores, checks that workers > 1 split each eps level's replicas into at
     least 2 blocks, as seen by the block function of each _block_map call
     (one per level, in every study), and returns run's result with the
-    number of levels seen."""
+    number of levels seen.  The levels run on this process (levels_here),
+    so that the spy sees every call."""
     monkeypatch.setattr(studies_module, "BLOCK_COEFFS", 1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(studies_module, "usable_cores", lambda: 8)
     levels = []
     real = studies_module._block_map
 

@@ -11,6 +11,7 @@ slopes and ratios quoted in the assertion messages are reproducible.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -35,6 +36,7 @@ from spdelab.models import (check_effective_drift_identity, eval_F_eps, eval_G,
                             random_polynomial_potential)
 from spdelab.noise import psi_diff_moment, stationary_samples, step_coupled
 from spdelab.spectral import sup_norm
+import spdelab.studies as studies_module
 
 ROOT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -382,7 +384,8 @@ def test_criterion_10_oracle_equivalences():
     assert ok, (line, devs)
 
 
-def test_criterion_11_deterministic_reports(tmp_path, split_blocks):
+def test_criterion_11_deterministic_reports(tmp_path, monkeypatch,
+                                            split_blocks):
     # The same study config and seed must produce byte-identical CSV
     # reports when rerun and when executed with 1, 4, or 8 workers.  The
     # blocks are split at any size, so 4 and 8 workers do run each level's
@@ -397,8 +400,39 @@ def test_criterion_11_deterministic_reports(tmp_path, split_blocks):
         path = tmp_path / f"{tag}.csv"
         write_report(report, str(path), None)
         blobs.append(path.read_bytes())
-    ok = len(set(blobs)) == 1 and len(blobs[0]) > 0
+    threads_ok = len(set(blobs)) == 1 and len(blobs[0]) > 0
+
+    # The integrator studies' levels in forked processes: with three usable
+    # cores on any host, 2 and 3 workers fork 2 and 3 children over the 4
+    # levels, and 1 worker runs them here.  CSV and JSON must not move.
+    monkeypatch.undo()   # the levels leave this process again
+    monkeypatch.setattr(studies_module, "usable_cores", lambda: 3)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)   # in the parent, before the child exists
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    procs_ok = True
+    for study, run in (("converge", run_convergence_study),
+                       ("theorem15", run_theorem15_study),
+                       ("psi-coupling", run_psi_coupling_study)):
+        texts = []
+        for workers in (1, 2, 3):
+            forks.clear()
+            report = run(RunConfig(study=study, workers=workers, **cfg_kw))
+            assert len(forks) == (0 if workers == 1 else workers)
+            paths = [tmp_path / f"{study}-p{workers}.{ext}"
+                     for ext in ("csv", "json")]
+            write_report(report, *map(str, paths))
+            texts.append(tuple(path.read_bytes() for path in paths))
+        procs_ok &= len(set(texts)) == 1
+    ok = threads_ok and procs_ok
     line = _verdict(11, "deterministic reports", ok,
-                    "rerun and 1/4/8-worker CSV outputs byte-identical"
-                    if ok else "outputs differ across reruns or workers")
+                    "rerun and 1/4/8-worker CSV outputs, and 1/2/3-process "
+                    "CSV and JSON outputs, byte-identical"
+                    if ok else "outputs differ across reruns, workers or "
+                               "processes")
     assert ok, line

@@ -48,7 +48,8 @@ def traced(spans, fn, *args):
 
 @pytest.mark.parametrize("study,run", [
     ("converge", run_convergence_study), ("theorem15", run_theorem15_study)])
-def test_traced_reduced_study_reports_every_layer(study, run):
+def test_traced_reduced_study_reports_every_layer(study, run, levels_here):
+    # the tracer records the calling process only, so the levels run there
     spans = load_spans()
     cfg = RunConfig(study=study, eps_grid=(0.5, 0.25), replicas=2,
                     fixed_modes=8, dt=0.05, t_final=0.2, u0_modes=6,

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 import spdelab.constants as constants_module
+import spdelab.studies as studies_module
 from spdelab.cli import cli_main
 
 
@@ -143,6 +145,26 @@ class TestExitCodes:
              "--u0-modes", "4"], capsys)
         assert code == 2
         assert "numerical failure" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blowup_in_a_forked_level_is_numerical_failure(
+            self, tmp_path, capsys, monkeypatch, forks):
+        # the IntegrationError of a level run in a child process reaches
+        # the CLI as it does from this one
+        monkeypatch.setattr(studies_module, "usable_cores", lambda: 2)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"blowup_cutoff": 1e308,
+                                   "u0_amplitude": 1e120}))
+        code, _, err = run_cli(
+            ["converge", "--config", str(cfg), "--workers", "2",
+             "--model", json.dumps({"name": "polynomial", "nu": 1.0,
+                                    "f": [0.0, 0.0, 0.0, 40.0]}),
+             *STUDY_FLAGS], capsys)
+        assert code == 2
+        assert "numerical failure: non-finite state" in err
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_quadrature_failure_is_numerical_failure(self, capsys,
                                                      monkeypatch):

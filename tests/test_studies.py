@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import signal
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -25,13 +27,14 @@ import spdelab.spectral as spectral_module
 import spdelab.studies as studies_module
 from spdelab.cli import cli_main
 from spdelab.constants import white_noise_constant
-from spdelab.integrate import SimulationConfig, reference_distances
+from spdelab.integrate import (IntegrationError, SimulationConfig,
+                               reference_distances)
 from spdelab.linops import OperatorSpec
 from spdelab.noise import step_coupled
 from spdelab.models import drift_grid_size
 from spdelab.spectral import ROW_TRANSFORM_POINTS, fast_grid_size, sup_norm
 from spdelab.studies import (BLOCK_COEFFS, SCHEMA_VERSION, _block_map,
-                             report_csv_text, report_json_text,
+                             _map_levels, report_csv_text, report_json_text,
                              tail_csv_text)
 
 
@@ -48,6 +51,16 @@ class TestRunConfig:
         assert cfg.eps_grid == tuple(2.0 ** -j for j in range(3, 8))
         assert cfg.model["name"] == "polynomial"
         assert cfg.correction == "truncation-matched"
+
+    def test_workers_default_to_usable_cores(self, monkeypatch):
+        # the CPU affinity (taskset, cpusets), not the installed count
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert studies_module.usable_cores() == 1
+        assert RunConfig().workers == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert RunConfig().workers == 8
 
     def test_model_mass_rejected(self):
         # every study takes eps from eps_grid, so a potential's mass (which
@@ -232,7 +245,7 @@ class TestConvergenceStudy:
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_worker_threads_capped_at_core_count(self, monkeypatch, cores):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(studies_module, "usable_cores", lambda: cores)
         barrier = threading.Barrier(cores, timeout=10)
         seen = set()
 
@@ -280,10 +293,10 @@ class TestConvergenceStudy:
         {"name": "polynomial", "nu": 1.0, "f": [0.0, -1.0], "h": [1.0]},
         # TestCensoring's blow-up reaction: two of five replicas censor
         {"name": "polynomial", "nu": 1.0, "f": [0.0, 0.0, 0.0, 4.0]}])
-    def test_block_split_invariance(self, monkeypatch, model):
+    def test_block_split_invariance(self, monkeypatch, levels_here, model):
         # a one-coefficient threshold lets every replica have its thread
         monkeypatch.setattr(studies_module, "BLOCK_COEFFS", 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.setattr(studies_module, "usable_cores", lambda: 5)
         real = studies_module.coupled_distances
         sizes = []
 
@@ -308,10 +321,10 @@ class TestConvergenceStudy:
         censored = [row["n_censored"] for row in first]
         assert censored == ([0, 0] if "h" in model else [2, 2])
 
-    def test_small_blocks_run_on_one_thread(self, monkeypatch):
+    def test_small_blocks_run_on_one_thread(self, monkeypatch, levels_here):
         # the split-invariance config holds 5 x 3 x 7 = 105 coefficients,
         # far below BLOCK_COEFFS: one block at any worker count
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.setattr(studies_module, "usable_cores", lambda: 5)
         real = studies_module.coupled_distances
         threads, sizes = set(), []
 
@@ -332,7 +345,7 @@ class TestConvergenceStudy:
     def test_large_block_splits_over_threads(self, monkeypatch):
         # 6 replicas x 3 channels x 2,049 modes = 36,882 coefficients: four
         # blocks' worth, capped at the two workers
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(studies_module, "usable_cores", lambda: 4)
         real = studies_module.coupled_distances
         sizes = []
 
@@ -354,7 +367,7 @@ class TestConvergenceStudy:
         (1, 10 * BLOCK_COEFFS, 1)])
     def test_threads_follow_the_block_size(self, monkeypatch, replicas,
                                            per_replica, threads):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(studies_module, "usable_cores", lambda: 8)
         seen = set()
 
         def block(streams):
@@ -582,11 +595,13 @@ class TestTheorem15Study:
         assert len(rises) > 1000 and max(rises) < state
 
     def test_worker_split_invariance_on_row_transform_grids(self,
-                                                            monkeypatch):
+                                                            monkeypatch,
+                                                            levels_here):
         # N = 12288 puts the default model's drift grid at 32,805 points,
         # where every drift transform runs one row at a time into the run's
-        # workspace; each thread's runs keep their own workspaces
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # workspace; each thread's runs keep their own workspaces (the
+        # levels stay on this process, so that 2 workers do split them)
+        monkeypatch.setattr(studies_module, "usable_cores", lambda: 2)
         m = drift_grid_size(12288, 2)
         assert m >= ROW_TRANSFORM_POINTS
         cfg = dict(eps_grid=(0.5, 0.25), replicas=2, seed=4,
@@ -624,7 +639,7 @@ class TestPsiCouplingStudy:
         # every block split gives each replica the distance it has when
         # stepped alone
         monkeypatch.setattr(studies_module, "BLOCK_COEFFS", 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(studies_module, "usable_cores", lambda: 3)
         cfg = small_cfg(study="psi", eps_grid=(0.5,), replicas=3)
         want = [psi_distance_reference(1.0, 0.5, 8, 0.05, 0.2,
                                        NoiseStream(0, replica=r))
@@ -673,9 +688,11 @@ class TestPsiCouplingStudy:
         assert means[-1] < means[0]
 
 
-def test_every_grid_is_fast_grid_size_of_its_contract(monkeypatch, capsys):
+def test_every_grid_is_fast_grid_size_of_its_contract(monkeypatch, capsys,
+                                                      levels_here):
     # a spy on grid_values during reduced runs of the three rate studies
-    # and simulate sees only the default model's drift grid and sup_norms'
+    # (their levels on this process, where the spy sees them) and simulate
+    # sees only the default model's drift grid and sup_norms'
     # fast_grid_size(8 (2N+2)); theorem15's low cutoff sends suspects to
     # the guard's sup_norm
     seen = set()
@@ -752,7 +769,7 @@ class TestAveragingStudy:
         # every split gives each replica the norms of its own stream, so the
         # report (JSON text included) does not depend on the worker count
         monkeypatch.setattr(studies_module, "BLOCK_COEFFS", 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.setattr(studies_module, "usable_cores", lambda: 5)
         real = studies_module.replica_norms
         sizes = []
 
@@ -869,3 +886,133 @@ class TestSerialization:
         report = run_convergence_study(small_cfg(eps_grid=(0.5, 0.4, 0.3)))
         text = report_csv_text(report)
         assert "overall,slope,\n" in text
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestLevelMap:
+    """The integrator studies' eps levels in forked child processes."""
+
+    BENCH_COSTS = [65, 129, 257, 513, 1025]   # the converge bench's N + 1
+    BLOWUP = dict(model={"name": "polynomial", "nu": 1.0,
+                         "f": [0.0, 0.0, 0.0, 40.0]},
+                  blowup_cutoff=1e308, u0_amplitude=1e120, u0_modes=4,
+                  eps_grid=(0.5, 0.4, 0.3, 0.25), replicas=2, fixed_modes=8,
+                  dt=0.05, t_final=0.2)
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(studies_module, "usable_cores", lambda: 2)
+
+    def test_shares_go_largest_first_to_the_least_loaded(self, monkeypatch,
+                                                         forks):
+        # two cores: the N = 1,024 level alone against the other four, one
+        # worker each; four cores over two levels: two workers each
+        got = _map_levels(lambda sub, i: (os.getpid(), sub.workers),
+                          RunConfig(workers=2), self.BENCH_COSTS)
+        pids = [pid for pid, _ in got]
+        assert len(forks) == 2 and os.getpid() not in pids
+        assert len(set(pids[:4])) == 1 and pids[4] != pids[0]
+        assert {workers for _, workers in got} == {1}
+        monkeypatch.setattr(studies_module, "usable_cores", lambda: 4)
+        got = _map_levels(lambda sub, i: (os.getpid(), sub.workers),
+                          RunConfig(workers=8), [5, 5])
+        assert len({pid for pid, _ in got}) == 2
+        assert {workers for _, workers in got} == {2}
+        assert_no_child_left()
+
+    def test_levels_run_here_when_a_fork_cannot_help_or_is_unsafe(
+            self, monkeypatch, forks):
+        here = [os.getpid()] * 2
+
+        def run(sub, i):
+            return os.getpid()
+
+        assert _map_levels(run, RunConfig(workers=1), [1, 1]) == here
+        assert _map_levels(run, RunConfig(workers=2), [1]) == here[:1]
+        # a fork would copy no other thread
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert _map_levels(run, RunConfig(workers=2), [1, 1]) == here
+        finally:
+            stop.set()
+            thread.join()
+        import multiprocessing
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "fork"])
+        assert _map_levels(run, RunConfig(workers=2), [1, 1]) == here
+        assert forks == []
+
+    def test_first_failing_level_in_level_order_is_raised(self, forks):
+        # one child runs level 4 alone and fails there; the other runs
+        # levels 0-3 in order, fails at level 2 and runs no further
+        def run(sub, i):
+            if i == 3:
+                os._exit(5)   # would end its child without a result
+            if i in (2, 4):
+                raise IntegrationError(f"level {i} blew up")
+            return i
+
+        with pytest.raises(IntegrationError, match="^level 2 blew up$"):
+            _map_levels(run, RunConfig(workers=2), self.BENCH_COSTS)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_unpicklable_exception_keeps_its_name_and_message(self):
+        class Local(Exception):
+            pass
+
+        def run(sub, i):
+            raise Local("no pickle")
+
+        with pytest.raises(RuntimeError, match="^Local: no pickle$"):
+            _map_levels(run, RunConfig(workers=2), [1, 1])
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("end, status", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL),
+         f"killed by signal {int(signal.SIGKILL)}"),
+        (lambda: os._exit(3), "exit status 3")])
+    def test_child_without_a_result_is_an_error(self, end, status):
+        def run(sub, i):
+            if i == 4:
+                end()
+            return i
+
+        with pytest.raises(RuntimeError, match=f"without a result: {status}$"):
+            _map_levels(run, RunConfig(workers=2), self.BENCH_COSTS)
+        assert_no_child_left()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_study_blowup_raises_as_in_process(self, forks):
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(IntegrationError) as info:
+                run_convergence_study(RunConfig(workers=workers,
+                                                **self.BLOWUP))
+            errors.append(str(info.value))
+        assert len(forks) == 2
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("non-finite state in PHI_EPS run")
+        assert_no_child_left()
+
+    def test_one_process_imports_no_multiprocessing(self):
+        # the in-process path adds nothing to a study call's set-up; two
+        # workers on two cores fork, and do import it
+        code = ("import sys, spdelab.studies as s; "
+                "s.usable_cores = lambda: 2; s.run_convergence_study("
+                "s.RunConfig(eps_grid=(0.5, 0.25), replicas=2, u0_modes=6, "
+                "fixed_modes=8, dt=0.05, t_final=0.2, workers={})); "
+                "print('multiprocessing' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(studies_module.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for workers, loaded in ((1, "False"), (2, "True")):
+            out = subprocess.run([sys.executable, "-c", code.format(workers)],
+                                 env=env, capture_output=True, text=True,
+                                 check=True)
+            assert out.stdout.strip() == loaded
