@@ -22,8 +22,10 @@ Variants:
 One core advances a block of R replicas by C channels in lockstep on plain
 arrays: v is held as (R, C, n, N+1), and the noise as the block's
 noise.CoupledOUState, psi stacked (R, levels, n, N+1).  Each step makes one
-models.drift call for the block (one grid transform and one
-back-transform) and one noise.step_replicas call, which colours the
+models.drift call for the block (at most one grid transform and one
+back-transform: for the reaction models, f affine and g, h constant, the
+PHI_EPS, V_EPS and V_LIMIT channels transform only u_x, and PHI_ZERO and
+PHI_BAR none) and one noise.step_replicas call, which colours the
 replicas' normals, each drawn from the replica's own counter-based stream,
 with one multiply-add per level and factor column (added left to right);
 inputs are checked when a run starts, and no SpectralField is built after
@@ -42,8 +44,8 @@ their censored flags.
 
 A run's scratch is one array per role.  A run allocates v and u (v itself
 without noise) once and takes every other step array from one
-spectral.Workspace per block run: the drift's input, grid and spectrum,
-the guard's |u|, and the noise's normals, colouring products and
+spectral.Workspace per block run: the drift's input, grid, spectrum and
+affine terms, the guard's |u|, and the noise's normals, colouring products and
 innovations.  reference_distances steps theorem15's limits and replicas on
 one workspace, so the two runs share each of these arrays.  The noise
 state is the caller's, advanced in place (run_mild hands over a copy of

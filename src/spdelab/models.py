@@ -4,9 +4,15 @@ A model supplies pointwise callbacks for the drift pieces of
 
     F_eps(u) = 1 + f(u) + eps * g(u) d_xx u + eps * h(u) (d_x u  ⊗ d_x u),
 
-evaluated pseudospectrally by one function on plain arrays, drift: one
-transform to a padded grid, each DriftPlan's callbacks applied pointwise,
-one transform back, and the 2/3 cut.  The integrator passes it whole replica
+evaluated by one function on plain arrays, drift.  A DriftPlan splits a
+drift into an affine part, applied to the coefficients mode by mode, and a
+pointwise remainder: drift transforms the derivatives that the remainders
+read to a padded grid, applies them there, transforms back, adds the affine
+parts and makes the 2/3 cut.  polynomial_model records its coefficients, so
+for f affine and g, h constant (the reaction models) F_eps and G transform
+only u_x and square it, and their limits 1 + f and 1 + fbar transform
+nothing; every other model's plans read u pointwise and transform u and
+each derivative they use.  The integrator passes drift whole replica
 blocks; the eval_* functions check one SpectralField and pass one row.  The
 additive constant enters as the field identically equal to one in every
 component.
@@ -43,7 +49,7 @@ import numpy as np
 from .constants import white_noise_constant
 # to_grid and from_grid are not called here; they stay bound in this module
 # because bench/spans.py traces the names it imports.
-from .spectral import (SpectralField, Workspace, dealias_cut,
+from .spectral import (_SQRT_TWO_PI, SpectralField, Workspace, dealias_cut,
                        derivative_coeffs, fast_grid_size, from_grid,
                        grid_coeffs, grid_values, to_grid)
 
@@ -70,7 +76,12 @@ class ModelSpec:
     derivative of g_ij with respect to component k.  validate_model checks it
     against central finite differences.  degree bounds the degree of every
     drift term in u, u_x and u_xx (deg f, deg g + 1, deg h + 2), and sizes
-    the drift grid; None when a callback is not a polynomial.
+    the drift grid; None when a callback is not a polynomial.  coefficients
+    is (f, g, h) for a scalar model whose channels are the polynomials with
+    these ascending coefficients (a tuple without trailing zeros each, None
+    for an absent channel), as polynomial_model records them; the drift
+    plans take their affine parts from it, and validate_model checks it
+    against the callbacks.  None for any other model.
     """
 
     n: int
@@ -80,6 +91,7 @@ class ModelSpec:
     dg: Optional[Callback] = None
     h: Optional[Callback] = None
     degree: Optional[int] = None
+    coefficients: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -88,6 +100,8 @@ class ModelSpec:
             raise ValueError("nu must be positive and finite")
         if (self.g is None) != (self.dg is None):
             raise ValueError("g and dg must be supplied together")
+        if self.coefficients is not None and self.n != 1:
+            raise ValueError("coefficients describe scalar models only")
 
 
 class CallbackError(RuntimeError):
@@ -120,14 +134,32 @@ PROBE_SEED = 0
 def validate_model(spec: ModelSpec) -> float:
     """Max deviation of dg from central finite differences of g at probes.
 
-    Raises if the deviation exceeds 1e-4; returns the deviation.  No-op for
-    models without a g channel.
+    Raises if the deviation exceeds 1e-4, or if a channel's callback is not
+    the polynomial of its recorded coefficients (to 1e-12 relative, absent
+    channels alike); returns the deviation, 0 for models without a g
+    channel.
     """
-    if spec.g is None:
+    if spec.g is None and spec.coefficients is None:
         return 0.0
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(PROBE_SEED)))
     probes = rng.uniform(-PROBE_BOX, PROBE_BOX, size=(spec.n, PROBE_COUNT))
+    if spec.coefficients is not None:
+        for name, cb, coeffs, shape in zip(
+                "fgh", (spec.f, spec.g, spec.h), spec.coefficients,
+                ((1,), (1, 1), (1, 1, 1))):
+            if (cb is None) != (coeffs is None):
+                raise ValueError(f"channel '{name}' does not match the "
+                                 f"recorded coefficients")
+            if cb is None:
+                continue
+            got = _call(cb, probes, name, shape)
+            want = _polyval(coeffs, probes[0])
+            if not np.allclose(got.ravel(), want, rtol=1e-12, atol=1e-12):
+                raise ValueError(f"callback '{name}' is not the polynomial "
+                                 f"of its recorded coefficients")
+    if spec.g is None:
+        return 0.0
     dg_val = _call(spec.dg, probes, "dg", (spec.n, spec.n, spec.n))
     worst = 0.0
     for k in range(spec.n):
@@ -144,17 +176,25 @@ def validate_model(spec: ModelSpec) -> float:
 
 
 class DriftPlan(NamedTuple):
-    """Pointwise form of one drift: the derivative orders (0 first) whose
-    grid values it needs, and the callback combination applied to them.
+    """One drift: an affine part applied mode by mode, plus a pointwise
+    remainder on the drift grid (pointwise None for none).
 
-    pointwise(vals, derivs) takes vals of shape (n, ..., M) and one array of
-    the same shape per order after the first, and acts on the trailing axes
-    only, so one call serves a whole stack of fields; degree is the model's.
+    affine is (slope, diffusion, constant) for the part slope * u +
+    diffusion * u_xx + constant, None for none: mode k of u is multiplied
+    by slope - diffusion k^2, and the constant (the value of a constant
+    field) enters at k = 0.  orders lists the derivative orders whose grid
+    values the remainder reads.  pointwise(vals, derivs) takes those of the
+    first order, shaped (n, ..., M), and one array of the same shape per
+    further order, and acts on the trailing axes only, so one call serves a
+    whole stack of fields; it may overwrite them.  degree bounds the
+    remainder's degree in the values it reads (None for unknown) and sizes
+    the grid.
     """
 
     orders: tuple[int, ...]
-    pointwise: Callable[[np.ndarray, list], np.ndarray]
+    pointwise: Optional[Callable[[np.ndarray, list], np.ndarray]]
     degree: Optional[int]
+    affine: Optional[tuple[float, float, float]] = None
 
 
 def drift_grid_size(max_mode: int, degree: Optional[int]) -> int:
@@ -173,40 +213,69 @@ def drift(plans: list[DriftPlan], u: np.ndarray,
     """Each plan's drift of a block of fields, unchecked: u is (plan, n, R,
     N+1) and plan p maps the R fields u[p] to the same-shaped result.
 
-    u and every derivative the plans need go through one transform to a grid
-    of M = drift_grid_size(N, highest plan degree) points, each plan's
-    pointwise part runs on tiles of its (n, R, M) grid values and overwrites
-    them, and one back-transform and the 2/3 cut give the drifts.
-    Batched real FFTs are bit-identical per row and the callbacks act
-    pointwise, so a field's drift depends on M but neither on its block nor
-    on the tiling.  Every array comes from work (a fresh one if none is given) and
-    is reused by the next call with it; the result is a view of one of them.
+    The derivatives that the plans' remainders read go through one
+    transform to a grid of M = drift_grid_size(N, highest remainder degree)
+    points, each remainder runs on tiles of its (n, R, M) grid values and
+    overwrites the first of them, and one back-transform gives the
+    remainders' coefficients; a plan without a remainder transforms
+    nothing.  Each affine part is then added mode by mode, and the 2/3 cut
+    applies to the sum.  Batched real FFTs are bit-identical per row and the
+    callbacks act pointwise, so a field's drift depends on M but neither on
+    its block nor on the tiling.  Every array comes from work (a fresh one
+    if none is given) and is reused by the next call with it; the result is
+    a view of one of them.
     """
     n_plans, n, n_rep, modes = u.shape
     work = Workspace() if work is None else work
-    m = max(drift_grid_size(modes - 1, p.degree) for p in plans)
-    # rows: every plan's fields, then each plan's derivatives in turn
-    wanted = [(p, o) for p, plan in enumerate(plans) for o in plan.orders[1:]]
-    rows = work.array("drift input", (n_plans + len(wanted), n, n_rep, modes),
-                      np.complex128)
-    rows[:n_plans] = u
-    for row, (p, o) in zip(rows[n_plans:], wanted):
-        derivative_coeffs(u[p], o, row)
-    grid = grid_values(rows.reshape(-1, modes), m, work)
-    grid = grid.reshape(-1, n, n_rep, m)
-    # each plan's pointwise result overwrites its values, tile by tile
-    width = max(1, POINTWISE_TILE // (n * n_rep))
-    first = n_plans
+    gridded = [p for p, plan in enumerate(plans)
+               if plan.pointwise is not None]
+    if gridded:
+        m = max(drift_grid_size(modes - 1, plans[p].degree) for p in gridded)
+        # rows: each remainder's first order, then its others in turn
+        wanted = ([(p, plans[p].orders[0]) for p in gridded]
+                  + [(p, o) for p in gridded for o in plans[p].orders[1:]])
+        rows = work.array("drift input", (len(wanted), n, n_rep, modes),
+                          np.complex128)
+        for row, (p, o) in zip(rows, wanted):
+            if o:
+                derivative_coeffs(u[p], o, row)
+            else:
+                row[...] = u[p]
+        grid = grid_values(rows.reshape(-1, modes), m, work)
+        grid = grid.reshape(-1, n, n_rep, m)
+        # each remainder's result overwrites its first grid, tile by tile
+        width = max(1, POINTWISE_TILE // (n * n_rep))
+        first = len(gridded)
+        for j, p in enumerate(gridded):
+            more = len(plans[p].orders) - 1
+            own = [grid[j], *grid[first:first + more]]
+            first += more
+            for lo in range(0, m, width):
+                vals, *derivs = [g[..., lo:lo + width] for g in own]
+                vals[...] = plans[p].pointwise(vals, derivs)
+        with np.errstate(invalid="ignore"):  # callers check for non-finite drift
+            fu = grid_coeffs(grid[:len(gridded)].reshape(-1, m), modes - 1,
+                             work).reshape((len(gridded),) + u.shape[1:])
+    if len(gridded) == n_plans:
+        out = fu
+    else:
+        out = work.array("drift", u.shape, np.complex128)
+        for j, p in enumerate(gridded):
+            out[p] = fu[j]
     for p, plan in enumerate(plans):
-        own = [grid[p], *grid[first:first + len(plan.orders) - 1]]
-        first += len(plan.orders) - 1
-        for lo in range(0, m, width):
-            vals, *derivs = [g[..., lo:lo + width] for g in own]
-            vals[...] = plan.pointwise(vals, derivs)
-    with np.errstate(invalid="ignore"):  # callers check for non-finite drift
-        fu = grid_coeffs(grid[:n_plans].reshape(-1, m), modes - 1, work)
-    fu[:, dealias_cut(modes - 1) + 1:] = 0.0
-    return fu.reshape(u.shape)
+        if plan.affine is None:
+            continue
+        slope, diffusion, constant = plan.affine
+        factor = slope if not diffusion else (
+            slope - diffusion * np.arange(modes, dtype=np.float64) ** 2)
+        if plan.pointwise is not None:
+            out[p] += np.multiply(u[p], factor, out=work.array(
+                "affine", u.shape[1:], np.complex128))
+        else:
+            np.multiply(u[p], factor, out=out[p])
+        out[p, ..., 0] += constant * _SQRT_TWO_PI   # the field 1 at k = 0
+    out[..., dealias_cut(modes - 1) + 1:] = 0.0
+    return out
 
 
 def _drift_of(spec: ModelSpec, plan: DriftPlan,
@@ -218,11 +287,45 @@ def _drift_of(spec: ModelSpec, plan: DriftPlan,
                          drift([plan], u.coeffs[None, :, None])[0, :, 0])
 
 
+def _degree(coeffs: Optional[tuple]) -> int:
+    """Degree of a recorded channel; -1 for an absent one."""
+    return -1 if coeffs is None else len(coeffs) - 1
+
+
+def _coeff(coeffs: Optional[tuple], j: int) -> float:
+    """The u^j coefficient of a recorded channel (0 beyond its degree)."""
+    return coeffs[j] if coeffs is not None and j < len(coeffs) else 0.0
+
+
+def _affine_plan(affine: tuple[float, float, float],
+                 square: Optional[float]) -> DriftPlan:
+    """A scalar plan with this affine part whose remainder, if square is
+    not None, is square * u_x^2: it transforms u_x only and squares it in
+    place."""
+    if square is None:
+        return DriftPlan((), None, None, affine)
+
+    def pointwise(ux: np.ndarray, derivs: list) -> np.ndarray:
+        np.square(ux, out=ux)
+        return np.multiply(ux, square, out=ux)
+
+    return DriftPlan((1,), pointwise, 2, affine)
+
+
 def plan_F_eps(spec: ModelSpec, eps: float) -> DriftPlan:
     """1 + f(u) + eps g(u) u_xx + eps h(u) (u_x ⊗ u_x); eps = 0 skips the
-    derivative channels entirely."""
+    derivative channels entirely.  With recorded coefficients, f affine and
+    g, h constant (or eps = 0) it is affine but for eps h u_x^2."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
+    if spec.coefficients is not None:
+        f, g, h = spec.coefficients
+        if not eps:
+            g = h = None
+        if _degree(f) <= 1 and _degree(g) <= 0 and _degree(h) <= 0:
+            return _affine_plan(
+                (_coeff(f, 1), eps * _coeff(g, 0), 1.0 + _coeff(f, 0)),
+                None if h is None else eps * h[0])
     use_h = eps != 0.0 and spec.h is not None
     use_g = eps != 0.0 and spec.g is not None
 
@@ -247,9 +350,10 @@ def eval_F_eps(spec: ModelSpec, eps: float,
                u: SpectralField) -> SpectralField:
     """Full perturbed drift 1 + f(u) + eps g(u) u_xx + eps h(u) (u_x ⊗ u_x).
 
-    Evaluated pointwise on an oversampled grid and projected back to the
-    modes of u, then dealiased.  eps = 0 reduces exactly to 1 + f(u): the
-    derivative channels are skipped entirely.
+    Its plan_F_eps remainder is evaluated pointwise on an oversampled grid
+    and projected back to the modes of u, its affine part is added mode by
+    mode, and the sum is dealiased.  eps = 0 reduces exactly to 1 + f(u):
+    the derivative channels are skipped entirely.
     """
     return _drift_of(spec, plan_F_eps(spec, eps), u)
 
@@ -283,7 +387,18 @@ def effective_drift(spec: ModelSpec,
 
 
 def plan_F_bar(spec: ModelSpec, constant: float | None = None) -> DriftPlan:
-    """1 + fbar(u), with fbar from effective_drift."""
+    """1 + fbar(u), with fbar from effective_drift.  With recorded
+    coefficients, f and h affine and g at most quadratic, fbar = f + c (h -
+    g') is affine, and the plan transforms nothing."""
+    if spec.coefficients is not None:
+        f, g, h = spec.coefficients
+        if _degree(f) <= 1 and _degree(h) <= 1 and _degree(g) <= 2:
+            c = (white_noise_constant(spec.nu) if constant is None
+                 else float(constant))
+            return _affine_plan((
+                _coeff(f, 1) + c * (_coeff(h, 1) - 2.0 * _coeff(g, 2)), 0.0,
+                1.0 + _coeff(f, 0) + c * (_coeff(h, 0) - _coeff(g, 1))),
+                None)
     fbar = effective_drift(spec, constant)
     return DriftPlan((0,), lambda vals, derivs: np.ones_like(vals)
                      + fbar(vals), spec.degree)
@@ -297,10 +412,17 @@ def eval_F_bar(spec: ModelSpec, u: SpectralField, *,
 
 def plan_G(spec: ModelSpec, constant: float | None) -> DriftPlan:
     """f(u) + h(u)(u_x ⊗ u_x), plus constant * tr h unless constant is None
-    (the common core of eval_G and eval_G_bar)."""
+    (the common core of eval_G and eval_G_bar).  With recorded
+    coefficients, f affine and h constant it is affine but for h u_x^2."""
     if spec.g is not None:
         raise ValueError("gradient-noise variants require g identically zero "
                          "(pass g=None)")
+    if spec.coefficients is not None:
+        f, _, h = spec.coefficients
+        if _degree(f) <= 1 and _degree(h) <= 0:
+            shift = 0.0 if constant is None else constant * _coeff(h, 0)
+            return _affine_plan((_coeff(f, 1), 0.0, _coeff(f, 0) + shift),
+                                None if h is None else h[0])
 
     def pointwise(vals: np.ndarray, derivs: list) -> np.ndarray:
         out = np.zeros_like(vals)
@@ -401,13 +523,36 @@ def _polyder(coeffs) -> np.ndarray:
     return np.polynomial.polynomial.polyder(np.asarray(coeffs, dtype=np.float64))
 
 
+def _recorded_coefficients(name: str, coeffs) -> Optional[tuple]:
+    """A channel's ascending coefficients as floats without trailing zeros
+    (at least one kept), or None for an absent channel; a list that is
+    empty, not one-dimensional or not finite is a ValueError."""
+    if coeffs is None:
+        return None
+    try:
+        c = np.asarray(coeffs, dtype=np.float64)
+    except (TypeError, ValueError):
+        c = np.empty(0)
+    if c.ndim != 1 or not c.size or not np.isfinite(c).all():
+        raise ValueError(f"{name} coefficients must be a non-empty list of "
+                         f"finite numbers, not {coeffs!r}")
+    kept = len(c)
+    while kept > 1 and c[kept - 1] == 0.0:
+        kept -= 1
+    return tuple(float(x) for x in c[:kept])
+
+
 def polynomial_model(nu: float, f_coeffs=None, g_coeffs=None,
                      h_coeffs=None) -> ModelSpec:
     """Scalar (n = 1) model with polynomial channels.
 
     Each channel takes ascending coefficients; omit (None) for a zero
-    channel.  The g derivative is attached analytically.
+    channel.  Trailing zeros are dropped, and the coefficients are recorded
+    on the model.  The g derivative is attached analytically.
     """
+    f_coeffs, g_coeffs, h_coeffs = (
+        _recorded_coefficients(name, c) for name, c in
+        (("f", f_coeffs), ("g", g_coeffs), ("h", h_coeffs)))
     f = g = dg = h = None
     if f_coeffs is not None:
         f = lambda u: _polyval(f_coeffs, u[0])[None]
@@ -419,11 +564,13 @@ def polynomial_model(nu: float, f_coeffs=None, g_coeffs=None,
         h = lambda u: _polyval(h_coeffs, u[0])[None, None, None]
     degree = max([0] + [len(c) + k - 1 for k, c in enumerate(
         (f_coeffs, g_coeffs, h_coeffs)) if c is not None])
-    return ModelSpec(n=1, nu=nu, f=f, g=g, dg=dg, h=h, degree=degree)
+    return ModelSpec(n=1, nu=nu, f=f, g=g, dg=dg, h=h, degree=degree,
+                     coefficients=(f_coeffs, g_coeffs, h_coeffs))
 
 
 def sin_g_model(nu: float, amplitude: float = 1.0, f_coeffs=None) -> ModelSpec:
     """Scalar model with trigonometric transport channel g(u) = A sin(u)."""
+    f_coeffs = _recorded_coefficients("f", f_coeffs)
     f = None
     if f_coeffs is not None:
         f = lambda u: _polyval(f_coeffs, u[0])[None]
@@ -512,6 +659,12 @@ def random_polynomial_potential(n: int, max_degree: int,
     return PolynomialPotential(n, monomials)
 
 
+# the keys each model_from_config shape takes besides its name
+_MODEL_KEYS = {"polynomial": {"nu", "f", "g", "h"},
+               "sin-g": {"nu", "amplitude", "f"},
+               "potential": {"coeffs", "temperature", "mass"}}
+
+
 def model_from_config(cfg: dict) -> tuple[ModelSpec, float | None]:
     """Build a library model from a plain config mapping.
 
@@ -521,10 +674,16 @@ def model_from_config(cfg: dict) -> tuple[ModelSpec, float | None]:
       {"name": "potential", "coeffs": [...], "temperature": 1.0, "mass": 0.1}
 
     The potential form returns the implied eps as the second element; the
-    other forms return None there.
+    other forms return None there.  Any other key is a ValueError.
     """
     cfg = dict(cfg)
     name = cfg.pop("name", None)
+    if name not in _MODEL_KEYS:
+        raise ValueError(f"unknown model name: {name!r}")
+    unknown = set(cfg) - _MODEL_KEYS[name]
+    if unknown:
+        raise ValueError(f"unknown keys for model {name!r}: "
+                         f"{sorted(unknown)}")
     if name == "polynomial":
         return polynomial_model(cfg["nu"], f_coeffs=cfg.get("f"),
                                 g_coeffs=cfg.get("g"),
@@ -535,4 +694,3 @@ def model_from_config(cfg: dict) -> tuple[ModelSpec, float | None]:
     if name == "potential":
         pot = PolynomialPotential.from_univariate(cfg["coeffs"])
         return from_potential(pot, cfg["temperature"], cfg.get("mass", 0.0))
-    raise ValueError(f"unknown model name: {name!r}")

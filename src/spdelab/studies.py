@@ -20,7 +20,6 @@ import os
 import pickle
 import tempfile
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -231,6 +230,8 @@ def _block_map(fn, cfg: RunConfig, per_replica: int) -> tuple:
               in np.array_split(np.arange(cfg.replicas), threads)]
     if threads == 1:
         return fn(blocks[0])
+    # here only: the import costs a process that runs no threads 0.6 MiB
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return tuple(map(np.concatenate, zip(*pool.map(fn, blocks))))
 

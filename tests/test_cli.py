@@ -62,6 +62,32 @@ class TestExitCodes:
         assert "config error:" in err and "'mass'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["converge", "theorem15",
+                                         "simulate"])
+    def test_misspelt_model_key_is_config_error(self, command, capsys):
+        # "hh" would otherwise run the model without its h channel
+        model = json.dumps({"name": "polynomial", "nu": 1.0,
+                            "f": [0.0, -1.0], "hh": [1.0]})
+        extra = SIMULATE[1:] if command == "simulate" else []
+        code, out, err = run_cli([command, *extra, "--model", model,
+                                  *STUDY_FLAGS], capsys)
+        assert code == 1 and out == ""
+        assert "config error:" in err and "'hh'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("channel,coeffs", [
+        ("f", "[]"), ("h", "[1e400]"), ("g", "[[1.0]]")])
+    def test_bad_polynomial_coefficients_are_config_errors(
+            self, channel, coeffs, capsys):
+        # caught when the model is built, not at a callback probe or as a
+        # numerical failure at step 1
+        model = ('{"name": "polynomial", "nu": 1.0, "%s": %s}'
+                 % (channel, coeffs))
+        code, _, err = run_cli(["converge", "--model", model, *STUDY_FLAGS],
+                               capsys)
+        assert code == 1
+        assert f"config error: {channel} coefficients" in err
+
     @pytest.mark.parametrize("name,value", [
         ("replicas", 2.5), ("fixed_modes", 8.7), ("workers", 1.5),
         ("u0_modes", True), ("seed", 0.5)])
@@ -337,7 +363,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("variant,digest", [
         ("phi_eps",
-         "daf0a3d87be0684daedf34192001f2416bf0031347d5f84eb18462eda8b9d47a"),
+         "395513447e531b79f3726460f6074d7d3f39029be1b7a80953ccf36cf0ce79cc"),
         ("v_eps",
          "3da1aed8b2b701ea6fc7728d601f394cec5edbf202bf200b40eeb885030818ec")])
     def test_csv_pinned(self, tmp_path, capsys, variant, digest):
@@ -346,7 +372,10 @@ class TestSimulateCommand:
         # array and the stacked sobolev_norm call must keep every byte.
         # Re-recorded when sup_norms moved to fast_grid_size(8 (2N+2))
         # points, which moved the sup_norm column by at most 5.5e-5
-        # relative and the sobolev_norm column (drift grid) by 1.1e-16
+        # relative and the sobolev_norm column (drift grid) by 1.1e-16;
+        # phi_eps re-recorded when the affine drift terms moved to
+        # coefficient space, which moved two sup_norm values by at most
+        # 2.1e-16 relative and one sobolev_norm value by 1.1e-16
         path = tmp_path / "traj.csv"
         code, _, _ = run_cli(
             ["simulate", "--variant", variant, "--eps", "0.5",

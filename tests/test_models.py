@@ -11,7 +11,7 @@ import spdelab.spectral as spectral_module
 from spdelab import (CallbackError, ModelSpec, SpectralField,
                      model_from_config, polynomial_model, sin_g_model,
                      white_noise_constant)
-from spdelab.models import (PolynomialPotential,
+from spdelab.models import (DriftPlan, PolynomialPotential,
                             check_effective_drift_identity, drift,
                             drift_grid_size, effective_drift, eval_F_bar,
                             eval_F_eps, eval_G, eval_G_bar, from_potential,
@@ -137,6 +137,9 @@ class TestEvalFEps:
         # the grid follows the declared degree, so bare declares spec's
         bare = dataclasses.replace(polynomial_model(1.0, f_coeffs=(0.0, -1.0)),
                                    degree=spec.degree)
+        # at eps = 0 both drifts are the affine 1 - u, with no remainder
+        assert plan_F_eps(spec, 0.0) == plan_F_eps(bare, 0.0) == \
+            DriftPlan((), None, None, (-1.0, 0.0, 1.0))
         u = scalar_field(8, {0: 0.4, 1: 0.3 + 0.2j, 2: -0.1j})
         a = eval_F_eps(spec, 0.0, u)
         b = eval_F_eps(bare, 0.0, u)
@@ -160,6 +163,26 @@ class TestEvalFEps:
             got = eval_F_eps(spec, eps, u)
             want = oracle_F_eps(u, eps, **case)
             np.testing.assert_allclose(got.coeffs[0], want, atol=1e-10), case
+
+    # affine f, constant g and h: every plan is affine, and the only
+    # remainder is eps h u_x^2
+    AFFINE_CASES = [dict(f=(0.2, -1.0)), dict(g=(0.8,)), dict(h=(0.6,)),
+                    dict(f=(0.0, -1.0, 0.0), g=(0.5,), h=(1.0,)),
+                    dict(f=(-0.3,), g=(0.0,), h=(0.9, 0.0))]
+
+    @pytest.mark.parametrize("case", AFFINE_CASES)
+    def test_affine_plans_equal_convolution(self, case):
+        # the affine parts in coefficient space against the exact
+        # mode-space convolution of the channel test above
+        u = scalar_field(8, {0: 0.31, 1: 0.22 - 0.11j, 2: -0.07 + 0.19j})
+        spec = polynomial_model(1.0, f_coeffs=case.get("f"),
+                                g_coeffs=case.get("g"),
+                                h_coeffs=case.get("h"))
+        for eps in (0.37, 0.0):
+            assert plan_F_eps(spec, eps).affine is not None
+            got = eval_F_eps(spec, eps, u).coeffs[0]
+            want = oracle_F_eps(u, eps, **case)
+            assert deviation(got, want) <= 1e-14, (case, eps)
 
     def test_even_field_stays_even(self):
         # real (cosine) coefficients: all channels preserve evenness
@@ -206,6 +229,20 @@ class TestEffectiveDrift:
         np.testing.assert_allclose(effective_drift(spec, 0.37)(u), 0.37)
         np.testing.assert_allclose(effective_drift(spec)(u),
                                    white_noise_constant(1.0))
+
+    def test_affine_F_bar_equals_convolution(self):
+        # fbar = f + c (h - g') is affine for affine f and h and quadratic
+        # g, and its plan transforms nothing
+        u = scalar_field(8, {0: 0.31, 1: 0.22 - 0.11j, 2: -0.07 + 0.19j})
+        f, g, h, c = (0.2, -1.0), (0.5, 0.7, 0.3), (1.0, 0.3), 0.41
+        spec = polynomial_model(1.0, f_coeffs=f, g_coeffs=g, h_coeffs=h)
+        plan = plan_F_bar(spec, c)
+        assert plan.orders == () and plan.affine is not None
+        fbar = (f[0] + c * (h[0] - g[1]), f[1] + c * (h[1] - 2.0 * g[2]))
+        s = FullSeries.from_field(u, 48)
+        want = (FullSeries.one(48) + s.polynomial(fbar)).to_hermitian(8)
+        assert deviation(eval_F_bar(spec, u, constant=c).coeffs[0],
+                         want) <= 1e-14
 
     def test_eval_F_bar_matches_pointwise(self):
         spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
@@ -296,6 +333,20 @@ class TestGradientVariants:
                 + s.polynomial((0.9, -0.5)) * (ux * ux)).to_hermitian(8)
         np.testing.assert_allclose(got.coeffs[0], want, atol=1e-10)
 
+    def test_affine_G_equals_convolution(self):
+        u = scalar_field(8, {0: 0.31, 1: 0.22 - 0.11j, 2: -0.07 + 0.19j})
+        spec = polynomial_model(1.0, f_coeffs=(0.1, -1.0), h_coeffs=(0.9,))
+        s = FullSeries.from_field(u, 48)
+        ux = s.derivative(1)
+        for constant, evaluate in ((None, lambda: eval_G(spec, u)),
+                                   (0.4, lambda: eval_G_bar(
+                                       spec, u, constant=0.4))):
+            assert plan_G(spec, constant).orders == (1,)
+            shift = 0.0 if constant is None else constant * 0.9
+            want = (s.polynomial((0.1 + shift, -1.0))
+                    + (ux * ux).scaled(0.9)).to_hermitian(8)
+            assert deviation(evaluate().coeffs[0], want) <= 1e-14
+
     def test_G_bar_shifts_by_constant_trace(self):
         spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
         u = scalar_field(8, {0: 0.2, 1: 0.4 + 0.1j, 2: 0.05})
@@ -381,42 +432,69 @@ def drift_models() -> list[ModelSpec]:
 
 class TestBatchedTransform:
     def test_bit_identical_to_one_transform_per_order(self):
+        # every plan that reads u pointwise; the affine plans are held to
+        # the exact convolution in TestEvalFEps and TestGradientVariants
+        pointwise = 0
         for i, spec in enumerate(drift_models()):
             for max_mode in (5, 16, 33):
                 u = random_smooth_field(spec.n, max_mode, 10 * i + max_mode)
                 for eps in (0.0, 0.3):
-                    assert np.array_equal(eval_F_eps(spec, eps, u).coeffs,
-                                          separate_F_eps(spec, eps, u))
-                assert np.array_equal(eval_F_bar(spec, u, constant=0.4).coeffs,
-                                      separate_F_bar(spec, u, 0.4))
+                    if plan_F_eps(spec, eps).affine is None:
+                        pointwise += 1
+                        assert np.array_equal(eval_F_eps(spec, eps, u).coeffs,
+                                              separate_F_eps(spec, eps, u))
+                if plan_F_bar(spec, 0.4).affine is None:
+                    pointwise += 1
+                    assert np.array_equal(
+                        eval_F_bar(spec, u, constant=0.4).coeffs,
+                        separate_F_bar(spec, u, 0.4))
+                # built by hand, so without coefficients: pointwise
                 grad = ModelSpec(n=spec.n, nu=spec.nu, f=spec.f, h=spec.h)
                 assert np.array_equal(eval_G(grad, u).coeffs,
                                       separate_G(grad, u, None))
                 assert np.array_equal(
                     eval_G_bar(grad, u, constant=0.4).coeffs,
                     separate_G(grad, u, 0.4))
+        # full1 and full2 at eps 0 and 0.3 and their F_bar, and the
+        # non-constant g at eps 0.3, on three mode counts
+        assert pointwise == 3 * 7
 
-    def test_one_transform_per_evaluation(self, monkeypatch):
+    def test_at_most_one_transform_per_evaluation(self, monkeypatch):
         calls = []
         real = models_module.grid_values
 
         def counted(coeffs, *rest):
-            calls.append(len(coeffs))
+            calls.append(coeffs.copy())
             return real(coeffs, *rest)
 
         monkeypatch.setattr(models_module, "grid_values", counted)
+
+        def transformed(evaluate) -> list:
+            calls.clear()
+            evaluate()
+            assert len(calls) <= 1
+            return calls[0] if calls else None
+
         for spec in drift_models():
             u = random_smooth_field(spec.n, 8, 1)
             grad = ModelSpec(n=spec.n, nu=spec.nu, f=spec.f, h=spec.h)
-            evaluations = [lambda: eval_F_eps(spec, 0.0, u),
-                           lambda: eval_F_eps(spec, 0.3, u),
-                           lambda: eval_F_bar(spec, u),
-                           lambda: eval_G(grad, u),
-                           lambda: eval_G_bar(grad, u)]
-            for evaluate in evaluations:
-                calls.clear()
-                evaluate()
-                assert len(calls) == 1
+            for evaluate in [lambda: eval_F_eps(spec, 0.0, u),
+                             lambda: eval_F_eps(spec, 0.3, u),
+                             lambda: eval_F_bar(spec, u),
+                             lambda: eval_G(grad, u),
+                             lambda: eval_G_bar(grad, u)]:
+                transformed(evaluate)
+        # the reaction model: no transform for its naive and corrected
+        # limits (PHI_ZERO, PHI_BAR), and the u_x row alone for F_eps and G
+        spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
+        u = random_smooth_field(1, 8, 2)
+        assert transformed(lambda: eval_F_eps(spec, 0.0, u)) is None
+        assert transformed(lambda: eval_F_bar(spec, u)) is None
+        ux = derivative_coeffs(u.coeffs, 1)
+        for evaluate in [lambda: eval_F_eps(spec, 0.3, u),
+                         lambda: eval_G(spec, u),
+                         lambda: eval_G_bar(spec, u)]:
+            assert np.array_equal(transformed(evaluate), ux)
 
 
 def field_block(fields: list[SpectralField], n_plans: int) -> np.ndarray:
@@ -714,6 +792,78 @@ class TestCallbackErrors:
             ModelSpec(n=1, nu=nu)
 
 
+class TestRecordedCoefficients:
+    """polynomial_model records its channels' coefficients, and the drift
+    plans split on them alone: a model that does not record them, or one
+    whose remainder would read u, keeps the pointwise plan."""
+
+    REACTION = dict(f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
+
+    def test_reaction_model_plans(self):
+        spec = polynomial_model(1.0, **self.REACTION)
+        assert spec.coefficients == ((0.0, -1.0), None, (1.0,))
+        c = white_noise_constant(1.0)
+        shapes = {"F_eps": (plan_F_eps(spec, 0.25), (1,), (-1.0, 0.0, 1.0)),
+                  "F_0": (plan_F_eps(spec, 0.0), (), (-1.0, 0.0, 1.0)),
+                  "F_bar": (plan_F_bar(spec), (), (-1.0, 0.0, 1.0 + c)),
+                  "G": (plan_G(spec, None), (1,), (-1.0, 0.0, 0.0)),
+                  "G_bar": (plan_G(spec, 0.3), (1,), (-1.0, 0.0, 0.3))}
+        for name, (plan, orders, affine) in shapes.items():
+            assert plan.orders == orders, name
+            assert plan.affine == affine, name
+            assert (plan.pointwise is None) == (orders == ()), name
+        # a constant g adds eps g0 u_xx: mode k is multiplied by -eps g0 k^2
+        spec_g = polynomial_model(1.0, f_coeffs=(0.1, -1.0), g_coeffs=(2.0,))
+        assert plan_F_eps(spec_g, 0.25) == DriftPlan(
+            (), None, None, (-1.0, 0.5, 1.1))
+
+    def test_pointwise_models_keep_their_plans(self):
+        reaction = polynomial_model(1.0, **self.REACTION)
+        pointwise = [
+            (polynomial_model(1.0, f_coeffs=(0.0, -1.0, 0.5)), True),
+            (polynomial_model(1.0, g_coeffs=(1.0, 0.3)), False),
+            (polynomial_model(1.0, h_coeffs=(1.0, 0.3)), False),
+            (sin_g_model(1.0, f_coeffs=(0.0, -1.0)), False),
+            (potential_case((0.0, 0.0, 0.5))[0], False),
+            # the same callbacks built by hand record no coefficients
+            (dataclasses.replace(reaction, coefficients=None), True)]
+        for spec, no_g in pointwise:
+            assert spec.coefficients is None or spec.degree >= 2
+            plans = [plan_F_eps(spec, 0.25)]
+            if no_g:
+                plans += [plan_F_bar(spec), plan_G(spec, None),
+                          plan_G(spec, 0.3)]
+            for plan in plans:
+                assert plan.affine is None and plan.orders[0] == 0
+
+    def test_trailing_zeros_dropped(self):
+        spec = polynomial_model(1.0, f_coeffs=[0, -1, 0], h_coeffs=[1, 0.0])
+        assert spec.coefficients == ((0.0, -1.0), None, (1.0,))
+        assert spec.degree == 2
+        assert plan_F_eps(spec, 0.25).affine == (-1.0, 0.0, 1.0)
+        assert polynomial_model(1.0, f_coeffs=[0.0, 0.0]).coefficients[0] \
+            == (0.0,)
+
+    @pytest.mark.parametrize("coeffs", [[], [[1.0, 2.0]], [1e400],
+                                        [0.0, math.nan], 3.0, ["a"]])
+    def test_bad_coefficient_lists_rejected(self, coeffs):
+        for channel in ("f_coeffs", "g_coeffs", "h_coeffs"):
+            with pytest.raises(ValueError, match="coefficients"):
+                polynomial_model(1.0, **{channel: coeffs})
+
+    def test_validate_model_checks_the_coefficients(self):
+        spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), g_coeffs=(0.5,))
+        assert validate_model(spec) == 0.0
+        for bad in (((0.0, -2.0), (0.5,), None), ((0.0, -1.0), None, None),
+                    ((0.0, -1.0), (0.5,), (1.0,))):
+            with pytest.raises(ValueError, match="coefficients"):
+                validate_model(dataclasses.replace(spec, coefficients=bad))
+
+    def test_scalar_models_only(self):
+        with pytest.raises(ValueError, match="scalar"):
+            ModelSpec(n=2, nu=1.0, coefficients=(None, None, None))
+
+
 class TestModelFromConfig:
     def test_polynomial(self):
         model, eps = model_from_config(
@@ -741,3 +891,12 @@ class TestModelFromConfig:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown model"):
             model_from_config({"name": "mystery"})
+
+    @pytest.mark.parametrize("cfg", [
+        {"name": "polynomial", "nu": 1.0, "f": [0, -1], "hh": [1]},
+        {"name": "sin-g", "nu": 1.0, "amplitud": 2.0},
+        {"name": "potential", "coeffs": [0, 0, 0.5], "temperature": 1.0,
+         "nu": 1.0}])
+    def test_unknown_key_rejected(self, cfg):
+        with pytest.raises(ValueError, match="unknown keys"):
+            model_from_config(cfg)
