@@ -36,20 +36,25 @@ it with a for loop: run_mild and couple_runs (the R = 1 case) record
 trajectories, each one (n_steps + 1, n, N+1) coefficient array;
 coupled_distances keeps each replica's running maximum sup distance from
 the perturbed run to both limits, measuring all replicas' differences with
-one sup_norms call; reference_distances steps the deterministic limits as
-one block beside the replicas' block, records neither, and keeps each
-replica's running maximum Sobolev distance to each limit, measured a chunk
-of replicas at a time.  Both return (R, limits) arrays: the maxima and
-their censored flags.
+one sup_norms call; reference_distances keeps each replica's running
+maximum Sobolev distance to each deterministic limit, measured a chunk of
+replicas at a time, and records no replica.  It reads the limits from a
+resolve_limits record, which steps them once per study at the fewest
+modes n = 64, 128, ... that agree with twice as many to LIMIT_RTOL in the
+beta norm, and keeps modes 0..n of every step (about 1 MB at n = 128);
+without a record (no such n below the smallest level's N, or a limit
+censored or non-finite on the way) it steps them at N as one block beside
+the replicas' block, recording neither.  Both return (R, limits) arrays:
+the maxima and their censored flags.
 
 A run's scratch is one array per role.  A run allocates v and u (v itself
 without noise) once and takes every other step array from one
 spectral.Workspace per block run: the drift's input, grid, spectrum and
 affine terms, the guard's |u|, and the noise's normals, colouring products and
-innovations.  reference_distances steps theorem15's limits and replicas on
-one workspace, so the two runs share each of these arrays.  The noise
-state is the caller's, advanced in place (run_mild hands over a copy of
-its state).  The weight multiplies the drift's result in its workspace
+innovations.  Where reference_distances steps theorem15's limits beside
+its replicas, the two runs share one workspace and so each of these
+arrays.  The noise state is the caller's, advanced in place (run_mild
+hands over a copy of its state).  The weight multiplies the drift's result in its workspace
 array, which is then added to decay * v; u is written as scale * psi, then
 v is added to it (addition commutes); every update runs in place with
 out=, rounded as the formulas are written, so no bit changes.
@@ -417,9 +422,70 @@ def coupled_distances(spec: ModelSpec, eps: float, u0: SpectralField,
     return dist, ~(alive[:, :1] & alive[:, 2:0:-1])
 
 
+# resolve_limits accepts a limit run at n modes when its beta-norm gap to
+# the run at 2n modes is at most this fraction of the latter's norm
+LIMIT_RTOL = 1e-14
+
+
+@dataclass(frozen=True)
+class LimitRecord:
+    """Deterministic V_LIMIT runs resolved at fewer modes than a study's
+    levels: states[i, j] holds modes 0..n of the run with constants[j] at
+    time i * dt, an (n_steps + 1, len(constants), components, n + 1)
+    complex array."""
+
+    constants: tuple
+    states: np.ndarray
+
+
+def resolve_limits(spec: ModelSpec, u0: SpectralField,
+                   config: SimulationConfig, constants,
+                   beta: float) -> LimitRecord | None:
+    """Record the V_LIMIT runs from u0 with the given correction constants
+    at the fewest modes that resolve them, or None.
+
+    Rung n = 64, 128, ... (from u0's mode count up, 2n <= config.max_mode)
+    is stepped on config's time grid in lockstep with rung 2n, and is
+    accepted when at every step each run's beta-norm gap to its 2n twin,
+    zero-padded, is at most LIMIT_RTOL times the twin's norm; a pair stops
+    at its first step that fails.  A censored or non-finite rung, or no
+    accepted rung, gives None.
+    """
+    constants = tuple(constants)
+    n = 64
+    while n < u0.max_mode:
+        n *= 2
+    while 2 * n <= config.max_mode:
+        sims = [replace(config, max_mode=m) for m in (n, 2 * n)]
+        runs = [_advance(spec, [_build_channel(spec, Variant.V_LIMIT, 0.0,
+                                               None, sim, c)
+                                for c in constants], u0, None, sim)
+                for sim in sims]
+        states = np.empty((config.n_steps + 1, len(constants), spec.n,
+                           n + 1), dtype=np.complex128)
+        try:
+            for i, ((_, lo, lo_alive), (_, hi, hi_alive)) in enumerate(
+                    zip(*runs)):
+                if not (lo_alive.all() and hi_alive.all()):
+                    return None
+                states[i] = lo[0]
+                gap = hi[0].copy()
+                gap[..., : n + 1] -= lo[0]
+                if not (sobolev_norm(gap, beta, spec.nu) <= LIMIT_RTOL
+                        * sobolev_norm(hi[0], beta, spec.nu)).all():
+                    break
+            else:
+                return LimitRecord(constants, states)
+        except IntegrationError:   # the levels raise it where they meet it
+            return None
+        n *= 2
+    return None
+
+
 def reference_distances(spec: ModelSpec, eps: float, u0: SpectralField,
                         config: SimulationConfig, streams, *, constants,
-                        beta: float) -> tuple[np.ndarray, np.ndarray]:
+                        beta: float, record: LimitRecord | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """run_mild of V_EPS at eps for a block of replicas, one per stream,
     measured against the deterministic V_LIMIT runs with the given
     correction constants, all advanced in lockstep without recording
@@ -429,37 +495,50 @@ def reference_distances(spec: ModelSpec, eps: float, u0: SpectralField,
     stream and one column per constant c: the value and censored flag that
     sup_distance(run, limit, "sobolev", alpha=beta, nu=spec.nu) gives on
     the replica's trajectory and run_mild(spec, V_LIMIT, 0.0, u0, None,
-    config, correction_constant=c).
+    config, correction_constant=c).  With a record (resolve_limits' on
+    config's time grid, holding every constant) the limits are read from
+    it, zero-padded, and not stepped.
     """
     noise = sample_replicas([OperatorSpec(spec.nu, eps)], spec.n,
                             config.max_mode, streams)
     channel = _build_channel(spec, Variant.V_EPS, eps, noise, config, None)
-    limits = [_build_channel(spec, Variant.V_LIMIT, 0.0, None, config, c)
-              for c in constants]
     n_rep = len(streams)
-    dist = np.full((n_rep, len(limits)), math.nan)
+    dist = np.full((n_rep, len(constants)), math.nan)
     # the differences of a chunk of replicas to one limit, at most
     # POINTWISE_TILE points (or one replica), overwritten at every use;
     # each norm sums its own rows, so chunking keeps its bits
     rows = max(1, models.POINTWISE_TILE // (spec.n * (config.max_mode + 1)))
     diff = np.empty((min(rows, n_rep), spec.n, config.max_mode + 1),
                     dtype=np.complex128)
-    # the limits step first, so that a step's first-use allocations come
-    # before the replicas' noise step; each run consumes its workspace
-    # arrays before the other's next step, so both share one workspace
     work = Workspace()
-    for (_, lim, lim_alive), (_, u, alive) in zip(
-            _advance(spec, limits, u0, None, config, work),
-            _advance(spec, [channel], u0, noise, config, work)):
-        for j in lim_alive[0].nonzero()[0]:
+    if record is None:
+        # the limits step first, so that a step's first-use allocations
+        # come before the replicas' noise step; each run consumes its
+        # workspace arrays before the other's next step, so both share one
+        # workspace
+        limits = ((lim[0], lim_alive[0]) for _, lim, lim_alive in _advance(
+            spec, [_build_channel(spec, Variant.V_LIMIT, 0.0, None, config, c)
+                   for c in constants], u0, None, config, work))
+    else:
+        if (len(record.states) != config.n_steps + 1
+                or record.states.shape[-1] > config.max_mode + 1):
+            raise ValueError("record does not match the run's steps or modes")
+        cols = [record.constants.index(c) for c in constants]
+        limits = ((states[cols], np.ones(len(cols), dtype=bool))
+                  for states in record.states)
+    for (lim, lim_alive), (_, u, alive) in zip(
+            limits, _advance(spec, [channel], u0, noise, config, work)):
+        m = lim.shape[-1]
+        for j in lim_alive.nonzero()[0]:
             for lo in range(0, n_rep, rows):
                 hi = min(n_rep, lo + rows)
                 d = diff[:hi - lo]
-                np.subtract(u[lo:hi, 0], lim[0, j], out=d)
+                np.subtract(u[lo:hi, 0, :, :m], lim[j], out=d[..., :m])
+                d[..., m:] = u[lo:hi, 0, :, m:]
                 # a censored row never enters a maximum
                 np.fmax(dist[lo:hi, j], sobolev_norm(d, beta, spec.nu),
                         out=dist[lo:hi, j], where=alive[lo:hi, 0])
-    return dist, ~(alive[:, :1] & lim_alive[0])
+    return dist, ~(alive[:, :1] & lim_alive)
 
 
 def sup_distance(a: Trajectory, b: Trajectory, norm: str = "sup", *,

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -569,7 +570,12 @@ def polynomial_model(nu: float, f_coeffs=None, g_coeffs=None,
 
 
 def sin_g_model(nu: float, amplitude: float = 1.0, f_coeffs=None) -> ModelSpec:
-    """Scalar model with trigonometric transport channel g(u) = A sin(u)."""
+    """Scalar model with trigonometric transport channel g(u) = A sin(u);
+    an amplitude that is not a finite real number is a ValueError."""
+    if isinstance(amplitude, bool) or not isinstance(
+            amplitude, numbers.Real) or not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be a finite number, not "
+                         f"{amplitude!r}")
     f_coeffs = _recorded_coefficients("f", f_coeffs)
     f = None
     if f_coeffs is not None:
@@ -659,10 +665,11 @@ def random_polynomial_potential(n: int, max_degree: int,
     return PolynomialPotential(n, monomials)
 
 
-# the keys each model_from_config shape takes besides its name
-_MODEL_KEYS = {"polynomial": {"nu", "f", "g", "h"},
-               "sin-g": {"nu", "amplitude", "f"},
-               "potential": {"coeffs", "temperature", "mass"}}
+# the (required, optional) keys each model_from_config shape takes besides
+# its name
+_MODEL_KEYS = {"polynomial": ({"nu"}, {"f", "g", "h"}),
+               "sin-g": ({"nu"}, {"amplitude", "f"}),
+               "potential": ({"coeffs", "temperature"}, {"mass"})}
 
 
 def model_from_config(cfg: dict) -> tuple[ModelSpec, float | None]:
@@ -674,16 +681,21 @@ def model_from_config(cfg: dict) -> tuple[ModelSpec, float | None]:
       {"name": "potential", "coeffs": [...], "temperature": 1.0, "mass": 0.1}
 
     The potential form returns the implied eps as the second element; the
-    other forms return None there.  Any other key is a ValueError.
+    other forms return None there.  A missing key without a default (nu,
+    coeffs, temperature) or any other key is a ValueError.
     """
     cfg = dict(cfg)
     name = cfg.pop("name", None)
     if name not in _MODEL_KEYS:
         raise ValueError(f"unknown model name: {name!r}")
-    unknown = set(cfg) - _MODEL_KEYS[name]
+    required, optional = _MODEL_KEYS[name]
+    unknown = set(cfg) - required - optional
     if unknown:
         raise ValueError(f"unknown keys for model {name!r}: "
                          f"{sorted(unknown)}")
+    missing = sorted(required - set(cfg))
+    if missing:
+        raise ValueError(f"model {name!r} needs key {missing[0]!r}")
     if name == "polynomial":
         return polynomial_model(cfg["nu"], f_coeffs=cfg.get("f"),
                                 g_coeffs=cfg.get("g"),

@@ -32,7 +32,8 @@ from .constants import truncation_matched_constant, white_noise_constant
 # names the studies import.
 from .integrate import (CORRECTIONS, SimulationConfig, couple_runs,
                         coupled_distances, reference_distances,
-                        resolve_correction, run_mild, sup_distance)
+                        resolve_correction, resolve_limits, run_mild,
+                        sup_distance)
 from .linops import OperatorSpec
 from .models import model_from_config
 from .noise import (NoiseStream, PURPOSE_INITIAL_FIELD, sample_replicas,
@@ -431,21 +432,29 @@ def run_theorem15_study(cfg: RunConfig) -> ConvergenceReport:
     limits, measured in the Sobolev beta norm.
 
     The deterministic corrected and naive limits (they carry no noise) are
-    stepped as one block beside each block of replicas, which run only the
-    stochastic variant and are measured against the limits as they go;
-    no field is recorded.
+    resolved once, before the levels run: resolve_limits records them at
+    the fewest modes that resolve them, and each block of replicas, which
+    run only the stochastic variant, is measured against that record as it
+    goes.  When no mode count below the smallest level's resolves them,
+    each block steps its level's limits beside the replicas instead.  No
+    replica field is recorded.
     """
     spec, _ = model_from_config(cfg.model)
     if spec.g is not None:
         raise ValueError("small-noise study requires a model with g = 0")
     u0 = initial_field(spec.n, cfg.u0_modes, cfg.u0_decay, cfg.u0_amplitude,
                        NoiseStream(cfg.seed))
+    consts = {eps: resolve_correction(cfg.correction, spec.nu, eps,
+                                      cfg.modes_for(eps))
+              for eps in cfg.eps_grid}
+    # the largest eps has the fewest modes
+    record = resolve_limits(spec, u0, cfg.simulation_config(max(consts)),
+                            dict.fromkeys([*consts.values(), 0.0]), cfg.beta)
 
     def block(eps, sim, streams):
-        const = resolve_correction(cfg.correction, spec.nu, eps,
-                                   sim.max_mode)
         return reference_distances(spec, eps, u0, sim, streams,
-                                   constants=(const, 0.0), beta=cfg.beta)
+                                   constants=(consts[eps], 0.0),
+                                   beta=cfg.beta, record=record)
 
     return _sweep(cfg, "theorem15", spec.nu, block, spec.n,
                   {"asymptotic": white_noise_constant(spec.nu),

@@ -88,6 +88,17 @@ class TestExitCodes:
         assert code == 1
         assert f"config error: {channel} coefficients" in err
 
+    @pytest.mark.parametrize("amplitude", ["1e400", '"x"'])
+    def test_bad_sin_g_amplitude_is_config_error(self, amplitude, capsys):
+        # caught when the model is built, not as a numerical failure at
+        # step 1 (1e400 parses as inf) or at the dg callback probe
+        model = '{"name": "sin-g", "nu": 1.0, "amplitude": %s}' % amplitude
+        code, _, err = run_cli(["converge", "--model", model, *STUDY_FLAGS],
+                               capsys)
+        assert code == 1
+        assert "config error: amplitude must be a finite number" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("name,value", [
         ("replicas", 2.5), ("fixed_modes", 8.7), ("workers", 1.5),
         ("u0_modes", True), ("seed", 0.5)])

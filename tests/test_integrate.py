@@ -18,13 +18,14 @@ from spdelab import (IntegrationError, ModelSpec, NoiseStream,
                      sample_stationary, truncation_matched_constant)
 from spdelab.integrate import (Trajectory, coupled_distances,
                                reference_distances, resolve_correction,
-                               sup_distance)
+                               resolve_limits, sup_distance)
 from spdelab.linops import (OperatorSpec, apply_semigroup, etd_weights,
                             symbols)
 from spdelab.models import drift_grid_size, eval_F_bar, eval_F_eps
 from spdelab.noise import psi_diff_moment, sample_replicas, step_coupled
 from spdelab.regression import regress_loglog
-from spdelab.spectral import ROW_TRANSFORM_POINTS, GridField, sup_norm
+from spdelab.spectral import (ROW_TRANSFORM_POINTS, GridField, sobolev_norm,
+                              sup_norm)
 
 ROOT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -886,6 +887,96 @@ class TestReferenceDistances:
         streams = [NoiseStream(3, replica=r) for r in range(2)]
         block = self.check(spec, 0.01, u0, cfg, streams, (1e3, 0.0))
         assert [[c for _, c in pair] for pair in block] == [[True, False]] * 2
+
+
+class TestResolvedLimits:
+    """resolve_limits records the deterministic limits at the fewest modes
+    that resolve them, and reference_distances reads them from the record
+    in place of stepping them at the run's own mode count."""
+
+    spec = polynomial_model(1.0, f_coeffs=(0.0, -1.0), h_coeffs=(1.0,))
+    # the theorem15 bench protocol's initial field and time grid at its
+    # largest eps, 2^-7, over a shorter horizon
+    u0 = initial_field(1, 16, 1.3, 1.0, NoiseStream(1))
+    cfg = config(max_mode=1024, dt=0.005, t_final=0.2)
+    constants = (truncation_matched_constant(1.0, 2.0 ** -7, 1024), None,
+                 0.0)
+
+    def test_record_is_the_full_limit_to_its_tolerance(self):
+        record = resolve_limits(self.spec, self.u0, self.cfg, self.constants,
+                                0.6)
+        assert record.constants == self.constants
+        # the 64/128 pair differs by more than LIMIT_RTOL, 128/256 agrees
+        assert record.states.shape == (self.cfg.n_steps + 1, 3, 1, 129)
+        for j, c in enumerate(self.constants):
+            full = run_mild(self.spec, Variant.V_LIMIT, 0.0, self.u0, None,
+                            self.cfg, correction_constant=c).coeffs
+            gap = full.copy()
+            gap[..., :129] -= record.states[:, j]
+            assert (sobolev_norm(gap, 0.6, 1.0)
+                    <= 1e-14 * sobolev_norm(full, 0.6, 1.0)).all()
+
+    def test_distances_from_record_equal_stepped_limits(self):
+        record = resolve_limits(self.spec, self.u0, self.cfg, self.constants,
+                                0.6)
+        streams = [NoiseStream(1, replica=r) for r in range(3)]
+        for constants in (self.constants[:2], self.constants[2:0:-1]):
+            stepped, cens0 = reference_distances(
+                self.spec, 2.0 ** -7, self.u0, self.cfg, streams,
+                constants=constants, beta=0.6)
+            read, cens = reference_distances(
+                self.spec, 2.0 ** -7, self.u0, self.cfg, streams,
+                constants=constants, beta=0.6, record=record)
+            assert not cens.any() and not cens0.any()
+            np.testing.assert_allclose(read, stepped, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("rtol,modes", [(math.inf, 65), (0.0, None)])
+    def test_tolerance_picks_the_rung(self, monkeypatch, rtol, modes):
+        # with no tolerance the first pair is accepted; with none met, no
+        # pair is, and there is no record
+        monkeypatch.setattr(integrate_module, "LIMIT_RTOL", rtol)
+        record = resolve_limits(self.spec, self.u0, self.cfg, (0.3, 0.0),
+                                0.6)
+        assert (None if record is None else record.states.shape[-1]) == modes
+
+    def test_no_record_without_a_resolving_rung(self):
+        # 96 modes leave no rung pair (2 * 64 > 96), and a 300-mode initial
+        # field starts at n = 512, whose twin exceeds 1024 modes
+        for max_mode, u0 in ((96, self.u0),
+                             (1024, initial_field(1, 300, 1.3, 1.0,
+                                                  NoiseStream(1)))):
+            cfg = dataclasses.replace(self.cfg, max_mode=max_mode)
+            assert resolve_limits(self.spec, u0, cfg, (0.3, 0.0),
+                                  0.6) is None
+
+    def test_no_record_when_a_limit_is_censored(self):
+        cfg = config(max_mode=256, dt=0.01, t_final=1.0, blowup_cutoff=50.0)
+        u0 = scalar_field(6, {0: 6.0, 1: 1.5})
+        spec = TestCensoring().blowup_spec()
+        assert run_mild(spec, Variant.V_LIMIT, 0.0, u0, None, cfg,
+                        correction_constant=0.0).censored
+        assert resolve_limits(spec, u0, cfg, (0.0,), 0.6) is None
+
+    def test_no_record_when_a_limit_is_not_finite(self):
+        # a reaction that returns NaN: the levels, stepping the limits
+        # themselves, raise the IntegrationError where they meet it
+        spec = ModelSpec(n=1, nu=1.0, f=lambda u: np.full_like(u, np.nan),
+                         degree=1)
+        with pytest.raises(IntegrationError, match="V_LIMIT run at step 1"):
+            run_mild(spec, Variant.V_LIMIT, 0.0, self.u0, None, self.cfg,
+                     correction_constant=0.0)
+        assert resolve_limits(spec, self.u0, self.cfg, (0.0,), 0.6) is None
+
+    def test_record_must_match_the_run(self):
+        record = resolve_limits(self.spec, self.u0, self.cfg, (0.3, 0.0),
+                                0.6)
+        streams = [NoiseStream(1)]
+        for cfg in (dataclasses.replace(self.cfg, t_final=0.1),
+                    dataclasses.replace(self.cfg, max_mode=64)):
+            with pytest.raises(ValueError, match="record does not match"):
+                reference_distances(self.spec, 0.25, self.u0, cfg, streams,
+                                    constants=(0.3, 0.0), beta=0.6,
+                                    record=record)
 
 
 class TestCensoredBlocksPinned:

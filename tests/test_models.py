@@ -900,3 +900,22 @@ class TestModelFromConfig:
     def test_unknown_key_rejected(self, cfg):
         with pytest.raises(ValueError, match="unknown keys"):
             model_from_config(cfg)
+
+    @pytest.mark.parametrize("cfg,message", [
+        ({"name": "polynomial", "f": [0, -1]},
+         "model 'polynomial' needs key 'nu'"),
+        ({"name": "sin-g", "amplitude": 2.0},
+         "model 'sin-g' needs key 'nu'"),
+        ({"name": "potential", "coeffs": [0, 0, 0.5]},
+         "model 'potential' needs key 'temperature'")])
+    def test_missing_key_named_with_its_model(self, cfg, message):
+        with pytest.raises(ValueError) as info:
+            model_from_config(cfg)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("amplitude", [math.inf, math.nan, "x", None,
+                                           True, 1j])
+    def test_sin_g_amplitude_must_be_finite_real(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude must be a finite"):
+            model_from_config({"name": "sin-g", "nu": 1.0,
+                               "amplitude": amplitude})

@@ -480,9 +480,118 @@ class TestTheorem15Study:
         censored = [row["n_censored"] for row in reports[0].per_eps]
         assert (sum(censored) == 0) == ("h" in model)
 
+    @staticmethod
+    def probed(monkeypatch, path, resolve=True):
+        """Spies that append a line to the file path for every
+        resolve_limits call ("probe", the caller's pid) and every
+        reference_distances call (the record's mode count or None), in a
+        forked child too; with resolve False the probe gives no record."""
+        real_probe = integrate_module.resolve_limits
+        real_distances = integrate_module.reference_distances
+
+        def note(line):
+            with open(path, "a") as out:
+                out.write(line + "\n")
+
+        def probe(*args, **kw):
+            note(f"probe {os.getpid()}")
+            return real_probe(*args, **kw) if resolve else None
+
+        def distances(*args, record=None, **kw):
+            note("None" if record is None
+                 else str(record.states.shape[-1] - 1))
+            return real_distances(*args, record=record, **kw)
+
+        monkeypatch.setattr(studies_module, "resolve_limits", probe)
+        monkeypatch.setattr(studies_module, "reference_distances", distances)
+
+    @pytest.mark.parametrize("protocol", [
+        # the theorem15 bench protocol: N = 1,024..8,192
+        dict(eps_grid=tuple(2.0 ** -j for j in range(7, 11)), replicas=2),
+        # criterion 7's protocol (N = 2,048..16,384 here), reduced to four
+        # levels, 3 replicas and T = 0.25
+        dict(eps_grid=tuple(2.0 ** -j for j in range(8, 12)), replicas=3,
+             t_final=0.25)])
+    def test_record_path_equals_stepped_limits(self, monkeypatch, tmp_path,
+                                               protocol):
+        # the limits recorded at n = 128 give the distances that stepping
+        # them beside the replicas at each level's N gives, to 1e-14
+        # relative (the means are equal to the last bit on both protocols)
+        cfg = RunConfig(study="theorem15", beta=0.6, u0_decay=1.3, seed=1,
+                        workers=1, **protocol)
+        reports = []
+        for resolve in (True, False):
+            self.probed(monkeypatch, tmp_path / f"{resolve}.log", resolve)
+            reports.append(run_theorem15_study(cfg))
+        assert (tmp_path / "True.log").read_text().split("\n")[1:-1] == \
+            ["128"] * len(cfg.eps_grid)
+        assert (tmp_path / "False.log").read_text().split("\n")[1:-1] == \
+            ["None"] * len(cfg.eps_grid)
+        for got, want in zip(*(r.per_eps for r in reports)):
+            assert got["n_censored"] == want["n_censored"] == 0
+            for key in ("mean_error", "naive_mean_error"):
+                assert got[key] == pytest.approx(want[key], rel=1e-14,
+                                                 abs=0)
+
+    @pytest.mark.parametrize("model,kw", [
+        # 96 modes leave no rung pair below the levels' N
+        ({"name": "polynomial", "nu": 1.0, "f": [0.0, -1.0], "h": [1.0]},
+         dict(fixed_modes=96)),
+        # TestCensoring's blow-up reaction: the probe's limits censor, and
+        # so does every replica
+        ({"name": "polynomial", "nu": 1.0, "f": [0.0, 0.0, 0.0, 4.0]},
+         dict(fixed_modes=256, u0_modes=6, u0_amplitude=6.0,
+              blowup_cutoff=50.0))])
+    def test_unresolved_limits_are_stepped(self, monkeypatch, tmp_path,
+                                           model, kw):
+        # no record: every level steps its limits as reference_distances
+        # does without one, so the study keeps those bits
+        cfg = small_cfg(model=model, replicas=2, dt=0.01, t_final=0.3, **kw)
+        log = tmp_path / "calls.log"
+        self.probed(monkeypatch, log)
+        report = run_theorem15_study(cfg)
+        assert log.read_text().split("\n")[1:-1] == \
+            ["None"] * len(cfg.eps_grid)
+        u0 = initial_field(1, cfg.u0_modes, cfg.u0_decay, cfg.u0_amplitude,
+                           NoiseStream(0))
+        spec = studies_module.model_from_config(model)[0]
+        streams = [NoiseStream(0, replica=r) for r in range(2)]
+        for row in report.per_eps:
+            sim = cfg.simulation_config(row["eps"])
+            const = studies_module.resolve_correction(
+                cfg.correction, 1.0, row["eps"], sim.max_mode)
+            dist, censored = reference_distances(
+                spec, row["eps"], u0, sim, streams, constants=(const, 0.0),
+                beta=cfg.beta)
+            assert row["n_censored"] == censored[:, 0].sum()
+            if not censored.any():
+                assert row["mean_error"] == dist[:, 0].mean()
+                assert row["naive_mean_error"] == dist[:, 1].mean()
+
+    def test_probe_runs_once_before_forked_levels(self, monkeypatch,
+                                                  tmp_path, forks):
+        # two processes over four levels: the parent resolves the limits
+        # once, and every level, in either child, reads that record; the
+        # report is the single-process one
+        monkeypatch.setattr(studies_module, "usable_cores", lambda: 2)
+        cfg = dict(study="theorem15", eps_grid=(0.25, 0.2, 0.15, 0.125),
+                   replicas=2, fixed_modes=512, dt=0.01, t_final=0.1)
+        texts = []
+        for workers in (1, 2):
+            forks.clear()
+            log = tmp_path / f"w{workers}.log"
+            self.probed(monkeypatch, log)
+            report = run_theorem15_study(RunConfig(workers=workers, **cfg))
+            assert len(forks) == (0 if workers == 1 else 2)
+            lines = sorted(log.read_text().split("\n")[:-1])
+            assert lines == ["128"] * 4 + [f"probe {os.getpid()}"]
+            texts.append((report_csv_text(report), report_json_text(report)))
+        assert texts[0] == texts[1]
+
     def test_records_no_limit(self):
-        # the limits step beside the replicas, so a level's traced peak
-        # stays below one recorded limit, (n_steps + 1) x (N+1) complex
+        # the limits are recorded at 128 modes, not at the level's N, so
+        # the study's traced peak stays below one limit recorded at N,
+        # (n_steps + 1) x (N+1) complex
         cfg = RunConfig(study="theorem15", eps_grid=(2.0 ** -9,), replicas=2,
                         workers=1)
         sim = cfg.simulation_config(cfg.eps_grid[0])
@@ -515,17 +624,18 @@ class TestTheorem15Study:
         return peak / (replicas * (sim.max_mode + 1) * 16)
 
     def test_one_level_peak_under_28_states(self):
-        # the limits and replicas share one workspace, the drift's result
-        # takes the weight in place, u is written from psi and v without a
-        # copy of either, and the Sobolev distances are measured a chunk of
-        # rows at a time: the level peaks at 22.0 states (24.7 with the
-        # workspace keyed by role and shape)
+        # the limits are read from their record at 128 modes, the drift's
+        # result takes the weight in place, u is written from psi and v
+        # without a copy of either, and the Sobolev distances are measured
+        # a chunk of rows at a time: the level peaks at 19.6 states (19.4
+        # with the limits stepped beside the replicas on one workspace,
+        # 24.7 with the workspace keyed by role and shape)
         assert self.one_level_peak_states(2) < 28
 
     def test_three_replica_peak_under_21_states(self):
-        # one buffer per role: the limits' and replicas' arrays are shared
-        # although their shapes differ, 18.9 states (22.7 with the
-        # workspace keyed by role and shape)
+        # one buffer per role, 16.3 states (16.9 with the limits stepped
+        # beside the replicas, sharing their arrays although the shapes
+        # differ; 22.7 with the workspace keyed by role and shape)
         assert self.one_level_peak_states(3) < 21
 
     def test_workspace_holds_one_array_per_role(self, monkeypatch):
