@@ -70,23 +70,29 @@ def _mode_scale(nu: float, eps: float, max_mode: int) -> np.ndarray:
     return np.sqrt(sigma_mode(nu, eps, np.arange(1, max_mode + 1)) / 2.0)
 
 
-def _w_batch(nu: float, eps: float, max_mode: int, stream: NoiseStream,
-             reps: int, purpose: int) -> np.ndarray:
-    """reps independent snapshots, shape (reps, 2N+1), Hermitian rows."""
-    if nu <= 0 or eps <= 0:
-        raise ValueError("nu and eps must be positive")
-    if max_mode < 1:
-        raise ValueError("max_mode must be >= 1")
-    z = stream.normals(purpose, 0, (reps, max_mode, 2))
-    pos = _mode_scale(nu, eps, max_mode) * (z[:, :, 0] + 1j * z[:, :, 1])
-    return _mirror(np.concatenate([np.zeros((reps, 1)), pos], axis=1))
+def _snapshot_modes(scale: np.ndarray, stream: NoiseStream, purpose: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Modes 0..N of one stream's snapshot w, or by purpose of its
+    independent copy, in out (fresh if None); scale is _mode_scale's.  The
+    only sampler of w: sample_w mirrors these modes and replica_norms
+    grids them."""
+    n = scale.shape[0]
+    modes = np.empty(n + 1, dtype=np.complex128) if out is None else out
+    modes[0] = 0.0
+    stream.normals(purpose, 0, (1, n, 2),
+                   out=modes[1:].view(np.float64).reshape(1, n, 2))
+    modes[1:] *= scale
+    return modes
 
 
 def sample_w(nu: float, eps: float, max_mode: int,
              stream: NoiseStream) -> ModeEnsemble:
     """Draw one snapshot; the stream's replica index selects the sample."""
-    w = _w_batch(nu, eps, max_mode, stream, 1, PURPOSE_MODE_SET)[0]
-    return ModeEnsemble(nu=nu, eps=eps, max_mode=max_mode, w=w)
+    if nu <= 0 or eps <= 0 or max_mode < 1:
+        raise ValueError("nu, eps and max_mode must be positive")
+    modes = _snapshot_modes(_mode_scale(nu, eps, max_mode), stream,
+                            PURPOSE_MODE_SET)
+    return ModeEnsemble(nu=nu, eps=eps, max_mode=max_mode, w=_mirror(modes))
 
 
 def _grid_size(max_mode: int) -> int:
@@ -171,21 +177,6 @@ def level_terms(nu: float, eps: float, alpha: float,
             v_modes / (2.0 * eps * math.sqrt(nu)))
 
 
-def _snapshot_grid(scale: np.ndarray, stream: NoiseStream, purpose: int,
-                   modes: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """_grid of one _w_batch row's modes 0..N, drawn straight into modes
-    (N+1 complex values), into out.
-
-    scale is _mode_scale's; purpose picks w or its copy.
-    """
-    n = scale.shape[0]
-    modes[0] = 0.0
-    stream.normals(purpose, 0, (1, n, 2),
-                   out=modes[1:].view(np.float64).reshape(1, n, 2))
-    modes[1:] *= scale
-    return _grid(modes, out)
-
-
 def replica_norms(nu: float, gamma: float, v_grid: np.ndarray,
                   scale: np.ndarray, centring: np.ndarray,
                   streams) -> tuple[np.ndarray, np.ndarray]:
@@ -209,8 +200,9 @@ def replica_norms(nu: float, gamma: float, v_grid: np.ndarray,
 
     out = np.empty((2, len(streams)))
     for i, sub in enumerate(streams):
-        _snapshot_grid(scale, sub, PURPOSE_MODE_SET, modes, w)
-        _snapshot_grid(scale, sub, PURPOSE_MODE_SET_INDEP, modes, w_tilde)
+        _grid(_snapshot_modes(scale, sub, PURPOSE_MODE_SET, modes), w)
+        _grid(_snapshot_modes(scale, sub, PURPOSE_MODE_SET_INDEP, modes),
+              w_tilde)
         w_tilde *= w
         w_tilde *= v_grid
         phit = norm(_triple_sum(w_tilde, n, spectrum))

@@ -42,10 +42,11 @@ replicas at a time, and records no replica.  It reads the limits from a
 resolve_limits record, which steps them once per study at the fewest
 modes n = 64, 128, ... that agree with twice as many to LIMIT_RTOL in the
 beta norm, and keeps modes 0..n of every step (about 1 MB at n = 128);
-without a record (no such n below the smallest level's N, or a limit
-censored or non-finite on the way) it steps them at N as one block beside
-the replicas' block, recording neither.  Both return (R, limits) arrays:
-the maxima and their censored flags.
+without a record (no such n below the finest level's N, or a limit
+censored or non-finite on the way), or at a level whose N is below n, it
+steps them at N as one block beside the replicas' block, recording
+neither.  Both return (R, limits) arrays: the maxima and their censored
+flags.
 
 A run's scratch is one array per role.  A run allocates v and u (v itself
 without noise) once and takes every other step array from one

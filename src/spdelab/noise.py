@@ -255,19 +255,6 @@ class CoupledOUState:
     factors: _LevelFactors
 
 
-def stationary_samples(levels, n_components: int, max_mode: int,
-                       stream: NoiseStream, reps: int) -> np.ndarray:
-    """Draw `reps` independent joint stationary samples in one block.
-
-    Returns complex (reps, n_levels, n_components, max_mode+1), for
-    statistical estimators that need many independent draws cheaply.
-    """
-    factors = _LevelFactors(levels, max_mode)
-    z = stream.normals(PURPOSE_OU_INIT, 0, (reps, max_mode + 1, n_components,
-                                            2, len(factors.levels)))
-    return factors.colored(factors.stationary_factor, z)
-
-
 def sample_replicas(levels, n_components: int, max_mode: int,
                     streams) -> CoupledOUState:
     """One exact joint stationary sample across all levels per stream.

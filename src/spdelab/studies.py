@@ -18,6 +18,7 @@ import math
 import numbers
 import os
 import pickle
+import sys
 import tempfile
 import threading
 from dataclasses import dataclass, field
@@ -254,18 +255,17 @@ def _map_levels(run, cfg: RunConfig, costs: list) -> list:
     order, stops at its first exception, pipes back its results or that
     exception, pickled, and ends in os._exit.  The parent raises the first
     failing level in level order, and reaps every child.  With one
-    process, without fork as the platform's default start method, or while
-    the caller runs other threads (a fork copies none of them), the levels
-    run here instead.
+    process, without os.fork, on macOS (where a forked child may not use
+    every system library, so CPython starts processes by spawn there), or
+    while the caller runs other threads (a fork copies none of them), the
+    levels run here instead.
     """
     total = min(cfg.workers, usable_cores())
     procs = min(total, len(costs))
-    if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if (procs < 2 or not hasattr(os, "fork") or sys.platform == "darwin"
+            or threading.active_count() > 1):
         return _levels_here(run, cfg, costs)
-    import multiprocessing   # on this path only, so no import costs set-up
     import signal
-    if multiprocessing.get_all_start_methods()[0] != "fork":
-        return _levels_here(run, cfg, costs)
 
     shares, loads = [[] for _ in range(procs)], [0] * procs
     for i in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
@@ -433,11 +433,11 @@ def run_theorem15_study(cfg: RunConfig) -> ConvergenceReport:
 
     The deterministic corrected and naive limits (they carry no noise) are
     resolved once, before the levels run: resolve_limits records them at
-    the fewest modes that resolve them, and each block of replicas, which
-    run only the stochastic variant, is measured against that record as it
-    goes.  When no mode count below the smallest level's resolves them,
-    each block steps its level's limits beside the replicas instead.  No
-    replica field is recorded.
+    the fewest modes n that resolve them, with 2n at most the finest
+    level's N, and each block of replicas, which run only the stochastic
+    variant, is measured against that record as it goes.  A level whose N
+    is below n, or every level when no n resolves them, steps its limits
+    beside the replicas instead.  No replica field is recorded.
     """
     spec, _ = model_from_config(cfg.model)
     if spec.g is not None:
@@ -447,14 +447,16 @@ def run_theorem15_study(cfg: RunConfig) -> ConvergenceReport:
     consts = {eps: resolve_correction(cfg.correction, spec.nu, eps,
                                       cfg.modes_for(eps))
               for eps in cfg.eps_grid}
-    # the largest eps has the fewest modes
-    record = resolve_limits(spec, u0, cfg.simulation_config(max(consts)),
+    # the smallest eps has the most modes
+    record = resolve_limits(spec, u0, cfg.simulation_config(min(consts)),
                             dict.fromkeys([*consts.values(), 0.0]), cfg.beta)
+    # a level with fewer modes than the record steps its own limits
+    modes = math.inf if record is None else record.states.shape[-1] - 1
 
     def block(eps, sim, streams):
-        return reference_distances(spec, eps, u0, sim, streams,
-                                   constants=(consts[eps], 0.0),
-                                   beta=cfg.beta, record=record)
+        return reference_distances(
+            spec, eps, u0, sim, streams, constants=(consts[eps], 0.0),
+            beta=cfg.beta, record=record if modes <= sim.max_mode else None)
 
     return _sweep(cfg, "theorem15", spec.nu, block, spec.n,
                   {"asymptotic": white_noise_constant(spec.nu),

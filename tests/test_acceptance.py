@@ -34,7 +34,7 @@ from spdelab.integrate import sup_distance
 from spdelab.linops import OperatorSpec
 from spdelab.models import (check_effective_drift_identity, eval_F_eps, eval_G,
                             random_polynomial_potential)
-from spdelab.noise import psi_diff_moment, stationary_samples, step_coupled
+from spdelab.noise import psi_diff_moment, sample_replicas, step_coupled
 from spdelab.spectral import sup_norm
 import spdelab.studies as studies_module
 
@@ -63,18 +63,20 @@ def _field(max_mode: int, coeffs: dict[int, complex]) -> SpectralField:
 def test_criterion_01_stationary_mode_variances():
     # Empirical E|psi^eps_k|^2 from the coupled sampler must match the
     # closed form 1/(1 + nu k^2 + eps^2 k^4) for every mode up to N = 64,
-    # within 4 standard errors at 2e5 draws, in under a minute.
+    # within 4 standard errors at 2e5 draws, in under a minute.  The draws
+    # come from the studies' sampler, one replica stream each, so the test
+    # also covers the per-stream layout and independence across streams.
     t0 = time.perf_counter()
     nu, eps, n_modes = 1.0, 0.25, 64
     levels = (OperatorSpec(nu, eps),)
     chunks, per_chunk = 20, 10_000
     total = chunks * per_chunk
-    stream = NoiseStream(0)
     acc = np.zeros(n_modes + 1)
     acc2 = np.zeros(n_modes + 1)
     for i in range(chunks):
-        batch = stationary_samples(levels, 1, n_modes,
-                                   stream.with_replica(i), per_chunk)
+        streams = [NoiseStream(0, replica=r)
+                   for r in range(i * per_chunk, (i + 1) * per_chunk)]
+        batch = sample_replicas(levels, 1, n_modes, streams).psi
         m = np.abs(batch[:, 0, 0, :]) ** 2
         acc += m.sum(axis=0)
         acc2 += (m ** 2).sum(axis=0)
@@ -97,11 +99,13 @@ def test_criterion_02_coupled_difference_moments():
     # 1/a_eps + 1/a_0 - 4/(a_eps + a_0) within 4 SE at 2e4 draws, and the
     # closed form itself must agree with an adaptive-quadrature oracle of
     # the defining integral 2 int_0^inf (e^{-a_eps s} - e^{-a_0 s})^2 ds.
+    # Each draw is one replica stream of the studies' sampler.
     nu, reps, n_modes = 1.0, 20_000, 16
+    streams = [NoiseStream(1, replica=r) for r in range(reps)]
     worst = 0.0
     for eps in (1.0, 0.25):
         levels = (OperatorSpec(nu, eps), OperatorSpec(nu, 0.0))
-        batch = stationary_samples(levels, 1, n_modes, NoiseStream(1), reps)
+        batch = sample_replicas(levels, 1, n_modes, streams).psi
         for k in (1, 2, 4, 8, 16):
             m = np.abs(batch[:, 0, 0, k] - batch[:, 1, 0, k]) ** 2
             se = m.std(ddof=1) / math.sqrt(reps)

@@ -1,5 +1,6 @@
 """Tests for the single-time averaging diagnostics."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -8,8 +9,10 @@ import pytest
 
 from spdelab import (NoiseStream, RunConfig, SpectralField, compute_phi,
                      deterministic_profile, run_averaging_study, sample_w)
-from spdelab.averaging import (ModeEnsemble, _w_batch, coefficients_to_field,
-                               compute_phi_tilde, level_terms, replica_norms)
+import spdelab.averaging as averaging_module
+from spdelab.averaging import (ModeEnsemble, _mode_scale, _snapshot_modes,
+                               coefficients_to_field, compute_phi_tilde,
+                               level_terms, replica_norms)
 from spdelab.constants import sigma_mode
 from spdelab.noise import PURPOSE_MODE_SET, PURPOSE_MODE_SET_INDEP
 from spdelab.spectral import fast_grid_size, sobolev_norm
@@ -56,6 +59,22 @@ def brute_force_phi_tilde(v: SpectralField, w: ModeEnsemble,
                           w_tilde: ModeEnsemble) -> np.ndarray:
     """O(N^3) direct triple sum with the independent copy; no centering."""
     return brute_force_triple_sum(w.w, w_tilde.w, full_sequence(v.coeffs[0]))
+
+
+def snapshot(nu: float, eps: float, n: int, stream: NoiseStream,
+             purpose: int = PURPOSE_MODE_SET) -> np.ndarray:
+    """The snapshot w (or, by purpose, its copy) over modes -N..N that
+    replica_norms draws for stream."""
+    return full_sequence(_snapshot_modes(_mode_scale(nu, eps, n), stream,
+                                         purpose))
+
+
+def snapshots(nu: float, eps: float, n: int, seed: int, reps: int,
+              purpose: int = PURPOSE_MODE_SET) -> np.ndarray:
+    """snapshot of replica streams 0..reps-1 of seed, stacked (reps, 2N+1):
+    one stream per draw, as the studies draw them."""
+    return np.stack([snapshot(nu, eps, n, NoiseStream(seed, replica=r),
+                              purpose) for r in range(reps)])
 
 
 def random_modes(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -105,14 +124,14 @@ class TestModeSampling:
 
     def test_variances_within_4se(self):
         nu, eps, n, reps = 1.0, 0.5, 12, 6000
-        w = _w_batch(nu, eps, n, NoiseStream(1), reps, PURPOSE_MODE_SET)
+        w = snapshots(nu, eps, n, 1, reps)
         sq = np.abs(w[:, n + 1:]) ** 2
         se = sq.std(axis=0, ddof=1) / math.sqrt(reps)
         sig = sigma_mode(nu, eps, np.arange(1, n + 1))
         np.testing.assert_array_less(np.abs(sq.mean(axis=0) - sig), 4.0 * se)
 
     def test_phase_symmetry(self):
-        w = _w_batch(1.0, 0.5, 8, NoiseStream(2), 6000, PURPOSE_MODE_SET)
+        w = snapshots(1.0, 0.5, 8, 2, 6000)
         w2 = w[:, 8 + 3] ** 2
         for part in (w2.real, w2.imag):
             se = part.std(ddof=1) / math.sqrt(part.size)
@@ -120,8 +139,8 @@ class TestModeSampling:
 
     def test_copies_are_independent_streams(self):
         s = NoiseStream(4)
-        a = _w_batch(1.0, 0.5, 8, s, 1, PURPOSE_MODE_SET)
-        b = _w_batch(1.0, 0.5, 8, s, 1, PURPOSE_MODE_SET_INDEP)
+        a = snapshot(1.0, 0.5, 8, s)
+        b = snapshot(1.0, 0.5, 8, s, PURPOSE_MODE_SET_INDEP)
         assert not np.array_equal(a, b)
 
     def test_validation(self):
@@ -137,6 +156,54 @@ class TestModeSampling:
         lopsided[6] = 1.0  # mode 2 without its conjugate at mode -2
         with pytest.raises(ValueError):
             ModeEnsemble(1.0, 0.5, 4, lopsided)
+
+
+class TestDrawContract:
+    """sample_w and replica_norms draw w from one sampler, so the bench's
+    averaging.direct_convolution check, which recomputes phi from
+    sample_w, reads the draws each replica's norms came from."""
+
+    def test_replica_norms_draw_what_sample_w_and_the_stream_give(
+            self, monkeypatch):
+        nu, eps, n = 0.7, 0.3, 9
+        streams = [NoiseStream(seed, replica=r)
+                   for seed, r in ((0, 0), (5, 1), (5, 7), (2 ** 63, 3))]
+        sampled = [sample_w(nu, eps, n, stream).w[n:] for stream in streams]
+        drawn = {}
+        real = averaging_module._snapshot_modes
+
+        def spy(scale, stream, purpose, out=None):
+            modes = real(scale, stream, purpose, out)
+            drawn[stream, purpose] = modes.copy()
+            return modes
+
+        monkeypatch.setattr(averaging_module, "_snapshot_modes", spy)
+        replica_norms(nu, 0.75, *level_terms(nu, eps, 0.75, n), streams)
+        assert len(drawn) == 2 * len(streams)
+        scale = np.sqrt(sigma_mode(nu, eps, np.arange(1, n + 1)) / 2.0)
+        for stream, w in zip(streams, sampled):
+            for purpose in (PURPOSE_MODE_SET, PURPOSE_MODE_SET_INDEP):
+                z = stream.normals(purpose, 0, (n, 2))
+                want = np.concatenate([[0.0],
+                                       scale * (z[:, 0] + 1j * z[:, 1])])
+                assert (drawn[stream, purpose] == want).all()
+            assert (w == drawn[stream, PURPOSE_MODE_SET]).all()
+
+    # seed: SHA-256 of sample_w's w on the bench averaging check's streams
+    # (eps = 2^-4, N = 512, replicas 0..23), recorded while sample_w and
+    # replica_norms each had a sampler of their own
+    PINNED = {
+        1: "23448dfc7418fa4dc1d5f278c8404a596dba6984af9ecc64790399386ee550b5",
+        2: "d06ab72c5cbcd03c8597eb3ad911a1fba0f00c712f6ab6ed8e8c831ef1661f6f",
+        3: "4cccbe725be6431c15367a6b28c99509dbe6eeb2b83c8ede1c368f2eccfe9c89"}
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_sample_w_pinned(self, seed):
+        sha = hashlib.sha256()
+        for r in range(24):
+            w = sample_w(1.0, 2.0 ** -4, 512, NoiseStream(seed, replica=r))
+            sha.update(w.w.tobytes())
+        assert sha.hexdigest() == self.PINNED[seed]
 
 
 class TestComputePhi:
@@ -174,8 +241,8 @@ class TestComputePhi:
     def test_phi_tilde_brute_force_oracle(self):
         n = 6
         w = sample_w(1.0, 0.5, n, NoiseStream(8))
-        wt = ModeEnsemble(1.0, 0.5, n, _w_batch(
-            1.0, 0.5, n, NoiseStream(8), 1, PURPOSE_MODE_SET_INDEP)[0])
+        wt = ModeEnsemble(1.0, 0.5, n, snapshot(
+            1.0, 0.5, n, NoiseStream(8), PURPOSE_MODE_SET_INDEP))
         v = profile(n, {0: 0.4, 1: 0.3 - 0.2j, 4: 0.15})
         np.testing.assert_allclose(compute_phi_tilde(v, w, wt),
                                    brute_force_phi_tilde(v, w, wt), atol=1e-10)
@@ -215,7 +282,7 @@ class TestComputePhi:
         # this deterministic value within 4 SE
         nu, eps, n, reps = 1.0, 0.5, 32, 2000
         v = profile(n, {0: 0.5, 1: 0.3, 2: 0.2 - 0.1j})
-        ws = _w_batch(nu, eps, n, NoiseStream(10), reps, PURPOSE_MODE_SET)
+        ws = snapshots(nu, eps, n, 10, reps)
         ks = np.arange(-n, n + 1)
         bias = (float(np.sum(sigma_mode(nu, eps, ks))) / TWO_PI
                 - 1.0 / (2.0 * eps * math.sqrt(nu)))
@@ -236,9 +303,8 @@ class TestComputePhi:
     def test_phi_tilde_mean_is_zero(self):
         nu, eps, n, reps = 1.0, 0.5, 16, 2000
         v = profile(n, {0: 0.5, 1: 0.3})
-        s = NoiseStream(11)
-        ws = _w_batch(nu, eps, n, s, reps, PURPOSE_MODE_SET)
-        wts = _w_batch(nu, eps, n, s, reps, PURPOSE_MODE_SET_INDEP)
+        ws = snapshots(nu, eps, n, 11, reps)
+        wts = snapshots(nu, eps, n, 11, reps, PURPOSE_MODE_SET_INDEP)
         samples = np.stack([
             compute_phi_tilde(v, ModeEnsemble(nu, eps, n, ws[r]),
                               ModeEnsemble(nu, eps, n, wts[r]))
@@ -295,8 +361,8 @@ class TestReplicaNorms:
         want = []
         for sub in streams:
             w = sample_w(nu, eps, n, sub)
-            wt = ModeEnsemble(nu, eps, n, _w_batch(
-                nu, eps, n, sub, 1, PURPOSE_MODE_SET_INDEP)[0])
+            wt = ModeEnsemble(nu, eps, n, snapshot(
+                nu, eps, n, sub, PURPOSE_MODE_SET_INDEP))
             want.append(tuple(
                 float(sobolev_norm(seq[n:][None], -gamma, nu))
                 for seq in (compute_phi(v, w), compute_phi_tilde(v, w, wt))))
@@ -375,7 +441,7 @@ class TestTailExperiment:
             norms_p, norms_t = [], []
             for r in range(reps):
                 sub = NoiseStream(4, replica=r)
-                w, wt = (_w_batch(nu, eps, n, sub, 1, purpose)[0] for purpose
+                w, wt = (snapshot(nu, eps, n, sub, purpose) for purpose
                          in (PURPOSE_MODE_SET, PURPOSE_MODE_SET_INDEP))
                 phi = (np.convolve(np.convolve(w, w), vfull)[center] / TWO_PI
                        - vfull / (2.0 * eps * math.sqrt(nu)))

@@ -13,13 +13,20 @@ from spdelab import NoiseStream, SpectralField, sample_stationary
 from spdelab.linops import OperatorSpec, symbols
 from spdelab.noise import (PURPOSE_OU_STEP, _LevelFactors,
                            _stacked_normals, psi_diff_moment,
-                           sample_replicas, stationary_samples, step_coupled,
-                           step_replicas)
+                           sample_replicas, step_coupled, step_replicas)
 from spdelab.spectral import Workspace
 
 
 def rates(nu: float, eps: float, k: int) -> float:
     return -float(symbols(OperatorSpec(nu, eps), k))
+
+
+def stationary_draws(levels, max_mode: int, seed: int,
+                     replicas) -> np.ndarray:
+    """One joint stationary sample per replica stream of seed, drawn as the
+    studies draw them: psi (len(replicas), levels, 1, N+1)."""
+    streams = [NoiseStream(seed, replica=r) for r in replicas]
+    return sample_replicas(levels, 1, max_mode, streams).psi
 
 
 class TestNoiseStream:
@@ -117,8 +124,8 @@ class TestStationaryLaw:
     def test_mode_variance_within_4se(self):
         nu, eps, n = 1.0, 0.5, 16
         reps = 4000
-        psi = stationary_samples([OperatorSpec(nu, eps)], 1, n,
-                                 NoiseStream(0), reps)[:, 0, 0, :]
+        psi = stationary_draws([OperatorSpec(nu, eps)], n, 0,
+                               range(reps))[:, 0, 0]
         sq = np.abs(psi) ** 2
         mean = sq.mean(axis=0)
         se = sq.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -131,7 +138,7 @@ class TestStationaryLaw:
         # e^{-(a_i+a_j)s} ds; check the sampler against that oracle
         nu, n, reps = 1.0, 4, 20000
         levels = [OperatorSpec(nu, 0.5), OperatorSpec(nu, 0.0)]
-        psi = stationary_samples(levels, 1, n, NoiseStream(1), reps)
+        psi = stationary_draws(levels, n, 1, range(reps))
         for k in (1, 3):
             a_i = rates(nu, 0.5, k)
             a_j = rates(nu, 0.0, k)
@@ -148,8 +155,8 @@ class TestStationaryLaw:
 
     def test_phase_symmetry(self):
         # rotation invariance of complex modes: E psi_k^2 = 0 for k >= 1
-        psi = stationary_samples([OperatorSpec(1.0, 0.25)], 1, 8,
-                                 NoiseStream(2), 20000)[:, 0, 0, :]
+        psi = stationary_draws([OperatorSpec(1.0, 0.25)], 8, 2,
+                               range(20000))[:, 0, 0]
         for k in (1, 4, 8):
             w2 = psi[:, k] ** 2
             for part in (w2.real, w2.imag):
@@ -164,9 +171,9 @@ class TestStationaryLaw:
         means = []
         for i, eps in enumerate(eps_grid):
             n = int(8 / eps)
-            psi = stationary_samples([OperatorSpec(nu, eps)], 1, n,
-                                     NoiseStream(3).with_replica(i),
-                                     100)[:, 0, 0, :]
+            # 100 streams of the level's own
+            psi = stationary_draws([OperatorSpec(nu, eps)], n, 3,
+                                   range(100 * i, 100 * (i + 1)))[:, 0, 0]
             k = np.arange(n + 1, dtype=np.float64)
             w = (1.0 + nu * k * k) ** alpha
             w[1:] *= 2.0
@@ -527,8 +534,8 @@ class TestPsiDiffMoment:
 
     def test_matches_sampler_within_4se(self):
         nu, eps, n, reps = 1.0, 0.5, 8, 20000
-        psi = stationary_samples([OperatorSpec(nu, eps), OperatorSpec(nu, 0.0)],
-                                 1, n, NoiseStream(12), reps)
+        psi = stationary_draws([OperatorSpec(nu, eps), OperatorSpec(nu, 0.0)],
+                               n, 12, range(reps))
         for k in (1, 2, 4):
             d = np.abs(psi[:, 0, 0, k] - psi[:, 1, 0, k]) ** 2
             se = d.std(ddof=1) / math.sqrt(reps)

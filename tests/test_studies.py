@@ -568,6 +568,23 @@ class TestTheorem15Study:
                 assert row["mean_error"] == dist[:, 0].mean()
                 assert row["naive_mean_error"] == dist[:, 1].mean()
 
+    def test_levels_below_the_record_step_their_limits(self, monkeypatch,
+                                                       tmp_path):
+        # the default grid, N = 64..1,024: the probe's rungs stop below the
+        # finest level's N and accept n = 128, which the levels with
+        # N >= 128 read; the N = 64 level steps its limits.  The reports
+        # are those of the study without a record
+        cfg = RunConfig(study="theorem15", replicas=4, seed=1, workers=1)
+        reports = []
+        for resolve in (True, False):
+            self.probed(monkeypatch, tmp_path / f"{resolve}.log", resolve)
+            reports.append(run_theorem15_study(cfg))
+        assert [row["n_modes"] for row in reports[0].per_eps] == \
+            [64, 128, 256, 512, 1024]
+        assert (tmp_path / "True.log").read_text().split("\n")[1:-1] == \
+            ["None"] + ["128"] * 4
+        assert reports[0].per_eps == reports[1].per_eps
+
     def test_probe_runs_once_before_forked_levels(self, monkeypatch,
                                                   tmp_path, forks):
         # two processes over four levels: the parent resolves the limits
@@ -1055,11 +1072,23 @@ class TestLevelMap:
         finally:
             stop.set()
             thread.join()
-        import multiprocessing
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                            lambda: ["spawn", "fork"])
+        # CPython's default there is spawn, as fork is not safe
+        monkeypatch.setattr(sys, "platform", "darwin")
         assert _map_levels(run, RunConfig(workers=2), [1, 1]) == here
         assert forks == []
+
+    def test_levels_fork_whatever_the_default_start_method(self, monkeypatch,
+                                                          forks):
+        # forkserver is CPython 3.14's default on Linux, where os.fork is
+        # as safe as before
+        import multiprocessing
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["forkserver", "fork", "spawn"])
+        pids = _map_levels(lambda sub, i: os.getpid(), RunConfig(workers=2),
+                           [1, 1])
+        assert len(forks) == 2
+        assert os.getpid() not in pids and pids[0] != pids[1]
+        assert_no_child_left()
 
     def test_first_failing_level_in_level_order_is_raised(self, forks):
         # one child runs level 4 alone and fails there; the other runs
@@ -1115,17 +1144,18 @@ class TestLevelMap:
         assert_no_child_left()
 
     def test_one_process_imports_no_multiprocessing(self):
-        # the in-process path adds nothing to a study call's set-up; two
-        # workers on two cores fork, and do import it
-        code = ("import sys, spdelab.studies as s; "
+        # neither the in-process path nor the forked one (two workers on
+        # two cores, two forks) adds its import to a study call
+        code = ("import os, sys, spdelab.studies as s; made = []; "
+                "fork = os.fork; os.fork = lambda: made.append(1) or fork(); "
                 "s.usable_cores = lambda: 2; s.run_convergence_study("
                 "s.RunConfig(eps_grid=(0.5, 0.25), replicas=2, u0_modes=6, "
                 "fixed_modes=8, dt=0.05, t_final=0.2, workers={})); "
-                "print('multiprocessing' in sys.modules)")
+                "print(len(made), 'multiprocessing' in sys.modules)")
         src = os.path.dirname(os.path.dirname(studies_module.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        for workers, loaded in ((1, "False"), (2, "True")):
+        for workers, forked in ((1, 0), (2, 2)):
             out = subprocess.run([sys.executable, "-c", code.format(workers)],
                                  env=env, capture_output=True, text=True,
                                  check=True)
-            assert out.stdout.strip() == loaded
+            assert out.stdout.split() == [str(forked), "False"]
